@@ -4,7 +4,7 @@
 use ebs_bench::experiments as exp;
 
 fn main() {
-    let quick = ebs_bench::quick_requested();
+    let quick = ebs_bench::QUICK.args().flag("--quick");
     let mode = if quick { "quick" } else { "full" };
     println!("== EBS evaluation ({mode} mode) ==\n");
 

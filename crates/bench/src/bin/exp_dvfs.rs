@@ -3,9 +3,12 @@
 //! (`results/trace_dvfs.json`) plus the metrics-registry CSV
 //! (`results/metrics_dvfs.csv`).
 
+use ebs_bench::Cli;
+
 fn main() {
-    let quick = ebs_bench::quick_requested();
-    if ebs_bench::trace_requested() {
+    let args = Cli::switches(&["--quick", "--trace"]).args();
+    let quick = args.flag("--quick");
+    if args.flag("--trace") {
         let traced = ebs_bench::experiments::dvfs::traced_run(quick);
         ebs_bench::write_artifact("trace_dvfs.json", &traced.perfetto_json)
             .expect("trace_dvfs.json");

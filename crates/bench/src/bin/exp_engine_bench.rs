@@ -10,7 +10,7 @@
 //! serially and no speedup is physically possible.
 
 fn main() {
-    let quick = ebs_bench::quick_requested();
+    let quick = ebs_bench::QUICK.args().flag("--quick");
     let bench = ebs_bench::experiments::engine_bench::run(quick);
     ebs_bench::write_artifact("engine_bench.csv", &bench.to_csv()).expect("engine_bench.csv");
     println!("{bench}");

@@ -2,7 +2,7 @@
 //! energy balancing disabled/enabled).
 
 fn main() {
-    let quick = ebs_bench::quick_requested();
+    let quick = ebs_bench::QUICK.args().flag("--quick");
     let fig = ebs_bench::experiments::fig67::run(quick);
     let p6 = ebs_bench::write_artifact("fig6.csv", &fig.disabled.trace.to_csv())
         .expect("write fig6.csv");

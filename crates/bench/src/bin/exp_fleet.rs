@@ -8,7 +8,7 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let smoke = ebs_bench::smoke_requested() || ebs_bench::quick_requested();
+    let smoke = ebs_bench::reduced(&ebs_bench::SMOKE.args());
     let sweep = ebs_bench::experiments::fleet::run(smoke);
     ebs_bench::write_artifact("fleet.csv", &sweep.to_csv()).expect("fleet csv");
     print!("{sweep}");

@@ -7,7 +7,7 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let smoke = ebs_bench::smoke_requested() || ebs_bench::quick_requested();
+    let smoke = ebs_bench::reduced(&ebs_bench::SMOKE.args());
     let study = ebs_bench::experiments::hybrid::run(smoke);
     ebs_bench::write_artifact("hybrid.csv", &study.to_csv()).expect("hybrid csv");
     print!("{study}");

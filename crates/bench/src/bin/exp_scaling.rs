@@ -2,7 +2,7 @@
 //! generated topologies and open-workload load curves, sharded through
 //! the capped parallel runner. `--smoke` (or `--quick`) runs the
 //! reduced 24-cell matrix CI exercises on every push; `--fixed` runs
-//! the sweep on the fixed-tick engine core and writes
+//! the sweep at a one-tick stride cap and writes
 //! `results/scaling_fixed.csv` — the baseline leg of the CI
 //! fixed-vs-strided regression gate (`exp_scaling_gate`).
 //!
@@ -16,12 +16,14 @@
 //! them with `exp_trace_diff --from-snapshot`). Exits non-zero when
 //! the legs diverge.
 
+use ebs_bench::Cli;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let smoke = ebs_bench::smoke_requested() || ebs_bench::quick_requested();
-    let fixed = std::env::args().any(|a| a == "--fixed");
-    let fork = std::env::args().any(|a| a == "--fork");
+    let args = Cli::switches(&["--smoke", "--quick", "--fixed", "--fork"]).args();
+    let smoke = ebs_bench::reduced(&args);
+    let fixed = args.flag("--fixed");
+    let fork = args.flag("--fork");
     if fork {
         let cmp = ebs_bench::experiments::scaling::run_fork_compare(smoke);
         ebs_bench::write_artifact("scaling_fork.csv", &cmp.forked.sweep.to_csv())

@@ -1,7 +1,8 @@
 //! CI regression gate over the scaling sweep: compares the strided
 //! (`results/scaling.csv`) and fixed-tick (`results/scaling_fixed.csv`)
 //! legs of `exp_scaling --smoke` cell by cell and exits non-zero when
-//! any headline metric drifts past the equivalence-suite tolerances.
+//! any headline metric drifts past the equivalence-suite tolerances,
+//! listing every violating cell.
 //! Optional arguments override the two artifact paths, strided first.
 //!
 //! When `results/scaling_fork_hashes.csv` exists (written by
@@ -10,6 +11,7 @@
 //! an equality oracle that does not inherit the ≥20-completion
 //! percentile gating hole of the metric tolerances.
 
+use ebs_bench::Cli;
 use std::process::ExitCode;
 
 const HASHES: &str = "results/scaling_fork_hashes.csv";
@@ -41,38 +43,23 @@ fn hash_gate_passes() -> bool {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let strided = args
-        .first()
-        .map(String::as_str)
-        .unwrap_or("results/scaling.csv");
-    let fixed = args
+    let args = Cli {
+        switches: &[],
+        valued: &[],
+        positional: &["strided.csv", "fixed.csv"],
+    }
+    .args();
+    let paths = args.positional();
+    let strided = paths.first().map_or("results/scaling.csv", String::as_str);
+    let fixed = paths
         .get(1)
-        .map(String::as_str)
-        .unwrap_or("results/scaling_fixed.csv");
+        .map_or("results/scaling_fixed.csv", String::as_str);
     match ebs_bench::experiments::scaling_gate::run(strided, fixed) {
         Ok(result) => {
             print!("{result}");
-            if result.passed() {
-                if hash_gate_passes() {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
+            if result.passed() && hash_gate_passes() {
+                ExitCode::SUCCESS
             } else {
-                // Localise the first violation: replay its cell with
-                // event tracing at a one-tick stride cap and name the
-                // first divergent scheduling event.
-                if let Some(v) = result.violations.first() {
-                    println!(
-                        "replaying {} with event tracing to localise the drift:",
-                        v.key
-                    );
-                    print!(
-                        "{}",
-                        ebs_bench::experiments::scaling_gate::trace_diff_summary(&v.key)
-                    );
-                }
                 ExitCode::FAILURE
             }
         }

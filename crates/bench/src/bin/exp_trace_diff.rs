@@ -1,51 +1,45 @@
-//! Trace-diff debugging tool: replays one scaling-sweep cell on both
-//! engine cores (stride cap pinned to one tick, event tracing on) and
-//! prints the first divergent event, or that the traced streams
-//! match.
+//! Trace-diff debugging tool: replays one scaling-sweep cell twice
+//! with event tracing on and prints the first divergent event, or that
+//! the traced streams match.
 //!
 //! Usage:
 //!
 //! ```text
-//! exp_trace_diff [topology/curve/policy] [--seed-b N]
+//! exp_trace_diff [topology/curve/policy] --seed-b N
 //! exp_trace_diff [topology/curve/policy] --from-snapshot results/<group>.snap
 //! ```
 //!
-//! With `--seed-b N` the cell is instead replayed on the strided core
-//! under its sweep seed and seed `N` — a demonstration mode whose
-//! divergence is expected at the first seed-driven arrival.
+//! With `--seed-b N` the cell is replayed on the strided core under
+//! its sweep seed and seed `N` — a demonstration mode whose divergence
+//! is expected at the first seed-driven arrival.
 //!
 //! With `--from-snapshot <path>` the cell is forked twice from the
 //! named `exp_scaling --fork` checkpoint and the two forks are
 //! diffed — the bisection mode for a failed state-hash gate.
 
 use ebs_bench::experiments::trace_diff;
+use ebs_bench::Cli;
 use std::process::ExitCode;
 
+const CLI: Cli = Cli {
+    switches: &[],
+    valued: &["--seed-b", "--from-snapshot"],
+    positional: &["topology/curve/policy"],
+};
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut key: Option<String> = None;
-    let mut seed_b: Option<u64> = None;
-    let mut snapshot: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--seed-b" {
-            seed_b = args.get(i + 1).and_then(|s| s.parse().ok());
-            i += 2;
-        } else if args[i] == "--from-snapshot" {
-            snapshot = args.get(i + 1).cloned();
-            i += 2;
-        } else {
-            if !args[i].starts_with("--") && key.is_none() {
-                key = Some(args[i].clone());
-            }
-            i += 1;
-        }
-    }
-    let key = key.as_deref().unwrap_or(trace_diff::DEFAULT_KEY);
-    let result = match (snapshot, seed_b) {
-        (Some(path), _) => trace_diff::from_snapshot(&path, key),
-        (None, Some(seed)) => trace_diff::seeds(key, seed),
-        (None, None) => trace_diff::engines(key),
+    let args = CLI.args();
+    let key = args
+        .positional()
+        .first()
+        .map_or(trace_diff::DEFAULT_KEY, String::as_str);
+    let result = match (args.value("--from-snapshot"), args.value("--seed-b")) {
+        (Some(path), None) => trace_diff::from_snapshot(path, key),
+        (None, Some(seed)) => match seed.parse() {
+            Ok(seed) => trace_diff::seeds(key, seed),
+            Err(_) => CLI.fail(&format!("--seed-b takes a number, got {seed}")),
+        },
+        _ => CLI.fail("choose one mode: --seed-b or --from-snapshot"),
     };
     match result {
         Ok(diff) => {

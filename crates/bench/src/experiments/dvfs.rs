@@ -21,7 +21,7 @@
 
 use crate::fmt::{pct, Table};
 use ebs_dvfs::GovernorKind;
-use ebs_sim::{run_seeds, DvfsSpec, MaxPowerSpec, SimConfig, SimReport, Simulation};
+use ebs_sim::{run_seeds, MaxPowerSpec, SimConfig, SimReport, Simulation};
 use ebs_units::{SimDuration, Watts};
 use ebs_workloads::section61_mix;
 use std::time::Instant;
@@ -48,8 +48,7 @@ pub struct DvfsRow {
     pub scaled: f64,
     /// Mean effective core clock in gigahertz.
     pub mean_ghz: f64,
-    /// Mean governor decisions per run (0 without DVFS) — what the
-    /// event-driven trigger path exists to shrink.
+    /// Mean governor decisions per run (0 without DVFS).
     pub dvfs_decisions: f64,
     /// Simulated seconds per wall second over the variant's runs.
     pub sim_per_wall: f64,
@@ -84,16 +83,6 @@ fn variants() -> Vec<(&'static str, SimConfig)> {
         (
             "dvfs (thermal-aware)",
             base_config().dvfs_governor(GovernorKind::ThermalAware),
-        ),
-        (
-            // The 10 ms-cadence baseline of the event-driven governor
-            // path: same policy, decision points on the fixed timer.
-            "dvfs (cadence)",
-            base_config().dvfs(DvfsSpec {
-                governor: GovernorKind::ThermalAware,
-                event_driven: false,
-                ..DvfsSpec::default()
-            }),
         ),
         (
             "dvfs + energy-aware",
@@ -310,7 +299,7 @@ mod tests {
     #[test]
     fn dvfs_loses_less_than_hlt_at_the_same_budget() {
         let study = run(true);
-        assert_eq!(study.rows.len(), 7);
+        assert_eq!(study.rows.len(), 6);
         let hlt = study.row("hlt");
         let dvfs = study.row("dvfs (thermal-aware)");
         // Both mechanisms actually engaged.
@@ -345,29 +334,6 @@ mod tests {
         // package is over budget, but it must not hurt either.
         let ea = study.row("hlt + energy-aware");
         assert!(ea.loss < hlt.loss + 0.02);
-        // The cadence baseline enforces the same policy with the same
-        // headline outcome (the event-driven path is an optimisation,
-        // not a policy change) at far more governor wake-ups.
-        let cadence = study.row("dvfs (cadence)");
-        assert!(cadence.scaled > 0.05);
-        assert!(
-            (cadence.loss - dvfs.loss).abs() < 0.05,
-            "cadence and event-driven losses diverged: {} vs {}",
-            cadence.loss,
-            dvfs.loss
-        );
-        assert!(
-            (cadence.mean_ghz - dvfs.mean_ghz).abs() < 0.15,
-            "mean clocks diverged: {} vs {}",
-            cadence.mean_ghz,
-            dvfs.mean_ghz
-        );
-        assert!(
-            dvfs.dvfs_decisions * 2.0 < cadence.dvfs_decisions,
-            "event-driven path saved no wake-ups: {} vs {}",
-            dvfs.dvfs_decisions,
-            cadence.dvfs_decisions
-        );
     }
 
     #[test]

@@ -1,19 +1,14 @@
-//! Engine micro-benchmark: simulated seconds per wall second, for the
-//! fixed-tick and variable-stride cores.
+//! Engine micro-benchmark: simulated seconds per wall second, at a
+//! one-tick stride cap and at the default one.
 //!
-//! The ROADMAP's scaling sweeps are wall-clock bound on the engine's
-//! main loop; this benchmark quantifies exactly what the strided core
-//! buys, per machine shape, on the sweep's own workload (open
-//! arrivals under a diurnal curve, per-core-scaled rate). The realised
-//! mean stride (`sim_time / engine_steps`) shows how far the core gets
-//! from its one-tick floor on each shape.
-//!
-//! The DVFS cells measure the governor decision points specifically:
-//! with the fixed 10 ms cadence every stride in a DVFS cell is floored
-//! at the governor interval, while event-driven governors only end
-//! spans when a hold band is about to be escaped — the before/after of
-//! the ROADMAP's "governor interval bounds strides" item, on the same
-//! thermal-aware cells the scaling sweep runs.
+//! The scaling sweeps are wall-clock bound on the engine's main loop;
+//! this benchmark quantifies exactly what variable strides buy, per
+//! machine shape, on the sweep's own workload (open arrivals under a
+//! diurnal curve, per-core-scaled rate). The realised mean stride
+//! (`sim_time / engine_steps`) shows how far the engine gets from its
+//! one-tick floor on each shape. The DVFS cells run the scaling
+//! sweep's thermal-aware enforcement, whose governors only end spans
+//! when a hold band is about to be escaped.
 
 use crate::experiments::scaling;
 use crate::fmt::Table;
@@ -31,12 +26,12 @@ pub struct EngineBenchRow {
     pub topology: &'static str,
     /// Logical CPUs of the shape.
     pub cpus: usize,
-    /// Engine mode: "fixed", "strided", or "parN" (the partitioned
-    /// core with N workers requested; threads engage only when the
-    /// host offers parallelism).
+    /// Engine mode: "fixed" (one-tick stride cap), "strided", or
+    /// "parN" (the partitioned core with N workers requested; threads
+    /// engage only when the host offers parallelism).
     pub mode: &'static str,
-    /// DVFS mode of the cell: "off", "cadence" (fixed 10 ms governor
-    /// interval) or "event" (hold-band triggers).
+    /// DVFS mode of the cell: "off" or "event" (thermal-aware
+    /// governors on hold-band triggers).
     pub dvfs: &'static str,
     /// Simulated duration.
     pub sim_s: f64,
@@ -144,25 +139,21 @@ fn cell(preset: TopologyPreset, strided: bool, dvfs: &str) -> SimConfig {
     match dvfs {
         // The scaling sweep's DVFS cells: thermal-aware enforcement
         // instead of hlt.
-        "cadence" | "event" => cfg
+        "event" => cfg
             .throttling(false)
-            .dvfs_governor(GovernorKind::ThermalAware)
-            .dvfs_event_driven(dvfs == "event"),
+            .dvfs_governor(GovernorKind::ThermalAware),
         _ => cfg,
     }
 }
 
 /// The (engine mode, DVFS mode, workers) matrix: the classic
-/// fixed-vs-strided pair without DVFS, the strided DVFS cells where
-/// the governor cadence used to floor every stride — the before
-/// ("cadence") and after ("event") of the event-driven governor path —
-/// and the partitioned core's worker ladder ("par1" must reproduce
-/// "strided" bit-exactly; "par4" exercises per-package partitions).
+/// fixed-vs-strided pair without DVFS, a strided DVFS cell, and the
+/// partitioned core's worker ladder ("par1" must reproduce "strided"
+/// bit-exactly; "par4" exercises per-package partitions).
 /// `workers == 0` selects the sequential engine.
-const MODES: [(&str, bool, &str, usize); 6] = [
+const MODES: [(&str, bool, &str, usize); 5] = [
     ("fixed", false, "off", 0),
     ("strided", true, "off", 0),
-    ("strided", true, "cadence", 0),
     ("strided", true, "event", 0),
     ("par1", true, "off", 1),
     ("par4", true, "off", 4),
@@ -294,15 +285,6 @@ impl EngineBench {
         )
     }
 
-    /// Stride stretch of event-driven over cadence governors in the
-    /// strided DVFS cells of one topology (steps-based, so free of
-    /// wall-clock noise).
-    pub fn dvfs_stride_stretch(&self, topology: &str) -> Option<f64> {
-        let cadence = self.cell(topology, "strided", "cadence")?;
-        let event = self.cell(topology, "strided", "event")?;
-        Some(cadence.steps as f64 / event.steps.max(1) as f64)
-    }
-
     /// Renders the benchmark as CSV.
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
@@ -361,23 +343,6 @@ impl core::fmt::Display for EngineBench {
             ]);
         }
         write!(f, "{t}")?;
-        for r in &self.rows {
-            if r.dvfs != "event" {
-                continue;
-            }
-            if let Some(stretch) = self.dvfs_stride_stretch(r.topology) {
-                writeln!(
-                    f,
-                    "{}: event-driven governors stretch DVFS-cell strides {:.1}x \
-                     ({} -> {} steps)",
-                    r.topology,
-                    stretch,
-                    self.cell(r.topology, "strided", "cadence")
-                        .map_or(0, |c| c.steps),
-                    r.steps,
-                )?;
-            }
-        }
         writeln!(
             f,
             "\nEngine self-profile ({} strided event-DVFS cell, event tracing + \
@@ -431,9 +396,9 @@ mod tests {
     #[test]
     fn quick_bench_runs_and_modes_agree_on_work() {
         let bench = run(true);
-        // 2 presets × (fixed/off, strided/off, strided/cadence,
-        // strided/event, par1/off, par4/off).
-        assert_eq!(bench.rows.len(), 12);
+        // 2 presets × (fixed/off, strided/off, strided/event,
+        // par1/off, par4/off).
+        assert_eq!(bench.rows.len(), 10);
         for topo in ["xseries445", "numa16"] {
             // Every comparison below is counter-based (steps retired,
             // instructions, decisions): single-core CI containers make
@@ -450,30 +415,9 @@ mod tests {
             let rel = (fixed.instructions as f64 - strided.instructions as f64).abs()
                 / fixed.instructions as f64;
             assert!(rel < 0.03, "{topo}: work drifted {rel}");
-            // The DVFS cells: the cadence floors strides at the 10 ms
-            // governor interval, the event-driven path lifts it.
-            let cadence = bench.cell(topo, "strided", "cadence").unwrap();
+            // The DVFS cell's governors actually decide.
             let event = bench.cell(topo, "strided", "event").unwrap();
-            assert!(
-                cadence.mean_stride_us < 11_000.0,
-                "{topo}: cadence strides not floored by the interval: {}",
-                cadence.mean_stride_us
-            );
-            assert!(
-                event.steps < cadence.steps,
-                "{topo}: event-driven strides did not stretch: {} vs {} steps",
-                event.steps,
-                cadence.steps
-            );
-            assert!(
-                event.dvfs_decisions < cadence.dvfs_decisions,
-                "{topo}: no governor wake-up savings: {} vs {}",
-                event.dvfs_decisions,
-                cadence.dvfs_decisions
-            );
-            let rel = (cadence.instructions as f64 - event.instructions as f64).abs()
-                / cadence.instructions as f64;
-            assert!(rel < 0.03, "{topo}: dvfs work drifted {rel}");
+            assert!(event.dvfs_decisions > 0, "{topo}: no governor decisions");
             // The partitioned core with one worker is the strided core
             // verbatim: counters match exactly, not just closely.
             let par1 = bench.cell(topo, "par1", "off").unwrap();
@@ -491,7 +435,7 @@ mod tests {
             assert!(rel < 0.03, "{topo}: par4 work drifted {rel}");
         }
         let csv = bench.to_csv();
-        assert_eq!(csv.lines().count(), 13);
+        assert_eq!(csv.lines().count(), 11);
         // The observability stack must not perturb the simulation:
         // bit-identical reports subsume every counter comparison, and
         // the phase profile covers the whole loop. All counter-based —

@@ -229,22 +229,16 @@ pub fn sweep_configs_with_engine(smoke: bool, strided: bool) -> Vec<(ScalingRow,
 
 /// Looks up one sweep cell by its `topology/curve/policy` key (the
 /// key format of `scaling.csv` and the gate's violation reports),
-/// returning its (strided, fixed-tick) config pair. Both the smoke
-/// and the full matrix are searched, so any key a sweep artifact can
-/// contain resolves; the trace-diff tooling replays these pairs.
-pub fn cell_configs(key: &str) -> Option<(SimConfig, SimConfig)> {
-    for smoke in [true, false] {
-        let fixed = sweep_configs_with_engine(smoke, false);
-        for ((row, scfg), (_, fcfg)) in sweep_configs_with_engine(smoke, true)
+/// returning its strided config. Both the smoke and the full matrix
+/// are searched, so any key a sweep artifact can contain resolves;
+/// the trace-diff tooling replays these cells.
+pub fn cell_config(key: &str) -> Option<SimConfig> {
+    [true, false].into_iter().find_map(|smoke| {
+        sweep_configs(smoke)
             .into_iter()
-            .zip(fixed)
-        {
-            if format!("{}/{}/{}", row.topology, row.curve, row.policy) == key {
-                return Some((scfg, fcfg));
-            }
-        }
-    }
-    None
+            .find(|(row, _)| format!("{}/{}/{}", row.topology, row.curve, row.policy) == key)
+            .map(|(_, cfg)| cfg)
+    })
 }
 
 fn fill(row: &mut ScalingRow, report: &SimReport) {
@@ -349,10 +343,9 @@ impl core::fmt::Display for ScalingSweep {
             ]);
         }
         write!(f, "{t}")?;
-        // The DVFS cells are where event-driven governors move the
-        // sweep's wall-clock (cadence decisions floored every stride
-        // there); the sweep-level rate makes regressions visible in
-        // the CI log without adding columns the gate would trip over.
+        // The sweep-level rate makes engine-speed regressions visible
+        // in the CI log without adding columns the gate would trip
+        // over.
         writeln!(
             f,
             "sweep wall-clock: {:.1}s ({:.0} simulated seconds per wall second over {} cells)",
@@ -687,13 +680,13 @@ mod tests {
 
     #[test]
     fn cell_configs_resolves_gate_keys() {
-        let (s, f) = cell_configs("dual2/burst/ea+dvfs").expect("smoke cell");
-        assert!(s.strided_enabled() && !f.strided_enabled());
-        assert_eq!(s.seed, f.seed);
+        let cfg = cell_config("dual2/burst/ea+dvfs").expect("smoke cell");
+        assert!(cfg.strided_enabled() && cfg.dvfs_enabled());
+        assert_eq!(cfg.seed, 42);
         // Keys only the full matrix holds (the step curve) resolve too.
-        assert!(cell_configs("numa64/step/stock+hlt").is_some());
-        assert!(cell_configs("numa16/step/nope").is_none());
-        assert!(cell_configs("garbage").is_none());
+        assert!(cell_config("numa64/step/stock+hlt").is_some());
+        assert!(cell_config("numa16/step/nope").is_none());
+        assert!(cell_config("garbage").is_none());
     }
 
     #[test]

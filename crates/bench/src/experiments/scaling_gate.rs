@@ -288,19 +288,6 @@ pub fn hash_gate(path: &str) -> Result<(usize, Vec<String>), String> {
     Ok((cells, mismatched))
 }
 
-/// The gate's failure-path diagnostic: replays `key` through the
-/// trace-diff experiment (fixed-tick vs strided at a one-tick stride
-/// cap, event tracing on) and renders the first divergent event.
-/// Never errors — an unresolvable key becomes a message, because this
-/// runs while the gate is already failing and must not mask the
-/// violation report.
-pub fn trace_diff_summary(key: &str) -> String {
-    match crate::experiments::trace_diff::engines(key) {
-        Ok(diff) => diff.to_string(),
-        Err(message) => format!("trace-diff unavailable for {key}: {message}\n"),
-    }
-}
-
 /// Runs the gate over two artifact files.
 ///
 /// # Errors
@@ -525,12 +512,6 @@ mod tests {
         let bad = format!("{HEADER}dual2,2,8,diurnal,stock+hlt,x,1,1,1,1,1,1\n");
         assert!(parse_csv(&bad).is_err());
         assert_eq!(parse_csv(HEADER).unwrap().len(), 0);
-    }
-
-    #[test]
-    fn trace_diff_summary_survives_unknown_cells() {
-        let msg = trace_diff_summary("not/a/cell");
-        assert!(msg.contains("unavailable"), "{msg}");
     }
 
     #[test]

@@ -3,13 +3,6 @@
 //!
 //! Two modes:
 //!
-//! - [`engines`] (the gate's failure path): fixed-tick vs strided
-//!   with the stride cap pinned to one tick. At cap == tick the two
-//!   cores must be bit-identical, so the first divergent event *is*
-//!   the regression, named as a typed scheduling event with its
-//!   timestamp instead of a whole-report fingerprint mismatch.
-//!   Identical streams mean the gate's drift came from real strides —
-//!   tolerance territory, not broken determinism.
 //! - [`seeds`]: the same strided cell under two seeds, a
 //!   demonstration mode whose divergence is expected at the first
 //!   seed-driven arrival.
@@ -63,28 +56,6 @@ impl fmt::Display for TraceDiff {
     }
 }
 
-/// Replays `key` on the fixed-tick core against the strided core at a
-/// one-tick stride cap.
-///
-/// # Errors
-///
-/// Returns a message when `key` names no sweep cell.
-pub fn engines(key: &str) -> Result<TraceDiff, String> {
-    let (strided, fixed) = scaling::cell_configs(key)
-        .ok_or_else(|| format!("no sweep cell named {key} (expected topology/curve/policy)"))?;
-    let summary = stride_divergence(
-        fixed,
-        strided.max_stride(SimDuration::from_millis(1)),
-        horizon(),
-        |_| {},
-    );
-    Ok(TraceDiff {
-        key: key.to_string(),
-        mode: "fixed-tick vs strided at cap = tick".to_string(),
-        summary,
-    })
-}
-
 /// Replays `key` on the strided core under its sweep seed and
 /// `seed_b`.
 ///
@@ -92,7 +63,7 @@ pub fn engines(key: &str) -> Result<TraceDiff, String> {
 ///
 /// Returns a message when `key` names no sweep cell.
 pub fn seeds(key: &str, seed_b: u64) -> Result<TraceDiff, String> {
-    let (strided, _) = scaling::cell_configs(key)
+    let strided = scaling::cell_config(key)
         .ok_or_else(|| format!("no sweep cell named {key} (expected topology/curve/policy)"))?;
     let summary = stride_divergence(strided.clone(), strided.seed(seed_b), horizon(), |_| {});
     Ok(TraceDiff {
@@ -119,7 +90,7 @@ pub fn seeds(key: &str, seed_b: u64) -> Result<TraceDiff, String> {
 pub fn from_snapshot(snap_path: &str, key: &str) -> Result<TraceDiff, String> {
     let image = StateImage::read_file(Path::new(snap_path))
         .map_err(|e| format!("cannot read snapshot {snap_path}: {e}"))?;
-    let (strided, _) = scaling::cell_configs(key)
+    let strided = scaling::cell_config(key)
         .ok_or_else(|| format!("no sweep cell named {key} (expected topology/curve/policy)"))?;
     let cfg = strided.trace_events(true);
     let fork = || -> Result<(Vec<TraceEvent>, u64), String> {
@@ -155,19 +126,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn engine_replay_of_a_smoke_cell_matches_at_cap_tick() {
-        // The equivalence guarantee, observed through the event
-        // streams: at cap == tick the cores emit identical traces.
-        let diff = engines("dual2/burst/ea+dvfs").expect("known cell");
-        assert!(
-            diff.summary.contains("identical"),
-            "cores diverged at cap = tick: {}",
-            diff.summary
-        );
-        assert!(diff.to_string().contains("dual2/burst/ea+dvfs"));
-    }
-
-    #[test]
     fn seed_replay_names_the_first_divergent_event() {
         // Different seeds shift the first open arrival, so the diff
         // must localise a concrete event, not just report a mismatch.
@@ -177,6 +135,7 @@ mod tests {
             "seeds did not diverge: {}",
             diff.summary
         );
+        assert!(diff.to_string().contains("dual2/diurnal/stock+hlt"));
     }
 
     #[test]
@@ -184,7 +143,7 @@ mod tests {
         // Warm a small cell up, checkpoint it to disk, and replay the
         // file through the bisection mode: both forks must agree.
         let key = "dual2/burst/stock+hlt";
-        let (strided, _) = scaling::cell_configs(key).expect("known cell");
+        let strided = scaling::cell_config(key).expect("known cell");
         let mut warmup = Simulation::new(strided);
         warmup.run_for(SimDuration::from_secs(1));
         let path = std::env::temp_dir().join(format!("ebs-trace-diff-{}.snap", std::process::id()));
@@ -203,7 +162,7 @@ mod tests {
         assert!(from_snapshot("/nonexistent/no.snap", "dual2/burst/stock+hlt").is_err());
         let path =
             std::env::temp_dir().join(format!("ebs-trace-diff-bad-{}.snap", std::process::id()));
-        let mut sim = Simulation::new(scaling::cell_configs("dual2/burst/stock+hlt").unwrap().0);
+        let mut sim = Simulation::new(scaling::cell_config("dual2/burst/stock+hlt").unwrap());
         sim.run_for(SimDuration::from_millis(100));
         sim.snapshot().write_file(&path).expect("write snapshot");
         // A 2-package image must not restore into a 16-package cell.
@@ -214,7 +173,6 @@ mod tests {
 
     #[test]
     fn unknown_keys_are_an_error() {
-        assert!(engines("nope/nope/nope").is_err());
         assert!(seeds("nope/nope/nope", 1).is_err());
     }
 }

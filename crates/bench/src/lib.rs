@@ -9,32 +9,26 @@
 //! who wins, by roughly what factor, where the crossovers fall — are
 //! the reproduction targets; see `EXPERIMENTS.md`.
 
+pub mod cli;
 pub mod experiments;
 pub mod fmt;
+
+pub use cli::{Args, Cli};
 
 /// Standard multi-seed set for averaged experiments.
 pub const SEEDS: [u64; 5] = [11, 23, 37, 51, 73];
 
-fn flag_requested(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
-}
+/// The command line of the paper experiments: `--quick` shortens the
+/// runs for smoke testing (full runs match paper scale).
+pub const QUICK: Cli = Cli::switches(&["--quick"]);
 
-/// Returns `true` when the binary was invoked with `--quick`
-/// (shortened runs for smoke testing; full runs match paper scale).
-pub fn quick_requested() -> bool {
-    flag_requested("--quick")
-}
+/// The command line of the sweeps: `--smoke` (or its alias `--quick`)
+/// runs the reduced matrix CI exercises on every push.
+pub const SMOKE: Cli = Cli::switches(&["--smoke", "--quick"]);
 
-/// Returns `true` when the binary was invoked with `--smoke` (the
-/// reduced sweep matrix CI runs on every push).
-pub fn smoke_requested() -> bool {
-    flag_requested("--smoke")
-}
-
-/// Returns `true` when the binary was invoked with `--trace` (emit a
-/// Perfetto trace and a metrics CSV instead of / alongside the tables).
-pub fn trace_requested() -> bool {
-    flag_requested("--trace")
+/// Whether `args` ask for the reduced run (`--smoke` or `--quick`).
+pub fn reduced(args: &Args) -> bool {
+    args.flag("--smoke") || args.flag("--quick")
 }
 
 /// Writes a results artefact (CSV or text) under `results/`.

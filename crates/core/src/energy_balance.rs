@@ -21,9 +21,7 @@
 //!    tasks if the remote group is hotter and *cool* tasks if it is
 //!    cooler, so load balancing does not create energy imbalances.
 
-use crate::metrics::{
-    group_runqueue_ratio, runqueue_power, runqueue_power_ratio, GroupRatioCache, PowerState,
-};
+use crate::metrics::{runqueue_power, runqueue_power_ratio, GroupRatioCache, PowerState};
 use ebs_sched::{busiest_queued_cpu, BalanceOutcome, MigrationReason, System, TaskId};
 use ebs_topology::{CpuId, SchedDomain};
 use ebs_units::{SimTime, Watts};
@@ -47,16 +45,6 @@ pub struct EnergyBalanceConfig {
     /// balancer to energy-*aware task selection* in the load step only
     /// (used by ablation experiments).
     pub energy_step_enabled: bool,
-    /// Read group loads and power ratios from the incremental
-    /// aggregate tree (amortised O(1) per group) instead of scanning
-    /// every runqueue in the domain. Both paths make bitwise-identical
-    /// decisions; forcing one only matters for measuring the
-    /// pre-aggregate cost (`exp_balance_bench`) and regression-testing
-    /// equivalence. `None` (the default) picks adaptively by machine
-    /// size — scans below [`ebs_sched::AGGREGATE_CPU_THRESHOLD`]
-    /// logical CPUs, aggregates at or above — which also skips the
-    /// ratio-cache allocation on tiny machines.
-    pub use_aggregates: Option<bool>,
 }
 
 impl Default for EnergyBalanceConfig {
@@ -72,18 +60,7 @@ impl Default for EnergyBalanceConfig {
             thermal_ratio_margin: 0.10,
             runqueue_ratio_margin: 0.12,
             energy_step_enabled: true,
-            use_aggregates: None,
         }
-    }
-}
-
-impl EnergyBalanceConfig {
-    /// Resolves the aggregate-vs-scan choice for a machine with
-    /// `n_cpus` logical CPUs (see
-    /// [`ebs_sched::AGGREGATE_CPU_THRESHOLD`]).
-    pub fn resolve_aggregates(&self, n_cpus: usize) -> bool {
-        self.use_aggregates
-            .unwrap_or(n_cpus >= ebs_sched::AGGREGATE_CPU_THRESHOLD)
     }
 }
 
@@ -92,10 +69,8 @@ impl EnergyBalanceConfig {
 pub struct EnergyAwareBalancer {
     cfg: EnergyBalanceConfig,
     next_balance: Vec<Vec<SimTime>>,
-    /// Memoised group runqueue-power ratios (see [`GroupRatioCache`]);
-    /// only allocated when the aggregate paths are in use, so small
-    /// machines on the adaptive default stay allocation-lean.
-    ratios: Option<GroupRatioCache>,
+    /// Memoised group runqueue-power ratios (see [`GroupRatioCache`]).
+    ratios: GroupRatioCache,
     /// Class-weighted compute capacity per logical CPU. `None` (every
     /// homogeneous machine) keeps the load step's exact legacy integer
     /// arithmetic; `Some` switches it to capacity-normalized effective
@@ -105,22 +80,17 @@ pub struct EnergyAwareBalancer {
 }
 
 impl EnergyAwareBalancer {
-    /// Creates a balancer for systems shaped like `sys`. An
-    /// unspecified `use_aggregates` resolves here, against the
-    /// machine's size (see [`ebs_sched::AGGREGATE_CPU_THRESHOLD`]).
-    pub fn new(sys: &System, mut cfg: EnergyBalanceConfig) -> Self {
-        let aggregates = cfg.resolve_aggregates(sys.topology().n_cpus());
-        cfg.use_aggregates = Some(aggregates);
+    /// Creates a balancer for systems shaped like `sys`.
+    pub fn new(sys: &System, cfg: EnergyBalanceConfig) -> Self {
         let next_balance = sys
             .topology()
             .cpu_ids()
             .map(|c| vec![SimTime::ZERO; sys.topology().domains(c).len()])
             .collect();
-        let ratios = aggregates.then(|| GroupRatioCache::new(sys.topology()));
         EnergyAwareBalancer {
             cfg,
             next_balance,
-            ratios,
+            ratios: GroupRatioCache::new(sys.topology()),
             capacities: None,
         }
     }
@@ -146,17 +116,6 @@ impl EnergyAwareBalancer {
     /// The installed capacity table, if any.
     pub fn capacities(&self) -> Option<&[f64]> {
         self.capacities.as_deref()
-    }
-
-    /// The configuration (with `use_aggregates` resolved).
-    pub fn config(&self) -> &EnergyBalanceConfig {
-        &self.cfg
-    }
-
-    /// Whether group selection reads the aggregate tree (resolved from
-    /// the config and the machine size at construction).
-    pub fn uses_aggregates(&self) -> bool {
-        self.ratios.is_some()
     }
 
     /// The earliest instant any CPU's domain level is due for a
@@ -240,21 +199,15 @@ fn energy_step(
     domain: &SchedDomain,
     power: &PowerState,
     cfg: &EnergyBalanceConfig,
-    ratios: &mut Option<GroupRatioCache>,
+    ratios: &mut GroupRatioCache,
 ) -> usize {
     let Some(local_idx) = domain.local_group_index(cpu) else {
         return 0;
     };
-    // The group ratio reader: memoised against the aggregate tree's
-    // generations (amortised O(1) per group) when the cache exists, or
-    // the pre-aggregate full scan — both produce identical bits.
-    let mut group_ratio = |sys: &System, i: usize| {
-        let group = &domain.groups()[i];
-        match ratios.as_mut() {
-            Some(cache) => cache.group_ratio(sys, group, power),
-            None => group_runqueue_ratio(sys, group, power),
-        }
-    };
+    // Group ratios memoised against the aggregate tree's generations:
+    // amortised O(1) per group, bitwise equal to a fresh scan.
+    let mut group_ratio =
+        |sys: &System, i: usize| ratios.group_ratio(sys, &domain.groups()[i], power);
     // Search the CPU group with the highest average power ratio.
     let Some((hot_idx, hot_rq_ratio)) = (0..domain.groups().len())
         .map(|i| (i, group_ratio(sys, i)))
@@ -344,10 +297,7 @@ fn load_step(
     };
     let busiest = match capacities {
         Some(_) => ebs_sched::find_busiest_group_capacity(sys, domain, local_idx),
-        None if cfg.resolve_aggregates(sys.topology().n_cpus()) => {
-            ebs_sched::find_busiest_group(sys, domain, local_idx)
-        }
-        None => ebs_sched::find_busiest_group_scan(sys, domain, local_idx),
+        None => ebs_sched::find_busiest_group(sys, domain, local_idx),
     };
     let Some((busiest_idx, _)) = busiest else {
         return 0;
@@ -483,9 +433,7 @@ impl ebs_store::Snapshot for EnergyAwareBalancer {
             ));
         }
         self.next_balance = next_balance;
-        if let Some(ratios) = &mut self.ratios {
-            ratios.mark_all_stale();
-        }
+        self.ratios.mark_all_stale();
         Ok(())
     }
 }
@@ -671,30 +619,6 @@ mod tests {
         let mut bal = EnergyAwareBalancer::new(&sys, cfg);
         assert_eq!(bal.run(CpuId(0), &mut sys, &power).pulled, 0);
         assert_eq!(sys.stats().migrations(), 0);
-    }
-
-    #[test]
-    fn aggregate_default_flips_at_the_documented_threshold() {
-        // Same adaptive default as the stock balancer: scans (and no
-        // ratio-cache allocation) below 16 logical CPUs, aggregates at
-        // and above; explicit settings win.
-        let small = System::new(Topology::xseries445(false)); // 8 CPUs
-        let at_threshold = System::new(Topology::xseries445(true)); // 16 CPUs
-        let bal = EnergyAwareBalancer::new(&small, EnergyBalanceConfig::default());
-        assert!(!bal.uses_aggregates(), "8 CPUs must default to scans");
-        assert_eq!(bal.config().use_aggregates, Some(false));
-        let bal = EnergyAwareBalancer::new(&at_threshold, EnergyBalanceConfig::default());
-        assert!(bal.uses_aggregates(), "16 CPUs must default to aggregates");
-        for (sys, forced) in [(&small, true), (&at_threshold, false)] {
-            let bal = EnergyAwareBalancer::new(
-                sys,
-                EnergyBalanceConfig {
-                    use_aggregates: Some(forced),
-                    ..EnergyBalanceConfig::default()
-                },
-            );
-            assert_eq!(bal.uses_aggregates(), forced);
-        }
     }
 
     #[test]

@@ -202,8 +202,8 @@ pub fn group_runqueue_ratio(sys: &System, group: &CpuGroup, power: &PowerState) 
 /// The per-CPU ratio is a nonlinear function (a ratio of sums divided
 /// by a per-CPU budget), so group ratios cannot be folded into linear
 /// running sums without changing their float rounding — and balancing
-/// decisions must stay *bitwise identical* to the scan-based
-/// implementation. Instead each unit's ratio sum is recomputed lazily,
+/// decisions must stay *bitwise identical* to a fresh scan of the
+/// group. Instead each unit's ratio sum is recomputed lazily,
 /// by exactly the member-order scan [`group_runqueue_ratio`] performs,
 /// and reused until the unit's generation (bumped by `ebs_sched` on
 /// any membership or profile change, in O(depth)) moves. A balancing

@@ -9,9 +9,8 @@
 //! `hlt`/DVFS governor.
 //!
 //! Every host is a [`ebs_sim::SimEngine`] trait object built through
-//! [`ebs_sim::build_engine`], so a fleet can mix the fixed-tick,
-//! strided, and partitioned-parallel cores without caring which is
-//! which. Hosts step concurrently between dispatcher epochs via
+//! [`ebs_sim::build_engine`], so a fleet can mix one-tick, strided,
+//! and partitioned-parallel hosts without caring which is which. Hosts step concurrently between dispatcher epochs via
 //! [`ebs_sim::map_parallel`]; runs are seed-deterministic and
 //! worker-count-invariant (see `tests/determinism.rs`).
 //!

@@ -41,9 +41,8 @@ mod task;
 pub use aggregates::{AggCell, LoadAggregates};
 pub use load_balance::{
     balance_domain, busiest_queue_in_group, busiest_queued_cpu, find_busiest_group,
-    find_busiest_group_capacity, find_busiest_group_scan, group_avg_load, group_avg_load_scan,
-    group_effective_load, idlest_cpu, pull_tasks, BalanceOutcome, LoadBalancer, LoadBalancerConfig,
-    AGGREGATE_CPU_THRESHOLD,
+    find_busiest_group_capacity, group_avg_load, group_effective_load, idlest_cpu, pull_tasks,
+    BalanceOutcome, LoadBalancer, LoadBalancerConfig,
 };
 pub use prio_array::PrioArray;
 pub use runqueue::RunQueue;

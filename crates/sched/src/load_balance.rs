@@ -17,15 +17,6 @@ use crate::task::TaskId;
 use ebs_topology::{CpuGroup, CpuId, SchedDomain};
 use ebs_units::SimTime;
 
-/// Logical-CPU count from which the aggregate-tree balancing paths pay
-/// for themselves. `exp_balance_bench` shows the 8-CPU shapes break
-/// even (the scans are tiny and the caches cost bookkeeping) while
-/// every 16-CPU-and-up rung wins, growing to 2–3.7× at 256 CPUs — so
-/// the adaptive default scans below this threshold and reads the
-/// aggregates at or above it. Decisions are bitwise identical either
-/// way; only the cost of making them changes.
-pub const AGGREGATE_CPU_THRESHOLD: usize = 16;
-
 /// Tunables of the baseline balancer.
 #[derive(Clone, Copy, Debug)]
 pub struct LoadBalancerConfig {
@@ -35,33 +26,11 @@ pub struct LoadBalancerConfig {
     /// two; the same default keeps the baseline as quiet as the paper's
     /// (3.3 migrations in 15 minutes).
     pub min_imbalance: usize,
-    /// Read group loads from the incremental aggregate tree (O(1) per
-    /// group) instead of scanning every runqueue in the domain. The
-    /// two paths select identically — the aggregates are exact integer
-    /// sums — so forcing one path only matters for measuring the
-    /// pre-aggregate cost (`exp_balance_bench`) and regression-testing
-    /// the equivalence. `None` (the default) picks adaptively by
-    /// machine size: scans below [`AGGREGATE_CPU_THRESHOLD`] logical
-    /// CPUs (keeping tiny scenarios allocation-lean), aggregates at or
-    /// above it.
-    pub use_aggregates: Option<bool>,
 }
 
 impl Default for LoadBalancerConfig {
     fn default() -> Self {
-        LoadBalancerConfig {
-            min_imbalance: 2,
-            use_aggregates: None,
-        }
-    }
-}
-
-impl LoadBalancerConfig {
-    /// Resolves the aggregate-vs-scan choice for a machine with
-    /// `n_cpus` logical CPUs (see [`AGGREGATE_CPU_THRESHOLD`]).
-    pub fn resolve_aggregates(&self, n_cpus: usize) -> bool {
-        self.use_aggregates
-            .unwrap_or(n_cpus >= AGGREGATE_CPU_THRESHOLD)
+        LoadBalancerConfig { min_imbalance: 2 }
     }
 }
 
@@ -81,30 +50,14 @@ pub struct LoadBalancer {
 }
 
 impl LoadBalancer {
-    /// Creates a balancer for systems shaped like `sys`. An
-    /// unspecified `use_aggregates` resolves here, against the
-    /// machine's size (see [`AGGREGATE_CPU_THRESHOLD`]).
-    pub fn new(sys: &System, mut cfg: LoadBalancerConfig) -> Self {
-        cfg.use_aggregates = Some(cfg.resolve_aggregates(sys.topology().n_cpus()));
+    /// Creates a balancer for systems shaped like `sys`.
+    pub fn new(sys: &System, cfg: LoadBalancerConfig) -> Self {
         let next_balance = sys
             .topology()
             .cpu_ids()
             .map(|c| vec![SimTime::ZERO; sys.topology().domains(c).len()])
             .collect();
         LoadBalancer { cfg, next_balance }
-    }
-
-    /// The configuration (with `use_aggregates` resolved).
-    pub fn config(&self) -> &LoadBalancerConfig {
-        &self.cfg
-    }
-
-    /// Whether group selection reads the aggregate tree (resolved from
-    /// the config and the machine size at construction).
-    pub fn uses_aggregates(&self) -> bool {
-        self.cfg
-            .use_aggregates
-            .expect("resolved at balancer construction")
     }
 
     /// The earliest instant any CPU's domain level is due for a
@@ -176,12 +129,7 @@ pub fn balance_domain(
     let Some(local_idx) = domain.local_group_index(cpu) else {
         return 0;
     };
-    let busiest = if cfg.resolve_aggregates(sys.topology().n_cpus()) {
-        find_busiest_group(sys, domain, local_idx)
-    } else {
-        find_busiest_group_scan(sys, domain, local_idx)
-    };
-    let Some((busiest_idx, _)) = busiest else {
+    let Some((busiest_idx, _)) = find_busiest_group(sys, domain, local_idx) else {
         return 0;
     };
     let Some(src) = busiest_queue_in_group(sys, &domain.groups()[busiest_idx]) else {
@@ -213,8 +161,9 @@ pub fn balance_domain(
 /// Group loads come from the incremental aggregate tree: O(1) per
 /// group instead of a scan of its runqueues, which turns a balancing
 /// pass over a domain of `g` groups spanning `n` CPUs from O(n) into
-/// O(g). The integer sums make the result bitwise identical to
-/// [`find_busiest_group_scan`].
+/// O(g). The sums are exact integers, so the result is bitwise what a
+/// scan of the runqueues would give ([`System::validate`] recomputes
+/// every unit from scratch).
 pub fn find_busiest_group(
     sys: &System,
     domain: &SchedDomain,
@@ -247,17 +196,6 @@ pub fn group_effective_load(sys: &System, group: &CpuGroup) -> f64 {
     sys.group_nr_running(group) as f64 / sys.group_capacity(group)
 }
 
-/// The pre-aggregate implementation of [`find_busiest_group`], walking
-/// every runqueue in the domain. Kept as the baseline the balance
-/// benchmark and the equivalence tests compare against.
-pub fn find_busiest_group_scan(
-    sys: &System,
-    domain: &SchedDomain,
-    local_idx: usize,
-) -> Option<(usize, f64)> {
-    find_busiest_by(domain, local_idx, |g| group_avg_load_scan(sys, g))
-}
-
 fn find_busiest_by<F: Fn(&CpuGroup) -> f64>(
     domain: &SchedDomain,
     local_idx: usize,
@@ -285,15 +223,6 @@ pub fn group_avg_load(sys: &System, group: &CpuGroup) -> f64 {
         return 0.0;
     }
     sys.group_nr_running(group) as f64 / group.len() as f64
-}
-
-/// Scan-based [`group_avg_load`] (the pre-aggregate baseline).
-pub fn group_avg_load_scan(sys: &System, group: &CpuGroup) -> f64 {
-    if group.is_empty() {
-        return 0.0;
-    }
-    let total: usize = group.cpus().iter().map(|&c| sys.nr_running(c)).sum();
-    total as f64 / group.len() as f64
 }
 
 /// The CPU with the most *queued* (waiting) tasks in the domain's
@@ -583,32 +512,6 @@ mod tests {
             ),
             0
         );
-    }
-
-    #[test]
-    fn aggregate_default_flips_at_the_documented_threshold() {
-        // Adaptive default: scan balancing below 16 logical CPUs
-        // (where exp_balance_bench shows the aggregate paths break
-        // even), aggregates at and above. Explicit settings always
-        // win.
-        let small = System::new(Topology::xseries445(false)); // 8 CPUs
-        let at_threshold = System::new(Topology::xseries445(true)); // 16 CPUs
-        assert_eq!(AGGREGATE_CPU_THRESHOLD, 16);
-        let lb = LoadBalancer::new(&small, LoadBalancerConfig::default());
-        assert!(!lb.uses_aggregates(), "8 CPUs must default to scans");
-        assert_eq!(lb.config().use_aggregates, Some(false));
-        let lb = LoadBalancer::new(&at_threshold, LoadBalancerConfig::default());
-        assert!(lb.uses_aggregates(), "16 CPUs must default to aggregates");
-        for (sys, forced) in [(&small, true), (&at_threshold, false)] {
-            let lb = LoadBalancer::new(
-                sys,
-                LoadBalancerConfig {
-                    use_aggregates: Some(forced),
-                    ..LoadBalancerConfig::default()
-                },
-            );
-            assert_eq!(lb.uses_aggregates(), forced);
-        }
     }
 
     #[test]

@@ -35,28 +35,20 @@ pub struct DvfsSpec {
     pub table: PStateTable,
     /// The governor policy driving each package's frequency domain.
     pub governor: GovernorKind,
-    /// In the cadence baseline (`event_driven == false`): how often the
-    /// governor re-decides the P-state (real cpufreq governors run
-    /// every few scheduler ticks; 10 ms keeps decisions well inside the
-    /// thermal time constant). In event-driven mode the same duration
-    /// caps the utilization averaging window, so windowed utilization
-    /// stays exactly as responsive as the cadence baseline's.
+    /// Length of the utilization averaging window: without a decision
+    /// to reset it, the window renormalises at this length, so windowed
+    /// utilization stays as responsive as a governor re-deciding every
+    /// `interval` (10 ms, a few scheduler ticks, as in cpufreq).
     pub interval: SimDuration,
-    /// Event-driven decision points (the default): governors re-decide
-    /// when a signal leaves the [`ebs_dvfs::DecisionHold`] band of the
-    /// last decision, instead of on the fixed `interval` cadence. A
-    /// steady package then needs no governor wake-ups at all, so the
-    /// variable-stride engine's steps stretch past the old 10 ms floor.
-    /// `false` selects the measured cadence baseline (mirroring
-    /// [`SimConfig::scan_balancing`]).
-    pub event_driven: bool,
-    /// Optional periodic fallback for event-driven mode: re-decide at
-    /// least this often even inside the hold bands. `None` (the
-    /// default) trusts the triggers alone. With a [`GovernorKind::
-    /// Fixed`] governor (whose hold never expires) and `max_hold ==
-    /// Some(interval)`, event-driven decisions degenerate to exactly
-    /// the cadence instants — the bit-identity anchor of the
-    /// equivalence suite. Ignored in cadence mode.
+    /// Optional periodic fallback: re-decide at least this often even
+    /// inside the hold bands. `None` (the default) trusts the triggers
+    /// alone — governors re-decide only when a signal leaves the
+    /// [`ebs_dvfs::DecisionHold`] band of the last decision, so a
+    /// steady domain needs no governor wake-ups at all.
+    /// `Some(interval)` is the dense reference: a decision at least
+    /// every `interval`, which for a [`GovernorKind::Fixed`] governor
+    /// (whose hold never expires) is exactly the fixed decision
+    /// cadence.
     pub max_hold: Option<SimDuration>,
 }
 
@@ -66,7 +58,6 @@ impl Default for DvfsSpec {
             table: PStateTable::p4_xeon(),
             governor: GovernorKind::ThermalAware,
             interval: SimDuration::from_millis(10),
-            event_driven: true,
             max_hold: None,
         }
     }
@@ -102,18 +93,15 @@ pub struct SimConfig {
     pub class_blind: bool,
     /// RNG seed; every random choice in the run derives from it.
     pub seed: u64,
-    /// Simulation tick (scheduler granularity). In the fixed-tick
-    /// engine mode every step is exactly one tick; in strided mode the
-    /// tick is the engine's *finest* step and the granularity at which
-    /// throttle flips are resolved.
+    /// Simulation tick (scheduler granularity): the engine's *finest*
+    /// step and the granularity at which throttle flips are resolved.
     pub tick: SimDuration,
-    /// Upper bound on one variable-stride engine step. `None` (the
-    /// default) selects the classic fixed-tick core; `Some(cap)`
-    /// enables the event-driven core, which advances in one exact step
-    /// to the next scheduling-relevant event (capped at `cap`, floored
-    /// at one tick). With `cap == tick` the strided core is
-    /// bit-identical to the fixed-tick one.
-    pub max_stride: Option<SimDuration>,
+    /// Upper bound on one engine step. Each step advances in one exact
+    /// span to the next scheduling-relevant event, capped at this and
+    /// floored at one tick, so a cap at or below `tick` — the default,
+    /// `ZERO` — makes every step exactly one tick (the fixed-tick
+    /// reference).
+    pub max_stride: SimDuration,
     /// Core clock in hertz.
     pub freq_hz: f64,
     /// Use the energy-aware balancer (Fig. 4) instead of the stock
@@ -125,12 +113,6 @@ pub struct SimConfig {
     pub balance: EnergyBalanceConfig,
     /// Enable hot task migration (Fig. 5).
     pub hot_task_migration: bool,
-    /// Force both balancers onto the pre-aggregate scan paths (walk
-    /// every runqueue per group selection) instead of the incremental
-    /// aggregate tree. Decisions are bitwise identical either way;
-    /// this exists for the balance benchmark's baseline and the
-    /// equivalence tests.
-    pub scan_balancing: bool,
     /// Enable energy-aware initial placement (Section 4.6).
     pub energy_placement: bool,
     /// Enable `hlt` throttling at the maximum power.
@@ -221,12 +203,11 @@ impl SimConfig {
             class_blind: false,
             seed: 1,
             tick: SimDuration::from_millis(1),
-            max_stride: None,
+            max_stride: SimDuration::ZERO,
             freq_hz: 2.2e9,
             energy_balancing: true,
             balance: EnergyBalanceConfig::default(),
             hot_task_migration: true,
-            scan_balancing: false,
             energy_placement: true,
             throttling: true,
             dvfs: None,
@@ -366,29 +347,22 @@ impl SimConfig {
         self
     }
 
-    /// Selects the variable-stride (event-driven) engine core with the
-    /// default stride cap, [`SimConfig::DEFAULT_MAX_STRIDE`].
+    /// Lets steps stretch to the default stride cap,
+    /// [`SimConfig::DEFAULT_MAX_STRIDE`].
     pub fn strided(self) -> Self {
         self.max_stride(Self::DEFAULT_MAX_STRIDE)
     }
 
-    /// Selects the variable-stride core with an explicit stride cap.
-    /// Caps below one tick are treated as one tick (which makes the
-    /// strided core bit-identical to the fixed-tick one).
+    /// Sets the stride cap. Caps at or below one tick make every step
+    /// one tick (see [`SimConfig::max_stride`]).
     pub fn max_stride(mut self, cap: SimDuration) -> Self {
-        self.max_stride = Some(cap);
+        self.max_stride = cap;
         self
     }
 
-    /// Selects the classic fixed-tick engine core (the default).
-    pub fn fixed_tick(mut self) -> Self {
-        self.max_stride = None;
-        self
-    }
-
-    /// Whether the variable-stride core is selected.
+    /// Whether steps may span more than one tick.
     pub fn strided_enabled(&self) -> bool {
-        self.max_stride.is_some()
+        self.max_stride > self.tick
     }
 
     /// Selects the parallel engine core: the machine is split into
@@ -397,13 +371,13 @@ impl SimConfig {
     /// to `workers` threads (clamped to the package count and the
     /// host's parallelism; threads only engage when both exceed one).
     /// Partitions ride the variable-stride core, so this implies
-    /// [`SimConfig::strided`] unless an explicit stride cap is already
-    /// set. `parallel(1)` runs the whole machine as one partition —
+    /// [`SimConfig::strided`] unless the config is already strided.
+    /// `parallel(1)` runs the whole machine as one partition —
     /// bit-identical to the strided core by construction.
     pub fn parallel(mut self, workers: usize) -> Self {
         self.parallel_workers = Some(workers.max(1));
-        if self.max_stride.is_none() {
-            self.max_stride = Some(Self::DEFAULT_MAX_STRIDE);
+        if !self.strided_enabled() {
+            self.max_stride = Self::DEFAULT_MAX_STRIDE;
         }
         self
     }
@@ -441,13 +415,6 @@ impl SimConfig {
         self
     }
 
-    /// Forces the pre-aggregate scan-based balancing paths (see
-    /// [`SimConfig::scan_balancing`]).
-    pub fn scan_balancing(mut self, on: bool) -> Self {
-        self.scan_balancing = on;
-        self
-    }
-
     /// Enables or disables only energy-aware placement.
     pub fn energy_placement(mut self, on: bool) -> Self {
         self.energy_placement = on;
@@ -473,18 +440,6 @@ impl SimConfig {
             governor,
             ..DvfsSpec::default()
         });
-        self
-    }
-
-    /// Forces the fixed-cadence governor baseline (or re-enables the
-    /// event-driven default) on the configured DVFS spec. No-op when
-    /// DVFS is disabled; like [`SimConfig::scan_balancing`], the
-    /// baseline exists so experiments can measure exactly what the
-    /// event-driven path buys.
-    pub fn dvfs_event_driven(mut self, on: bool) -> Self {
-        if let Some(spec) = self.dvfs.as_mut() {
-            spec.event_driven = on;
-        }
         self
     }
 
@@ -673,13 +628,8 @@ mod tests {
         assert_eq!(spec.governor, GovernorKind::ThermalAware);
         assert_eq!(spec.table, PStateTable::p4_xeon());
         assert_eq!(spec.interval, SimDuration::from_millis(10));
-        // Event-driven decision points are the default; the cadence
-        // baseline stays reachable behind the flag.
-        assert!(spec.event_driven);
+        // Trigger-only decision points are the default.
         assert_eq!(spec.max_hold, None);
-        let cadence = cfg.clone().dvfs_event_driven(false);
-        assert!(!cadence.dvfs.as_ref().unwrap().event_driven);
-        assert!(cadence.dvfs_event_driven(true).dvfs.unwrap().event_driven);
         let custom = DvfsSpec {
             governor: GovernorKind::Fixed(2),
             interval: SimDuration::from_millis(50),
@@ -694,13 +644,21 @@ mod tests {
     fn engine_mode_builders() {
         let cfg = SimConfig::xseries445();
         assert!(!cfg.strided_enabled());
-        assert_eq!(cfg.max_stride, None);
+        assert_eq!(cfg.max_stride, SimDuration::ZERO);
         let cfg = cfg.strided();
         assert!(cfg.strided_enabled());
-        assert_eq!(cfg.max_stride, Some(SimConfig::DEFAULT_MAX_STRIDE));
+        assert_eq!(cfg.max_stride, SimConfig::DEFAULT_MAX_STRIDE);
         let cfg = cfg.max_stride(SimDuration::from_millis(5));
-        assert_eq!(cfg.max_stride, Some(SimDuration::from_millis(5)));
-        assert!(!cfg.fixed_tick().strided_enabled());
+        assert_eq!(cfg.max_stride, SimDuration::from_millis(5));
+        // A cap at the tick is the fixed-tick reference, whatever the
+        // tick.
+        assert!(!cfg.clone().max_stride(cfg.tick).strided_enabled());
+        let mut fine = cfg;
+        fine.tick = SimDuration::from_micros(500);
+        assert!(fine.strided_enabled());
+        assert!(!fine
+            .max_stride(SimDuration::from_micros(500))
+            .strided_enabled());
     }
 
     #[test]
@@ -711,12 +669,12 @@ mod tests {
         assert!(cfg.parallel_enabled());
         assert_eq!(cfg.parallel_workers, Some(4));
         // Partitions ride the strided core.
-        assert_eq!(cfg.max_stride, Some(SimConfig::DEFAULT_MAX_STRIDE));
+        assert_eq!(cfg.max_stride, SimConfig::DEFAULT_MAX_STRIDE);
         // An explicit stride cap survives.
         let cfg = SimConfig::xseries445()
             .max_stride(SimDuration::from_millis(5))
             .parallel(2);
-        assert_eq!(cfg.max_stride, Some(SimDuration::from_millis(5)));
+        assert_eq!(cfg.max_stride, SimDuration::from_millis(5));
         // Zero workers clamps to one.
         assert_eq!(
             SimConfig::xseries445().parallel(0).parallel_workers,

@@ -8,7 +8,7 @@
 //! subsystem.
 //!
 //! Every cell runs through [`build_engine`], so one code path serves
-//! any pair of cores — fixed-tick vs strided, strided vs partitioned —
+//! any pair of configurations — two seeds, strided vs partitioned —
 //! instead of a per-core dispatch per comparison.
 //!
 //! Tracing never feeds back into scheduling or the RNG, so the traced

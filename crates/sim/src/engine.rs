@@ -2,23 +2,17 @@
 //! and wires the energy-aware policies into it exactly where the paper
 //! patched Linux (Section 5).
 //!
-//! Two interchangeable cores drive the same step logic:
-//!
-//! - **Fixed tick** (the default): every step spans exactly
-//!   [`SimConfig::tick`], the classic discrete-time loop.
-//! - **Variable stride** ([`SimConfig::strided`]): each step spans the
-//!   exact time to the next scheduling-relevant event — open-workload
-//!   arrival, sleeper wake, timeslice expiry, DVFS decision, balancer
-//!   interval, thermal-trace sample, run end — capped at
-//!   [`SimConfig::max_stride`] and floored at one tick. Physics,
-//!   thermal state, and the Eq. 2 estimators integrate exactly over
-//!   any span (the variable-period averages compose), so longer steps
-//!   trade no modelling fidelity where conditions are constant; where
-//!   a `hlt` throttle flip could occur inside a span the stride
-//!   collapses to the tick, preserving the bang-bang duty cycle.
-//!
-//! With the stride cap set to one tick the two cores are bit-identical
-//! (they execute the same `step_span` with the same `dt`).
+//! Each step spans the exact time to the next scheduling-relevant
+//! event — open-workload arrival, sleeper wake, timeslice expiry, DVFS
+//! trigger, balancer interval, thermal-trace sample, run end — capped
+//! at [`SimConfig::max_stride`] and floored at one
+//! [`SimConfig::tick`]. Physics, thermal state, and the Eq. 2
+//! estimators integrate exactly over any span (the variable-period
+//! averages compose), so longer steps trade no modelling fidelity
+//! where conditions are constant; where a `hlt` throttle flip could
+//! occur inside a span the stride collapses to the tick, preserving
+//! the bang-bang duty cycle. A cap at or below the tick (the default)
+//! makes every step one tick: the fixed-tick reference.
 
 use crate::config::SimConfig;
 use crate::machine::PhysicalMachine;
@@ -260,11 +254,10 @@ pub struct Simulation {
     /// historical per-package tables), one per core on hybrid shapes.
     governors: Vec<Box<dyn Governor + Send>>,
     /// Per-domain instant of the next *forced* governor decision: the
-    /// cadence deadline in cadence mode, the optional `max_hold`
-    /// fallback in event-driven mode (`None` = triggers only).
+    /// optional `max_hold` fallback (`None` = triggers only).
     dvfs_next: Vec<Option<SimTime>>,
-    /// Per-domain hold from the last decision (event-driven mode):
-    /// the signal bands within which the governor's answer stands.
+    /// Per-domain hold from the last decision: the signal bands
+    /// within which the governor's answer stands.
     /// `None` before the first decision, which therefore fires at the
     /// first step.
     dvfs_hold: Vec<Option<DecisionHold>>,
@@ -287,8 +280,7 @@ pub struct Simulation {
     /// whole window rather than sampling the decision instant.
     dvfs_busy: Vec<f64>,
     /// Per-domain wall time accumulated since that domain's last
-    /// governor decision (event-driven domains decide independently;
-    /// in cadence mode all windows advance in lockstep).
+    /// governor decision (domains decide independently).
     dvfs_window: Vec<SimDuration>,
     /// Per-domain utilization reported at the last decision, carried
     /// into any decision whose window is zero-width (see
@@ -309,11 +301,10 @@ pub struct Simulation {
     /// reference [`ebs_dvfs::DecisionHold::stale_descent`] compares
     /// against during the dwell.
     dvfs_armed_power: Vec<Watts>,
-    /// Per-domain "provably frozen" flag (event-driven mode): the
-    /// domain accrues exactly zero busy time, its hold bands contain
-    /// every future signal value, and no deadline is armed — so no
-    /// decision can fire until a scheduling or throttle event touches
-    /// the domain. Frozen domains skip the per-step DVFS accounting
+    /// Per-domain "provably frozen" flag: the domain accrues exactly
+    /// zero busy time, its hold bands contain every future signal
+    /// value, and no deadline is armed — so no decision can fire until
+    /// a scheduling or throttle event touches the domain. Frozen domains skip the per-step DVFS accounting
     /// wholesale; the [`Simulation::emit`] hook unfreezes them.
     dvfs_stable: Vec<bool>,
     /// When each frozen domain's bookkeeping stopped, so the window
@@ -422,31 +413,12 @@ impl Simulation {
         if let Some(caps) = &capacities {
             sys.set_cpu_capacities(caps);
         }
-        // `scan_balancing` forces the scan paths; otherwise the
-        // balance config's own setting (adaptive by machine size when
-        // unspecified) decides at balancer construction.
         let balancer = if cfg.energy_balancing {
-            let bcfg = ebs_core::EnergyBalanceConfig {
-                use_aggregates: if cfg.scan_balancing {
-                    Some(false)
-                } else {
-                    cfg.balance.use_aggregates
-                },
-                ..cfg.balance
-            };
-            let mut b = EnergyAwareBalancer::new(&sys, bcfg);
+            let mut b = EnergyAwareBalancer::new(&sys, cfg.balance);
             b.set_capacities(capacities.clone());
             Balancer::EnergyAware(b)
         } else {
-            let lcfg = LoadBalancerConfig {
-                use_aggregates: if cfg.scan_balancing {
-                    Some(false)
-                } else {
-                    None
-                },
-                ..LoadBalancerConfig::default()
-            };
-            Balancer::Baseline(LoadBalancer::new(&sys, lcfg))
+            Balancer::Baseline(LoadBalancer::new(&sys, LoadBalancerConfig::default()))
         };
         let warmth = WarmthModel {
             floor: cfg.warmup_ipc_floor,
@@ -868,10 +840,7 @@ impl Simulation {
         let end = self.now + duration;
         while self.now < end {
             let t0 = self.prof_start();
-            let dt = match self.cfg.max_stride {
-                None => self.cfg.tick.min(end - self.now),
-                Some(cap) => self.next_stride(end, cap),
-            };
+            let dt = self.next_stride(end);
             self.prof_end(PHASE_STRIDE, t0);
             self.step_span(dt);
         }
@@ -883,18 +852,11 @@ impl Simulation {
         self.arrival_tick();
     }
 
-    /// Advances the simulation by one tick (the fixed-tick step; the
-    /// strided core uses [`Simulation::run_for`]).
-    pub fn step(&mut self) {
-        self.step_span(self.cfg.tick);
-    }
-
     /// One engine step spanning `dt`: releases every event due *now*
     /// (wakes, arrivals, dispatches), then advances machine, policies,
-    /// and scheduler state over the span in one pass. Both engine
-    /// cores execute exactly this function — the fixed-tick core with
-    /// `dt == tick`, the strided core with `dt` bounded so that no
-    /// scheduling-relevant event falls strictly inside the span.
+    /// and scheduler state over the span in one pass. `dt` is bounded
+    /// so that no scheduling-relevant event falls strictly inside the
+    /// span.
     fn step_span(&mut self, dt: SimDuration) {
         debug_assert!(!dt.is_zero(), "empty engine step");
         self.steps += 1;
@@ -927,20 +889,27 @@ impl Simulation {
         self.emit(EventKind::EngineStep { stride: dt });
     }
 
-    /// The span of the next strided step, from `self.now`: the time to
-    /// the nearest scheduling-relevant event, capped at `cap` and the
-    /// run end, floored at one tick (events inside a tick resolve at
-    /// tick granularity, exactly as in the fixed-tick core).
-    fn next_stride(&self, end: SimTime, cap: SimDuration) -> SimDuration {
+    /// The span of the next step, from `self.now`: the time to the
+    /// nearest scheduling-relevant event, capped at the stride cap and
+    /// the run end, floored at one tick (events inside a tick resolve
+    /// at tick granularity).
+    fn next_stride(&self, end: SimTime) -> SimDuration {
         let tick = self.cfg.tick;
+        let cap = self.cfg.max_stride;
+        // A cap at or below the tick leaves nothing to predict: every
+        // bound below can only shorten the span, and the floor lifts
+        // it back to one tick.
+        if cap <= tick {
+            return tick.min(end - self.now);
+        }
         // Events that merely *add or finish work* — arrivals,
         // completions, clustered timeslice expiries — may resolve a
-        // few ticks late: the fixed-tick core already quantises them
-        // to a tick, and a handful of extra milliseconds is noise
+        // few ticks late: one-tick steps already quantise them to a
+        // tick, and a handful of extra milliseconds is noise
         // against service times while letting a saturated machine's
         // event hail merge into fewer spans.
         let slack = tick * 4;
-        let mut dt = cap.max(tick);
+        let mut dt = cap;
 
         // Sleeper wakes and open-workload arrivals.
         if let Some(&Reverse((when, _))) = self.sleepers.peek() {
@@ -952,10 +921,9 @@ impl Simulation {
         if let Some(a) = self.inbox.front() {
             dt = dt.min(a.due.saturating_since(self.now).max(slack));
         }
-        // Forced governor decisions (cadence deadlines, or the
-        // event-driven `max_hold` fallback) and trace samples. Event
-        // *triggers* are predicted per package in the loop below.
-        let dvfs_event = self.cfg.dvfs.as_ref().is_some_and(|s| s.event_driven);
+        // Forced governor decisions (the `max_hold` fallback) and trace
+        // samples. Governor *triggers* are predicted per domain in the
+        // loop below.
         let util_cap_s = self
             .cfg
             .dvfs
@@ -1031,7 +999,7 @@ impl Simulation {
                     // is exact and the completion lands right on the
                     // span boundary. A warming task speeds up and
                     // completes slightly inside its span instead —
-                    // detected at the span end, like in a fixed tick.
+                    // detected at the span end, like in a one-tick step.
                     if let Some(total) = rt.program.program().total_work {
                         let core_base = i - i % threads_per_core;
                         let core_end = (core_base + threads_per_core).min(cpus.len());
@@ -1089,13 +1057,13 @@ impl Simulation {
                 }
             }
         }
-        // Event-driven governor triggers, per frequency domain: bound
-        // the span by the predicted escape time of the last decision's
-        // hold bands, so a trigger lands on a step end instead of
-        // drifting up to a whole stride late. Steady domains (signals
-        // parked inside their bands) impose no bound at all — exactly
-        // the strides the fixed 10 ms cadence used to floor.
-        if dvfs_event {
+        // Governor triggers, per frequency domain: bound the span by the
+        // predicted escape time of the last decision's hold bands, so a
+        // trigger lands on a step end instead of drifting up to a whole
+        // stride late. Steady domains (signals parked inside their
+        // bands) impose no bound at all. Without DVFS every hold is
+        // `None`, which would floor every span at one tick.
+        if self.cfg.dvfs.is_some() {
             for dom in 0..self.dom_cpus.len() {
                 if self.dvfs_stable[dom] {
                     continue;
@@ -1433,18 +1401,16 @@ impl Simulation {
         }
     }
 
-    /// Advances P-state residency and re-runs each package's governor
-    /// at its decision points: event triggers (the default — the
-    /// windowed utilization or the thermal power left the
-    /// [`DecisionHold`] band of the last decision, both fed from the
-    /// same signals the throttle controllers watch) or the fixed
-    /// cadence of the measured baseline.
+    /// Advances P-state residency and re-runs each domain's governor
+    /// at its decision points: triggers (the windowed utilization or
+    /// the thermal power left the [`DecisionHold`] band of the last
+    /// decision, both fed from the same signals the throttle
+    /// controllers watch) and the optional `max_hold` deadline.
     fn dvfs_tick(&mut self, dt: SimDuration) {
         for dom in &mut self.machine.freq_domains {
             dom.advance(dt);
         }
         let Some(spec) = &self.cfg.dvfs else { return };
-        let event_driven = spec.event_driven;
         let interval = spec.interval;
         let max_hold = spec.max_hold;
         // Accumulate busy time every step so a task blocking and
@@ -1474,46 +1440,44 @@ impl Simulation {
             if self.dvfs_stable[dom] {
                 continue;
             }
-            if event_driven && self.dvfs_window[dom] > interval {
-                // Cap the utilization window at the cadence interval:
-                // without decisions to reset it, an unbounded window
-                // would make utilization arbitrarily sluggish. The
-                // renormalisation keeps it exactly as responsive as
-                // the baseline's between-decision windows.
+            if self.dvfs_window[dom] > interval {
+                // Cap the utilization window at the interval: without
+                // decisions to reset it, an unbounded window would make
+                // utilization arbitrarily sluggish. The renormalisation
+                // keeps it as responsive as a window reset every
+                // `interval`.
                 let scale = interval.ratio(self.dvfs_window[dom]);
                 self.dvfs_busy[dom] *= scale;
                 self.dvfs_window[dom] = interval;
             }
             let due_by_deadline = self.dvfs_next[dom].is_some_and(|t| self.now >= t);
             let due = due_by_deadline
-                || (event_driven
-                    && match &self.dvfs_hold[dom] {
-                        None => true,
-                        // Escape triggers fire immediately unless the
-                        // hold's dwell is active *and* the escape is
-                        // the post-downclock stale-average artifact;
-                        // forced deadlines are never suppressed.
-                        Some(hold) => {
-                            let util = windowed_utilization(
-                                self.dvfs_busy[dom],
-                                self.dvfs_window[dom],
-                                self.dvfs_util[dom],
-                            );
-                            let power = self.power.thermal_power_sum(&self.dom_cpus[dom]);
-                            hold.is_escaped(util, power)
-                                && (self.now >= self.dvfs_dwell_until[dom]
-                                    || !hold.stale_descent(power, self.dvfs_armed_power[dom]))
-                        }
-                    });
+                || match &self.dvfs_hold[dom] {
+                    None => true,
+                    // Escape triggers fire immediately unless the hold's
+                    // dwell is active *and* the escape is the
+                    // post-downclock stale-average artifact; forced
+                    // deadlines are never suppressed.
+                    Some(hold) => {
+                        let util = windowed_utilization(
+                            self.dvfs_busy[dom],
+                            self.dvfs_window[dom],
+                            self.dvfs_util[dom],
+                        );
+                        let power = self.power.thermal_power_sum(&self.dom_cpus[dom]);
+                        hold.is_escaped(util, power)
+                            && (self.now >= self.dvfs_dwell_until[dom]
+                                || !hold.stale_descent(power, self.dvfs_armed_power[dom]))
+                    }
+                };
             if due {
-                self.dvfs_decide(dom, interval, event_driven, max_hold);
+                self.dvfs_decide(dom, max_hold);
             }
             // Freeze screen (the per-domain hold-expiry index): a
             // domain whose hold provably cannot escape and whose
             // deadline is unarmed is exempted from the per-step
             // accounting above until an event touches it.
-            if event_driven
-                && self.dvfs_next[dom].is_none()
+            if self.dvfs_next[dom].is_none()
                 && !self.dvfs_stable[dom]
                 && self.domain_provably_parked(dom)
             {
@@ -1572,7 +1536,7 @@ impl Simulation {
     /// one move. Exact: the domain's busy time stayed exactly zero
     /// over the frozen span (renormalising a zero is a zero), so the
     /// only state the skipped per-step updates would have changed is
-    /// the window length — which saturates at the cadence interval.
+    /// the window length — which saturates at the interval.
     fn dvfs_catch_up(&mut self, dom: usize) {
         let elapsed = self.now.saturating_since(self.dvfs_frozen_at[dom]);
         if let Some(spec) = &self.cfg.dvfs {
@@ -1589,18 +1553,11 @@ impl Simulation {
     /// One governor decision for `dom`: assembles the input from the
     /// accumulated utilization window and the thermal-power signal,
     /// lets the governor pick the P-state, and re-arms the domain's
-    /// next decision point (hold bands and optional fallback deadline
-    /// when event-driven, the fixed cadence otherwise). The idle
-    /// floor is the halt power of the domain's core class — an
-    /// efficiency domain idles at a lower floor than a performance
-    /// one, so its governor reads headroom correctly.
-    fn dvfs_decide(
-        &mut self,
-        dom: usize,
-        interval: SimDuration,
-        event_driven: bool,
-        max_hold: Option<SimDuration>,
-    ) {
+    /// next decision point (hold bands and the optional `max_hold`
+    /// deadline). The idle floor is the halt power of the domain's
+    /// core class — an efficiency domain idles at a lower floor than a
+    /// performance one, so its governor reads headroom correctly.
+    fn dvfs_decide(&mut self, dom: usize, max_hold: Option<SimDuration>) {
         let utilization = windowed_utilization(
             self.dvfs_busy[dom],
             self.dvfs_window[dom],
@@ -1619,15 +1576,11 @@ impl Simulation {
         self.dvfs_util[dom] = utilization;
         self.dvfs_decisions += 1;
         let next = self.governors[dom].decide(&input, &self.machine.freq_domains[dom]);
-        if event_driven {
-            let hold = self.governors[dom].hold(&input, &self.machine.freq_domains[dom], next);
-            self.dvfs_dwell_until[dom] = self.now + hold.min_dwell;
-            self.dvfs_armed_power[dom] = input.thermal_power;
-            self.dvfs_hold[dom] = Some(hold);
-            self.dvfs_next[dom] = max_hold.map(|h| self.now + h);
-        } else {
-            self.dvfs_next[dom] = Some(self.now + interval);
-        }
+        let hold = self.governors[dom].hold(&input, &self.machine.freq_domains[dom], next);
+        self.dvfs_dwell_until[dom] = self.now + hold.min_dwell;
+        self.dvfs_armed_power[dom] = input.thermal_power;
+        self.dvfs_hold[dom] = Some(hold);
+        self.dvfs_next[dom] = max_hold.map(|h| self.now + h);
         let from = self.machine.freq_domains[dom].current_index();
         self.machine.freq_domains[dom].set_state(next);
         self.emit(EventKind::GovernorDecision {
@@ -2622,10 +2575,28 @@ mod tests {
         // Sub-tick requests clamp too, and repeated runs accumulate.
         sim.run_for(SimDuration::from_micros(700));
         assert_eq!(sim.report().duration, SimDuration::from_micros(2_200));
-        // The strided core clamps identically.
+        // Strided runs clamp identically.
         let mut sim = Simulation::new(quick_cfg().strided());
         sim.run_for(SimDuration::from_micros(123_456));
         assert_eq!(sim.report().duration, SimDuration::from_micros(123_456));
+    }
+
+    #[test]
+    fn default_cap_takes_one_step_per_tick_at_any_tick() {
+        // The default stride cap (zero) sits below every tick, so each
+        // step spans exactly one tick — here half a millisecond, on a
+        // loaded machine with plenty of events to predict.
+        let mut cfg = quick_cfg();
+        cfg.tick = SimDuration::from_micros(500);
+        assert!(!cfg.strided_enabled());
+        let mut sim = Simulation::new(cfg);
+        sim.spawn_mix(&ebs_workloads::section61_mix(), 2);
+        let duration = SimDuration::from_secs(2);
+        sim.run_for(duration);
+        let report = sim.report();
+        assert_eq!(report.duration, duration);
+        assert_eq!(report.engine_steps, 4_000);
+        assert!(report.instructions_retired > 0);
     }
 
     #[test]
@@ -2878,7 +2849,7 @@ mod tests {
         for pkg in 0..sim.pkg_cpus.len() {
             sim.dvfs_busy[pkg] = 0.0;
             sim.dvfs_window[pkg] = SimDuration::ZERO;
-            sim.dvfs_decide(pkg, SimDuration::from_millis(10), true, None);
+            sim.dvfs_decide(pkg, None);
         }
         for (pkg, &u) in sim.dvfs_util.iter().enumerate() {
             assert!(u.is_finite(), "package {pkg} utilization became {u}");
@@ -2940,81 +2911,89 @@ mod tests {
         assert_eq!(utilization_crossing_s(0.0, 0.0, 0.5, 0.7, 0.01), None);
     }
 
+    /// An OnDemand governor under trigger-only decisions, or under the
+    /// dense reference (`max_hold = interval`: a decision at least
+    /// every interval on top of the triggers).
+    fn ondemand(dense: bool) -> crate::DvfsSpec {
+        let spec = crate::DvfsSpec {
+            governor: ebs_dvfs::GovernorKind::OnDemand,
+            ..crate::DvfsSpec::default()
+        };
+        crate::DvfsSpec {
+            max_hold: dense.then_some(spec.interval),
+            ..spec
+        }
+    }
+
     #[test]
     fn event_driven_governors_decide_rarely_when_steady() {
         // A steady machine — one always-busy task, everything else
-        // idle — gives the cadence baseline nothing to do, yet it still
-        // pays one decision per package per 10 ms. The event-driven
-        // path answers once and holds.
-        let run = |event: bool| {
+        // idle — gives the dense reference nothing to do, yet it still
+        // pays one decision per package per 10 ms. Triggers alone
+        // answer once and hold.
+        let run = |dense: bool| {
             let cfg = quick_cfg()
                 .energy_aware(false)
                 .throttling(false)
-                .dvfs_governor(ebs_dvfs::GovernorKind::OnDemand)
-                .dvfs_event_driven(event);
+                .dvfs(ondemand(dense));
             let mut sim = Simulation::new(cfg);
             sim.spawn_program(&catalog::aluadd());
             sim.run_for(SimDuration::from_secs(5));
             sim.report()
         };
-        let cadence = run(false);
-        let event = run(true);
-        // 8 packages × 500 intervals for the baseline.
+        let dense = run(true);
+        let event = run(false);
+        // 8 packages × 500 intervals for the reference.
+        assert!(dense.dvfs_decisions >= 4_000, "{}", dense.dvfs_decisions);
         assert!(
-            cadence.dvfs_decisions >= 4_000,
-            "{}",
-            cadence.dvfs_decisions
-        );
-        assert!(
-            event.dvfs_decisions * 20 < cadence.dvfs_decisions,
+            event.dvfs_decisions * 20 < dense.dvfs_decisions,
             "event-driven path still decides constantly: {} vs {}",
             event.dvfs_decisions,
-            cadence.dvfs_decisions
+            dense.dvfs_decisions
         );
         // Same enforcement outcome within tolerance.
-        let rel = (cadence.instructions_retired as f64 - event.instructions_retired as f64).abs()
-            / cadence.instructions_retired as f64;
+        let rel = (dense.instructions_retired as f64 - event.instructions_retired as f64).abs()
+            / dense.instructions_retired as f64;
         assert!(rel < 0.03, "work drifted {rel}");
-        assert_eq!(cadence.pstate_residency.len(), event.pstate_residency.len());
+        assert_eq!(dense.pstate_residency.len(), event.pstate_residency.len());
     }
 
     #[test]
     fn event_driven_dvfs_lifts_the_stride_floor() {
-        // The ROADMAP item this PR closes: in strided DVFS cells the
-        // 10 ms cadence floored every span. Event-driven governors let
-        // steady spans stretch toward the 25 ms cap, so the engine
-        // takes measurably fewer steps for the same simulated time —
-        // a counter-based claim, immune to wall-clock noise.
-        let run = |event: bool| {
+        // Under the dense reference every strided span ends at a 10 ms
+        // decision deadline. Triggers alone let steady spans stretch
+        // toward the 25 ms cap, so the engine takes measurably fewer
+        // steps for the same simulated time — a counter-based claim,
+        // immune to wall-clock noise.
+        let run = |dense: bool| {
             let cfg = quick_cfg()
                 .strided()
                 .energy_aware(false)
                 .throttling(false)
-                .dvfs_governor(ebs_dvfs::GovernorKind::OnDemand)
-                .dvfs_event_driven(event);
+                .dvfs(ondemand(dense));
             let mut sim = Simulation::new(cfg);
             sim.spawn_program(&catalog::aluadd());
             sim.run_for(SimDuration::from_secs(5));
             sim.report()
         };
-        let cadence = run(false);
-        let event = run(true);
+        let dense = run(true);
+        let event = run(false);
         assert!(
-            event.engine_steps * 2 < cadence.engine_steps,
+            event.engine_steps * 2 < dense.engine_steps,
             "strides did not stretch: {} vs {} steps",
             event.engine_steps,
-            cadence.engine_steps
+            dense.engine_steps
         );
-        let rel = (cadence.instructions_retired as f64 - event.instructions_retired as f64).abs()
-            / cadence.instructions_retired as f64;
+        let rel = (dense.instructions_retired as f64 - event.instructions_retired as f64).abs()
+            / dense.instructions_retired as f64;
         assert!(rel < 0.03, "work drifted {rel}");
     }
 
     #[test]
     fn event_driven_thermal_governor_still_enforces_budget() {
         // ThermalAware's hold band tops out exactly at the engagement
-        // target, so event-driven enforcement reacts no later than the
-        // cadence baseline did.
+        // target, so trigger-driven enforcement reacts no later than a
+        // decision every 10 ms would.
         let cfg = quick_cfg()
             .max_power(crate::MaxPowerSpec::PerLogical(Watts(40.0)))
             .energy_aware(false)
@@ -3029,8 +3008,8 @@ mod tests {
             .map(|c| sim.power_state().thermal_power(CpuId(c)).0)
             .fold(0.0_f64, f64::max);
         assert!(hottest < 40.0, "budget exceeded: {hottest}");
-        // And it needed far fewer decisions than the 10 ms cadence
-        // would have paid (8 packages × 9000 intervals).
+        // And it needed far fewer decisions than one per package per
+        // 10 ms would have paid (8 packages × 9000 intervals).
         assert!(
             report.dvfs_decisions < 72_000 / 10,
             "too many decisions: {}",

@@ -5,10 +5,10 @@
 //! multithreaded. This crate provides that machine in software —
 //! counter-generating CPUs, RC thermal dynamics per package,
 //! `hlt`-style throttling, SMT contention, and cache-affinity costs —
-//! and drives the full scheduling stack over it — in fixed 1 ms ticks
-//! or with the variable-stride (event-driven) core selected by
-//! `SimConfig::strided` (see the engine docs for the equivalence
-//! guarantees):
+//! and drives the full scheduling stack over it — in 1 ms ticks, or in
+//! variable strides to the next scheduling-relevant event once
+//! `SimConfig::strided` lifts the stride cap (see the engine docs for
+//! the equivalence guarantees):
 //!
 //! - execution generates events into per-CPU [`ebs_counters::CounterBank`]s;
 //! - the [`ebs_core::EnergyEstimator`] converts them to energy on every

@@ -13,9 +13,9 @@
 //!   state, frequency domain, and event trace.
 //! - A **synchronizer** advances every partition through a shared
 //!   *horizon* (the stride cap). Within a horizon, partitions share
-//!   nothing and run concurrently on a work-stealing pool (the
-//!   `run_parallel` pattern); threads are used only when the host has
-//!   parallelism to offer.
+//!   nothing and run concurrently on the sweep runner's work-stealing
+//!   pool ([`crate::map_parallel`]); threads are used only when the
+//!   host has parallelism to offer.
 //! - Partitions interact **only at horizon boundaries**: open-workload
 //!   arrivals are routed to the least-loaded partition, and a
 //!   cross-package handoff queue rebalances queued tasks from
@@ -42,12 +42,12 @@
 
 use crate::config::SimConfig;
 use crate::engine::{RoutedArrival, Simulation};
+use crate::runner::map_parallel;
 use crate::trace::{LatencyStats, SimReport};
 use ebs_sched::MigrationReason;
 use ebs_trace::TraceEvent;
 use ebs_units::{Hertz, Joules, SimDuration, SimTime};
 use ebs_workloads::{ArrivalProcess, Program};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// One cross-partition task handoff, recorded for the determinism
@@ -94,7 +94,11 @@ impl ParallelSimulation {
     pub fn new(cfg: SimConfig) -> Self {
         let workers = cfg.parallel_workers.unwrap_or(1).max(1);
         let n_packages = cfg.n_nodes * cfg.packages_per_node;
-        let horizon = cfg.max_stride.unwrap_or(SimConfig::DEFAULT_MAX_STRIDE);
+        let horizon = if cfg.strided_enabled() {
+            cfg.max_stride
+        } else {
+            SimConfig::DEFAULT_MAX_STRIDE
+        };
         if workers == 1 || n_packages == 1 {
             let mut inner = cfg.clone();
             inner.parallel_workers = None;
@@ -246,28 +250,10 @@ impl ParallelSimulation {
     /// share nothing within a horizon, so the schedule cannot affect
     /// results.
     fn step_shards(&mut self, h: SimDuration) {
-        if self.threads <= 1 {
-            for shard in &mut self.shards {
-                shard.run_for(h);
-            }
-            return;
-        }
-        let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<&mut Simulation>> = self.shards.iter_mut().map(Mutex::new).collect();
-        let slots = &slots;
-        let next = &next;
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..self.threads {
-                scope.spawn(move |_| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= slots.len() {
-                        break;
-                    }
-                    slots[i].lock().expect("partition slot poisoned").run_for(h);
-                });
-            }
-        })
-        .expect("crossbeam scope");
+        map_parallel(&slots, self.threads, |slot| {
+            slot.lock().expect("partition slot poisoned").run_for(h);
+        });
     }
 
     /// The cross-package handoff queue, applied at a horizon boundary:

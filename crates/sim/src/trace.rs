@@ -233,10 +233,9 @@ pub struct SimReport {
     pub mean_frequency: Hertz,
     /// Total P-state transitions performed by the governors.
     pub dvfs_transitions: u64,
-    /// Governor decisions taken (a decision may keep the state). The
-    /// fixed cadence pays one per package per interval; event-driven
-    /// governors only decide when a hold band is escaped, so this is
-    /// the direct measure of the wake-ups the trigger API removes.
+    /// Governor decisions taken (a decision may keep the state).
+    /// Governors decide when a hold band is escaped (plus any
+    /// `max_hold` deadline), so this counts governor wake-ups.
     pub dvfs_decisions: u64,
     /// Hottest package temperature seen during the run.
     pub max_package_temp: Celsius,

@@ -226,6 +226,9 @@ fn estimated_temperature_tracks_truth_within_one_kelvin() {
 
 /// Migration costs show up in throughput: the same workload with
 /// artificially enormous warm-up penalties retires fewer instructions.
+/// The runs are loaded 8-CPU energy-aware ones with real migration
+/// traffic, so each also checks the scheduler's invariants — runqueues
+/// and every unit of the aggregate tree recomputed from scratch.
 #[test]
 fn cache_warmth_penalty_is_observable() {
     let run = |floor: f64, ramp: u64| {
@@ -241,7 +244,10 @@ fn cache_warmth_penalty_is_observable() {
         let mut sim = Simulation::new(cfg);
         sim.spawn_mix(&section61_mix(), 3);
         sim.run_for(SimDuration::from_secs(60));
-        sim.report().instructions_retired
+        sim.system().validate();
+        let report = sim.report();
+        assert!(report.migrations > 0, "no migration traffic");
+        report.instructions_retired
     };
     let realistic = run(0.55, 40_000_000);
     let brutal = run(0.05, 4_000_000_000);
