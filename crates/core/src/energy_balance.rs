@@ -17,9 +17,10 @@
 //!    the hottest queue of that group, and push a cool task back if
 //!    that created a load imbalance.
 //! 2. **Load step**: find the group with the highest average runqueue
-//!    length and pull tasks from its busiest queue, choosing *hot*
-//!    tasks if the remote group is hotter and *cool* tasks if it is
-//!    cooler, so load balancing does not create energy imbalances.
+//!    length per unit of compute capacity and pull tasks from its
+//!    busiest queue, choosing *hot* tasks if the remote group is hotter
+//!    and *cool* tasks if it is cooler, so load balancing does not
+//!    create energy imbalances.
 
 use crate::metrics::{runqueue_power, runqueue_power_ratio, GroupRatioCache, PowerState};
 use ebs_sched::{busiest_queued_cpu, BalanceOutcome, MigrationReason, System, TaskId};
@@ -71,12 +72,6 @@ pub struct EnergyAwareBalancer {
     next_balance: Vec<Vec<SimTime>>,
     /// Memoised group runqueue-power ratios (see [`GroupRatioCache`]).
     ratios: GroupRatioCache,
-    /// Class-weighted compute capacity per logical CPU. `None` (every
-    /// homogeneous machine) keeps the load step's exact legacy integer
-    /// arithmetic; `Some` switches it to capacity-normalized effective
-    /// loads, so a 3-deep efficiency queue reads as more loaded than a
-    /// 3-deep performance queue.
-    capacities: Option<Vec<f64>>,
 }
 
 impl EnergyAwareBalancer {
@@ -91,31 +86,7 @@ impl EnergyAwareBalancer {
             cfg,
             next_balance,
             ratios: GroupRatioCache::new(sys.topology()),
-            capacities: None,
         }
-    }
-
-    /// Installs class-weighted per-CPU capacities (see the
-    /// `capacities` field). Pass `None` to restore the exact legacy
-    /// homogeneous arithmetic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table is not one finite positive value per CPU.
-    pub fn set_capacities(&mut self, capacities: Option<Vec<f64>>) {
-        if let Some(caps) = &capacities {
-            assert_eq!(caps.len(), self.next_balance.len(), "one capacity per CPU");
-            assert!(
-                caps.iter().all(|c| c.is_finite() && *c > 0.0),
-                "capacities must be finite and positive"
-            );
-        }
-        self.capacities = capacities;
-    }
-
-    /// The installed capacity table, if any.
-    pub fn capacities(&self) -> Option<&[f64]> {
-        self.capacities.as_deref()
     }
 
     /// The earliest instant any CPU's domain level is due for a
@@ -150,14 +121,7 @@ impl EnergyAwareBalancer {
             if self.cfg.energy_step_enabled && !domain.flags().share_cpu_power {
                 outcome.pulled += energy_step(sys, cpu, domain, power, &self.cfg, &mut self.ratios);
             }
-            outcome.pulled += load_step(
-                sys,
-                cpu,
-                domain,
-                power,
-                &self.cfg,
-                self.capacities.as_deref(),
-            );
+            outcome.pulled += load_step(sys, cpu, domain, power, &self.cfg);
         }
         outcome
     }
@@ -278,59 +242,41 @@ fn energy_step(
 /// The load balancing step of Fig. 4 (right column). Returns tasks
 /// pulled.
 ///
-/// With `capacities`, loads are normalized by class-weighted compute
-/// capacity: the busiest group is the one with the highest
-/// `nr_running / capacity`, and the number of tasks to move solves the
-/// effective-load equalisation `src_eff − n/c_src = dst_eff + n/c_dst`
-/// instead of the integer halving. With unit capacities both formulas
-/// coincide; `None` keeps the legacy integer arithmetic bit-exactly.
+/// Loads are normalized by class-weighted compute capacity (see
+/// [`System::cpu_capacity`]): the busiest group is the one with the
+/// highest `nr_running / capacity`, and the number of tasks to move
+/// solves the effective-load equalisation
+/// `src_eff − n/c_src = dst_eff + n/c_dst`. At unit capacity this is
+/// exactly the integer halving of `src − dst`, gated on
+/// `src − dst ≥ min_imbalance`.
 fn load_step(
     sys: &mut System,
     cpu: CpuId,
     domain: &SchedDomain,
     power: &PowerState,
     cfg: &EnergyBalanceConfig,
-    capacities: Option<&[f64]>,
 ) -> usize {
     let Some(local_idx) = domain.local_group_index(cpu) else {
         return 0;
     };
-    let busiest = match capacities {
-        Some(_) => ebs_sched::find_busiest_group_capacity(sys, domain, local_idx),
-        None => ebs_sched::find_busiest_group(sys, domain, local_idx),
-    };
-    let Some((busiest_idx, _)) = busiest else {
+    let Some((busiest_idx, _)) = ebs_sched::find_busiest_group(sys, domain, local_idx) else {
         return 0;
     };
     let busiest_group = &domain.groups()[busiest_idx];
     let Some(src) = ebs_sched::busiest_queue_in_group(sys, busiest_group) else {
         return 0;
     };
-    let src_load = sys.nr_running(src);
-    let dst_load = sys.nr_running(cpu);
-    let n_move = match capacities {
-        None => {
-            if src_load < dst_load + cfg.min_imbalance {
-                return 0;
-            }
-            (src_load - dst_load) / 2
-        }
-        Some(caps) => {
-            let c_src = caps[src.0];
-            let c_dst = caps[cpu.0];
-            let src_eff = src_load as f64 / c_src;
-            let dst_eff = dst_load as f64 / c_dst;
-            // Moving n tasks shifts the effective loads by n/c each
-            // way; equalisation at n = Δeff / (1/c_src + 1/c_dst).
-            // The gate generalises `src − dst ≥ min_imbalance` (to
-            // which it reduces when both capacities are 1).
-            let n_f = (src_eff - dst_eff) / (1.0 / c_src + 1.0 / c_dst);
-            if 2.0 * n_f < cfg.min_imbalance as f64 {
-                return 0;
-            }
-            (n_f.floor() as usize).min(sys.rq(src).nr_queued())
-        }
-    };
+    let c_src = sys.cpu_capacity(src);
+    let c_dst = sys.cpu_capacity(cpu);
+    let src_eff = sys.nr_running(src) as f64 / c_src;
+    let dst_eff = sys.nr_running(cpu) as f64 / c_dst;
+    // Moving n tasks shifts the effective loads by n/c each way;
+    // equalisation at n = Δeff / (1/c_src + 1/c_dst).
+    let n_f = (src_eff - dst_eff) / (1.0 / c_src + 1.0 / c_dst);
+    if 2.0 * n_f < cfg.min_imbalance as f64 {
+        return 0;
+    }
+    let n_move = (n_f.floor() as usize).min(sys.rq(src).nr_queued());
     if n_move == 0 {
         return 0;
     }
@@ -623,55 +569,33 @@ mod tests {
 
     #[test]
     fn capacity_normalized_load_step_drains_efficiency_cores() {
-        // 8 CPUs; CPUs 4..8 are "efficiency" cores at 0.55 capacity.
+        // Equal raw load everywhere: 4 tasks per CPU.
         let (mut sys, mut power) = setup();
-        let caps: Vec<f64> = (0..8).map(|c| if c >= 4 { 0.55 } else { 1.0 }).collect();
-        sys.set_cpu_capacities(&caps);
-        // Equal raw load everywhere: 4 tasks per CPU. Count-blind
-        // balancing sees nothing to do; capacity-normalized balancing
-        // sees the efficiency cores at 4/0.55 ≈ 7.3 effective.
         for c in 0..8 {
             for _ in 0..4 {
                 spawn(&mut sys, CpuId(c), 45.0);
             }
             heat(&mut power, CpuId(c), 45.0);
         }
-        let mut blind = EnergyAwareBalancer::new(&sys, EnergyBalanceConfig::default());
-        assert_eq!(blind.run(CpuId(0), &mut sys, &power).pulled, 0);
-        let mut aware = EnergyAwareBalancer::new(&sys, EnergyBalanceConfig::default());
-        aware.set_capacities(Some(caps));
+        // Unit capacities: nothing to do.
+        let mut bal = EnergyAwareBalancer::new(&sys, EnergyBalanceConfig::default());
         let pulled: usize = (0..8)
-            .map(|c| aware.run(CpuId(c), &mut sys, &power).pulled)
+            .map(|c| bal.run(CpuId(c), &mut sys, &power).pulled)
             .sum();
-        assert!(pulled >= 1, "capacity-aware load step did not act");
+        assert_eq!(pulled, 0);
+        // CPUs 4..8 become efficiency cores at 0.55 capacity, i.e.
+        // 4/0.55 ≈ 7.3 tasks' worth of effective load each.
+        let caps: Vec<f64> = (0..8).map(|c| if c >= 4 { 0.55 } else { 1.0 }).collect();
+        sys.set_cpu_capacities(&caps);
+        let mut bal = EnergyAwareBalancer::new(&sys, EnergyBalanceConfig::default());
+        let pulled: usize = (0..8)
+            .map(|c| bal.run(CpuId(c), &mut sys, &power).pulled)
+            .sum();
+        assert!(pulled >= 1, "capacity-normalized load step did not act");
         // Tasks flowed off the low-capacity CPUs, never onto them.
         let eff_load: usize = (4..8).map(|c| sys.nr_running(CpuId(c))).sum();
         assert!(eff_load < 16, "efficiency cores kept their full load");
         sys.validate();
-    }
-
-    #[test]
-    fn unit_capacities_match_legacy_decisions() {
-        // With every capacity at 1.0 the capacity path must reach the
-        // same n_move as the legacy integer path on an imbalance.
-        let (mut sys, mut power) = setup();
-        for _ in 0..5 {
-            spawn(&mut sys, CpuId(1), 45.0);
-        }
-        spawn(&mut sys, CpuId(0), 45.0);
-        for c in 0..8 {
-            heat(&mut power, CpuId(c), 45.0);
-        }
-        let mut legacy = EnergyAwareBalancer::new(&sys, EnergyBalanceConfig::default());
-        let mut sys2 = sys.clone();
-        let mut unit = EnergyAwareBalancer::new(&sys2, EnergyBalanceConfig::default());
-        unit.set_capacities(Some(vec![1.0; 8]));
-        let a = legacy.run(CpuId(0), &mut sys, &power).pulled;
-        let b = unit.run(CpuId(0), &mut sys2, &power).pulled;
-        assert_eq!(a, b);
-        for c in 0..8 {
-            assert_eq!(sys.nr_running(CpuId(c)), sys2.nr_running(CpuId(c)));
-        }
     }
 
     #[test]

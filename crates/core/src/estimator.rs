@@ -77,12 +77,6 @@ impl EnergyEstimator {
         }
     }
 
-    /// The calibrated model of class 0 (the only class on homogeneous
-    /// machines).
-    pub fn model(&self) -> &EnergyModel {
-        &self.models[0]
-    }
-
     /// The calibrated model governing one CPU.
     pub fn model_for(&self, cpu: CpuId) -> &EnergyModel {
         &self.models[self.cpu_class[cpu.0]]
@@ -91,11 +85,6 @@ impl EnergyEstimator {
     /// The calibrated model of one class.
     pub fn class_model(&self, class: usize) -> &EnergyModel {
         &self.models[class]
-    }
-
-    /// The halt power attributed per logical CPU of class 0.
-    pub fn halt_power_share(&self) -> Watts {
-        self.halt_shares[0]
     }
 
     /// The halt power attributed to one specific CPU.

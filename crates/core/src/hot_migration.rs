@@ -8,10 +8,11 @@
 //! the migration frequency.
 //!
 //! The search for a destination walks the scheduler-domain hierarchy
-//! bottom-up. For each domain, the coolest CPU is examined: if it is
-//! cool enough and idle, the hot task moves there; if it is cool enough
-//! and runs a single *cool* task, the two tasks are exchanged (so no
-//! load imbalance arises); otherwise the search ascends one level. If
+//! bottom-up. For each domain, the coolest CPU that is cool enough is
+//! examined (on hybrid machines, the coolest of the highest-capacity
+//! ones): if it is idle, the hot task moves there; if it runs a single
+//! *cool* task, the two tasks are exchanged (so no load imbalance
+//! arises); otherwise the search ascends one level. If
 //! the top level yields nothing, every CPU is hot and the task stays —
 //! throttling is then unavoidable.
 //!
@@ -106,6 +107,15 @@ impl HotTaskMigrator {
     /// Checks the trigger and, if it fires, searches for a destination
     /// and performs the migration. Returns what happened, if anything.
     ///
+    /// Only CPUs satisfying the coolness gap compete; among them the
+    /// search prefers the *highest-capacity* CPU (see
+    /// [`System::cpu_capacity`]), then the coolest. A hot task is
+    /// by construction a throughput-heavy one — parking it on a
+    /// sufficiently cool efficiency core when a cool performance core
+    /// also qualifies trades the thermal win for a throughput collapse.
+    /// At unit capacity this is the paper's search: the coolest CPU
+    /// qualifies exactly when any CPU does.
+    ///
     /// The caller (the simulation engine) is responsible for context
     /// switching the CPUs whose running tasks were moved, as Linux's
     /// migration thread would.
@@ -128,27 +138,25 @@ impl HotTaskMigrator {
             if domain.flags().share_cpu_power {
                 continue;
             }
-            // Search the coolest CPU within the domain (outside the
-            // source core), judging coolness per core and preferring
-            // idle CPUs among a core's hardware threads.
+            // Search the domain (outside the source core) for CPUs
+            // cool enough, judging coolness per core; rank them by
+            // capacity (descending), then coolness, preferring idle
+            // CPUs among a core's hardware threads. Total orders, so a
+            // NaN thermal power on a degenerate machine skews instead
+            // of panics.
             let candidate = domain
                 .span()
                 .filter(|&c| !topo.same_core(c, cpu))
-                .min_by(|&a, &b| {
-                    let ka = candidate_key(topo, sys, power, a);
-                    let kb = candidate_key(topo, sys, power, b);
-                    // Total order so a NaN thermal power on a
-                    // degenerate machine skews instead of panics.
-                    ka.0.total_cmp(&kb.0).then((ka.1, ka.2).cmp(&(kb.1, kb.2)))
+                .map(|c| (c, sys.cpu_capacity(c), candidate_key(topo, sys, power, c)))
+                .filter(|&(_, _, key)| src_thermal.0 - key.0 >= min_gap.0)
+                .min_by(|(_, ca, ka), (_, cb, kb)| {
+                    cb.total_cmp(ca)
+                        .then(ka.0.total_cmp(&kb.0))
+                        .then((ka.1, ka.2).cmp(&(kb.1, kb.2)))
                 });
-            let Some(dest) = candidate else {
-                continue;
-            };
-            // CPU cool enough?
-            let dest_thermal = core_avg_thermal(topo, dest, power);
-            if src_thermal - dest_thermal < min_gap {
+            let Some((dest, _, _)) = candidate else {
                 continue; // Ascend one level.
-            }
+            };
             // CPU idle?
             if sys.rq(dest).is_idle() {
                 sys.migrate_running(cpu, dest, MigrationReason::HotTask)
@@ -176,82 +184,6 @@ impl HotTaskMigrator {
                 }
             }
             // Neither idle nor running a cool task: ascend.
-        }
-        None
-    }
-
-    /// Capacity-aware [`HotTaskMigrator::run`]: with a class-capacity
-    /// table, the destination search prefers the *highest-capacity*
-    /// CPU among those that satisfy the coolness gap, coolness and
-    /// determinism breaking ties. A hot task is by construction a
-    /// throughput-heavy one — parking it on a sufficiently cool
-    /// efficiency core when a cool performance core also qualifies
-    /// trades the thermal win for a throughput collapse. `None`
-    /// delegates to the exact legacy search.
-    pub fn run_with_capacities(
-        &self,
-        cpu: CpuId,
-        sys: &mut System,
-        power: &PowerState,
-        capacities: Option<&[f64]>,
-    ) -> Option<HotMigration> {
-        let Some(caps) = capacities else {
-            return self.run(cpu, sys, power);
-        };
-        if !self.triggered(cpu, sys, power) {
-            return None;
-        }
-        let hot_task = sys.current(cpu)?;
-        let hot_profile = sys.task(hot_task).profile();
-        let src_thermal = core_avg_thermal(sys.topology(), cpu, power);
-        let min_gap = power.max_power(cpu) * self.cfg.min_gap_fraction;
-
-        let topo_arc = sys.topology_shared();
-        let topo = &*topo_arc;
-        for domain in topo.domains(cpu) {
-            if domain.flags().share_cpu_power {
-                continue;
-            }
-            // Only gap-satisfying candidates compete, ranked capacity
-            // first (descending), then the legacy key.
-            let candidate = domain
-                .span()
-                .filter(|&c| !topo.same_core(c, cpu))
-                .filter(|&c| src_thermal - core_avg_thermal(topo, c, power) >= min_gap)
-                .min_by(|&a, &b| {
-                    let ka = candidate_key(topo, sys, power, a);
-                    let kb = candidate_key(topo, sys, power, b);
-                    caps[b.0]
-                        .total_cmp(&caps[a.0])
-                        .then(ka.0.total_cmp(&kb.0))
-                        .then((ka.1, ka.2).cmp(&(kb.1, kb.2)))
-                });
-            let Some(dest) = candidate else {
-                continue; // Ascend one level.
-            };
-            if sys.rq(dest).is_idle() {
-                sys.migrate_running(cpu, dest, MigrationReason::HotTask)
-                    .expect("triggered CPU has a running task");
-                return Some(HotMigration::ToIdle {
-                    task: hot_task,
-                    dest,
-                });
-            }
-            if sys.rq(dest).nr_running() == 1 {
-                if let Some(cool_task) = sys.current(dest) {
-                    if sys.task(cool_task).profile() + self.cfg.exchange_margin <= hot_profile {
-                        sys.migrate_running(dest, cpu, MigrationReason::Exchange)
-                            .expect("destination has a running task");
-                        sys.migrate_running(cpu, dest, MigrationReason::HotTask)
-                            .expect("source still has its running task");
-                        return Some(HotMigration::Exchanged {
-                            task: hot_task,
-                            dest,
-                            cool_task,
-                        });
-                    }
-                }
-            }
         }
         None
     }
@@ -446,35 +378,39 @@ mod tests {
         let (mut sys, mut power) = setup_no_smt();
         let hot = spawn_running(&mut sys, CpuId(0), 61.0);
         heat(&mut power, CpuId(0), 61.0);
-        // Odd CPUs are efficiency cores. On the source node, CPU 1
-        // (efficiency) is the coolest CPU but CPU 2 (performance) also
-        // satisfies the gap: the legacy search picks CPU 1, the
-        // capacity-aware search must prefer CPU 2.
+        // On the source node CPU 1 is the coolest CPU, and CPU 2 also
+        // satisfies the gap.
         heat(&mut power, CpuId(1), 2.0);
         heat(&mut power, CpuId(2), 10.0);
         for c in 3..8 {
             heat(&mut power, CpuId(c), 40.0);
         }
+        let m = HotTaskMigrator::default();
+        // Unit capacities: the coolest CPU wins.
+        let mut unit_sys = sys.clone();
+        let unit = m.run(CpuId(0), &mut unit_sys, &power).unwrap();
+        assert_eq!(
+            unit,
+            HotMigration::ToIdle {
+                task: hot,
+                dest: CpuId(1)
+            }
+        );
+        // Odd CPUs become efficiency cores: the search must prefer the
+        // cool performance core over the cooler efficiency core.
         let caps: Vec<f64> = (0..8)
             .map(|c| if c % 2 == 1 { 0.55 } else { 1.0 })
             .collect();
-        let m = HotTaskMigrator::default();
-        let mut legacy_sys = sys.clone();
-        let legacy = m.run(CpuId(0), &mut legacy_sys, &power).unwrap();
-        assert!(
-            matches!(legacy, HotMigration::ToIdle { dest, .. } if dest == CpuId(1)),
-            "legacy search should pick the coolest CPU: {legacy:?}"
+        sys.set_cpu_capacities(&caps);
+        let aware = m.run(CpuId(0), &mut sys, &power).unwrap();
+        assert_eq!(
+            aware,
+            HotMigration::ToIdle {
+                task: hot,
+                dest: CpuId(2)
+            },
+            "hot task parked on an efficiency core"
         );
-        let aware = m
-            .run_with_capacities(CpuId(0), &mut sys, &power, Some(&caps))
-            .unwrap();
-        match aware {
-            HotMigration::ToIdle { task, dest } => {
-                assert_eq!(task, hot);
-                assert_eq!(dest, CpuId(2), "hot task parked on an efficiency core");
-            }
-            other => panic!("expected idle migration, got {other:?}"),
-        }
         sys.validate();
     }
 

@@ -38,4 +38,4 @@ pub use metrics::{
     group_runqueue_ratio, runqueue_power, runqueue_power_ratio, GroupRatioCache, PowerState,
     PowerStateConfig,
 };
-pub use placement::{place_new_task, place_new_task_capacity, PlacementTable};
+pub use placement::{place_new_task, PlacementTable};

@@ -86,16 +86,23 @@ impl PlacementTable {
 }
 
 /// Chooses the CPU for a newly started task with the given seeded
-/// profile (Section 4.6): among the CPUs with the fewest running tasks,
-/// the one whose runqueue power ratio *including the new task* comes
-/// closest to the current average ratio of all CPUs. `None` only for a
-/// degenerate CPU-less system, so callers fall back instead of
-/// panicking; ratio comparisons use a total order, so a NaN ratio
-/// (e.g. a zero power budget on a generated machine) cannot panic
-/// either.
+/// profile (Section 4.6): among the least-loaded CPUs, the one whose
+/// runqueue power ratio *including the new task* comes closest to the
+/// current average ratio of all CPUs. `None` only for a degenerate
+/// CPU-less system, so callers fall back instead of panicking; ratio
+/// comparisons use a total order, so a NaN ratio (e.g. a zero power
+/// budget on a generated machine) cannot panic either.
+///
+/// Load is `nr_running / capacity`, read from the aggregate tree (see
+/// [`System::cpu_capacity`]): an efficiency core with one task is
+/// *more* loaded than a performance core with one task, so new work
+/// drifts toward the cores that chew through it fastest. At unit
+/// capacity (every single-class machine) the quotient is the raw
+/// count exactly.
 pub fn place_new_task(sys: &System, power: &PowerState, profile: Watts) -> Option<CpuId> {
     let topo = sys.topology();
-    let min_load = topo.cpu_ids().map(|c| sys.nr_running(c)).min()?;
+    let load = |c: CpuId| sys.nr_running(c) as f64 / sys.cpu_capacity(c);
+    let min_load = topo.cpu_ids().map(load).min_by(f64::total_cmp)?;
     // The average runqueue power ratio over all CPUs, before placement.
     let avg_ratio = topo
         .cpu_ids()
@@ -103,40 +110,7 @@ pub fn place_new_task(sys: &System, power: &PowerState, profile: Watts) -> Optio
         .sum::<f64>()
         / topo.n_cpus() as f64;
     topo.cpu_ids()
-        .filter(|&c| sys.nr_running(c) == min_load)
-        .min_by(|&a, &b| {
-            let da = (ratio_with_task(sys, power, a, profile) - avg_ratio).abs();
-            let db = (ratio_with_task(sys, power, b, profile) - avg_ratio).abs();
-            da.total_cmp(&db).then(a.0.cmp(&b.0))
-        })
-}
-
-/// Capacity-normalized [`place_new_task`]: load-imbalance eligibility
-/// compares `nr_running / capacity` instead of raw counts, so an
-/// efficiency core with one task is *more* loaded than a performance
-/// core with one task and new work drifts toward the cores that chew
-/// through it fastest. `None` capacities delegate to the exact legacy
-/// form (the comparisons coincide at unit capacity but the legacy path
-/// stays byte-for-byte untouched).
-pub fn place_new_task_capacity(
-    sys: &System,
-    power: &PowerState,
-    profile: Watts,
-    capacities: Option<&[f64]>,
-) -> Option<CpuId> {
-    let Some(caps) = capacities else {
-        return place_new_task(sys, power, profile);
-    };
-    let topo = sys.topology();
-    let eff = |c: CpuId| sys.nr_running(c) as f64 / caps[c.0];
-    let min_eff = topo.cpu_ids().map(eff).min_by(f64::total_cmp)?;
-    let avg_ratio = topo
-        .cpu_ids()
-        .map(|c| crate::metrics::runqueue_power_ratio(sys, c, power))
-        .sum::<f64>()
-        / topo.n_cpus() as f64;
-    topo.cpu_ids()
-        .filter(|&c| eff(c) == min_eff)
+        .filter(|&c| load(c) == min_load)
         .min_by(|&a, &b| {
             let da = (ratio_with_task(sys, power, a, profile) - avg_ratio).abs();
             let db = (ratio_with_task(sys, power, b, profile) - avg_ratio).abs();
@@ -277,19 +251,19 @@ mod tests {
     #[test]
     fn capacity_placement_prefers_underloaded_performance_cores() {
         let (mut sys, power) = setup();
-        // CPUs 4..8 are efficiency cores at half capacity; every CPU
-        // already runs one task. Count-wise all queues tie; a new task
-        // must land on a performance core (1/1.0 < 1/0.5 effective).
-        let caps: Vec<f64> = (0..8).map(|c| if c >= 4 { 0.5 } else { 1.0 }).collect();
+        // Every CPU already runs one task; CPU 5's is coolest.
         for c in 0..8 {
-            spawn(&mut sys, CpuId(c), 40.0);
+            spawn(&mut sys, CpuId(c), if c == 5 { 20.0 } else { 40.0 });
         }
-        let dest = place_new_task_capacity(&sys, &power, Watts(45.0), Some(&caps)).unwrap();
+        // Unit capacities: counts tie everywhere and the hot task goes
+        // to the cool CPU.
+        assert_eq!(place_new_task(&sys, &power, Watts(61.0)), Some(CpuId(5)));
+        // CPUs 4..8 become efficiency cores at half capacity: a new
+        // task must land on a performance core (1/1.0 < 1/0.5), however
+        // cool the efficiency queue.
+        let caps: Vec<f64> = (0..8).map(|c| if c >= 4 { 0.5 } else { 1.0 }).collect();
+        sys.set_cpu_capacities(&caps);
+        let dest = place_new_task(&sys, &power, Watts(61.0)).unwrap();
         assert!(dest.0 < 4, "placed on an efficiency core {dest}");
-        // Without capacities the legacy form is used verbatim.
-        assert_eq!(
-            place_new_task_capacity(&sys, &power, Watts(45.0), None),
-            place_new_task(&sys, &power, Watts(45.0))
-        );
     }
 }

@@ -66,9 +66,9 @@ pub struct LoadAggregates {
     /// homogeneous machines). Config-derived, never serialized: a
     /// restored system re-installs the capacities of its topology.
     cap_cpu: Vec<f64>,
-    /// Capacity sums per unit, same layout as the cell tables. On
-    /// homogeneous machines these equal the unit's CPU count, so
-    /// capacity-normalized loads reduce to the legacy per-CPU average.
+    /// Capacity sums per unit, same layout as the cell tables. At unit
+    /// capacity these equal the unit's CPU count exactly, so
+    /// capacity-normalized loads reduce to the per-CPU average.
     cap_core: Vec<f64>,
     cap_package: Vec<f64>,
     cap_node: Vec<f64>,

@@ -41,8 +41,7 @@ mod task;
 pub use aggregates::{AggCell, LoadAggregates};
 pub use load_balance::{
     balance_domain, busiest_queue_in_group, busiest_queued_cpu, find_busiest_group,
-    find_busiest_group_capacity, group_avg_load, group_effective_load, idlest_cpu, pull_tasks,
-    BalanceOutcome, LoadBalancer, LoadBalancerConfig,
+    group_effective_load, idlest_cpu, pull_tasks, BalanceOutcome, LoadBalancer, LoadBalancerConfig,
 };
 pub use prio_array::PrioArray;
 pub use runqueue::RunQueue;

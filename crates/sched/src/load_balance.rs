@@ -154,60 +154,35 @@ pub fn balance_domain(
     )
 }
 
-/// Finds the group with the highest average load (`nr_running` per
-/// CPU), excluding the local group. Returns `None` when no remote group
-/// is busier than the local one.
+/// Finds the group with the highest load, excluding the local group.
+/// Load is `nr_running` per unit of class-weighted compute capacity
+/// ([`group_effective_load`]), as Linux 2.6 scales group load by
+/// `cpu_power`: an efficiency cluster saturates at fewer tasks than a
+/// performance cluster of the same width. Returns `None` when no
+/// remote group is busier than the local one.
 ///
-/// Group loads come from the incremental aggregate tree: O(1) per
-/// group instead of a scan of its runqueues, which turns a balancing
-/// pass over a domain of `g` groups spanning `n` CPUs from O(n) into
-/// O(g). The sums are exact integers, so the result is bitwise what a
-/// scan of the runqueues would give ([`System::validate`] recomputes
-/// every unit from scratch).
+/// Every CPU weighs 1.0 unless class capacities were installed (see
+/// [`System::set_cpu_capacities`]); a sum of ones is an exact integer,
+/// so on single-class machines the load is exactly the per-CPU average
+/// runqueue length. Counts and capacities come from the incremental
+/// aggregate tree: O(1) per group instead of a scan of its runqueues,
+/// which turns a balancing pass over a domain of `g` groups spanning
+/// `n` CPUs from O(n) into O(g). The counts are exact integers, so the
+/// result is bitwise what a scan of the runqueues would give
+/// ([`System::validate`] recomputes every unit from scratch).
 pub fn find_busiest_group(
     sys: &System,
     domain: &SchedDomain,
     local_idx: usize,
 ) -> Option<(usize, f64)> {
-    find_busiest_by(domain, local_idx, |g| group_avg_load(sys, g))
-}
-
-/// Capacity-normalized [`find_busiest_group`]: group load is
-/// `nr_running` per unit of class-weighted compute capacity (see
-/// [`System::group_capacity`]) instead of per CPU. On homogeneous
-/// machines every capacity is 1.0 and this coincides with
-/// [`find_busiest_group`]; on hybrid machines an efficiency cluster
-/// saturates at fewer tasks than a performance cluster of the same
-/// width, and this ranking reflects that.
-pub fn find_busiest_group_capacity(
-    sys: &System,
-    domain: &SchedDomain,
-    local_idx: usize,
-) -> Option<(usize, f64)> {
-    find_busiest_by(domain, local_idx, |g| group_effective_load(sys, g))
-}
-
-/// Average `nr_running` per unit of class-weighted capacity over a
-/// group (0 for a degenerate empty group).
-pub fn group_effective_load(sys: &System, group: &CpuGroup) -> f64 {
-    if group.is_empty() {
-        return 0.0;
-    }
-    sys.group_nr_running(group) as f64 / sys.group_capacity(group)
-}
-
-fn find_busiest_by<F: Fn(&CpuGroup) -> f64>(
-    domain: &SchedDomain,
-    local_idx: usize,
-    load_of: F,
-) -> Option<(usize, f64)> {
-    let local_load = load_of(&domain.groups()[local_idx]);
+    let groups = domain.groups();
+    let local_load = group_effective_load(sys, &groups[local_idx]);
     let mut best: Option<(usize, f64)> = None;
-    for (i, group) in domain.groups().iter().enumerate() {
+    for (i, group) in groups.iter().enumerate() {
         if i == local_idx {
             continue;
         }
-        let load = load_of(group);
+        let load = group_effective_load(sys, group);
         if load > local_load && best.is_none_or(|(_, b)| load > b) {
             best = Some((i, load));
         }
@@ -215,14 +190,14 @@ fn find_busiest_by<F: Fn(&CpuGroup) -> f64>(
     best
 }
 
-/// Average `nr_running` per CPU over a group (0 for a degenerate
-/// empty group, rather than a NaN that would poison comparisons).
-/// Reads the aggregate tree: O(1) for unit-tagged groups.
-pub fn group_avg_load(sys: &System, group: &CpuGroup) -> f64 {
+/// Average `nr_running` per unit of class-weighted capacity over a
+/// group (0 for a degenerate empty group, rather than a NaN that would
+/// poison comparisons).
+pub fn group_effective_load(sys: &System, group: &CpuGroup) -> f64 {
     if group.is_empty() {
         return 0.0;
     }
-    sys.group_nr_running(group) as f64 / group.len() as f64
+    sys.group_nr_running(group) as f64 / sys.group_capacity(group)
 }
 
 /// The CPU with the most *queued* (waiting) tasks in the domain's
@@ -457,6 +432,26 @@ mod tests {
         let (idx, load) = busiest.unwrap();
         assert!(domain.groups()[idx].contains(CpuId(1)));
         assert!((load - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn find_busiest_group_weighs_counts_by_capacity() {
+        let mut sys = system();
+        spawn_n(&mut sys, CpuId(1), 2);
+        spawn_n(&mut sys, CpuId(2), 2);
+        let domain = sys.topology().domains(CpuId(0))[0].clone();
+        let local_idx = domain.local_group_index(CpuId(0)).unwrap();
+        // Unit capacities: equal counts tie, the first group wins.
+        let (idx, load) = find_busiest_group(&sys, &domain, local_idx).unwrap();
+        assert!(domain.groups()[idx].contains(CpuId(1)));
+        assert_eq!(load, 2.0);
+        // CPU 2 becomes a half-capacity efficiency core: at the same
+        // count its group carries twice the load.
+        let caps: Vec<f64> = (0..8).map(|c| if c == 2 { 0.5 } else { 1.0 }).collect();
+        sys.set_cpu_capacities(&caps);
+        let (idx, load) = find_busiest_group(&sys, &domain, local_idx).unwrap();
+        assert!(domain.groups()[idx].contains(CpuId(2)));
+        assert_eq!(load, 4.0);
     }
 
     #[test]

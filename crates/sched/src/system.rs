@@ -555,8 +555,8 @@ impl System {
 
     /// Installs class-weighted per-CPU compute capacities into the
     /// aggregate tree (see [`crate::LoadAggregates::set_cpu_capacities`]).
-    /// Engines call this once for hybrid machines; homogeneous systems
-    /// keep the default of 1.0 per CPU.
+    /// Engines call this once at construction; without it every CPU
+    /// weighs 1.0.
     pub fn set_cpu_capacities(&mut self, caps: &[f64]) {
         self.agg.set_cpu_capacities(caps);
     }

@@ -92,13 +92,7 @@ impl ClassCatalog {
         let base = classes[0].ipc_factor * classes[0].table.nominal().frequency.0;
         let capacities = classes
             .iter()
-            .map(|c| {
-                if c.name == "perf" {
-                    1.0 // Exact, no float division on the legacy path.
-                } else {
-                    c.ipc_factor * c.table.nominal().frequency.0 / base
-                }
-            })
+            .map(|c| c.ipc_factor * c.table.nominal().frequency.0 / base)
             .collect();
         ClassCatalog {
             classes,
@@ -109,11 +103,6 @@ impl ClassCatalog {
     /// Number of classes (1 = homogeneous).
     pub fn n_classes(&self) -> usize {
         self.classes.len()
-    }
-
-    /// Whether the catalog mixes classes.
-    pub fn is_hybrid(&self) -> bool {
-        self.classes.len() > 1
     }
 
     /// The class's parameter set.
@@ -253,7 +242,6 @@ mod tests {
         let cfg = SimConfig::xseries445();
         let cat = ClassCatalog::for_config(&cfg);
         assert_eq!(cat.n_classes(), 1);
-        assert!(!cat.is_hybrid());
         let c = cat.get(ClassId(0));
         assert_eq!(c.truth, GroundTruth::p4_xeon_2200());
         assert_eq!(c.table.len(), 1);

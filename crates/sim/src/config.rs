@@ -86,9 +86,10 @@ pub struct SimConfig {
     /// cannot share a plane).
     pub domain_scope: Option<DomainScope>,
     /// Ignore core classes in balancing, placement, and hot-migration
-    /// decisions (capacity-blind): the `exp_hybrid` baseline that
-    /// treats every runnable task as worth the same on any core. The
-    /// physics (per-class speed, power, calibration) stays
+    /// decisions (capacity-blind): the engine installs no class
+    /// capacities, so every CPU weighs 1.0 — the `exp_hybrid` control
+    /// that treats every runnable task as worth the same on any core.
+    /// The physics (per-class speed, power, calibration) stays
     /// class-aware either way.
     pub class_blind: bool,
     /// RNG seed; every random choice in the run derives from it.

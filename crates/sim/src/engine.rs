@@ -17,13 +17,15 @@
 use crate::config::SimConfig;
 use crate::machine::PhysicalMachine;
 use crate::runtime::{TaskRuntime, WarmthModel};
-use crate::trace::{LatencyStats, SimReport, TaskCpuTrace, ThermalTrace};
+use crate::trace::{
+    merge_residency, phase_latencies, LatencyStats, SimReport, TaskCpuTrace, ThermalTrace,
+};
 use ebs_core::{
-    place_new_task_capacity, EnergyAwareBalancer, EnergyEstimator, HotTaskConfig, HotTaskMigrator,
+    place_new_task, EnergyAwareBalancer, EnergyEstimator, HotTaskConfig, HotTaskMigrator,
     PlacementTable, PowerState, PowerStateConfig,
 };
 use ebs_counters::{calibration, EnergyModel};
-use ebs_dvfs::{DecisionHold, Governor, GovernorInput, PStateResidency};
+use ebs_dvfs::{DecisionHold, Governor, GovernorInput};
 use ebs_sched::{
     idlest_cpu, BinaryId, LoadBalancer, LoadBalancerConfig, System, TaskConfig, TaskId,
 };
@@ -271,10 +273,6 @@ pub struct Simulation {
     cpu_dom: Vec<usize>,
     /// CPU → core-class map (all zero on homogeneous machines).
     cpu_class: Vec<usize>,
-    /// Class-weighted per-CPU capacities for placement and hot-task
-    /// migration; `None` (homogeneous or `class_blind`) keeps the
-    /// legacy count-based policies byte-for-byte.
-    capacities: Option<Vec<f64>>,
     /// Per-domain busy time (thread-fraction · seconds) accumulated
     /// since the last governor decision, so utilization covers the
     /// whole window rather than sampling the decision instant.
@@ -373,7 +371,16 @@ impl Simulation {
     /// Builds a simulation from a configuration. The energy model is
     /// calibrated (least squares over synthetic multimeter runs) as
     /// part of bring-up, unless `perfect_estimation` is set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`SimConfig::tick`] is zero: the tick floors every
+    /// step, so a zero tick could never advance the clock.
     pub fn new(cfg: SimConfig) -> Self {
+        assert!(
+            !cfg.tick.is_zero(),
+            "SimConfig::tick must be positive (a zero tick never advances the clock)"
+        );
         let topo = cfg.topology_builder().build();
         let machine = PhysicalMachine::new(&cfg, &topo);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -403,20 +410,16 @@ impl Simulation {
             .map(|c| c.truth.halt_power / threads_per_package as f64)
             .collect();
         let estimator = EnergyEstimator::with_classes(models, cpu_class.clone(), class_halt);
-        // Class-weighted capacities surface to the policy layer only
-        // on hybrid machines in class-aware mode; `class_blind` (and
-        // every homogeneous machine) leaves the legacy count-based
-        // arithmetic untouched.
-        let capacities: Option<Vec<f64>> = (machine.catalog().is_hybrid() && !cfg.class_blind)
-            .then(|| machine.catalog().cpu_capacities(&topo));
+        // Every policy reads class-weighted capacities from the
+        // aggregate tree. `class_blind` installs none, so every CPU
+        // keeps the tree's default weight of 1.0.
         let mut sys = System::new(topo);
-        if let Some(caps) = &capacities {
-            sys.set_cpu_capacities(caps);
+        if !cfg.class_blind {
+            let capacities = machine.catalog().cpu_capacities(sys.topology());
+            sys.set_cpu_capacities(&capacities);
         }
         let balancer = if cfg.energy_balancing {
-            let mut b = EnergyAwareBalancer::new(&sys, cfg.balance);
-            b.set_capacities(capacities.clone());
-            Balancer::EnergyAware(b)
+            Balancer::EnergyAware(EnergyAwareBalancer::new(&sys, cfg.balance))
         } else {
             Balancer::Baseline(LoadBalancer::new(&sys, LoadBalancerConfig::default()))
         };
@@ -470,7 +473,6 @@ impl Simulation {
             dom_cpus,
             cpu_dom,
             cpu_class,
-            capacities,
             dvfs_busy,
             dvfs_window: vec![SimDuration::ZERO; n_domains],
             dvfs_util: vec![0.0; n_domains],
@@ -595,7 +597,7 @@ impl Simulation {
             }
         }
         let events = trace.to_vec();
-        Some(ebs_trace::perfetto::export_scoped(
+        Some(ebs_trace::perfetto::export(
             &events,
             self.metrics.as_deref().map(|m| &m.reg),
             &names,
@@ -701,7 +703,7 @@ impl Simulation {
             Watts(30.0)
         };
         let cpu = if self.cfg.energy_placement {
-            place_new_task_capacity(&self.sys, &self.power, profile, self.capacities.as_deref())
+            place_new_task(&self.sys, &self.power, profile)
         } else {
             idlest_cpu(&self.sys)
         }
@@ -781,12 +783,7 @@ impl Simulation {
     pub(crate) fn inject_task(&mut self, h: TaskHandoff) {
         let binary = BinaryId(h.binary);
         let cpu = if self.cfg.energy_placement {
-            place_new_task_capacity(
-                &self.sys,
-                &self.power,
-                h.profile,
-                self.capacities.as_deref(),
-            )
+            place_new_task(&self.sys, &self.power, h.profile)
         } else {
             idlest_cpu(&self.sys)
         }
@@ -1151,6 +1148,15 @@ impl Simulation {
         dt.max(tick).min(end - self.now)
     }
 
+    /// The summed halt shares of a CPU list: the thermal-power sample
+    /// it feeds its averages while halted, and the floor an idle list's
+    /// averages decay toward.
+    fn halt_floor(&self, cpus: &[CpuId]) -> f64 {
+        cpus.iter()
+            .map(|&c| self.machine.halt_power_share_of(c).0)
+            .sum()
+    }
+
     /// Predicts the thermal-power *sample* sum a CPU list (a package,
     /// or one frequency domain of it) will feed its averages this
     /// span: the model power of each running task at its domain's
@@ -1159,16 +1165,8 @@ impl Simulation {
     /// Used only to bound strides; physics recomputes the real thing.
     fn predicted_sample(&self, pkg: usize, cpus: &[CpuId], threads_per_core: usize) -> f64 {
         if self.machine.throttles[pkg].state() != ThrottleState::Running {
-            // Halted: every CPU sits at its halt share. The
-            // homogeneous path keeps the legacy scalar multiply
-            // (bit-identical float result); hybrid lists mix shares.
-            if !self.machine.catalog().is_hybrid() {
-                return self.machine.halt_power_share().0 * cpus.len() as f64;
-            }
-            return cpus
-                .iter()
-                .map(|&c| self.machine.halt_power_share_of(c).0)
-                .sum();
+            // Halted: every CPU sits at its halt share.
+            return self.halt_floor(cpus);
         }
         let mut sum = 0.0;
         for (i, &cpu) in cpus.iter().enumerate() {
@@ -1516,15 +1514,7 @@ impl Simulation {
         }
         if let Some((lo, hi)) = hold.thermal_power {
             let avg = self.power.thermal_power_sum(cpus).0;
-            // The halt floor: the legacy scalar multiply on single-class
-            // machines (bit-identical), the per-CPU sum on hybrid ones.
-            let floor = if self.machine.catalog().is_hybrid() {
-                cpus.iter()
-                    .map(|&c| self.machine.halt_power_share_of(c).0)
-                    .sum()
-            } else {
-                self.machine.halt_power_share().0 * cpus.len() as f64
-            };
+            let floor = self.halt_floor(cpus);
             if avg < lo.0 || avg > hi.0 || floor < lo.0 || floor > hi.0 {
                 return false;
             }
@@ -1740,12 +1730,7 @@ impl Simulation {
         // The running task is about to move: close its accounting
         // interval first.
         self.finalize_interval(cpu);
-        let migration = self.hot.run_with_capacities(
-            cpu,
-            &mut self.sys,
-            &self.power,
-            self.capacities.as_deref(),
-        )?;
+        let migration = self.hot.run(cpu, &mut self.sys, &self.power)?;
         match migration {
             ebs_core::HotMigration::ToIdle { dest, .. } => {
                 // Source went idle; destination dispatches the task.
@@ -1990,54 +1975,8 @@ impl Simulation {
         // Per-package throttle statistics, surfaced directly so
         // experiments stop recomputing them from per-logical views.
         let throttle_stats: Vec<_> = self.machine.throttles.iter().map(|t| t.stats()).collect();
-        // P-state residency aggregated over the per-domain tables. On
-        // single-class machines the tables are identical, so the
-        // legacy state-wise sum applies verbatim; hybrid machines
-        // carry heterogeneous tables per class, so residency merges by
-        // exact frequency instead (descending, like a P-state table).
         let domains = &self.machine.freq_domains;
-        let total_observed: SimDuration = domains.iter().map(|d| d.observed()).sum();
-        let per_domain: Vec<Vec<PStateResidency>> = domains.iter().map(|d| d.residency()).collect();
-        let pstate_residency: Vec<PStateResidency> = if self.machine.catalog().is_hybrid() {
-            let mut merged: Vec<PStateResidency> = Vec::new();
-            for r in per_domain.iter().flatten() {
-                match merged.iter_mut().find(|m| m.frequency == r.frequency) {
-                    Some(m) => m.time += r.time,
-                    None => merged.push(PStateResidency {
-                        frequency: r.frequency,
-                        time: r.time,
-                        fraction: 0.0,
-                    }),
-                }
-            }
-            merged.sort_by(|a, b| b.frequency.0.total_cmp(&a.frequency.0));
-            for m in &mut merged {
-                m.fraction = if total_observed.is_zero() {
-                    0.0
-                } else {
-                    m.time.ratio(total_observed)
-                };
-            }
-            merged
-        } else {
-            match domains.first() {
-                Some(first) => (0..first.table().len())
-                    .map(|i| {
-                        let time: SimDuration = per_domain.iter().map(|r| r[i].time).sum();
-                        PStateResidency {
-                            frequency: first.table().get(i).frequency,
-                            time,
-                            fraction: if total_observed.is_zero() {
-                                0.0
-                            } else {
-                                time.ratio(total_observed)
-                            },
-                        }
-                    })
-                    .collect(),
-                None => Vec::new(),
-            }
-        };
+        let pstate_residency = merge_residency(domains.iter().flat_map(|d| d.residency()));
         let avg_scaled_fraction = if domains.is_empty() {
             0.0
         } else {
@@ -2053,23 +1992,7 @@ impl Simulation {
         // Open-workload statistics: overall and per-curve-phase
         // sojourn times of every completed arrival.
         let latency = LatencyStats::from_samples(self.latencies.iter().map(|&(_, s)| s).collect());
-        let phase_latencies: Vec<(String, LatencyStats)> = match &self.cfg.open_workload {
-            Some(w) => w
-                .curve
-                .phases()
-                .iter()
-                .filter_map(|&ph| {
-                    let xs: Vec<f64> = self
-                        .latencies
-                        .iter()
-                        .filter(|&&(p, _)| p == ph)
-                        .map(|&(_, s)| s)
-                        .collect();
-                    (!xs.is_empty()).then(|| (ph.to_string(), LatencyStats::from_samples(xs)))
-                })
-                .collect(),
-            None => Vec::new(),
-        };
+        let phase_latencies = phase_latencies(self.cfg.open_workload.as_ref(), &self.latencies);
         SimReport {
             duration: self.now - SimTime::ZERO,
             engine_steps: self.steps,
@@ -2453,6 +2376,14 @@ mod tests {
         restored.restore_snapshot(&back).unwrap();
         assert_eq!(restored.state_hash(), sim.state_hash());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    #[should_panic(expected = "SimConfig::tick must be positive")]
+    fn zero_tick_is_rejected_at_construction() {
+        let mut cfg = quick_cfg();
+        cfg.tick = SimDuration::ZERO;
+        let _ = Simulation::new(cfg);
     }
 
     #[test]

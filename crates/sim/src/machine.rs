@@ -37,10 +37,9 @@ pub struct PhysicalMachine {
     /// Per-logical-CPU halt-power shares (class halt power split over
     /// the package's threads).
     halt_shares: Vec<Watts>,
-    /// Per-package leakage: the class-0 model verbatim on homogeneous
-    /// machines, the mean of the package's per-core class slopes on
-    /// hybrid ones (leakage is a package-level die property here, like
-    /// the thermal node it feeds).
+    /// Per-package leakage: the mean of the package's per-core class
+    /// slopes (leakage is a package-level die property here, like the
+    /// thermal node it feeds).
     pkg_leakage: Vec<ebs_counters::LeakageModel>,
     threads_per_package: usize,
 }
@@ -69,20 +68,18 @@ impl PhysicalMachine {
             );
             cfg.cooling_factors.clone()
         };
-        if catalog.is_hybrid() {
-            // A hybrid package's thermal resistance blends its cores'
-            // class thermal coefficients (efficiency cores sink heat
-            // more easily per unit of die area). Homogeneous machines
-            // skip this entirely — their factors stay bit-identical.
-            for (p, f) in factors.iter_mut().enumerate() {
-                let cores = topo.cores_of_package(PackageId(p));
-                let blend: f64 = cores
-                    .iter()
-                    .map(|&c| catalog.get(topo.class_of_core(c)).thermal_factor)
-                    .sum::<f64>()
-                    / cores.len() as f64;
-                *f *= blend;
-            }
+        // A package's thermal resistance blends its cores' class
+        // thermal coefficients (efficiency cores sink heat more easily
+        // per unit of die area). A single-class package blends to
+        // exactly 1.0: the coefficients are 1.0, and so is their mean.
+        for (p, f) in factors.iter_mut().enumerate() {
+            let cores = topo.cores_of_package(PackageId(p));
+            let blend: f64 = cores
+                .iter()
+                .map(|&c| catalog.get(topo.class_of_core(c)).thermal_factor)
+                .sum::<f64>()
+                / cores.len() as f64;
+            *f *= blend;
         }
         let models: Vec<RcThermalModel> = factors
             .iter()
@@ -123,14 +120,11 @@ impl PhysicalMachine {
         let halt_shares = (0..n_cpus)
             .map(|c| catalog.get(topo.class_of(CpuId(c))).truth.halt_power / threads as f64)
             .collect();
-        // Package leakage: exactly the class-0 model on homogeneous
-        // machines (bit-identical legacy physics); a per-package blend
-        // of the core classes' slopes on hybrid ones.
+        // Package leakage: the mean of the package's per-core class
+        // slopes. The mean of equal slopes is the slope itself (exact
+        // for the class-0 slope up to 9 cores per package).
         let pkg_leakage = (0..n_packages)
             .map(|p| {
-                if !catalog.is_hybrid() {
-                    return catalog.get(ClassId(0)).truth.leakage;
-                }
                 let cores = topo.cores_of_package(PackageId(p));
                 let slope: f64 = cores
                     .iter()
@@ -212,8 +206,8 @@ impl PhysicalMachine {
         self.thermals[pkg.0].temperature()
     }
 
-    /// The leakage model of one package's die (class-0 verbatim on
-    /// homogeneous machines, the per-core class blend on hybrid ones).
+    /// The leakage model of one package's die (the mean of its cores'
+    /// class slopes).
     pub fn package_leakage(&self, pkg: usize) -> &ebs_counters::LeakageModel {
         &self.pkg_leakage[pkg]
     }

@@ -43,7 +43,7 @@
 use crate::config::SimConfig;
 use crate::engine::{RoutedArrival, Simulation};
 use crate::runner::map_parallel;
-use crate::trace::{LatencyStats, SimReport};
+use crate::trace::{merge_residency, phase_latencies, LatencyStats, SimReport};
 use ebs_sched::MigrationReason;
 use ebs_trace::TraceEvent;
 use ebs_units::{Hertz, Joules, SimDuration, SimTime};
@@ -337,7 +337,7 @@ impl ParallelSimulation {
     /// machine-global [`SimReport`]. Counters sum, per-CPU vectors
     /// concatenate in package order (partition CPU order *is* the
     /// global package-major order), latency statistics recompute from
-    /// the pooled raw samples, and residencies merge state-wise.
+    /// the pooled raw samples, and residencies merge by frequency.
     pub fn report(&self) -> SimReport {
         if self.shards.len() == 1 {
             return self.shards[0].report();
@@ -364,73 +364,12 @@ impl ParallelSimulation {
             .flat_map(|s| s.raw_latencies().iter().copied())
             .collect();
         let latency = LatencyStats::from_samples(samples.iter().map(|&(_, s)| s).collect());
-        let phase_latencies: Vec<(String, LatencyStats)> = match &self.cfg.open_workload {
-            Some(w) => w
-                .curve
-                .phases()
+        let phase_latencies = phase_latencies(self.cfg.open_workload.as_ref(), &samples);
+        let pstate_residency = merge_residency(
+            reports
                 .iter()
-                .filter_map(|&ph| {
-                    let xs: Vec<f64> = samples
-                        .iter()
-                        .filter(|&&(p, _)| p == ph)
-                        .map(|&(_, s)| s)
-                        .collect();
-                    (!xs.is_empty()).then(|| (ph.to_string(), LatencyStats::from_samples(xs)))
-                })
-                .collect(),
-            None => Vec::new(),
-        };
-        // P-state residency across partitions. Homogeneous machines
-        // keep the legacy state-wise sum (every partition runs the
-        // same table, so index i is the same frequency everywhere);
-        // hybrid machines merge by exact frequency, mirroring the
-        // per-domain merge inside each partition's report — classes
-        // run distinct ladders, so index alignment means nothing.
-        let pstate_residency = if self.cfg.is_hybrid() {
-            let mut merged: Vec<ebs_dvfs::PStateResidency> = Vec::new();
-            for r in reports.iter().flat_map(|r| r.pstate_residency.iter()) {
-                match merged.iter_mut().find(|m| m.frequency == r.frequency) {
-                    Some(m) => m.time += r.time,
-                    None => merged.push(ebs_dvfs::PStateResidency {
-                        frequency: r.frequency,
-                        time: r.time,
-                        fraction: 0.0,
-                    }),
-                }
-            }
-            merged.sort_by(|a, b| b.frequency.0.total_cmp(&a.frequency.0));
-            let total: SimDuration = merged.iter().map(|m| m.time).sum();
-            for m in &mut merged {
-                m.fraction = if total.is_zero() {
-                    0.0
-                } else {
-                    m.time.ratio(total)
-                };
-            }
-            merged
-        } else {
-            match reports.first() {
-                Some(first) if !first.pstate_residency.is_empty() => {
-                    let states = first.pstate_residency.len();
-                    let times: Vec<SimDuration> = (0..states)
-                        .map(|i| reports.iter().map(|r| r.pstate_residency[i].time).sum())
-                        .collect();
-                    let total: SimDuration = times.iter().copied().sum();
-                    (0..states)
-                        .map(|i| ebs_dvfs::PStateResidency {
-                            frequency: first.pstate_residency[i].frequency,
-                            time: times[i],
-                            fraction: if total.is_zero() {
-                                0.0
-                            } else {
-                                times[i].ratio(total)
-                            },
-                        })
-                        .collect()
-                }
-                _ => Vec::new(),
-            }
-        };
+                .flat_map(|r| r.pstate_residency.iter().copied()),
+        );
         let throttled_fraction: Vec<f64> = reports
             .iter()
             .flat_map(|r| r.throttled_fraction.iter().copied())

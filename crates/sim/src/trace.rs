@@ -5,6 +5,7 @@ use ebs_sched::TaskId;
 use ebs_thermal::ThrottleStats;
 use ebs_topology::CpuId;
 use ebs_units::{Celsius, Hertz, Joules, SimDuration, SimTime, Watts};
+use ebs_workloads::OpenWorkload;
 
 /// Sampled per-CPU thermal power over time — the data behind the
 /// paper's Figures 6 and 7.
@@ -177,6 +178,61 @@ impl LatencyStats {
             && self.p99_s.to_bits() == other.p99_s.to_bits()
             && self.max_s.to_bits() == other.max_s.to_bits()
     }
+}
+
+/// Sojourn-time statistics per load-curve phase of arrival, in the
+/// curve's canonical phase order, from `(arrival phase, seconds)`
+/// samples. Phases without completions are skipped; closed runs
+/// (`workload` is `None`) have no phases.
+pub(crate) fn phase_latencies(
+    workload: Option<&OpenWorkload>,
+    samples: &[(&'static str, f64)],
+) -> Vec<(String, LatencyStats)> {
+    let phases = workload.map_or(&[][..], |w| w.curve.phases());
+    phases
+        .iter()
+        .filter_map(|&ph| {
+            let xs: Vec<f64> = samples
+                .iter()
+                .filter(|&&(p, _)| p == ph)
+                .map(|&(_, s)| s)
+                .collect();
+            (!xs.is_empty()).then(|| (ph.to_string(), LatencyStats::from_samples(xs)))
+        })
+        .collect()
+}
+
+/// Merges P-state residencies from several frequency domains (or
+/// partitions) by exact frequency, fastest state first. Hybrid classes
+/// run distinct ladders; identical ladders merge state by state, since
+/// every [`ebs_dvfs::PStateTable`] has strictly decreasing frequencies.
+/// Fractions are of the merged total, which is the summed observed
+/// time (a domain's residencies sum exactly to it), and 0 when nothing
+/// was observed.
+pub(crate) fn merge_residency(
+    residencies: impl IntoIterator<Item = PStateResidency>,
+) -> Vec<PStateResidency> {
+    let mut merged: Vec<PStateResidency> = Vec::new();
+    for r in residencies {
+        match merged.iter_mut().find(|m| m.frequency == r.frequency) {
+            Some(m) => m.time += r.time,
+            None => merged.push(PStateResidency {
+                frequency: r.frequency,
+                time: r.time,
+                fraction: 0.0,
+            }),
+        }
+    }
+    merged.sort_by(|a, b| b.frequency.0.total_cmp(&a.frequency.0));
+    let total: SimDuration = merged.iter().map(|m| m.time).sum();
+    for m in &mut merged {
+        m.fraction = if total.is_zero() {
+            0.0
+        } else {
+            m.time.ratio(total)
+        };
+    }
+    merged
 }
 
 /// Summary of a finished simulation run.
@@ -503,5 +559,60 @@ mod tests {
         let mut r = mk(1.0);
         r.instructions_retired = 50_000_000_000;
         assert!((r.nj_per_instruction() - 2.0).abs() < 1e-12);
+    }
+
+    /// One domain's residency table over a ladder, with the given
+    /// milliseconds per state.
+    fn ladder(ghz: &[f64], ms: &[u64]) -> Vec<PStateResidency> {
+        ghz.iter()
+            .zip(ms)
+            .map(|(&f, &t)| PStateResidency {
+                frequency: Hertz::from_ghz(f),
+                time: SimDuration::from_millis(t),
+                fraction: 0.0,
+            })
+            .collect()
+    }
+
+    fn times_ms(merged: &[PStateResidency]) -> Vec<u64> {
+        merged.iter().map(|r| r.time.as_micros() / 1000).collect()
+    }
+
+    #[test]
+    fn merge_residency_sums_identical_ladders_state_by_state() {
+        let ghz = [2.2, 1.8, 1.4];
+        let a = ladder(&ghz, &[600, 300, 100]);
+        let b = ladder(&ghz, &[200, 0, 800]);
+        let merged = merge_residency(a.into_iter().chain(b));
+        let freqs: Vec<Hertz> = merged.iter().map(|r| r.frequency).collect();
+        assert_eq!(freqs, ghz.map(Hertz::from_ghz));
+        assert_eq!(times_ms(&merged), [800, 300, 900]);
+        let fractions: Vec<f64> = merged.iter().map(|r| r.fraction).collect();
+        assert_eq!(fractions, [0.4, 0.15, 0.45]);
+    }
+
+    #[test]
+    fn merge_residency_unions_disjoint_ladders_fastest_first() {
+        let perf = ladder(&[2.2, 1.4], &[500, 500]);
+        let eff = ladder(&[1.8, 1.2, 0.8], &[250, 0, 750]);
+        let merged = merge_residency(perf.into_iter().chain(eff));
+        let freqs: Vec<Hertz> = merged.iter().map(|r| r.frequency).collect();
+        assert_eq!(freqs, [2.2, 1.8, 1.4, 1.2, 0.8].map(Hertz::from_ghz));
+        assert_eq!(times_ms(&merged), [500, 250, 500, 0, 750]);
+        let total: f64 = merged.iter().map(|r| r.fraction).sum();
+        assert!((total - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn merge_residency_of_an_unobserved_run_has_zero_fractions() {
+        let ghz = [2.2, 1.8];
+        let merged = merge_residency(
+            ladder(&ghz, &[0, 0])
+                .into_iter()
+                .chain(ladder(&ghz, &[0, 0])),
+        );
+        assert_eq!(merged.len(), 2);
+        assert!(merged.iter().all(|r| r.fraction == 0.0), "{merged:?}");
+        assert!(merge_residency([]).is_empty());
     }
 }

@@ -8,8 +8,8 @@
 //!   stream) and instants for spawns, completions, migrations, and
 //!   balancer rounds; one thread track per package carrying throttle
 //!   instants (and, under per-package frequency domains, the governor
-//!   and P-state instants); under per-core domains ([`export_scoped`])
-//!   one thread track per frequency domain carries those instead.
+//!   and P-state instants); under per-core domains one thread track
+//!   per frequency domain carries those instead.
 //! - process 2 ("metrics"): one counter track (`C` events) per
 //!   registered gauge — thermal power, frequency, runqueue depth,
 //!   windowed utilization — fed from the registry's snapshots.
@@ -53,26 +53,15 @@ fn instant(ts: u64, tid: u32, name: &str) -> String {
 /// binaries via their `Spawn` events; unknown binaries fall back to
 /// `bin<id>`).
 ///
-/// Governor and P-state instants land on the `package{i}` tracks —
-/// correct for per-package frequency domains, where domain `i` *is*
-/// package `i`. Machines running per-core domains (hybrid shapes)
-/// should use [`export_scoped`] so those instants get their own
-/// `domain{i}` tracks.
+/// Without `per_core_domains`, governor and P-state instants land on
+/// the `package{i}` tracks — correct for per-package frequency
+/// domains, where domain `i` *is* package `i`. With it, those instants
+/// (whose id field carries a *domain* index) render on dedicated
+/// `domain{i}` tracks, one per frequency domain, while throttle
+/// instants stay on the `package{i}` tracks they are keyed by — on a
+/// hybrid machine the two id spaces overlap numerically but name
+/// different hardware.
 pub fn export(
-    events: &[TraceEvent],
-    metrics: Option<&MetricsRegistry>,
-    binary_names: &HashMap<u64, String>,
-) -> String {
-    export_scoped(events, metrics, binary_names, false)
-}
-
-/// [`export`] with explicit frequency-domain granularity. With
-/// `per_core_domains` the governor/P-state instants (whose id field
-/// carries a *domain* index) render on dedicated `domain{i}` tracks,
-/// one per frequency domain, while throttle instants stay on the
-/// `package{i}` tracks they are keyed by — on a hybrid machine the
-/// two id spaces overlap numerically but name different hardware.
-pub fn export_scoped(
     events: &[TraceEvent],
     metrics: Option<&MetricsRegistry>,
     binary_names: &HashMap<u64, String>,
@@ -313,7 +302,7 @@ mod tests {
         let mut names = HashMap::new();
         names.insert(9u64, "bitcnts".to_string());
 
-        let doc = export(&events, Some(&reg), &names);
+        let doc = export(&events, Some(&reg), &names, false);
         let parsed = parse(&doc).expect("valid JSON");
         let list = parsed
             .get("traceEvents")
@@ -373,14 +362,14 @@ mod tests {
         ];
         let names = HashMap::new();
 
-        // Legacy export: everything on package tracks.
-        let flat = export(&events, None, &names);
+        // Per-package domains: everything on package tracks.
+        let flat = export(&events, None, &names, false);
         assert!(flat.contains("package5"));
         assert!(!flat.contains("domain5"));
 
         // Per-core domains: governor/P-state instants move to their
         // own domain track; the throttle stays per package.
-        let scoped = export_scoped(&events, None, &names, true);
+        let scoped = export(&events, None, &names, true);
         assert!(scoped.contains("domain5"), "{scoped}");
         assert!(!scoped.contains("package5"), "{scoped}");
         assert!(scoped.contains("package0"), "{scoped}");
