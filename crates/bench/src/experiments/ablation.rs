@@ -44,7 +44,7 @@ fn variant(
         .smt(false)
         .throttling(false)
         .max_power(MaxPowerSpec::PerLogical(Watts(60.0)))
-        .trace_thermal(SimDuration::from_secs(1))
+        .metrics_every(SimDuration::from_secs(1))
         .seed(20060418);
     cfg = match cfg_balance {
         Some(balance) => cfg.energy_aware(true).balance_config(balance),

@@ -189,8 +189,8 @@ impl core::fmt::Display for TracedDvfs {
 }
 
 /// Runs the backstop variant once with the full observability stack
-/// on — event tracing, 100 ms metrics snapshots, the 100 ms thermal
-/// trace — and exports the Perfetto document plus the metrics CSV.
+/// on — event tracing and 100 ms metrics snapshots — and exports the
+/// Perfetto document plus the metrics CSV.
 /// One seed, shorter horizon than the study: the artefact is for
 /// humans scrubbing a timeline, not for averaged numbers.
 pub fn traced_run(quick: bool) -> TracedDvfs {
@@ -200,8 +200,7 @@ pub fn traced_run(quick: bool) -> TracedDvfs {
         .throttling(true)
         .seed(crate::SEEDS[0])
         .trace_events(true)
-        .metrics_every(SimDuration::from_millis(100))
-        .trace_thermal(SimDuration::from_millis(100));
+        .metrics_every(SimDuration::from_millis(100));
     let mut sim = Simulation::new(cfg);
     sim.spawn_mix(&section61_mix(), 3);
     sim.run_for(duration);

@@ -49,12 +49,12 @@ fn one_run(enabled: bool, duration: SimDuration, warmup: SimTime) -> RunResult {
         .energy_aware(enabled)
         .throttling(false)
         .max_power(MaxPowerSpec::PerLogical(Watts(60.0)))
-        .trace_thermal(SimDuration::from_secs(1))
+        .metrics_every(SimDuration::from_secs(1))
         .seed(20060418); // EuroSys'06 started April 18, 2006.
     let mut sim = Simulation::new(cfg);
     sim.spawn_mix(&section61_mix(), 3);
     sim.run_for(duration);
-    let trace = sim.thermal_trace().clone();
+    let trace = sim.thermal_trace();
     let band = trace.band(warmup).unwrap_or((Watts::ZERO, Watts::ZERO));
     let max_spread = trace.max_spread(warmup).unwrap_or(Watts::ZERO);
     let fraction_above_limit = trace.fraction_any_above(LIMIT, warmup);

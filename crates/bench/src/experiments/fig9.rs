@@ -41,13 +41,13 @@ pub fn run(quick: bool) -> Fig9 {
         .energy_aware(true)
         .throttling(true)
         .max_power(MaxPowerSpec::PerPackage(Watts(40.0)))
-        .trace_task_cpu(true)
+        .trace_events(true)
         .seed(3);
     let mut sim = Simulation::new(cfg);
     let id = sim.spawn_program(&catalog::bitcnts());
     sim.run_for(duration);
 
-    let visits = sim.task_trace().visits(id);
+    let visits = sim.task_visits(id);
     let topo = Topology::xseries445(true);
     let mut sibling_moves = 0;
     let mut cross_node_moves = 0;

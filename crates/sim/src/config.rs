@@ -134,23 +134,19 @@ pub struct SimConfig {
     /// configured task population constant, as the paper's throughput
     /// runs do).
     pub respawn: bool,
-    /// Sample the per-CPU thermal power at this interval for the
-    /// thermal trace (fig. 6/7); `None` disables the trace.
-    pub thermal_trace_interval: Option<SimDuration>,
-    /// Record which CPU every task runs on, whenever it changes
-    /// (fig. 9); cheap, but unneeded for most runs.
-    pub task_cpu_trace: bool,
     /// Record the structured scheduling-event trace (context switches,
-    /// migrations, governor decisions, ...). Off by default; off means
-    /// the engine allocates nothing and reports are bit-identical.
+    /// migrations, governor decisions, ...), which also yields each
+    /// task's CPU visits (fig. 9). Off by default; off means the
+    /// engine allocates nothing and reports are bit-identical.
     pub event_trace: bool,
     /// Keep only the newest this-many events (ring buffer); `None`
     /// keeps everything.
     pub event_trace_cap: Option<usize>,
     /// Snapshot the metrics registry (counters and gauges) at this
     /// interval into a time series; `None` disables metrics entirely.
-    /// Like the thermal trace, an active snapshot cadence bounds the
-    /// variable-stride engine so snapshots land on their exact instants.
+    /// The snapshots also feed the thermal-power view (fig. 6/7). An
+    /// active snapshot cadence bounds the variable-stride engine so
+    /// snapshots land on their exact instants.
     pub metrics_interval: Option<SimDuration>,
     /// Measure host wall time per engine phase (stride selection,
     /// physics, scheduler, ...). Purely an engine-side profile; the
@@ -216,8 +212,6 @@ impl SimConfig {
             cooling_factors: Vec::new(),
             perfect_estimation: false,
             respawn: true,
-            thermal_trace_interval: None,
-            task_cpu_trace: false,
             event_trace: false,
             event_trace_cap: None,
             metrics_interval: None,
@@ -468,18 +462,6 @@ impl SimConfig {
         self
     }
 
-    /// Enables the thermal-power trace at the given sampling interval.
-    pub fn trace_thermal(mut self, every: SimDuration) -> Self {
-        self.thermal_trace_interval = Some(every);
-        self
-    }
-
-    /// Enables the per-task CPU trace.
-    pub fn trace_task_cpu(mut self, on: bool) -> Self {
-        self.task_cpu_trace = on;
-        self
-    }
-
     /// Enables the structured scheduling-event trace.
     pub fn trace_events(mut self, on: bool) -> Self {
         self.event_trace = on;
@@ -689,8 +671,6 @@ mod tests {
             .seed(99)
             .throttling(false)
             .max_power(MaxPowerSpec::PerPackage(Watts(40.0)))
-            .trace_thermal(SimDuration::from_secs(1))
-            .trace_task_cpu(true)
             .respawn(false)
             .perfect_estimation(true)
             .trace_events(true)
@@ -700,8 +680,6 @@ mod tests {
         assert_eq!(cfg.seed, 99);
         assert!(!cfg.throttling);
         assert_eq!(cfg.max_power, MaxPowerSpec::PerPackage(Watts(40.0)));
-        assert_eq!(cfg.thermal_trace_interval, Some(SimDuration::from_secs(1)));
-        assert!(cfg.task_cpu_trace);
         assert!(!cfg.respawn);
         assert!(cfg.perfect_estimation);
         assert!(cfg.event_trace);

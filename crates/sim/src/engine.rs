@@ -4,7 +4,7 @@
 //!
 //! Each step spans the exact time to the next scheduling-relevant
 //! event — open-workload arrival, sleeper wake, timeslice expiry, DVFS
-//! trigger, balancer interval, thermal-trace sample, run end — capped
+//! trigger, balancer interval, metrics snapshot, run end — capped
 //! at [`SimConfig::max_stride`] and floored at one
 //! [`SimConfig::tick`]. Physics, thermal state, and the Eq. 2
 //! estimators integrate exactly over any span (the variable-period
@@ -17,9 +17,7 @@
 use crate::config::SimConfig;
 use crate::machine::PhysicalMachine;
 use crate::runtime::{TaskRuntime, WarmthModel};
-use crate::trace::{
-    merge_residency, phase_latencies, LatencyStats, SimReport, TaskCpuTrace, ThermalTrace,
-};
+use crate::trace::{merge_residency, phase_latencies, LatencyStats, SimReport, ThermalTrace};
 use ebs_core::{
     place_new_task, EnergyAwareBalancer, EnergyEstimator, HotTaskConfig, HotTaskMigrator,
     PlacementTable, PowerState, PowerStateConfig,
@@ -31,9 +29,7 @@ use ebs_sched::{
 };
 use ebs_thermal::ThrottleState;
 use ebs_topology::CpuId;
-use ebs_trace::{
-    CounterId, EventKind, EventTrace, GaugeId, MetricsRegistry, PhaseProfiler, TraceSink,
-};
+use ebs_trace::{CounterId, EventKind, EventTrace, GaugeId, MetricsRegistry, PhaseProfiler};
 use ebs_units::{Celsius, Joules, SimDuration, SimTime, Watts};
 use ebs_workloads::{ArrivalProcess, Program, ProgramState};
 use rand::rngs::StdRng;
@@ -155,8 +151,8 @@ const PHASE_NAMES: [&str; 7] = [
 struct MetricsState {
     reg: MetricsRegistry,
     interval: SimDuration,
-    /// The next snapshot instant; bounds variable strides exactly like
-    /// the thermal-trace cadence does.
+    /// The next snapshot instant; bounds variable strides so every
+    /// snapshot lands exactly on it.
     next: SimTime,
     c_steps: CounterId,
     c_ctx: CounterId,
@@ -352,9 +348,6 @@ pub struct Simulation {
     max_temp: Celsius,
     true_energy: Joules,
     estimated_energy: Joules,
-    thermal_trace: ThermalTrace,
-    next_thermal_sample: Option<SimTime>,
-    task_trace: TaskCpuTrace,
     /// Structured scheduling-event trace (`None` when disabled: the
     /// disabled path is a single branch and allocates nothing).
     tracer: Option<EventTrace>,
@@ -429,7 +422,6 @@ impl Simulation {
             floor_cross_node: cfg.warmup_ipc_floor_cross_node,
             ramp_cross_node: cfg.warmup_instructions_cross_node,
         };
-        let next_thermal_sample = cfg.thermal_trace_interval.map(|_| SimTime::ZERO);
         let tracer = cfg.event_trace.then(|| match cfg.event_trace_cap {
             Some(cap) => EventTrace::with_capacity(cap),
             None => EventTrace::new(),
@@ -502,9 +494,6 @@ impl Simulation {
             max_temp: Celsius::AMBIENT,
             true_energy: Joules::ZERO,
             estimated_energy: Joules::ZERO,
-            thermal_trace: ThermalTrace::default(),
-            next_thermal_sample,
-            task_trace: TaskCpuTrace::default(),
             tracer,
             metrics: cfg.metrics_interval.map(|every| {
                 Box::new(MetricsState::new(
@@ -556,14 +545,41 @@ impl Simulation {
         self.now
     }
 
-    /// The thermal-power trace (empty unless enabled in the config).
-    pub fn thermal_trace(&self) -> &ThermalTrace {
-        &self.thermal_trace
+    /// The per-CPU thermal-power trace (figs. 6/7): one row per
+    /// metrics snapshot, read from the `thermal.power_w.cpu*` gauges.
+    /// Empty unless metrics are enabled
+    /// ([`SimConfig::metrics_every`]).
+    pub fn thermal_trace(&self) -> ThermalTrace {
+        let samples = self.metrics.as_deref().map_or_else(Vec::new, |m| {
+            m.reg
+                .snapshots()
+                .iter()
+                .map(|snap| {
+                    let row = m.g_power.iter().map(|&g| Watts(snap.gauge(g))).collect();
+                    (snap.t, row)
+                })
+                .collect()
+        });
+        ThermalTrace { samples }
     }
 
-    /// The task-placement trace (empty unless enabled in the config).
-    pub fn task_trace(&self) -> &TaskCpuTrace {
-        &self.task_trace
+    /// The CPUs `task` ran on (fig. 9): its `Spawn` and `Migration`
+    /// events, in order. Empty unless event tracing is enabled
+    /// ([`SimConfig::trace_events`]).
+    pub fn task_visits(&self, task: TaskId) -> Vec<(SimTime, CpuId)> {
+        self.tracer
+            .iter()
+            .flat_map(EventTrace::iter)
+            .filter_map(|ev| match ev.kind {
+                EventKind::Spawn { task: id, cpu, .. }
+                | EventKind::Migration { task: id, cpu, .. }
+                    if id == task.0 =>
+                {
+                    Some((ev.t, CpuId(cpu as usize)))
+                }
+                _ => None,
+            })
+            .collect()
     }
 
     /// The structured event trace (`None` unless enabled).
@@ -605,11 +621,9 @@ impl Simulation {
         ))
     }
 
-    /// Records one scheduling event: feeds the event trace when it is
-    /// enabled, and keeps the legacy task-CPU trace (fig. 9) fed from
-    /// the same stream — `Spawn` and `Migration` are exactly the
-    /// placements that trace records. With both sinks disabled this is
-    /// two predictable branches and no allocation.
+    /// Records one scheduling event: unfreezes the DVFS domains it
+    /// touches, and feeds the event trace when it is enabled. With
+    /// tracing disabled this allocates nothing.
     #[inline]
     fn emit(&mut self, kind: EventKind) {
         // A scheduling or throttle event touching a frozen domain ends
@@ -636,15 +650,6 @@ impl Simulation {
                 }
             }
             _ => {}
-        }
-        if self.cfg.task_cpu_trace {
-            match kind {
-                EventKind::Spawn { task, cpu, .. } | EventKind::Migration { task, cpu, .. } => {
-                    self.task_trace
-                        .push(self.now, TaskId(task), CpuId(cpu as usize));
-                }
-                _ => {}
-            }
         }
         if let Some(trace) = self.tracer.as_mut() {
             trace.record(self.now, kind);
@@ -918,9 +923,9 @@ impl Simulation {
         if let Some(a) = self.inbox.front() {
             dt = dt.min(a.due.saturating_since(self.now).max(slack));
         }
-        // Forced governor decisions (the `max_hold` fallback) and trace
-        // samples. Governor *triggers* are predicted per domain in the
-        // loop below.
+        // Forced governor decisions (the `max_hold` fallback).
+        // Governor *triggers* are predicted per domain in the loop
+        // below.
         let util_cap_s = self
             .cfg
             .dvfs
@@ -931,12 +936,8 @@ impl Simulation {
                 dt = dt.min(next.saturating_since(self.now));
             }
         }
-        if let Some(due) = self.next_thermal_sample {
-            dt = dt.min(due.saturating_since(self.now));
-        }
-        // Metrics snapshots are time-weighted samples like the thermal
-        // trace, so an active cadence bounds strides the same way; no
-        // subscription, no bound (satellite of the sampling floor).
+        // An active snapshot cadence bounds strides so snapshots land
+        // on their exact instants; no subscription, no bound.
         if let Some(m) = &self.metrics {
             dt = dt.min(m.next.saturating_since(self.now));
         }
@@ -1870,22 +1871,11 @@ impl Simulation {
         }
     }
 
-    /// End-of-step sampling: the thermal trace at its cadence, and the
-    /// metrics snapshot at its own. Both cadences also bound variable
-    /// strides (see [`Simulation::next_stride`]), so samples land on
-    /// their exact instants in either engine core.
+    /// End-of-step sampling: the metrics snapshot at its cadence. The
+    /// cadence also bounds variable strides (see
+    /// [`Simulation::next_stride`]), so snapshots land on their exact
+    /// instants in either engine core.
     fn sample_tick(&mut self) {
-        if let (Some(interval), Some(due)) =
-            (self.cfg.thermal_trace_interval, self.next_thermal_sample)
-        {
-            if self.now >= due {
-                let row: Vec<Watts> = (0..self.n_cpus())
-                    .map(|c| self.power.thermal_power(CpuId(c)))
-                    .collect();
-                self.thermal_trace.push(self.now, row);
-                self.next_thermal_sample = Some(due + interval);
-            }
-        }
         // Taking the state out ends the borrow on `self.metrics`, so
         // publishing can read the rest of `self` freely.
         if let Some(mut m) = self.metrics.take() {
@@ -1929,11 +1919,11 @@ impl Simulation {
         );
         for c in 0..self.n_cpus() {
             let cpu = CpuId(c);
-            reg.set_gauge(m.g_power[c], self.now, self.power.thermal_power(cpu).0);
-            reg.set_gauge(m.g_rq[c], self.now, self.sys.nr_running(cpu) as f64);
+            reg.set_gauge(m.g_power[c], self.power.thermal_power(cpu).0);
+            reg.set_gauge(m.g_rq[c], self.sys.nr_running(cpu) as f64);
         }
         for (d, dom) in self.machine.freq_domains.iter().enumerate() {
-            reg.set_gauge(m.g_freq[d], self.now, dom.frequency().0 / 1e9);
+            reg.set_gauge(m.g_freq[d], dom.frequency().0 / 1e9);
         }
         for dom in 0..self.dom_cpus.len() {
             // Frozen domains stopped accumulating their windows; the
@@ -1946,7 +1936,7 @@ impl Simulation {
                 self.dvfs_window[dom],
                 self.dvfs_util[dom],
             );
-            reg.set_gauge(m.g_util[dom], self.now, util);
+            reg.set_gauge(m.g_util[dom], util);
         }
     }
 
@@ -2033,8 +2023,8 @@ impl Simulation {
 // run statistics — but never configuration (rebuilt by constructing a
 // fresh engine from the same [`SimConfig`]) and never observability
 // sinks (traces, metrics histories, profiles), with one deliberate
-// exception: the *cadence cursors* of enabled sinks are state, because
-// they bound variable strides and therefore shape the event sequence.
+// exception: the metrics *cadence cursor* is state, because it bounds
+// variable strides and therefore shapes the event sequence.
 // ---------------------------------------------------------------------
 
 /// Reads a shaped table of raw values and rejects a count mismatch.
@@ -2171,10 +2161,12 @@ impl ebs_store::Snapshot for Simulation {
         w.celsius(self.max_temp);
         w.joules(self.true_energy);
         w.joules(self.estimated_energy);
-        // Cadence cursors of enabled observability sinks: they bound
-        // variable strides, so they are state even though the sinks'
-        // recorded histories are not.
-        w.opt(&self.next_thermal_sample, |w, &t| w.time(t));
+        // The metrics cadence cursor bounds variable strides, so it is
+        // state even though the recorded snapshots are not. Formats
+        // before v3 also carried a thermal-trace cursor, written empty.
+        if w.format_version() < 3 {
+            w.opt(&None::<SimTime>, |w, &t| w.time(t));
+        }
         w.opt(&self.metrics.as_ref().map(|m| m.next), |w, &t| w.time(t));
     }
 
@@ -2299,13 +2291,22 @@ impl ebs_store::Snapshot for Simulation {
         self.max_temp = r.celsius()?;
         self.true_energy = r.joules()?;
         self.estimated_energy = r.joules()?;
-        let next_thermal = r.opt(|r| r.time())?;
-        if self.next_thermal_sample.is_some() && next_thermal.is_some() {
-            self.next_thermal_sample = next_thermal;
+        if r.format_version() < 3 {
+            // The retired thermal-trace cursor.
+            let _ = r.opt(|r| r.time())?;
         }
         let metrics_next = r.opt(|r| r.time())?;
-        if let (Some(m), Some(next)) = (self.metrics.as_deref_mut(), metrics_next) {
-            m.next = next;
+        if let Some(m) = self.metrics.as_deref_mut() {
+            // An image written without metrics carries no cursor:
+            // resume where a straight run holds it at `now`, the next
+            // cadence instant (a zero cadence samples every step).
+            let interval = m.interval.as_micros();
+            m.next = metrics_next.unwrap_or_else(|| {
+                self.now
+                    .as_micros()
+                    .checked_div(interval)
+                    .map_or(self.now, |k| SimTime::from_micros((k + 1) * interval))
+            });
         }
         Ok(())
     }
@@ -3067,14 +3068,57 @@ mod tests {
 
     #[test]
     fn traces_record_when_enabled() {
+        // Hot tasks over a 40 W budget migrate every few seconds.
         let cfg = quick_cfg()
-            .trace_thermal(SimDuration::from_millis(500))
-            .trace_task_cpu(true);
+            .energy_aware(true)
+            .max_power(crate::MaxPowerSpec::PerPackage(Watts(40.0)))
+            .metrics_every(SimDuration::from_millis(500))
+            .trace_events(true);
         let mut sim = Simulation::new(cfg);
-        sim.spawn_program(&catalog::bitcnts());
-        sim.run_for(SimDuration::from_secs(2));
-        assert!(sim.thermal_trace().samples.len() >= 4);
-        assert!(!sim.task_trace().events.is_empty());
+        let ids: Vec<TaskId> = (0..3)
+            .map(|_| sim.spawn_program(&catalog::bitcnts()))
+            .collect();
+        sim.run_for(SimDuration::from_secs(30));
+
+        // The thermal view has one row per registry snapshot, each
+        // row that snapshot's per-CPU thermal-power gauges.
+        let reg = sim.metrics().expect("metrics on");
+        let names = reg.gauge_names();
+        let power: Vec<usize> = (0..sim.n_cpus())
+            .map(|c| {
+                let name = format!("thermal.power_w.cpu{c}");
+                names.iter().position(|n| *n == name).expect("power gauge")
+            })
+            .collect();
+        let trace = sim.thermal_trace();
+        assert!(trace.samples.len() >= 4);
+        assert_eq!(trace.samples.len(), reg.snapshots().len());
+        for ((t, row), snap) in trace.samples.iter().zip(reg.snapshots()) {
+            assert_eq!(*t, snap.t);
+            assert_eq!(row.len(), sim.n_cpus());
+            let gauges: Vec<Watts> = power.iter().map(|&i| Watts(snap.gauges[i])).collect();
+            assert_eq!(*row, gauges);
+        }
+
+        // Visits start at the spawn CPU and add one entry per
+        // `Migration` event of the task.
+        let events = sim.events().expect("tracing on").to_vec();
+        let mut moved = 0;
+        for id in ids {
+            let spawn_cpu = events.iter().find_map(|e| match e.kind {
+                EventKind::Spawn { task, cpu, .. } if task == id.0 => Some(cpu),
+                _ => None,
+            });
+            let migrations = events
+                .iter()
+                .filter(|e| matches!(e.kind, EventKind::Migration { task, .. } if task == id.0))
+                .count();
+            let visits = sim.task_visits(id);
+            assert_eq!(visits[0].1, CpuId(spawn_cpu.expect("spawned") as usize));
+            assert_eq!(visits.len(), 1 + migrations);
+            moved += migrations;
+        }
+        assert!(moved > 0, "hot tasks should migrate");
     }
 
     #[test]

@@ -64,4 +64,4 @@ pub use runner::{
     default_workers, map_parallel, mean, run_configs, run_configs_with_workers, run_one, run_seeds,
 };
 pub use runtime::TaskRuntime;
-pub use trace::{LatencyStats, SimReport, TaskCpuTrace, ThermalTrace};
+pub use trace::{LatencyStats, SimReport, ThermalTrace};

@@ -1,14 +1,14 @@
 //! Traces and run reports.
 
 use ebs_dvfs::PStateResidency;
-use ebs_sched::TaskId;
 use ebs_thermal::ThrottleStats;
-use ebs_topology::CpuId;
 use ebs_units::{Celsius, Hertz, Joules, SimDuration, SimTime, Watts};
 use ebs_workloads::OpenWorkload;
 
 /// Sampled per-CPU thermal power over time — the data behind the
-/// paper's Figures 6 and 7.
+/// paper's Figures 6 and 7. A view over the metrics registry's
+/// `thermal.power_w.cpu*` gauges, one row per snapshot (see
+/// [`crate::Simulation::thermal_trace`]).
 #[derive(Clone, Debug, Default)]
 pub struct ThermalTrace {
     /// One row per sample: time and the thermal power of every CPU.
@@ -16,11 +16,6 @@ pub struct ThermalTrace {
 }
 
 impl ThermalTrace {
-    /// Records one sample.
-    pub fn push(&mut self, t: SimTime, values: Vec<Watts>) {
-        self.samples.push((t, values));
-    }
-
     /// The minimum and maximum thermal power over all CPUs in samples
     /// taken at or after `from` — the "width of the array of curves"
     /// the paper reads off Figures 6 and 7.
@@ -91,39 +86,6 @@ impl ThermalTrace {
                 out.push_str(&format!(",{:.3}", w.0));
             }
             out.push('\n');
-        }
-        out
-    }
-}
-
-/// Which CPU a task ran on, recorded at every change — the data behind
-/// the paper's Figure 9.
-#[derive(Clone, Debug, Default)]
-pub struct TaskCpuTrace {
-    /// (time, task, cpu it moved to).
-    pub events: Vec<(SimTime, TaskId, CpuId)>,
-}
-
-impl TaskCpuTrace {
-    /// Records a placement change.
-    pub fn push(&mut self, t: SimTime, task: TaskId, cpu: CpuId) {
-        self.events.push((t, task, cpu));
-    }
-
-    /// The CPU visit sequence of one task.
-    pub fn visits(&self, task: TaskId) -> Vec<(SimTime, CpuId)> {
-        self.events
-            .iter()
-            .filter(|(_, id, _)| *id == task)
-            .map(|&(t, _, c)| (t, c))
-            .collect()
-    }
-
-    /// Renders the trace as CSV (`time_s,task,cpu`).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("time_s,task,cpu\n");
-        for (t, task, cpu) in &self.events {
-            out.push_str(&format!("{:.3},{},{}\n", t.as_secs_f64(), task.0, cpu.0));
         }
         out
     }
@@ -396,11 +358,13 @@ mod tests {
     use super::*;
 
     fn trace() -> ThermalTrace {
-        let mut t = ThermalTrace::default();
-        t.push(SimTime::from_secs(0), vec![Watts(10.0), Watts(20.0)]);
-        t.push(SimTime::from_secs(1), vec![Watts(30.0), Watts(55.0)]);
-        t.push(SimTime::from_secs(2), vec![Watts(35.0), Watts(45.0)]);
-        t
+        ThermalTrace {
+            samples: vec![
+                (SimTime::from_secs(0), vec![Watts(10.0), Watts(20.0)]),
+                (SimTime::from_secs(1), vec![Watts(30.0), Watts(55.0)]),
+                (SimTime::from_secs(2), vec![Watts(35.0), Watts(45.0)]),
+            ],
+        }
     }
 
     #[test]
@@ -435,19 +399,6 @@ mod tests {
         assert_eq!(lines[0], "time_s,cpu0,cpu1");
         assert_eq!(lines.len(), 4);
         assert!(lines[1].starts_with("0.000,10.000,20.000"));
-    }
-
-    #[test]
-    fn task_trace_visits() {
-        let mut t = TaskCpuTrace::default();
-        t.push(SimTime::from_secs(0), TaskId(0), CpuId(0));
-        t.push(SimTime::from_secs(10), TaskId(0), CpuId(1));
-        t.push(SimTime::from_secs(11), TaskId(1), CpuId(5));
-        t.push(SimTime::from_secs(20), TaskId(0), CpuId(2));
-        let visits = t.visits(TaskId(0));
-        assert_eq!(visits.len(), 3);
-        assert_eq!(visits[1], (SimTime::from_secs(10), CpuId(1)));
-        assert!(t.to_csv().contains("11.000,1,5"));
     }
 
     #[test]

@@ -102,7 +102,7 @@ fn throttle_holds_the_package_at_its_budget() {
         .energy_aware(false) // No escape: the task must throttle.
         .throttling(true)
         .max_power(MaxPowerSpec::PerLogical(Watts(40.0)))
-        .trace_thermal(SimDuration::from_secs(1))
+        .metrics_every(SimDuration::from_secs(1))
         .seed(2);
     let mut sim = Simulation::new(cfg);
     sim.spawn_program(&catalog::bitcnts());
@@ -131,7 +131,7 @@ fn dvfs_enforcement_never_exceeds_the_budget() {
         .throttling(false) // No hlt backstop: DVFS enforces alone.
         .dvfs_governor(GovernorKind::ThermalAware)
         .max_power(MaxPowerSpec::PerLogical(Watts(40.0)))
-        .trace_thermal(SimDuration::from_secs(1))
+        .metrics_every(SimDuration::from_secs(1))
         .seed(8);
     let mut sim = Simulation::new(cfg);
     // Hot tasks on every package: each wants ~61 W against 40 W.

@@ -152,36 +152,37 @@ fn shape_mismatch_is_rejected() {
     assert!(err.is_err(), "16-package engine accepted a 2-package image");
 }
 
-/// Snapshot-format migration: a genuine v1 image — written without
-/// the per-task core-class tag that format v2 added — restores into
-/// the v2 store through the standard fork entry point. Every v1
-/// machine was homogeneous (class 0 everywhere), so the migrated
-/// state is *bit-identical* to the v2 snapshot of the same engine,
-/// and it re-snapshots as v2.
-#[test]
-fn v1_image_migrates_into_the_v2_store() {
+/// Snapshot-format migration: a genuine image of an older `version`
+/// restores into the current store through the standard fork entry
+/// point. v1 lacks the per-task core-class tag v2 added (every v1
+/// machine was homogeneous, so class 0 is exact); v1 and v2 carry the
+/// thermal-trace cursor v3 dropped. The migrated state is
+/// *bit-identical* to the current snapshot of the same engine, and it
+/// re-snapshots as the current version.
+fn old_image_migrates_into_the_current_store(version: u32) {
     use ebs_store::Snapshot as _;
     let cfg = open_cfg(1, 2, 7);
     let mut warm = Simulation::new(cfg.clone());
     warm.run_for(SimDuration::from_secs(2));
 
-    let mut w = ebs_store::StateWriter::versioned(1);
+    let mut w = ebs_store::StateWriter::versioned(version);
     warm.save(&mut w);
-    let v1 = w.finish();
-    assert_eq!(v1.version(), 1);
+    let old = w.finish();
+    assert_eq!(old.version(), version);
     assert!(
         matches!(
-            v1.open(),
-            Err(ebs_store::StoreError::Version { found: 1, .. })
+            old.open(),
+            Err(ebs_store::StoreError::Version { found, .. }) if found == version
         ),
-        "strict open must refuse a v1 image"
+        "strict open must refuse a v{version} image"
     );
 
-    let mut resumed = Simulation::from_snapshot(cfg, &v1).expect("v1 image restores");
+    let mut resumed =
+        Simulation::from_snapshot(cfg, &old).unwrap_or_else(|e| panic!("v{version}: {e}"));
     assert_eq!(
         resumed.state_hash(),
         warm.state_hash(),
-        "migrated state must be bit-identical to the v2 snapshot"
+        "migrated v{version} state must be bit-identical to the current snapshot"
     );
     assert_eq!(resumed.snapshot().version(), ebs_store::FORMAT_VERSION);
 
@@ -189,6 +190,14 @@ fn v1_image_migrates_into_the_v2_store() {
     resumed.run_for(SimDuration::from_secs(2));
     assert_eq!(resumed.state_hash(), warm.state_hash());
     assert!(warm.report().bit_eq(&resumed.report()));
+}
+
+#[test]
+fn v1_and_v2_images_migrate_into_the_v3_store() {
+    assert_eq!(ebs_store::FORMAT_VERSION, 3);
+    for version in [1, 2] {
+        old_image_migrates_into_the_current_store(version);
+    }
 }
 
 /// Fork semantics across *policies*: one warm-up snapshot restored

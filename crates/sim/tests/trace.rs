@@ -6,14 +6,13 @@
 //!   event tracing / profiling produces the same report as not
 //!   enabling them (they observe, never steer).
 //! - **On ⇒ faithful**: event counts reconcile exactly with the
-//!   report's counters, the legacy task-CPU trace (now fed from the
-//!   event stream) is byte-identical to its bespoke-push ancestor, and
-//!   the Perfetto export round-trips through a JSON parser with
-//!   matched slices.
+//!   report's counters, and the Perfetto export round-trips through a
+//!   JSON parser with matched slices.
 //! - **Sampling floors**: the metrics cadence bounds variable strides
-//!   (snapshots land exactly); no subscription, no floor.
+//!   (snapshots land exactly, also after a restore); no subscription,
+//!   no floor.
 
-use ebs_sim::{MaxPowerSpec, SimConfig, SimReport, Simulation};
+use ebs_sim::{MaxPowerSpec, SimConfig, SimEngine, SimReport, Simulation};
 use ebs_trace::{parse_json, EventKind, Json};
 use ebs_units::{SimDuration, Watts};
 use ebs_workloads::{catalog, section61_mix, LoadCurve, OpenWorkload};
@@ -67,9 +66,8 @@ fn tracing_and_profiling_leave_reports_bit_identical() {
 
 #[test]
 fn metrics_leave_reports_bit_identical_on_the_fixed_core() {
-    // Metrics snapshots bound *strides* (like the thermal trace), so
-    // bit-identity holds on the fixed-tick core, where there are no
-    // strides to bound.
+    // Metrics snapshots bound *strides*, so bit-identity holds on the
+    // fixed-tick core, where there are no strides to bound.
     let duration = SimDuration::from_secs(2);
     let plain = fingerprint(&run_traced(busy_cfg(), duration).report());
     let metered = fingerprint(
@@ -183,22 +181,6 @@ fn throttle_events_reconcile_with_engagement_counts() {
 }
 
 #[test]
-fn task_cpu_trace_is_identical_with_event_tracing_on_or_off() {
-    // Satellite: the fig. 9 trace is now produced from the event
-    // stream; its CSV must be byte-identical whether or not the event
-    // sink is also subscribed.
-    let duration = SimDuration::from_secs(2);
-    let csv = |cfg: SimConfig| {
-        let sim = run_traced(cfg.trace_task_cpu(true), duration);
-        sim.task_trace().to_csv()
-    };
-    let alone = csv(base_cfg());
-    let with_events = csv(base_cfg().trace_events(true));
-    assert!(!alone.is_empty());
-    assert_eq!(alone, with_events);
-}
-
-#[test]
 fn event_ring_capacity_keeps_the_newest_events() {
     let sim = run_traced(busy_cfg().trace_events_cap(256), SimDuration::from_secs(2));
     let trace = sim.events().expect("tracing on");
@@ -276,6 +258,48 @@ fn metrics_snapshots_land_on_the_cadence_and_export_csv() {
     assert!(header.contains("thermal.power_w.cpu0"));
     assert!(header.contains("dvfs.freq_ghz.pkg0"));
     assert_eq!(lines.count(), snaps.len());
+}
+
+/// A checkpoint written without metrics carries no snapshot cursor.
+/// Restored into a metered engine, the cadence resumes where a straight
+/// metered run holds it, instead of replaying every instant since
+/// t = 0 with a snapshot (and a one-tick stride) per step.
+#[test]
+fn restored_metrics_cadence_resumes_on_the_grid() {
+    let every = SimDuration::from_millis(100);
+    let cfg = SimConfig::xseries445().smt(false).seed(7).strided();
+    let warm_up = |cfg: SimConfig| {
+        let mut sim = Simulation::new(cfg);
+        for p in [catalog::aluadd(), catalog::memrw()] {
+            sim.spawn_program(&p);
+            sim.spawn_program(&p);
+        }
+        sim.run_for(SimDuration::from_secs(10));
+        sim
+    };
+    let steps_over_one_second = |sim: &mut Simulation| {
+        let before = sim.report().engine_steps;
+        sim.run_for(SimDuration::from_secs(1));
+        sim.report().engine_steps - before
+    };
+
+    let image = warm_up(cfg.clone()).snapshot();
+    let mut resumed =
+        Simulation::from_snapshot(cfg.clone().metrics_every(every), &image).expect("restores");
+    let resumed_steps = steps_over_one_second(&mut resumed);
+    let snaps = resumed.metrics().expect("metrics on").snapshots();
+    assert_eq!(snaps.len(), 10, "one snapshot per 100 ms");
+    for snap in snaps {
+        assert_eq!(
+            snap.t.as_micros() % every.as_micros(),
+            0,
+            "snapshot off-cadence at {:?}",
+            snap.t
+        );
+    }
+
+    let mut straight = warm_up(cfg.metrics_every(every));
+    assert_eq!(resumed_steps, steps_over_one_second(&mut straight));
 }
 
 #[test]

@@ -41,7 +41,10 @@ pub const MAGIC: [u8; 4] = *b"EBSS";
 ///   core class it last executed on (`last_class`), and dvfs state is
 ///   keyed per frequency domain (identical byte shape to v1 on
 ///   per-package machines, one extra `usize` per task).
-pub const FORMAT_VERSION: u32 = 2;
+/// - **v3** — one sampling mechanism: the engine image drops the
+///   retired thermal-trace cadence cursor (one byte shorter); the
+///   metrics cursor is the only one left.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Oldest format version the migrating reader still accepts. Version-
 /// conditional `restore` code may be dropped when this moves past the

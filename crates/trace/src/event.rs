@@ -185,16 +185,8 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// A consumer of trace events. The engine emits into one sink; the
-/// default is the [`EventTrace`] buffer, but tests and tools can plug
-/// in counting or filtering sinks.
-pub trait TraceSink {
-    /// Records one event at instant `t`.
-    fn record(&mut self, t: SimTime, kind: EventKind);
-}
-
-/// The default sink: an in-memory event buffer, unbounded by default
-/// or bounded as a ring (oldest events dropped) via
+/// The engine's event sink: an in-memory event buffer, unbounded by
+/// default or bounded as a ring (oldest events dropped) via
 /// [`EventTrace::with_capacity`].
 #[derive(Clone, Debug, Default)]
 pub struct EventTrace {
@@ -245,10 +237,9 @@ impl EventTrace {
     pub fn to_vec(&self) -> Vec<TraceEvent> {
         self.iter().copied().collect()
     }
-}
 
-impl TraceSink for EventTrace {
-    fn record(&mut self, t: SimTime, kind: EventKind) {
+    /// Records one event at instant `t`.
+    pub fn record(&mut self, t: SimTime, kind: EventKind) {
         let ev = TraceEvent { t, kind };
         match self.cap {
             Some(cap) if self.buf.len() >= cap => {

@@ -9,9 +9,9 @@
 //! - [`EventKind`]/[`TraceEvent`]: typed scheduling-relevant events
 //!   (context switches, wakeups, migrations with reasons, arrivals and
 //!   completions, governor decisions and P-state transitions, throttle
-//!   flips, balancer rounds, engine strides), collected by any
-//!   [`TraceSink`] — by default the [`EventTrace`] vec/ring buffer.
-//! - [`MetricsRegistry`]: named monotonic counters and time-weighted
+//!   flips, balancer rounds, engine strides), collected in the
+//!   [`EventTrace`] vec/ring buffer.
+//! - [`MetricsRegistry`]: named monotonic counters and instantaneous
 //!   gauges, registered by subsystem, snapshotted periodically into a
 //!   time-series CSV.
 //! - [`perfetto`]: renders an event stream plus gauge snapshots as
@@ -37,7 +37,7 @@ pub mod perfetto;
 mod profile;
 
 pub use diff::{first_divergence, Divergence};
-pub use event::{merge_streams, EventKind, EventTrace, TraceEvent, TraceSink};
+pub use event::{merge_streams, EventKind, EventTrace, TraceEvent};
 pub use json::{parse as parse_json, Json};
 pub use metrics::{CounterId, GaugeId, MetricsRegistry};
 pub use profile::{PhaseProfiler, PhaseRow};

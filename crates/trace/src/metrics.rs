@@ -1,4 +1,4 @@
-//! A registry of named metrics: monotonic counters and time-weighted
+//! A registry of named metrics: monotonic counters and instantaneous
 //! gauges, snapshotted periodically into a time-series CSV.
 //!
 //! Naming convention: `subsystem.metric[.instance]`, e.g.
@@ -18,16 +18,6 @@ pub struct CounterId(usize);
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct GaugeId(usize);
 
-#[derive(Clone, Debug)]
-struct Gauge {
-    name: String,
-    value: f64,
-    /// Integral of the gauge over time (value · seconds), maintained
-    /// on every set so means are time-weighted, not sample-weighted.
-    integral: f64,
-    last_set: SimTime,
-}
-
 /// One periodic snapshot of every registered metric.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
@@ -39,11 +29,18 @@ pub struct Snapshot {
     pub gauges: Vec<f64>,
 }
 
-/// Named monotonic counters and time-weighted gauges.
+impl Snapshot {
+    /// The value a gauge held when the snapshot was taken.
+    pub fn gauge(&self, id: GaugeId) -> f64 {
+        self.gauges[id.0]
+    }
+}
+
+/// Named monotonic counters and instantaneous gauges.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
     counters: Vec<(String, u64)>,
-    gauges: Vec<Gauge>,
+    gauges: Vec<(String, f64)>,
     snapshots: Vec<Snapshot>,
 }
 
@@ -62,11 +59,6 @@ impl MetricsRegistry {
         CounterId(self.counters.len() - 1)
     }
 
-    /// Increments a counter.
-    pub fn inc(&mut self, id: CounterId, by: u64) {
-        self.counters[id.0].1 += by;
-    }
-
     /// Sets a counter to an absolute total. Totals must be monotone;
     /// producers that already keep a cumulative statistic publish it
     /// here instead of instrumenting every increment site.
@@ -81,47 +73,18 @@ impl MetricsRegistry {
         self.counters[id.0].1 = total;
     }
 
-    /// Current value of a counter.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0].1
-    }
-
-    /// Registers (or looks up) a time-weighted gauge.
+    /// Registers (or looks up) a gauge.
     pub fn gauge(&mut self, name: &str) -> GaugeId {
-        if let Some(i) = self.gauges.iter().position(|g| g.name == name) {
+        if let Some(i) = self.gauges.iter().position(|(n, _)| n == name) {
             return GaugeId(i);
         }
-        self.gauges.push(Gauge {
-            name: name.to_string(),
-            value: 0.0,
-            integral: 0.0,
-            last_set: SimTime::ZERO,
-        });
+        self.gauges.push((name.to_string(), 0.0));
         GaugeId(self.gauges.len() - 1)
     }
 
-    /// Sets a gauge at instant `t`, accumulating the previous value
-    /// over the elapsed time into the gauge's integral.
-    pub fn set_gauge(&mut self, id: GaugeId, t: SimTime, value: f64) {
-        let g = &mut self.gauges[id.0];
-        g.integral += g.value * t.saturating_since(g.last_set).as_secs_f64();
-        g.last_set = t;
-        g.value = value;
-    }
-
-    /// Current value of a gauge.
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0].value
-    }
-
-    /// Time-weighted mean of a gauge over `[0, t]`.
-    pub fn gauge_mean(&self, id: GaugeId, t: SimTime) -> f64 {
-        if t == SimTime::ZERO {
-            return self.gauges[id.0].value;
-        }
-        let g = &self.gauges[id.0];
-        let integral = g.integral + g.value * t.saturating_since(g.last_set).as_secs_f64();
-        integral / t.as_secs_f64()
+    /// Sets a gauge; the next snapshot records the value.
+    pub fn set_gauge(&mut self, id: GaugeId, value: f64) {
+        self.gauges[id.0].1 = value;
     }
 
     /// Records a snapshot of every metric at instant `t`.
@@ -129,7 +92,7 @@ impl MetricsRegistry {
         self.snapshots.push(Snapshot {
             t,
             counters: self.counters.iter().map(|&(_, v)| v).collect(),
-            gauges: self.gauges.iter().map(|g| g.value).collect(),
+            gauges: self.gauges.iter().map(|&(_, v)| v).collect(),
         });
     }
 
@@ -145,7 +108,7 @@ impl MetricsRegistry {
 
     /// Registered gauge names, in registration order.
     pub fn gauge_names(&self) -> Vec<&str> {
-        self.gauges.iter().map(|g| g.name.as_str()).collect()
+        self.gauges.iter().map(|(n, _)| n.as_str()).collect()
     }
 
     /// The snapshot time series as CSV: one `time_s` column, then one
@@ -156,9 +119,9 @@ impl MetricsRegistry {
             out.push(',');
             out.push_str(name);
         }
-        for g in &self.gauges {
+        for (name, _) in &self.gauges {
             out.push(',');
-            out.push_str(&g.name);
+            out.push_str(name);
         }
         out.push('\n');
         for snap in &self.snapshots {
@@ -185,9 +148,9 @@ mod tests {
         let a = reg.counter("sched.migrations");
         let b = reg.counter("sched.migrations");
         assert_eq!(a, b);
-        reg.inc(a, 3);
         reg.set_total(a, 10);
-        assert_eq!(reg.counter_value(a), 10);
+        reg.snapshot(SimTime::ZERO);
+        assert_eq!(reg.snapshots()[0].counters, vec![10]);
         assert_eq!(reg.counter_names(), vec!["sched.migrations"]);
     }
 
@@ -202,32 +165,23 @@ mod tests {
     }
 
     #[test]
-    fn gauge_mean_is_time_weighted() {
-        let mut reg = MetricsRegistry::new();
-        let g = reg.gauge("thermal.power_w.cpu0");
-        // 10 W for 1 s, then 30 W for 3 s: mean = (10 + 90) / 4 = 25.
-        reg.set_gauge(g, SimTime::ZERO, 10.0);
-        reg.set_gauge(g, SimTime::from_secs(1), 30.0);
-        let mean = reg.gauge_mean(g, SimTime::from_secs(4));
-        assert!((mean - 25.0).abs() < 1e-9, "{mean}");
-        assert_eq!(reg.gauge_value(g), 30.0);
-    }
-
-    #[test]
     fn csv_has_header_and_one_row_per_snapshot() {
         let mut reg = MetricsRegistry::new();
         let c = reg.counter("engine.steps");
         let g = reg.gauge("dvfs.freq_ghz.pkg0");
         reg.set_total(c, 7);
-        reg.set_gauge(g, SimTime::ZERO, 2.2);
+        reg.set_gauge(g, 2.2);
         reg.snapshot(SimTime::from_millis(100));
         reg.set_total(c, 14);
+        reg.set_gauge(g, 1.8);
         reg.snapshot(SimTime::from_millis(200));
+        let snaps = reg.snapshots();
+        assert_eq!((snaps[0].gauge(g), snaps[1].gauge(g)), (2.2, 1.8));
         let csv = reg.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[0], "time_s,engine.steps,dvfs.freq_ghz.pkg0");
         assert_eq!(lines[1], "0.100,7,2.200000");
-        assert_eq!(lines[2], "0.200,14,2.200000");
+        assert_eq!(lines[2], "0.200,14,1.800000");
     }
 }

@@ -297,7 +297,7 @@ mod tests {
         ];
         let mut reg = MetricsRegistry::new();
         let g = reg.gauge("thermal.power_w.cpu0");
-        reg.set_gauge(g, SimTime::ZERO, 13.5);
+        reg.set_gauge(g, 13.5);
         reg.snapshot(SimTime::from_millis(4));
         let mut names = HashMap::new();
         names.insert(9u64, "bitcnts".to_string());

@@ -22,14 +22,14 @@ fn main() {
         .energy_aware(true)
         .throttling(true)
         .max_power(MaxPowerSpec::PerPackage(Watts(40.0)))
-        .trace_task_cpu(true)
+        .trace_events(true)
         .seed(3);
     let mut sim = Simulation::new(cfg);
     let id = sim.spawn_program(&catalog::bitcnts());
     sim.run_for(SimDuration::from_secs(150));
 
     let topo = Topology::xseries445(true);
-    let visits = sim.task_trace().visits(id);
+    let visits = sim.task_visits(id);
     println!("single bitcnts (~61 W) under a 40 W package budget:\n");
     println!("{:>8} {:>6} {:>8} {:>6}", "time", "cpu", "package", "node");
     for (t, cpu) in &visits {

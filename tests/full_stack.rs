@@ -16,7 +16,7 @@ fn energy_balancing_collapses_thermal_band() {
             .energy_aware(on)
             .throttling(false)
             .max_power(MaxPowerSpec::PerLogical(Watts(60.0)))
-            .trace_thermal(SimDuration::from_secs(1))
+            .metrics_every(SimDuration::from_secs(1))
             .seed(99);
         let mut sim = Simulation::new(cfg);
         sim.spawn_mix(&section61_mix(), 3);
@@ -65,12 +65,12 @@ fn hot_task_roams_legally() {
         .energy_aware(true)
         .throttling(true)
         .max_power(MaxPowerSpec::PerPackage(Watts(40.0)))
-        .trace_task_cpu(true)
+        .trace_events(true)
         .seed(13);
     let mut sim = Simulation::new(cfg);
     let id = sim.spawn_program(&catalog::bitcnts());
     sim.run_for(SimDuration::from_secs(120));
-    let visits = sim.task_trace().visits(id);
+    let visits = sim.task_visits(id);
     assert!(visits.len() >= 5, "too few hops: {visits:?}");
     let topo = Topology::xseries445(true);
     for pair in visits.windows(2) {
@@ -140,7 +140,7 @@ fn end_to_end_determinism() {
         let cfg = SimConfig::xseries445()
             .smt(true)
             .energy_aware(true)
-            .trace_thermal(SimDuration::from_secs(1))
+            .metrics_every(SimDuration::from_secs(1))
             .seed(12345);
         let mut sim = Simulation::new(cfg);
         sim.spawn_mix(&section61_mix(), 2);
