@@ -65,8 +65,6 @@ pub struct TraceParity {
     pub steps: u64,
     /// Scheduling events the instrumented run recorded.
     pub events: usize,
-    /// Events the ring dropped (0: the parity run is uncapped).
-    pub dropped: u64,
     /// Rendered per-phase wall-time profile of the instrumented run.
     pub profile: String,
     /// Wall seconds of the bare run (informational).
@@ -246,7 +244,6 @@ fn trace_parity(duration: SimDuration) -> TraceParity {
         identical: bare_report.bit_eq(&traced_report),
         steps: traced_report.engine_steps,
         events: traced.events().map_or(0, |t| t.len()),
-        dropped: traced.events().map_or(0, |t| t.dropped()),
         profile: traced
             .engine_profile()
             .map(|p| p.to_string())
@@ -352,8 +349,8 @@ impl core::fmt::Display for EngineBench {
         write!(f, "{}", self.parity.profile)?;
         writeln!(
             f,
-            "trace parity: reports {} with tracing on; {} events recorded \
-             ({} dropped), {} engine steps; wall {:.3}s bare vs {:.3}s traced \
+            "trace parity: reports {} with tracing on; {} events recorded, \
+             {} engine steps; wall {:.3}s bare vs {:.3}s traced \
              (informational)",
             if self.parity.identical {
                 "bit-identical"
@@ -361,7 +358,6 @@ impl core::fmt::Display for EngineBench {
                 "DIVERGED"
             },
             self.parity.events,
-            self.parity.dropped,
             self.parity.steps,
             self.parity.bare_wall_s,
             self.parity.traced_wall_s,
@@ -443,7 +439,6 @@ mod tests {
         let parity = &bench.parity;
         assert!(parity.identical, "tracing perturbed the report");
         assert!(parity.events > 0, "no events recorded");
-        assert_eq!(parity.dropped, 0, "uncapped ring dropped events");
         for phase in [
             "stride",
             "arrivals",

@@ -161,7 +161,7 @@ fn averaged(reports: &[SimReport]) -> VariantOutcome {
 /// One P/E-split × curve cell: both variants plus the headline delta.
 #[derive(Clone, Debug)]
 pub struct HybridCell {
-    /// Performance cores per package (of [`CORES_PER_PACKAGE`]).
+    /// Performance cores per package (of `CORES_PER_PACKAGE`).
     pub perf: usize,
     /// Curve name (`diurnal` / `burst`).
     pub curve: &'static str,

@@ -693,13 +693,13 @@ mod tests {
     fn policy_matrix_distinct_and_complete() {
         let base = SimConfig::xseries445();
         let hlt = Policy::StockHlt.apply(base.clone());
-        assert!(hlt.throttling && !hlt.energy_balancing && hlt.dvfs.is_none());
+        assert!(hlt.throttling && !hlt.energy_aware && hlt.dvfs.is_none());
         let ea = Policy::EnergyAwareHlt.apply(base.clone());
-        assert!(ea.energy_balancing && ea.hot_task_migration);
+        assert!(ea.energy_aware);
         let dvfs = Policy::StockDvfs.apply(base.clone());
         assert!(!dvfs.throttling && dvfs.dvfs.is_some());
         let both = Policy::EnergyAwareDvfs.apply(base);
-        assert!(both.energy_balancing && both.dvfs.is_some() && !both.throttling);
+        assert!(both.energy_aware && both.dvfs.is_some() && !both.throttling);
         let names: Vec<_> = Policy::ALL.iter().map(|p| p.name()).collect();
         assert_eq!(names.len(), 4);
         // An hlt cell built from a DVFS-configured base must not keep

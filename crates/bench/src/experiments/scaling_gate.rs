@@ -9,6 +9,7 @@
 //! Anything that changes what either engine core computes now breaks
 //! CI at the sweep level, not just in unit-sized scenarios.
 
+use ebs_sim::rel_dev;
 use std::fmt;
 
 /// Tolerances mirroring the equivalence suite
@@ -151,21 +152,6 @@ pub fn parse_csv(csv: &str) -> Result<Vec<GateRow>, String> {
     Ok(rows)
 }
 
-/// Relative deviation. A non-finite input (a NaN/inf metric is itself
-/// the class of regression the gate exists to catch) yields infinity,
-/// so it always violates every tolerance instead of slipping through a
-/// `NaN > tol` comparison as a pass.
-fn rel(a: f64, b: f64) -> f64 {
-    if !a.is_finite() || !b.is_finite() {
-        return f64::INFINITY;
-    }
-    if a == 0.0 && b == 0.0 {
-        0.0
-    } else {
-        (a - b).abs() / a.abs().max(b.abs())
-    }
-}
-
 /// Compares the strided sweep against the fixed-tick sweep.
 ///
 /// # Errors
@@ -201,13 +187,15 @@ pub fn compare(strided: &[GateRow], fixed: &[GateRow]) -> Result<GateResult, Str
                 metric: "arrivals",
                 strided: s.arrivals as f64,
                 fixed: f.arrivals as f64,
-                deviation: rel(s.arrivals as f64, f.arrivals as f64),
+                deviation: rel_dev(s.arrivals as f64, f.arrivals as f64),
                 allowed: 0.0,
             });
         }
-        max_dev[0].1 = max_dev[0].1.max(rel(s.arrivals as f64, f.arrivals as f64));
+        max_dev[0].1 = max_dev[0]
+            .1
+            .max(rel_dev(s.arrivals as f64, f.arrivals as f64));
         let mut check = |metric: &'static str, sv: f64, fv: f64, tol: f64, slot: usize| {
-            let dev = rel(sv, fv);
+            let dev = rel_dev(sv, fv);
             if let Some(m) = max_dev.get_mut(slot) {
                 m.1 = m.1.max(dev);
             }

@@ -37,7 +37,7 @@ impl From<RangeInclusive<usize>> for SizeRange {
     }
 }
 
-/// Generates `Vec`s whose elements come from `element`; see [`vec`].
+/// Generates `Vec`s whose elements come from `element`; see [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     size: SizeRange,

@@ -2,7 +2,7 @@
 //!
 //! The build environment has no crates.io access, so this crate
 //! implements the slice of the proptest API the workspace's property
-//! tests use: the [`Strategy`] trait with `prop_map`, range and tuple
+//! tests use: the [`Strategy`](strategy::Strategy) trait with `prop_map`, range and tuple
 //! strategies, `Just`, `prop_oneof!`, `prop::collection::vec`,
 //! `prop::option::of`, `any::<T>()`, the `proptest!` macro with
 //! `#![proptest_config(..)]`, and the `prop_assert*` macros.

@@ -102,11 +102,15 @@ impl DecisionHold {
     }
 }
 
-/// A frequency-selection policy for one [`FrequencyDomain`].
+/// A frequency-selection policy for [`FrequencyDomain`]s.
+///
+/// A governor is configuration only: [`Governor::decide`] takes
+/// `&self`, so one instance can serve every domain of a machine, each
+/// decision reading nothing but its input and its domain.
 pub trait Governor {
     /// Chooses the P-state index for the next interval. Must return an
     /// index within the domain's table.
-    fn decide(&mut self, input: &GovernorInput, domain: &FrequencyDomain) -> usize;
+    fn decide(&self, input: &GovernorInput, domain: &FrequencyDomain) -> usize;
 
     /// Reports the conditions under which the answer `chosen`, just
     /// returned by [`Governor::decide`] for `input`, could change.
@@ -136,7 +140,7 @@ pub trait Governor {
 pub struct Fixed(pub usize);
 
 impl Governor for Fixed {
-    fn decide(&mut self, _input: &GovernorInput, domain: &FrequencyDomain) -> usize {
+    fn decide(&self, _input: &GovernorInput, domain: &FrequencyDomain) -> usize {
         self.0.min(domain.table().slowest_index())
     }
 
@@ -178,7 +182,7 @@ impl Default for OnDemand {
 }
 
 impl Governor for OnDemand {
-    fn decide(&mut self, input: &GovernorInput, domain: &FrequencyDomain) -> usize {
+    fn decide(&self, input: &GovernorInput, domain: &FrequencyDomain) -> usize {
         if input.utilization >= self.up_threshold {
             return 0;
         }
@@ -278,7 +282,7 @@ impl Default for ThermalAware {
 }
 
 impl Governor for ThermalAware {
-    fn decide(&mut self, input: &GovernorInput, domain: &FrequencyDomain) -> usize {
+    fn decide(&self, input: &GovernorInput, domain: &FrequencyDomain) -> usize {
         let target = input.budget * self.engage;
         if (target - input.idle_floor).0 <= 0.0 {
             // The budget does not even cover halt power; all the
@@ -344,7 +348,8 @@ impl Governor for ThermalAware {
 }
 
 /// Serialisable governor selection for simulation configs; builds the
-/// boxed policy instance per frequency domain.
+/// boxed policy instance an engine shares across its frequency
+/// domains.
 #[derive(Clone, Debug, PartialEq)]
 pub enum GovernorKind {
     /// [`Fixed`] at the given P-state index.
@@ -403,7 +408,7 @@ mod tests {
     #[test]
     fn ondemand_follows_utilization() {
         let mut d = domain();
-        let mut g = OnDemand::default();
+        let g = OnDemand::default();
         let at = |utilization: f64| GovernorInput {
             utilization,
             ..input(30.0)
@@ -426,7 +431,7 @@ mod tests {
     #[test]
     fn ondemand_is_monotone_in_utilization() {
         let d = domain();
-        let mut g = OnDemand::default();
+        let g = OnDemand::default();
         let mut last = d.table().slowest_index();
         for tenths in 0..=10 {
             let next = g.decide(
@@ -444,7 +449,7 @@ mod tests {
     #[test]
     fn thermal_aware_is_idle_at_nominal_when_cool() {
         let d = domain();
-        let mut g = ThermalAware::default();
+        let g = ThermalAware::default();
         // Thermal power well under the 38 W target: stay at P0.
         assert_eq!(g.decide(&input(30.0), &d), 0);
         // At the idle floor (nothing running): P0.
@@ -454,7 +459,7 @@ mod tests {
     #[test]
     fn thermal_aware_scales_down_under_pressure() {
         let d = domain();
-        let mut g = ThermalAware::default();
+        let g = ThermalAware::default();
         // 61 W of thermal power against a 40 W budget: power must
         // shrink to the 38 W target, a factor ~0.62 — P3 (0.59) is the
         // fastest fitting state.
@@ -467,7 +472,7 @@ mod tests {
     #[test]
     fn thermal_aware_monotone_in_thermal_power() {
         let d = domain();
-        let mut g = ThermalAware::default();
+        let g = ThermalAware::default();
         let mut last = 0;
         for tenths in 136..800 {
             let idx = g.decide(&input(tenths as f64 / 10.0), &d);
@@ -483,7 +488,7 @@ mod tests {
     #[test]
     fn thermal_aware_projection_accounts_for_current_state() {
         let mut d = domain();
-        let mut g = ThermalAware::default();
+        let g = ThermalAware::default();
         // Already slowed to P4: 30 W observed there corresponds to
         // ~63 W of nominal-state power, so speeding back up to P0
         // would overshoot; the governor holds a reduced state.
@@ -498,7 +503,7 @@ mod tests {
     #[test]
     fn thermal_aware_handles_budget_below_idle_floor() {
         let d = domain();
-        let mut g = ThermalAware::default();
+        let g = ThermalAware::default();
         let hopeless = GovernorInput {
             budget: Watts(10.0),
             ..input(30.0)
@@ -522,7 +527,7 @@ mod tests {
         // inside the reported band yields the same decision, and the
         // nearest values outside it yield a different one.
         let d = domain();
-        let mut g = OnDemand::default();
+        let g = OnDemand::default();
         let at = |u: f64| GovernorInput {
             utilization: u,
             ..input(30.0)
@@ -570,7 +575,7 @@ mod tests {
         // the domain to the chosen state, any thermal power strictly
         // inside the band re-yields the chosen state, and values
         // outside it change the answer.
-        let mut g = ThermalAware::default();
+        let g = ThermalAware::default();
         for tenths in 137..900 {
             let tp = tenths as f64 / 10.0;
             let mut d = domain();
@@ -623,7 +628,7 @@ mod tests {
         // Overload at nominal: the decision descends the ladder, so
         // the hold carries the dwell.
         let mut d = domain();
-        let mut gov = g;
+        let gov = g;
         let chosen = gov.decide(&input(61.0), &d);
         assert!(chosen > 0);
         let hold = gov.hold(&input(61.0), &d, chosen);
@@ -680,7 +685,7 @@ mod tests {
         // signal drift: correct, never stale.
         struct Custom;
         impl Governor for Custom {
-            fn decide(&mut self, _: &GovernorInput, _: &FrequencyDomain) -> usize {
+            fn decide(&self, _: &GovernorInput, _: &FrequencyDomain) -> usize {
                 0
             }
             fn name(&self) -> &'static str {

@@ -25,6 +25,8 @@
 //!   also reports a [`DecisionHold`] — the signal bands within which
 //!   the answer stands — so an event-driven engine re-decides on
 //!   utilization/thermal *deltas* instead of a fixed cadence.
+//!   [`Governor::decide`] takes `&self`: governors hold configuration
+//!   only, so one instance serves every domain.
 //!
 //! # Examples
 //!
@@ -33,7 +35,7 @@
 //! use ebs_units::Watts;
 //!
 //! let mut domain = FrequencyDomain::new(PStateTable::p4_xeon());
-//! let mut governor = ThermalAware::default();
+//! let governor = ThermalAware::default();
 //! // A package pulling 52 W of thermal power against a 40 W budget:
 //! let input = GovernorInput {
 //!     thermal_power: Watts(52.0),

@@ -61,7 +61,7 @@ proptest! {
     ) {
         let mut domain = FrequencyDomain::new(table);
         domain.set_state(start.min(domain.table().slowest_index()));
-        let mut governor = kind.build();
+        let governor = kind.build();
         for input in inputs {
             let next = governor.decide(&input, &domain);
             prop_assert!(
@@ -96,7 +96,7 @@ proptest! {
             idle_floor: Watts(idle),
             utilization: 1.0,
         };
-        let mut governor = ThermalAware::default();
+        let governor = ThermalAware::default();
         let cool = governor.decide(&mk(lo), &domain);
         let warm = governor.decide(&mk(hi), &domain);
         let f_cool = domain.table().get(cool).frequency;
@@ -117,7 +117,7 @@ proptest! {
     ) {
         let mut domain = FrequencyDomain::new(table);
         domain.set_state(state.min(domain.table().slowest_index()));
-        let mut governor = ThermalAware::default();
+        let governor = ThermalAware::default();
         let next = governor.decide(&input, &domain);
         let nominal_power = input.thermal_power.0 / domain.power_factor();
         let projected = nominal_power * domain.table().power_factor(next);
@@ -138,7 +138,7 @@ proptest! {
     ) {
         let mut domain = FrequencyDomain::new(table);
         domain.set_state(start.min(domain.table().slowest_index()));
-        let mut governor = OnDemand::default();
+        let governor = OnDemand::default();
         for u in utilizations {
             let input = GovernorInput {
                 thermal_power: Watts(30.0),
@@ -171,7 +171,7 @@ proptest! {
         inputs in prop::collection::vec(input_strategy(), 1..10),
     ) {
         let domain = FrequencyDomain::new(table);
-        let mut governor = Fixed(pin);
+        let governor = Fixed(pin);
         let expected = pin.min(domain.table().slowest_index());
         for input in inputs {
             prop_assert_eq!(governor.decide(&input, &domain), expected);

@@ -494,7 +494,7 @@ fn host_seed(fleet_seed: u64, host: usize) -> u64 {
 
 /// Re-runs a fleet config at two worker counts with event tracing on
 /// and names the first divergent host and event — the fleet-level
-/// analogue of [`ebs_sim::parallel_divergence`], reusing the same
+/// analogue of [`ebs_sim::stride_divergence`], reusing the same
 /// verdict wording so CI failures read alike at both layers.
 pub fn worker_divergence(
     cfg: &FleetConfig,

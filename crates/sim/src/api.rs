@@ -113,16 +113,14 @@ pub trait SimEngine: ebs_store::Snapshot + Send {
     /// topology and workload shape; see [`ebs_store::Snapshot`] on the
     /// concrete core for the shape-matching rules on policy sections.
     ///
-    /// Opens with [`ebs_store::StateImage::open_migrating`], so images
-    /// from any still-supported format version restore: the
-    /// version-conditional sections (`TaskRuntime::last_class` for
-    /// v1→v2) upgrade in place and the engine re-snapshots as the
-    /// current version.
+    /// Opens with [`ebs_store::StateImage::open`], so an image of
+    /// another format version fails with
+    /// [`ebs_store::StoreError::Version`].
     fn restore_snapshot(
         &mut self,
         image: &ebs_store::StateImage,
     ) -> Result<(), ebs_store::StoreError> {
-        let mut r = image.open_migrating()?;
+        let mut r = image.open()?;
         self.restore(&mut r)?;
         if r.remaining() != 0 {
             return Err(ebs_store::StoreError::Invalid(format!(

@@ -79,12 +79,6 @@ pub struct SimConfig {
     /// efficiency (class 1) cores. `0` (the default) keeps the machine
     /// homogeneous — the paper's testbed and every legacy preset.
     pub perf_cores_per_package: usize,
-    /// Frequency-domain granularity. `None` (the default) resolves to
-    /// per-package on homogeneous machines (the paper's testbed
-    /// behaviour, bit-identical to the pre-scope engine) and per-core
-    /// on hybrid ones (classes run distinct P-state ladders, so they
-    /// cannot share a plane).
-    pub domain_scope: Option<DomainScope>,
     /// Ignore core classes in balancing, placement, and hot-migration
     /// decisions (capacity-blind): the engine installs no class
     /// capacities, so every CPU weighs 1.0 — the `exp_hybrid` control
@@ -105,17 +99,16 @@ pub struct SimConfig {
     pub max_stride: SimDuration,
     /// Core clock in hertz.
     pub freq_hz: f64,
-    /// Use the energy-aware balancer (Fig. 4) instead of the stock
-    /// load balancer.
-    pub energy_balancing: bool,
+    /// Energy-aware scheduling: the merged energy balancer (Fig. 4)
+    /// instead of the stock load balancer, hot task migration (Fig. 5),
+    /// and energy-aware initial placement (Section 4.6) — the toggle
+    /// the paper's "energy-aware scheduling enabled/disabled"
+    /// comparisons flip.
+    pub energy_aware: bool,
     /// Tunables of the energy-aware balancer (margins provide the
     /// hysteresis of Section 4.3; the ablation experiments weaken them
     /// to reproduce the ping-pong and over-balancing failure modes).
     pub balance: EnergyBalanceConfig,
-    /// Enable hot task migration (Fig. 5).
-    pub hot_task_migration: bool,
-    /// Enable energy-aware initial placement (Section 4.6).
-    pub energy_placement: bool,
     /// Enable `hlt` throttling at the maximum power.
     pub throttling: bool,
     /// Dynamic voltage/frequency scaling; `None` pins every package at
@@ -139,9 +132,6 @@ pub struct SimConfig {
     /// task's CPU visits (fig. 9). Off by default; off means the
     /// engine allocates nothing and reports are bit-identical.
     pub event_trace: bool,
-    /// Keep only the newest this-many events (ring buffer); `None`
-    /// keeps everything.
-    pub event_trace_cap: Option<usize>,
     /// Snapshot the metrics registry (counters and gauges) at this
     /// interval into a time series; `None` disables metrics entirely.
     /// The snapshots also feed the thermal-power view (fig. 6/7). An
@@ -196,16 +186,13 @@ impl SimConfig {
             cores_per_package: topo.n_cores_per_package(),
             threads_per_core: topo.n_threads_per_core(),
             perf_cores_per_package: topo.n_perf_cores_per_package(),
-            domain_scope: None,
             class_blind: false,
             seed: 1,
             tick: SimDuration::from_millis(1),
             max_stride: SimDuration::ZERO,
             freq_hz: 2.2e9,
-            energy_balancing: true,
+            energy_aware: true,
             balance: EnergyBalanceConfig::default(),
-            hot_task_migration: true,
-            energy_placement: true,
             throttling: true,
             dvfs: None,
             max_power: MaxPowerSpec::PerLogical(Watts(60.0)),
@@ -213,7 +200,6 @@ impl SimConfig {
             perfect_estimation: false,
             respawn: true,
             event_trace: false,
-            event_trace_cap: None,
             metrics_interval: None,
             profile_engine: false,
             open_workload: None,
@@ -270,13 +256,6 @@ impl SimConfig {
         self
     }
 
-    /// Pins the frequency-domain granularity (see
-    /// [`SimConfig::domain_scope`] for the `None` default).
-    pub fn scope(mut self, scope: DomainScope) -> Self {
-        self.domain_scope = Some(scope);
-        self
-    }
-
     /// Makes balancing/placement/hot-migration ignore core classes
     /// (the `exp_hybrid` baseline).
     pub fn class_blind(mut self, on: bool) -> Self {
@@ -298,15 +277,17 @@ impl SimConfig {
         }
     }
 
-    /// The frequency-domain granularity the engine will run:
-    /// the explicit scope if pinned, else per-core for hybrid shapes
-    /// and per-package for homogeneous ones.
+    /// The frequency-domain granularity the engine will run, derived
+    /// from the shape: per-package on homogeneous machines (the paper's
+    /// testbed, where SMT siblings share one plane) and per-core on
+    /// hybrid ones (classes run distinct P-state ladders, so they
+    /// cannot share a plane).
     pub fn effective_domain_scope(&self) -> DomainScope {
-        self.domain_scope.unwrap_or(if self.is_hybrid() {
+        if self.is_hybrid() {
             DomainScope::PerCore
         } else {
             DomainScope::PerPackage
-        })
+        }
     }
 
     /// Frequency domains per package under the effective scope.
@@ -382,37 +363,16 @@ impl SimConfig {
         self.parallel_workers.is_some()
     }
 
-    /// Enables or disables *all* energy-aware mechanisms at once — the
-    /// toggle the paper's "energy-aware scheduling enabled/disabled"
-    /// comparisons flip.
+    /// Enables or disables energy-aware scheduling: balancer, hot task
+    /// migration and placement together.
     pub fn energy_aware(mut self, on: bool) -> Self {
-        self.energy_balancing = on;
-        self.hot_task_migration = on;
-        self.energy_placement = on;
-        self
-    }
-
-    /// Enables or disables only the merged energy balancer.
-    pub fn energy_balancing(mut self, on: bool) -> Self {
-        self.energy_balancing = on;
+        self.energy_aware = on;
         self
     }
 
     /// Overrides the energy-balancer tunables (ablations).
     pub fn balance_config(mut self, balance: EnergyBalanceConfig) -> Self {
         self.balance = balance;
-        self
-    }
-
-    /// Enables or disables only hot task migration.
-    pub fn hot_task_migration(mut self, on: bool) -> Self {
-        self.hot_task_migration = on;
-        self
-    }
-
-    /// Enables or disables only energy-aware placement.
-    pub fn energy_placement(mut self, on: bool) -> Self {
-        self.energy_placement = on;
         self
     }
 
@@ -465,13 +425,6 @@ impl SimConfig {
     /// Enables the structured scheduling-event trace.
     pub fn trace_events(mut self, on: bool) -> Self {
         self.event_trace = on;
-        self
-    }
-
-    /// Bounds the event trace to the newest `cap` events.
-    pub fn trace_events_cap(mut self, cap: usize) -> Self {
-        self.event_trace = true;
-        self.event_trace_cap = Some(cap);
         self
     }
 
@@ -564,17 +517,15 @@ mod tests {
         assert_eq!(cfg.n_domains(), 8);
         // The builder round-trips the hybrid split.
         assert_eq!(cfg.topology_builder(), TopologyPreset::Hybrid8.builder());
-        // Replacing the shape with a homogeneous one clears the split.
+        // Replacing the shape with a homogeneous one clears the split
+        // and returns to per-package domains.
         let cfg2 = cfg.clone().topology(TopologyPreset::Dual.builder());
         assert!(!cfg2.is_hybrid());
         assert_eq!(cfg2.perf_cores_per_package, 0);
-        // An explicit scope pins the granularity.
-        let pinned = cfg.scope(DomainScope::PerPackage);
-        assert_eq!(pinned.effective_domain_scope(), DomainScope::PerPackage);
-        assert_eq!(pinned.n_domains(), 1);
+        assert_eq!(cfg2.effective_domain_scope(), DomainScope::PerPackage);
         // Class-blind is a separate toggle.
-        assert!(!pinned.class_blind);
-        assert!(pinned.class_blind(true).class_blind);
+        assert!(!cfg.class_blind);
+        assert!(cfg.class_blind(true).class_blind);
     }
 
     #[test]
@@ -588,17 +539,6 @@ mod tests {
         let w = cfg.open_workload.as_ref().unwrap();
         assert_eq!(w.base_rate_hz, 4.0);
         assert_eq!(w.curve, LoadCurve::Constant);
-    }
-
-    #[test]
-    fn energy_aware_toggles_all_three() {
-        let cfg = SimConfig::xseries445().energy_aware(false);
-        assert!(!cfg.energy_balancing);
-        assert!(!cfg.hot_task_migration);
-        assert!(!cfg.energy_placement);
-        let cfg = cfg.energy_balancing(true);
-        assert!(cfg.energy_balancing);
-        assert!(!cfg.hot_task_migration);
     }
 
     #[test]
@@ -669,6 +609,7 @@ mod tests {
     fn builder_round_trip() {
         let cfg = SimConfig::xseries445()
             .seed(99)
+            .energy_aware(false)
             .throttling(false)
             .max_power(MaxPowerSpec::PerPackage(Watts(40.0)))
             .respawn(false)
@@ -678,16 +619,14 @@ mod tests {
             .profile_engine(true)
             .cooling_factors(vec![1.0; 8]);
         assert_eq!(cfg.seed, 99);
+        assert!(!cfg.energy_aware);
         assert!(!cfg.throttling);
         assert_eq!(cfg.max_power, MaxPowerSpec::PerPackage(Watts(40.0)));
         assert!(!cfg.respawn);
         assert!(cfg.perfect_estimation);
         assert!(cfg.event_trace);
-        assert_eq!(cfg.event_trace_cap, None);
         assert_eq!(cfg.metrics_interval, Some(SimDuration::from_millis(250)));
         assert!(cfg.profile_engine);
         assert_eq!(cfg.cooling_factors.len(), 8);
-        let cfg = cfg.trace_events_cap(1024);
-        assert_eq!(cfg.event_trace_cap, Some(1024));
     }
 }

@@ -90,20 +90,6 @@ pub fn stride_divergence(
     divergence_verdict(&a, &b)
 }
 
-/// Replays a sequential cell against the partitioned engine built from
-/// `parallel_cfg` and names the first divergent event — the diagnostic
-/// behind the `parallel(1)` bit-identity gate. Since both cores hang
-/// off [`SimEngine`], this is [`stride_divergence`] under a name that
-/// says which gate failed.
-pub fn parallel_divergence(
-    sequential: SimConfig,
-    parallel_cfg: SimConfig,
-    duration: SimDuration,
-    setup: impl FnMut(&mut dyn SimEngine),
-) -> String {
-    stride_divergence(sequential, parallel_cfg, duration, setup)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,10 +119,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_divergence_drives_both_cores() {
+    fn stride_divergence_drives_both_cores() {
         // The parallel(1) partition is the strided core, so against
         // `strided()` the streams must be identical.
-        let text = parallel_divergence(
+        let text = stride_divergence(
             cfg(3).strided(),
             cfg(3).parallel(1),
             SimDuration::from_millis(300),

@@ -15,6 +15,7 @@
 //! makes every step one tick: the fixed-tick reference.
 
 use crate::config::SimConfig;
+use crate::dvfs::{DomainDecision, Horizon};
 use crate::machine::PhysicalMachine;
 use crate::runtime::{TaskRuntime, WarmthModel};
 use crate::trace::{merge_residency, phase_latencies, LatencyStats, SimReport, ThermalTrace};
@@ -23,7 +24,7 @@ use ebs_core::{
     PlacementTable, PowerState, PowerStateConfig,
 };
 use ebs_counters::{calibration, EnergyModel};
-use ebs_dvfs::{DecisionHold, Governor, GovernorInput};
+use ebs_dvfs::{Governor, GovernorInput};
 use ebs_sched::{
     idlest_cpu, BinaryId, LoadBalancer, LoadBalancerConfig, System, TaskConfig, TaskId,
 };
@@ -40,72 +41,13 @@ use std::collections::{BinaryHeap, HashMap};
 /// Time for a first-order exponential average at `avg`, driven by a
 /// constant sample, to reach `target`; `None` when it never does
 /// (`target` not strictly between `avg` and `sample`).
-fn crossing_time_s(avg: f64, sample: f64, target: f64, tau_s: f64) -> Option<f64> {
+pub(crate) fn crossing_time_s(avg: f64, sample: f64, target: f64, tau_s: f64) -> Option<f64> {
     let num = sample - avg;
     let den = sample - target;
     if den == 0.0 || num == 0.0 || (num > 0.0) != (den > 0.0) || num.abs() <= den.abs() {
         return None;
     }
     Some(tau_s * (num / den).ln())
-}
-
-/// Utilization over a governor decision window: busy thread-seconds
-/// over the window length, clamped to `[0, 1]`.
-///
-/// A zero-width window — possible once decisions are event-triggered
-/// (a forced decision can coincide with the step that just reset the
-/// window) — carries no signal at all, so the *previous* utilization is
-/// carried forward instead: dividing would yield `0/0 = NaN`, and
-/// `f64::clamp` propagates NaN straight into `GovernorInput`, where it
-/// poisons every utilization comparison a governor makes.
-fn windowed_utilization(busy_s: f64, window: SimDuration, previous: f64) -> f64 {
-    if window.is_zero() {
-        return previous;
-    }
-    (busy_s / window.as_secs_f64()).clamp(0.0, 1.0)
-}
-
-/// Time for the windowed utilization (`busy_s` busy thread-seconds
-/// accumulated over a `window_s`-second window, the window capped at
-/// `cap_s`) to reach `target` while the instantaneous busy fraction
-/// holds at `b`; `None` when it never does.
-///
-/// While the window still grows the average drifts hyperbolically
-/// toward `b` — `u(x) = (B + b·x) / (W + x)` — which inverts in closed
-/// form. Once capped, the engine's per-step renormalisation is the
-/// discretisation of a first-order lag with time constant `cap_s`, so
-/// the tail reuses [`crossing_time_s`]. Exact in phase one and a close
-/// bound in phase two; the engine re-checks the real signal at every
-/// step end, so an estimate that lands short merely costs one more
-/// step.
-fn utilization_crossing_s(
-    busy_s: f64,
-    window_s: f64,
-    b: f64,
-    target: f64,
-    cap_s: f64,
-) -> Option<f64> {
-    if !target.is_finite() || cap_s <= 0.0 {
-        return None;
-    }
-    let u0 = if window_s > 0.0 { busy_s / window_s } else { b };
-    if target == u0 {
-        return Some(0.0);
-    }
-    // Monotone drift from u0 toward the asymptote b: a crossing needs
-    // the target on that path, strictly before the asymptote.
-    if ((b - u0) > 0.0) != ((target - u0) > 0.0) || (target - u0).abs() >= (b - u0).abs() {
-        return None;
-    }
-    if window_s < cap_s {
-        let x = ((target * window_s - busy_s) / (b - target)).max(0.0);
-        if window_s + x <= cap_s {
-            return Some(x);
-        }
-    }
-    let grow = (cap_s - window_s).max(0.0);
-    let at_cap = (busy_s + b * grow) / (window_s + grow);
-    crossing_time_s(at_cap, b, target, cap_s).map(|t| grow + t)
 }
 
 /// Which balancing policy drives periodic migration decisions.
@@ -246,64 +188,22 @@ pub struct Simulation {
     hot: HotTaskMigrator,
     placement: PlacementTable,
     warmth: WarmthModel,
-    /// Per-domain frequency governors (empty when DVFS is disabled).
-    /// Every DVFS table below is keyed by *frequency domain* — one per
-    /// package on homogeneous machines (index-identical to the
-    /// historical per-package tables), one per core on hybrid shapes.
-    governors: Vec<Box<dyn Governor + Send>>,
-    /// Per-domain instant of the next *forced* governor decision: the
-    /// optional `max_hold` fallback (`None` = triggers only).
-    dvfs_next: Vec<Option<SimTime>>,
-    /// Per-domain hold from the last decision: the signal bands
-    /// within which the governor's answer stands.
-    /// `None` before the first decision, which therefore fires at the
-    /// first step.
-    dvfs_hold: Vec<Option<DecisionHold>>,
+    /// The frequency governor (`None` when DVFS is disabled). Governors
+    /// hold configuration only, so one instance decides for every
+    /// domain.
+    governor: Option<Box<dyn Governor + Send>>,
+    /// Per-frequency-domain decision state, indexed like
+    /// [`crate::DomainMap`]: one record per package on homogeneous
+    /// machines, one per core on hybrid shapes. The vector is
+    /// `n_domains` long even with DVFS off, so an hlt warm-up restores
+    /// fresh records into DVFS cells.
+    dvfs: Vec<DomainDecision>,
     /// Per-package CPU lists, precomputed once — the topology is
     /// immutable and the physics/throttle paths below run every tick.
     pkg_cpus: Vec<Vec<CpuId>>,
-    /// Per-frequency-domain CPU lists (== `pkg_cpus` under per-package
-    /// scope; one core's threads per entry under per-core scope).
-    dom_cpus: Vec<Vec<CpuId>>,
-    /// CPU → frequency-domain map.
-    cpu_dom: Vec<usize>,
-    /// CPU → core-class map (all zero on homogeneous machines).
-    cpu_class: Vec<usize>,
-    /// Per-domain busy time (thread-fraction · seconds) accumulated
-    /// since the last governor decision, so utilization covers the
-    /// whole window rather than sampling the decision instant.
-    dvfs_busy: Vec<f64>,
-    /// Per-domain wall time accumulated since that domain's last
-    /// governor decision (domains decide independently).
-    dvfs_window: Vec<SimDuration>,
-    /// Per-domain utilization reported at the last decision, carried
-    /// into any decision whose window is zero-width (see
-    /// [`windowed_utilization`]).
-    dvfs_util: Vec<f64>,
     /// Governor decisions taken over the run (statistics: the
     /// event-driven path exists to shrink this).
     dvfs_decisions: u64,
-    /// Per-domain instant before which *stale-average* escape
-    /// triggers are suppressed — the hold's `min_dwell` rate limit.
-    /// During the dwell, escapes above the thermal band that have not
-    /// exceeded [`Simulation::dvfs_armed_power`] are the lagging
-    /// average settling after a downclock, not new information (see
-    /// [`ebs_dvfs::DecisionHold::stale_descent`]). Genuine escapes and
-    /// forced deadlines (`dvfs_next`) are unaffected.
-    dvfs_dwell_until: Vec<SimTime>,
-    /// Domain thermal power each decision was made from — the
-    /// reference [`ebs_dvfs::DecisionHold::stale_descent`] compares
-    /// against during the dwell.
-    dvfs_armed_power: Vec<Watts>,
-    /// Per-domain "provably frozen" flag: the domain accrues exactly
-    /// zero busy time, its hold bands contain every future signal
-    /// value, and no deadline is armed — so no decision can fire until
-    /// a scheduling or throttle event touches the domain. Frozen domains skip the per-step DVFS accounting
-    /// wholesale; the [`Simulation::emit`] hook unfreezes them.
-    dvfs_stable: Vec<bool>,
-    /// When each frozen domain's bookkeeping stopped, so the window
-    /// catches up in one exact move on the next event.
-    dvfs_frozen_at: Vec<SimTime>,
     /// Arrivals routed to this engine by an outer synchronizer (the
     /// parallel partition driver), sorted by due time and drained by
     /// `arrival_tick` exactly like the engine-owned arrival process.
@@ -318,9 +218,6 @@ pub struct Simulation {
     open: Option<ArrivalProcess>,
     /// Sojourn times of completed open tasks: (arrival phase, secs).
     latencies: Vec<(&'static str, f64)>,
-    /// Per-package scratch for the executing flags of the physics
-    /// tick, reused so the hot loop allocates nothing.
-    exec_scratch: Vec<bool>,
     /// Per-package scratch: whether the package passed the hot-task
     /// thermal pre-screen this step (computed once per step instead of
     /// per CPU — the full trigger test walks the package CPU list).
@@ -402,7 +299,7 @@ impl Simulation {
             .iter()
             .map(|c| c.truth.halt_power / threads_per_package as f64)
             .collect();
-        let estimator = EnergyEstimator::with_classes(models, cpu_class.clone(), class_halt);
+        let estimator = EnergyEstimator::with_classes(models, cpu_class, class_halt);
         // Every policy reads class-weighted capacities from the
         // aggregate tree. `class_blind` installs none, so every CPU
         // keeps the tree's default weight of 1.0.
@@ -411,7 +308,7 @@ impl Simulation {
             let capacities = machine.catalog().cpu_capacities(sys.topology());
             sys.set_cpu_capacities(&capacities);
         }
-        let balancer = if cfg.energy_balancing {
+        let balancer = if cfg.energy_aware {
             Balancer::EnergyAware(EnergyAwareBalancer::new(&sys, cfg.balance))
         } else {
             Balancer::Baseline(LoadBalancer::new(&sys, LoadBalancerConfig::default()))
@@ -422,28 +319,14 @@ impl Simulation {
             floor_cross_node: cfg.warmup_ipc_floor_cross_node,
             ramp_cross_node: cfg.warmup_instructions_cross_node,
         };
-        let tracer = cfg.event_trace.then(|| match cfg.event_trace_cap {
-            Some(cap) => EventTrace::with_capacity(cap),
-            None => EventTrace::new(),
-        });
+        let tracer = cfg.event_trace.then(EventTrace::new);
         let profiler = cfg.profile_engine.then(|| PhaseProfiler::new(&PHASE_NAMES));
         // DVFS decision state is keyed per *frequency domain*: under
         // per-package scope the domain map is index-identical to the
-        // package tables this engine always kept.
+        // package tables.
         let n_domains = machine.domain_map().n_domains();
-        let governors: Vec<Box<dyn Governor + Send>> = match &cfg.dvfs {
-            Some(spec) => (0..n_domains).map(|_| spec.governor.build()).collect(),
-            None => Vec::new(),
-        };
-        let dvfs_busy = vec![0.0; n_domains];
         let pkg_cpus: Vec<Vec<CpuId>> = (0..sys.topology().n_packages())
             .map(|p| sys.topology().cpus_of_package(ebs_topology::PackageId(p)))
-            .collect();
-        let dom_cpus: Vec<Vec<CpuId>> = (0..n_domains)
-            .map(|d| machine.domain_map().cpus(d).to_vec())
-            .collect();
-        let cpu_dom: Vec<usize> = (0..n_cpus)
-            .map(|c| machine.domain_map().domain_of(CpuId(c)))
             .collect();
         let open = cfg
             .open_workload
@@ -458,28 +341,16 @@ impl Simulation {
             hot: HotTaskMigrator::new(HotTaskConfig::default()),
             placement: PlacementTable::new(Watts(30.0)),
             warmth,
-            governors,
-            dvfs_next: vec![Some(SimTime::ZERO); n_domains],
-            dvfs_hold: vec![None; n_domains],
+            governor: cfg.dvfs.as_ref().map(|spec| spec.governor.build()),
+            dvfs: vec![DomainDecision::default(); n_domains],
             pkg_cpus,
-            dom_cpus,
-            cpu_dom,
-            cpu_class,
-            dvfs_busy,
-            dvfs_window: vec![SimDuration::ZERO; n_domains],
-            dvfs_util: vec![0.0; n_domains],
             dvfs_decisions: 0,
-            dvfs_dwell_until: vec![SimTime::ZERO; n_domains],
-            dvfs_armed_power: vec![Watts(0.0); n_domains],
-            dvfs_stable: vec![false; n_domains],
-            dvfs_frozen_at: vec![SimTime::ZERO; n_domains],
             inbox: std::collections::VecDeque::new(),
             runtimes: Vec::new(),
             programs: HashMap::new(),
             sleepers: BinaryHeap::new(),
             open,
             latencies: Vec::new(),
-            exec_scratch: Vec::new(),
             hot_scratch: vec![false; n_packages],
             cycle_carry: vec![0.0; n_cpus],
             instr_carry: vec![0.0; n_cpus],
@@ -632,21 +503,16 @@ impl Simulation {
         // here (dispatches and undispatches always emit a
         // `ContextSwitch`; halt flips emit the throttle events, which
         // touch every domain of the throttled package).
+        let map = self.machine.domain_map();
         match kind {
             EventKind::ContextSwitch { cpu, .. } => {
-                let dom = self.cpu_dom[cpu as usize];
-                if self.dvfs_stable[dom] {
-                    self.dvfs_unfreeze(dom);
-                }
+                let interval = self.dvfs_interval();
+                self.dvfs[map.domain_of(CpuId(cpu as usize))].thaw(self.now, interval);
             }
             EventKind::ThrottleEngage { package } | EventKind::ThrottleRelease { package } => {
-                let pkg = package as usize;
-                let n = self.machine.domain_map().domains_of_package(pkg).len();
-                for i in 0..n {
-                    let dom = self.machine.domain_map().domains_of_package(pkg)[i];
-                    if self.dvfs_stable[dom] {
-                        self.dvfs_unfreeze(dom);
-                    }
+                let interval = self.dvfs_interval();
+                for &dom in map.domains_of_package(package as usize) {
+                    self.dvfs[dom].thaw(self.now, interval);
                 }
             }
             _ => {}
@@ -702,12 +568,23 @@ impl Simulation {
 
     fn spawn_internal(&mut self, program: Program, seed: u64) -> TaskId {
         let binary = BinaryId(program.binary);
-        let profile = if self.cfg.energy_placement {
+        let profile = if self.cfg.energy_aware {
             self.placement.profile_for(binary)
         } else {
             Watts(30.0)
         };
-        let cpu = if self.cfg.energy_placement {
+        self.admit(
+            binary,
+            profile,
+            TaskRuntime::new(ProgramState::new(program, seed)),
+        )
+    }
+
+    /// Places a new task with initial `profile` (energy-aware placement
+    /// or the idlest CPU), spawns it there, installs its runtime state,
+    /// and records the spawn.
+    fn admit(&mut self, binary: BinaryId, profile: Watts, mut rt: TaskRuntime) -> TaskId {
+        let cpu = if self.cfg.energy_aware {
             place_new_task(&self.sys, &self.power, profile)
         } else {
             idlest_cpu(&self.sys)
@@ -722,12 +599,10 @@ impl Simulation {
             },
             cpu,
         );
-        let state = ProgramState::new(program, seed);
         if self.runtimes.len() <= id.0 as usize {
             self.runtimes.resize(id.0 as usize + 1, None);
         }
-        let mut rt = TaskRuntime::new(state);
-        rt.last_class = self.cpu_class[cpu.0];
+        rt.last_class = self.sys.topology().class_of(cpu).0;
         self.runtimes[id.0 as usize] = Some(rt);
         self.emit(EventKind::Spawn {
             task: id.0,
@@ -786,34 +661,9 @@ impl Simulation {
     /// cross-package move). Arrival metadata survives, so sojourn
     /// times keep measuring from the original arrival.
     pub(crate) fn inject_task(&mut self, h: TaskHandoff) {
-        let binary = BinaryId(h.binary);
-        let cpu = if self.cfg.energy_placement {
-            place_new_task(&self.sys, &self.power, h.profile)
-        } else {
-            idlest_cpu(&self.sys)
-        }
-        .unwrap_or(CpuId(0));
-        let id = self.sys.spawn(
-            TaskConfig {
-                nice: 0,
-                binary,
-                initial_profile: h.profile,
-                profile_weight: 0.25,
-            },
-            cpu,
-        );
-        if self.runtimes.len() <= id.0 as usize {
-            self.runtimes.resize(id.0 as usize + 1, None);
-        }
         let mut rt = h.runtime;
         rt.note_migration(0, true);
-        rt.last_class = self.cpu_class[cpu.0];
-        self.runtimes[id.0 as usize] = Some(rt);
-        self.emit(EventKind::Spawn {
-            task: id.0,
-            cpu: cpu.0 as u32,
-            binary: binary.0,
-        });
+        self.admit(BinaryId(h.binary), h.profile, rt);
     }
 
     /// Raw open-workload sojourn samples: (arrival phase, seconds).
@@ -926,14 +776,9 @@ impl Simulation {
         // Forced governor decisions (the `max_hold` fallback).
         // Governor *triggers* are predicted per domain in the loop
         // below.
-        let util_cap_s = self
-            .cfg
-            .dvfs
-            .as_ref()
-            .map_or(0.0, |s| s.interval.as_secs_f64());
         if self.cfg.dvfs.is_some() {
-            for next in self.dvfs_next.iter().flatten() {
-                dt = dt.min(next.saturating_since(self.now));
+            for deadline in self.dvfs.iter().filter_map(DomainDecision::deadline) {
+                dt = dt.min(deadline.saturating_since(self.now));
             }
         }
         // An active snapshot cadence bounds strides so snapshots land
@@ -960,7 +805,7 @@ impl Simulation {
                 .domain_map()
                 .domains_of_package(pkg)
                 .iter()
-                .all(|&d| self.dvfs_stable[d]);
+                .all(|&d| self.dvfs[d].is_frozen());
             if pkg_running && !pkg_frozen {
                 for (i, &cpu) in cpus.iter().enumerate() {
                     let Some(task) = self.sys.current(cpu) else {
@@ -999,18 +844,8 @@ impl Simulation {
                     // completes slightly inside its span instead —
                     // detected at the span end, like in a one-tick step.
                     if let Some(total) = rt.program.program().total_work {
-                        let core_base = i - i % threads_per_core;
-                        let core_end = (core_base + threads_per_core).min(cpus.len());
-                        let n_active = cpus[core_base..core_end]
-                            .iter()
-                            .filter(|&&c| self.sys.current(c).is_some())
-                            .count();
-                        let share = if n_active <= 1 {
-                            1.0
-                        } else {
-                            self.cfg.smt_speedup / n_active as f64
-                        };
-                        let freq = self.machine.freq_domains[self.cpu_dom[cpu.0]].frequency().0;
+                        let share = self.smt_share(cpus, i, threads_per_core);
+                        let freq = self.machine.cpu_frequency(cpu).0;
                         let rate = freq * share * rt.program.ipc() * rt.warmth_factor(&self.warmth);
                         if rate > 0.0 {
                             let left = total.saturating_sub(rt.program.work_done());
@@ -1058,104 +893,75 @@ impl Simulation {
         // Governor triggers, per frequency domain: bound the span by the
         // predicted escape time of the last decision's hold bands, so a
         // trigger lands on a step end instead of drifting up to a whole
-        // stride late. Steady domains (signals parked inside their
-        // bands) impose no bound at all. Without DVFS every hold is
-        // `None`, which would floor every span at one tick.
-        if self.cfg.dvfs.is_some() {
-            for dom in 0..self.dom_cpus.len() {
-                if self.dvfs_stable[dom] {
+        // stride late. Without DVFS every hold is `None`, which would
+        // floor every span at one tick.
+        if let Some(spec) = &self.cfg.dvfs {
+            let at = Horizon {
+                now: self.now,
+                tick,
+                window_cap_s: spec.interval.as_secs_f64(),
+                tau_s,
+            };
+            let map = self.machine.domain_map();
+            for (dom, d) in self.dvfs.iter().enumerate() {
+                if d.is_frozen() {
                     continue;
                 }
-                let cpus = &self.dom_cpus[dom];
-                let pkg = self.machine.domain_map().package_of(dom);
-                let dom_running = self.machine.throttles[pkg].state() == ThrottleState::Running;
-                match &self.dvfs_hold[dom] {
-                    // First decision still pending: it fires next step.
-                    None => dt = dt.min(tick),
-                    Some(hold) => {
-                        if let Some((lo, hi)) = hold.utilization {
-                            // The instantaneous busy fraction is
-                            // constant within a span (dispatches,
-                            // blocks, wakes, and throttle flips all end
-                            // spans), so the windowed drift and its
-                            // band crossings are in closed form.
-                            let b = if dom_running {
-                                cpus.iter()
-                                    .filter(|&&c| self.sys.current(c).is_some())
-                                    .count() as f64
-                                    / cpus.len() as f64
-                            } else {
-                                0.0
-                            };
-                            let busy = self.dvfs_busy[dom];
-                            let window = self.dvfs_window[dom].as_secs_f64();
-                            // Where the windowed utilization will sit
-                            // at the next step end: already at the
-                            // asymptote for a just-reset window.
-                            let u0 = if window > 0.0 { busy / window } else { b };
-                            if u0 < lo || u0 > hi {
-                                // Already escaped (e.g. the busy
-                                // fraction jumped right after a
-                                // decision): the trigger fires at the
-                                // next step, at tick granularity.
-                                dt = dt.min(tick);
-                            } else {
-                                for edge in [lo, hi] {
-                                    if let Some(s) =
-                                        utilization_crossing_s(busy, window, b, edge, util_cap_s)
-                                    {
-                                        dt = dt.min(SimDuration::from_micros((s * 1e6) as u64));
-                                    }
-                                }
-                            }
-                        }
-                        if let Some((lo, hi)) = hold.thermal_power {
-                            let avg = self.power.thermal_power_sum(cpus).0;
-                            let armed = self.dvfs_armed_power[dom];
-                            if hold.stale_descent(Watts(avg), armed) {
-                                // Escaped, but suppressed as the
-                                // post-downclock stale-average
-                                // artifact: the trigger fires at the
-                                // dwell expiry — or earlier, if the
-                                // power climbs past the armed level
-                                // (the workload genuinely grew).
-                                let dwell = self.dvfs_dwell_until[dom].saturating_since(self.now);
-                                let mut wait = dwell.max(tick);
-                                let sample = self.predicted_sample(pkg, cpus, threads_per_core);
-                                if let Some(t) = crossing_time_s(avg, sample, armed.0, tau_s) {
-                                    wait = wait
-                                        .min(SimDuration::from_micros((t * 1e6) as u64).max(tick));
-                                }
-                                dt = dt.min(wait);
-                            } else if avg < lo.0 || avg > hi.0 {
-                                // Already escaped: the trigger fires at
-                                // the next step, at tick granularity.
-                                dt = dt.min(tick);
-                            } else if dt > tick {
-                                // Same closed-form first-order crossing
-                                // the throttle-flip bound uses.
-                                let sample = self.predicted_sample(pkg, cpus, threads_per_core);
-                                for edge in [lo.0, hi.0] {
-                                    if let Some(t) = crossing_time_s(avg, sample, edge, tau_s) {
-                                        dt = dt.min(SimDuration::from_micros((t * 1e6) as u64));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
+                let cpus = map.cpus(dom);
+                dt = d.stride_bound(
+                    &at,
+                    dt,
+                    self.busy_fraction(dom),
+                    self.power.thermal_power_sum(cpus),
+                    || self.predicted_sample(map.package_of(dom), cpus, threads_per_core),
+                );
             }
         }
         dt.max(tick).min(end - self.now)
     }
 
-    /// The summed halt shares of a CPU list: the thermal-power sample
-    /// it feeds its averages while halted, and the floor an idle list's
-    /// averages decay toward.
-    fn halt_floor(&self, cpus: &[CpuId]) -> f64 {
-        cpus.iter()
-            .map(|&c| self.machine.halt_power_share_of(c).0)
-            .sum()
+    /// The issue share of the CPU at index `i` of a core-major CPU list:
+    /// SMT contention is per *core*, so only the running hardware
+    /// threads sharing its pipeline split the issue width.
+    fn smt_share(&self, cpus: &[CpuId], i: usize, threads_per_core: usize) -> f64 {
+        let core_base = i - i % threads_per_core;
+        let core_end = (core_base + threads_per_core).min(cpus.len());
+        let n_active = cpus[core_base..core_end]
+            .iter()
+            .filter(|&&c| self.sys.current(c).is_some())
+            .count();
+        if n_active <= 1 {
+            1.0
+        } else {
+            self.cfg.smt_speedup / n_active as f64
+        }
+    }
+
+    /// The instantaneous busy fraction of frequency domain `dom`: its
+    /// share of CPUs running a task, zero while its package is halted
+    /// (a throttled domain executes nothing, whatever its runqueues
+    /// hold, so it reads as idle and the governor downclocks to
+    /// relieve the pressure).
+    fn busy_fraction(&self, dom: usize) -> f64 {
+        let map = self.machine.domain_map();
+        if self.machine.throttles[map.package_of(dom)].state() != ThrottleState::Running {
+            return 0.0;
+        }
+        let cpus = map.cpus(dom);
+        let busy = cpus
+            .iter()
+            .filter(|&&c| self.sys.current(c).is_some())
+            .count();
+        busy as f64 / cpus.len() as f64
+    }
+
+    /// The DVFS utilization window cap, [`crate::DvfsSpec::interval`]
+    /// (zero without DVFS, where no decision record ever freezes).
+    fn dvfs_interval(&self) -> SimDuration {
+        self.cfg
+            .dvfs
+            .as_ref()
+            .map_or(SimDuration::ZERO, |s| s.interval)
     }
 
     /// Predicts the thermal-power *sample* sum a CPU list (a package,
@@ -1167,7 +973,7 @@ impl Simulation {
     fn predicted_sample(&self, pkg: usize, cpus: &[CpuId], threads_per_core: usize) -> f64 {
         if self.machine.throttles[pkg].state() != ThrottleState::Running {
             // Halted: every CPU sits at its halt share.
-            return self.halt_floor(cpus);
+            return self.machine.halt_floor(cpus);
         }
         let mut sum = 0.0;
         for (i, &cpu) in cpus.iter().enumerate() {
@@ -1175,18 +981,8 @@ impl Simulation {
                 sum += self.machine.halt_power_share_of(cpu).0;
                 continue;
             };
-            let core_base = i - i % threads_per_core;
-            let core_end = (core_base + threads_per_core).min(cpus.len());
-            let n_active = cpus[core_base..core_end]
-                .iter()
-                .filter(|&&c| self.sys.current(c).is_some())
-                .count();
-            let share = if n_active <= 1 {
-                1.0
-            } else {
-                self.cfg.smt_speedup / n_active as f64
-            };
-            let dom = self.cpu_dom[cpu.0];
+            let share = self.smt_share(cpus, i, threads_per_core);
+            let dom = self.machine.domain_map().domain_of(cpu);
             let freq = self.machine.freq_domains[dom].frequency().0;
             let vsq = self.machine.freq_domains[dom].voltage_scale_sq();
             let rt = self.runtimes[task.0 as usize]
@@ -1272,32 +1068,20 @@ impl Simulation {
         let threads_per_core = self.sys.topology().threads_per_core().max(1);
         for (pkg, cpus) in pkg_cpus.iter().enumerate() {
             // A CPU executes this tick if it has a running task and is
-            // not halted by the throttle controller.
+            // not halted by the throttle controller. Nothing in this
+            // loop changes the scheduler, so the running set holds over
+            // the whole span.
             let pkg_running = self.machine.throttles[pkg].state() == ThrottleState::Running;
-            self.exec_scratch.clear();
-            for &c in cpus.iter() {
-                self.exec_scratch
-                    .push(self.sys.current(c).is_some() && pkg_running);
-            }
             let mut pkg_energy = Joules::ZERO;
             for (i, &cpu) in cpus.iter().enumerate() {
-                if self.exec_scratch[i] {
-                    // SMT contention is per *core*: only the hardware
-                    // threads sharing this CPU's pipeline split its
-                    // issue width (`cpus` is core-major, so siblings
-                    // are adjacent).
-                    let core_base = i - i % threads_per_core;
-                    let core_end = (core_base + threads_per_core).min(cpus.len());
-                    let n_active = self.exec_scratch[core_base..core_end]
-                        .iter()
-                        .filter(|&&e| e)
-                        .count();
-                    let share = if n_active <= 1 {
-                        1.0
-                    } else {
-                        self.cfg.smt_speedup / n_active as f64
-                    };
-                    let task = self.sys.current(cpu).expect("executing CPU has a task");
+                let running = if pkg_running {
+                    self.sys.current(cpu)
+                } else {
+                    None
+                };
+                if let Some(task) = running {
+                    // `cpus` is core-major, so SMT siblings are adjacent.
+                    let share = self.smt_share(cpus, i, threads_per_core);
                     // The CPU's frequency domain scales execution
                     // speed (cycles ~ f) and dynamic energy per event
                     // (~ V²); the event counts themselves already
@@ -1305,9 +1089,9 @@ impl Simulation {
                     // scales as V²·f overall. The domain's frequency
                     // is absolute, so classes with different nominal
                     // clocks genuinely execute at different speeds.
-                    let dom = self.cpu_dom[cpu.0];
-                    let freq = self.machine.freq_domains[dom].frequency().0;
-                    let vscale_sq = self.machine.freq_domains[dom].voltage_scale_sq();
+                    let domain =
+                        &self.machine.freq_domains[self.machine.domain_map().domain_of(cpu)];
+                    let (freq, vscale_sq) = (domain.frequency().0, domain.voltage_scale_sq());
                     // Emit whole cycles, carrying the fractional part
                     // so retired work is step-size-invariant: chopping
                     // the same wall time into different spans yields
@@ -1321,7 +1105,7 @@ impl Simulation {
                         .expect("running task has runtime state");
                     let counts = rt.program.current_rates().counts_for_cycles(cycles);
                     self.machine.banks[cpu.0].record(&counts);
-                    let class = ebs_topology::ClassId(self.cpu_class[cpu.0]);
+                    let class = self.sys.topology().class_of(cpu);
                     pkg_energy +=
                         self.machine.class_truth(class).model.estimate(&counts) * vscale_sq;
                     // Instruction progress, damped by cache warmth and
@@ -1400,11 +1184,12 @@ impl Simulation {
         }
     }
 
-    /// Advances P-state residency and re-runs each domain's governor
-    /// at its decision points: triggers (the windowed utilization or
-    /// the thermal power left the [`DecisionHold`] band of the last
-    /// decision, both fed from the same signals the throttle
-    /// controllers watch) and the optional `max_hold` deadline.
+    /// Advances P-state residency and re-runs the governor for each
+    /// domain at its decision points: triggers (the windowed
+    /// utilization or the thermal power left the
+    /// [`ebs_dvfs::DecisionHold`] band of the last decision, both fed
+    /// from the same signals the throttle controllers watch) and the
+    /// optional `max_hold` deadline.
     fn dvfs_tick(&mut self, dt: SimDuration) {
         for dom in &mut self.machine.freq_domains {
             dom.advance(dt);
@@ -1412,133 +1197,38 @@ impl Simulation {
         let Some(spec) = &self.cfg.dvfs else { return };
         let interval = spec.interval;
         let max_hold = spec.max_hold;
-        // Accumulate busy time every step so a task blocking and
-        // waking between decisions still shows up as load. A domain
-        // halted by its package's throttle executes nothing, whatever
-        // its runqueues hold — mirroring `physics_tick`'s notion of
-        // executing, so a throttled domain reads as idle and the
-        // governor downclocks to relieve the pressure.
-        for dom in 0..self.dom_cpus.len() {
-            if self.dvfs_stable[dom] {
-                continue;
+        // Accrue busy time every step so a task blocking and waking
+        // between decisions still shows up as load.
+        for dom in 0..self.dvfs.len() {
+            if !self.dvfs[dom].is_frozen() {
+                let busy = self.busy_fraction(dom);
+                self.dvfs[dom].accrue(dt, busy, interval);
             }
-            self.dvfs_window[dom] += dt;
-            let pkg = self.machine.domain_map().package_of(dom);
-            if self.machine.throttles[pkg].state() != ThrottleState::Running {
-                continue;
-            }
-            let cpus = &self.dom_cpus[dom];
-            let busy = cpus
-                .iter()
-                .filter(|&&c| self.sys.current(c).is_some())
-                .count();
-            let share = busy as f64 / cpus.len() as f64 * dt.as_secs_f64();
-            self.dvfs_busy[dom] += share;
         }
-        for dom in 0..self.dom_cpus.len() {
-            if self.dvfs_stable[dom] {
+        for dom in 0..self.dvfs.len() {
+            if self.dvfs[dom].is_frozen() {
                 continue;
             }
-            if self.dvfs_window[dom] > interval {
-                // Cap the utilization window at the interval: without
-                // decisions to reset it, an unbounded window would make
-                // utilization arbitrarily sluggish. The renormalisation
-                // keeps it as responsive as a window reset every
-                // `interval`.
-                let scale = interval.ratio(self.dvfs_window[dom]);
-                self.dvfs_busy[dom] *= scale;
-                self.dvfs_window[dom] = interval;
-            }
-            let due_by_deadline = self.dvfs_next[dom].is_some_and(|t| self.now >= t);
-            let due = due_by_deadline
-                || match &self.dvfs_hold[dom] {
-                    None => true,
-                    // Escape triggers fire immediately unless the hold's
-                    // dwell is active *and* the escape is the
-                    // post-downclock stale-average artifact; forced
-                    // deadlines are never suppressed.
-                    Some(hold) => {
-                        let util = windowed_utilization(
-                            self.dvfs_busy[dom],
-                            self.dvfs_window[dom],
-                            self.dvfs_util[dom],
-                        );
-                        let power = self.power.thermal_power_sum(&self.dom_cpus[dom]);
-                        hold.is_escaped(util, power)
-                            && (self.now >= self.dvfs_dwell_until[dom]
-                                || !hold.stale_descent(power, self.dvfs_armed_power[dom]))
-                    }
-                };
-            if due {
+            let map = self.machine.domain_map();
+            let cpus = map.cpus(dom);
+            if self.dvfs[dom].is_due(self.now, self.power.thermal_power_sum(cpus)) {
                 self.dvfs_decide(dom, max_hold);
             }
             // Freeze screen (the per-domain hold-expiry index): a
             // domain whose hold provably cannot escape and whose
             // deadline is unarmed is exempted from the per-step
             // accounting above until an event touches it.
-            if self.dvfs_next[dom].is_none()
-                && !self.dvfs_stable[dom]
-                && self.domain_provably_parked(dom)
-            {
-                self.dvfs_stable[dom] = true;
-                self.dvfs_frozen_at[dom] = self.now;
-            }
+            let map = self.machine.domain_map();
+            let cpus = map.cpus(dom);
+            let halted =
+                self.machine.throttles[map.package_of(dom)].state() != ThrottleState::Running;
+            let (sys, power, machine) = (&self.sys, &self.power, &self.machine);
+            self.dvfs[dom].try_park(
+                self.now,
+                || halted || cpus.iter().all(|&c| sys.current(c).is_none()),
+                || (power.thermal_power_sum(cpus).0, machine.halt_floor(cpus)),
+            );
         }
-    }
-
-    /// Whether `dom` can be frozen out of the per-step DVFS
-    /// accounting: exactly zero accumulated busy time, nothing
-    /// executing (idle or halted — either way the busy increment
-    /// stays zero until a scheduling or throttle event, both of which
-    /// unfreeze through [`Simulation::emit`]), and hold bands that
-    /// contain the whole future signal trajectory. The utilization
-    /// signal is pinned at zero; the thermal-power average decays
-    /// monotonically toward the halt floor, so containment of the
-    /// current value and the asymptote bounds every intermediate one.
-    fn domain_provably_parked(&self, dom: usize) -> bool {
-        let Some(hold) = &self.dvfs_hold[dom] else {
-            return false;
-        };
-        if self.dvfs_busy[dom] != 0.0 {
-            return false;
-        }
-        let cpus = &self.dom_cpus[dom];
-        let pkg = self.machine.domain_map().package_of(dom);
-        let halted = self.machine.throttles[pkg].state() != ThrottleState::Running;
-        if !halted && cpus.iter().any(|&c| self.sys.current(c).is_some()) {
-            return false;
-        }
-        if let Some((lo, hi)) = hold.utilization {
-            if lo > 0.0 || hi < 0.0 {
-                return false;
-            }
-        }
-        if let Some((lo, hi)) = hold.thermal_power {
-            let avg = self.power.thermal_power_sum(cpus).0;
-            let floor = self.halt_floor(cpus);
-            if avg < lo.0 || avg > hi.0 || floor < lo.0 || floor > hi.0 {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Catches a frozen domain's utilization window up to `now` in
-    /// one move. Exact: the domain's busy time stayed exactly zero
-    /// over the frozen span (renormalising a zero is a zero), so the
-    /// only state the skipped per-step updates would have changed is
-    /// the window length — which saturates at the interval.
-    fn dvfs_catch_up(&mut self, dom: usize) {
-        let elapsed = self.now.saturating_since(self.dvfs_frozen_at[dom]);
-        if let Some(spec) = &self.cfg.dvfs {
-            self.dvfs_window[dom] = (self.dvfs_window[dom] + elapsed).min(spec.interval);
-        }
-        self.dvfs_frozen_at[dom] = self.now;
-    }
-
-    fn dvfs_unfreeze(&mut self, dom: usize) {
-        self.dvfs_catch_up(dom);
-        self.dvfs_stable[dom] = false;
     }
 
     /// One governor decision for `dom`: assembles the input from the
@@ -1549,30 +1239,24 @@ impl Simulation {
     /// core class — an efficiency domain idles at a lower floor than a
     /// performance one, so its governor reads headroom correctly.
     fn dvfs_decide(&mut self, dom: usize, max_hold: Option<SimDuration>) {
-        let utilization = windowed_utilization(
-            self.dvfs_busy[dom],
-            self.dvfs_window[dom],
-            self.dvfs_util[dom],
-        );
-        let cpus = &self.dom_cpus[dom];
-        let class = self.machine.domain_map().class_of(dom);
+        let governor = self
+            .governor
+            .as_deref()
+            .expect("DVFS decisions need a governor");
+        let map = self.machine.domain_map();
+        let cpus = map.cpus(dom);
         let input = GovernorInput {
             thermal_power: self.power.thermal_power_sum(cpus),
             budget: self.power.max_power_sum(cpus),
-            idle_floor: self.machine.class_truth(class).halt_power,
-            utilization,
+            idle_floor: self.machine.class_truth(map.class_of(dom)).halt_power,
+            utilization: self.dvfs[dom].utilization(),
         };
-        self.dvfs_busy[dom] = 0.0;
-        self.dvfs_window[dom] = SimDuration::ZERO;
-        self.dvfs_util[dom] = utilization;
+        let domain = &self.machine.freq_domains[dom];
+        let next = governor.decide(&input, domain);
+        let hold = governor.hold(&input, domain, next);
+        let from = domain.current_index();
+        self.dvfs[dom].arm(self.now, &input, hold, max_hold);
         self.dvfs_decisions += 1;
-        let next = self.governors[dom].decide(&input, &self.machine.freq_domains[dom]);
-        let hold = self.governors[dom].hold(&input, &self.machine.freq_domains[dom], next);
-        self.dvfs_dwell_until[dom] = self.now + hold.min_dwell;
-        self.dvfs_armed_power[dom] = input.thermal_power;
-        self.dvfs_hold[dom] = Some(hold);
-        self.dvfs_next[dom] = max_hold.map(|h| self.now + h);
-        let from = self.machine.freq_domains[dom].current_index();
         self.machine.freq_domains[dom].set_state(next);
         self.emit(EventKind::GovernorDecision {
             package: dom as u32,
@@ -1596,7 +1280,7 @@ impl Simulation {
         // comparison is exactly the one `HotTaskMigrator::triggered`
         // performs (same CPU list, same float sum), so the screen
         // never changes a decision.
-        if self.cfg.hot_task_migration {
+        if self.cfg.energy_aware {
             let trigger = self.hot.config().trigger_fraction;
             for pkg in 0..self.pkg_cpus.len() {
                 let cpus = &self.pkg_cpus[pkg];
@@ -1631,17 +1315,7 @@ impl Simulation {
                         self.spawn_internal(program, seed);
                     }
                 }
-                let sw = self.sys.context_switch(cpu);
-                match sw.next {
-                    Some(next) => self.on_dispatch(cpu, next),
-                    None => {
-                        self.newidle_pending[cpu.0] = true;
-                        self.emit(EventKind::ContextSwitch {
-                            cpu: cpu.0 as u32,
-                            task: None,
-                        });
-                    }
-                }
+                self.switch(cpu);
             }
         }
 
@@ -1660,7 +1334,7 @@ impl Simulation {
             // Hot task migration: checked whenever thermal power was
             // updated, i.e. every step (cheap trigger test behind the
             // per-package pre-screen).
-            if self.cfg.hot_task_migration && self.hot_scratch[pkg] {
+            if self.cfg.energy_aware && self.hot_scratch[pkg] {
                 self.hot_check(cpu);
             }
 
@@ -1709,8 +1383,13 @@ impl Simulation {
             self.sleepers
                 .push(Reverse(((self.now + sleep).as_micros(), task)));
         }
-        let sw = self.sys.context_switch(cpu);
-        match sw.next {
+        self.switch(cpu);
+    }
+
+    /// Context-switches `cpu` to its next runnable task, or records it
+    /// going idle (a new-idle balance attempt becomes pending).
+    fn switch(&mut self, cpu: CpuId) {
+        match self.sys.context_switch(cpu).next {
             Some(next) => self.on_dispatch(cpu, next),
             None => {
                 self.newidle_pending[cpu.0] = true;
@@ -1763,7 +1442,7 @@ impl Simulation {
         let migrations = self.sys.task(task).migrations();
         let last = self.sys.task(task).last_migration();
         let mut migrated = false;
-        let class = self.cpu_class[cpu.0];
+        let class = self.sys.topology().class_of(cpu).0;
         let mut refit = None;
         if let Some(rt) = self.runtimes[task.0 as usize].as_mut() {
             if migrations != rt.migrations_seen {
@@ -1925,18 +1604,12 @@ impl Simulation {
         for (d, dom) in self.machine.freq_domains.iter().enumerate() {
             reg.set_gauge(m.g_freq[d], dom.frequency().0 / 1e9);
         }
-        for dom in 0..self.dom_cpus.len() {
+        let interval = self.dvfs_interval();
+        for (dom, d) in self.dvfs.iter_mut().enumerate() {
             // Frozen domains stopped accumulating their windows; the
             // catch-up is exact (zero busy time) and keeps them frozen.
-            if self.dvfs_stable[dom] {
-                self.dvfs_catch_up(dom);
-            }
-            let util = windowed_utilization(
-                self.dvfs_busy[dom],
-                self.dvfs_window[dom],
-                self.dvfs_util[dom],
-            );
-            reg.set_gauge(m.g_util[dom], util);
+            d.catch_up(self.now, interval);
+            reg.set_gauge(m.g_util[dom], d.utilization());
         }
     }
 
@@ -2047,26 +1720,6 @@ fn restore_table<T>(
     Ok(())
 }
 
-fn save_hold(w: &mut ebs_store::StateWriter, hold: &DecisionHold) {
-    w.opt(&hold.utilization, |w, &(lo, hi)| {
-        w.f64(lo);
-        w.f64(hi);
-    });
-    w.opt(&hold.thermal_power, |w, &(lo, hi)| {
-        w.watts(lo);
-        w.watts(hi);
-    });
-    w.duration(hold.min_dwell);
-}
-
-fn read_hold(r: &mut ebs_store::StateReader<'_>) -> Result<DecisionHold, ebs_store::StoreError> {
-    Ok(DecisionHold {
-        utilization: r.opt(|r| Ok((r.f64()?, r.f64()?)))?,
-        thermal_power: r.opt(|r| Ok((r.watts()?, r.watts()?)))?,
-        min_dwell: r.duration()?,
-    })
-}
-
 impl ebs_store::Snapshot for Simulation {
     fn save(&self, w: &mut ebs_store::StateWriter) {
         w.key("engine");
@@ -2087,20 +1740,8 @@ impl ebs_store::Snapshot for Simulation {
         }
         self.placement.save(w);
         w.key("dvfs");
-        w.seq(&self.dvfs_next, |w, next| {
-            w.opt(next, |w, &t| w.time(t));
-        });
-        w.seq(&self.dvfs_hold, |w, hold| {
-            w.opt(hold, save_hold);
-        });
-        w.seq(&self.dvfs_busy, |w, &b| w.f64(b));
-        w.seq(&self.dvfs_window, |w, &d| w.duration(d));
-        w.seq(&self.dvfs_util, |w, &u| w.f64(u));
+        w.seq(&self.dvfs, |w, d| d.save(w));
         w.u64(self.dvfs_decisions);
-        w.seq(&self.dvfs_dwell_until, |w, &t| w.time(t));
-        w.seq(&self.dvfs_armed_power, |w, &p| w.watts(p));
-        w.seq(&self.dvfs_stable, |w, &s| w.bool(s));
-        w.seq(&self.dvfs_frozen_at, |w, &t| w.time(t));
         w.key("workload");
         w.usize(self.inbox.len());
         for routed in &self.inbox {
@@ -2162,11 +1803,7 @@ impl ebs_store::Snapshot for Simulation {
         w.joules(self.true_energy);
         w.joules(self.estimated_energy);
         // The metrics cadence cursor bounds variable strides, so it is
-        // state even though the recorded snapshots are not. Formats
-        // before v3 also carried a thermal-trace cursor, written empty.
-        if w.format_version() < 3 {
-            w.opt(&None::<SimTime>, |w, &t| w.time(t));
-        }
+        // state even though the recorded snapshots are not.
         w.opt(&self.metrics.as_ref().map(|m| m.next), |w, &t| w.time(t));
     }
 
@@ -2202,22 +1839,11 @@ impl ebs_store::Snapshot for Simulation {
         }
         self.placement.restore(r)?;
         r.key("dvfs")?;
-        restore_table(r, &mut self.dvfs_next, "dvfs deadlines", |r| {
-            r.opt(|r| r.time())
+        restore_table(r, &mut self.dvfs, "dvfs domains", |r| {
+            let mut d = DomainDecision::default();
+            d.restore(r).map(|()| d)
         })?;
-        restore_table(r, &mut self.dvfs_hold, "dvfs holds", |r| r.opt(read_hold))?;
-        restore_table(r, &mut self.dvfs_busy, "dvfs busy windows", |r| r.f64())?;
-        restore_table(r, &mut self.dvfs_window, "dvfs windows", |r| r.duration())?;
-        restore_table(r, &mut self.dvfs_util, "dvfs utilizations", |r| r.f64())?;
         self.dvfs_decisions = r.u64()?;
-        restore_table(r, &mut self.dvfs_dwell_until, "dvfs dwells", |r| r.time())?;
-        restore_table(r, &mut self.dvfs_armed_power, "dvfs armed powers", |r| {
-            r.watts()
-        })?;
-        restore_table(r, &mut self.dvfs_stable, "dvfs stable flags", |r| r.bool())?;
-        restore_table(r, &mut self.dvfs_frozen_at, "dvfs freeze times", |r| {
-            r.time()
-        })?;
         r.key("workload")?;
         let n_inbox = r.usize()?;
         self.inbox.clear();
@@ -2291,10 +1917,6 @@ impl ebs_store::Snapshot for Simulation {
         self.max_temp = r.celsius()?;
         self.true_energy = r.joules()?;
         self.estimated_energy = r.joules()?;
-        if r.format_version() < 3 {
-            // The retired thermal-trace cursor.
-            let _ = r.opt(|r| r.time())?;
-        }
         let metrics_next = r.opt(|r| r.time())?;
         if let Some(m) = self.metrics.as_deref_mut() {
             // An image written without metrics carries no cursor:
@@ -2745,102 +2367,39 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::zero_divided_by_zero)]
-    fn windowed_utilization_guards_zero_windows() {
-        // The bug the guard fixes: the old expression was
-        // `(busy / window).clamp(0.0, 1.0)`, and `f64::clamp`
-        // propagates the 0/0 NaN straight into `GovernorInput`.
-        assert!((0.0_f64 / 0.0).clamp(0.0, 1.0).is_nan());
-        let carried = windowed_utilization(0.0, SimDuration::ZERO, 0.42);
-        assert_eq!(carried, 0.42);
-        // Non-degenerate windows behave exactly as before.
-        assert_eq!(
-            windowed_utilization(0.005, SimDuration::from_millis(10), 0.42),
-            0.5
-        );
-        assert_eq!(
-            windowed_utilization(99.0, SimDuration::from_millis(10), 0.0),
-            1.0
-        );
-    }
-
-    #[test]
     fn zero_width_decision_window_carries_utilization() {
         // A decision forced on a zero-width window (an event trigger
         // coinciding with the step that reset the window) must carry
         // the previous utilization — never a NaN — and leave the
-        // governors on sane frequencies.
+        // governor on sane frequencies.
         let cfg = quick_cfg()
             .energy_aware(false)
             .dvfs_governor(ebs_dvfs::GovernorKind::OnDemand);
+        let interval = cfg.dvfs.as_ref().expect("dvfs on").interval;
         let mut sim = Simulation::new(cfg);
         sim.spawn_program(&catalog::aluadd());
         sim.run_for(SimDuration::from_millis(50));
-        let before = sim.dvfs_util.clone();
-        assert!(before.iter().any(|&u| u > 0.0), "no package ever busy");
-        for pkg in 0..sim.pkg_cpus.len() {
-            sim.dvfs_busy[pkg] = 0.0;
-            sim.dvfs_window[pkg] = SimDuration::ZERO;
+        let mut busy = false;
+        for pkg in 0..sim.dvfs.len() {
+            let now = sim.now;
+            sim.dvfs[pkg].thaw(now, interval);
+            let before = sim.dvfs[pkg].utilization();
+            busy |= before > 0.0;
+            // The first decision reads the window and resets it; the
+            // second decides on the zero-width window it left.
             sim.dvfs_decide(pkg, None);
-        }
-        for (pkg, &u) in sim.dvfs_util.iter().enumerate() {
+            sim.dvfs_decide(pkg, None);
+            let u = sim.dvfs[pkg].utilization();
             assert!(u.is_finite(), "package {pkg} utilization became {u}");
-            assert_eq!(u, before[pkg], "package {pkg} lost its utilization");
+            assert_eq!(u, before, "package {pkg} lost its utilization");
         }
-        // The governors decided from the carried signal, so the busy
+        assert!(busy, "no package ever busy");
+        // The governor decided from the carried signal, so the busy
         // package holds nominal while the idle ones stay downclocked.
         sim.run_for(SimDuration::from_secs(1));
         let report = sim.report();
         assert!(report.mean_frequency.0.is_finite());
         assert!(report.instructions_retired > 0);
-    }
-
-    #[test]
-    fn utilization_crossing_matches_discrete_accumulation() {
-        // The closed form the stride bound uses, against a brute-force
-        // replay of dvfs_tick's accumulate-and-cap loop.
-        let brute = |mut busy: f64, mut window: f64, b: f64, target: f64, cap: f64| -> f64 {
-            let dt = 1e-4;
-            let mut t = 0.0;
-            let start = if window > 0.0 { busy / window } else { b };
-            for _ in 0..2_000_000 {
-                busy += b * dt;
-                window += dt;
-                if window > cap {
-                    busy *= cap / window;
-                    window = cap;
-                }
-                t += dt;
-                let u = busy / window;
-                if (start < target && u >= target) || (start > target && u <= target) {
-                    return t;
-                }
-            }
-            f64::INFINITY
-        };
-        for (busy, window, b, target) in [
-            (0.002, 0.01, 1.0, 0.5),    // rising within the window
-            (0.009, 0.01, 0.0, 0.3),    // falling, crosses after the cap
-            (0.0045, 0.005, 0.25, 0.6), // growing window, rising
-        ] {
-            let cap = 0.01;
-            let predicted =
-                utilization_crossing_s(busy, window, b, target, cap).expect("crossing exists");
-            let simulated = brute(busy, window, b, target, cap);
-            assert!(
-                (predicted - simulated).abs() <= 0.1 * simulated + 2e-4,
-                "crossing mismatch for ({busy},{window},{b},{target}): \
-                 predicted {predicted}, simulated {simulated}"
-            );
-        }
-        // No crossing when the asymptote never reaches the target.
-        assert_eq!(utilization_crossing_s(0.002, 0.01, 0.4, 0.5, 0.01), None);
-        assert_eq!(
-            utilization_crossing_s(0.002, 0.01, 0.2, f64::INFINITY, 0.01),
-            None
-        );
-        // Zero-width window: utilization is already at the asymptote.
-        assert_eq!(utilization_crossing_s(0.0, 0.0, 0.5, 0.7, 0.01), None);
     }
 
     /// An OnDemand governor under trigger-only decisions, or under the
@@ -2966,12 +2525,10 @@ mod tests {
                 .throttling(false)
                 .dvfs_governor(ebs_dvfs::GovernorKind::ThermalAware);
             let mut sim = Simulation::new(cfg);
-            for g in &mut sim.governors {
-                *g = Box::new(ebs_dvfs::ThermalAware {
-                    engage: 0.95,
-                    min_dwell,
-                });
-            }
+            sim.governor = Some(Box::new(ebs_dvfs::ThermalAware {
+                engage: 0.95,
+                min_dwell,
+            }));
             sim.spawn_mix(&ebs_workloads::section61_mix(), 2);
             sim.run_for(SimDuration::from_secs(30));
             sim.report()
@@ -3014,9 +2571,9 @@ mod tests {
             .topology()
             .package_of(sim.system().task(id).cpu())
             .0;
-        let frozen = sim.dvfs_stable.iter().filter(|&&s| s).count();
+        let frozen = sim.dvfs.iter().filter(|d| d.is_frozen()).count();
         assert!(frozen >= 6, "only {frozen} packages froze");
-        assert!(!sim.dvfs_stable[busy_pkg], "the busy package froze");
+        assert!(!sim.dvfs[busy_pkg].is_frozen(), "the busy package froze");
         // A task landing on a frozen package unfreezes it through the
         // dispatch event and the governor reacts again.
         let id2 = sim.spawn_program(&catalog::aluadd());
@@ -3027,7 +2584,7 @@ mod tests {
             .package_of(sim.system().task(id2).cpu())
             .0;
         assert_ne!(pkg2, busy_pkg, "placement should pick an idle package");
-        assert!(!sim.dvfs_stable[pkg2], "dispatch did not unfreeze");
+        assert!(!sim.dvfs[pkg2].is_frozen(), "dispatch did not unfreeze");
         assert_eq!(
             sim.machine()
                 .freq_domain(ebs_topology::PackageId(pkg2))

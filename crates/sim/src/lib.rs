@@ -43,6 +43,7 @@ mod api;
 mod classes;
 mod config;
 mod diag;
+mod dvfs;
 mod engine;
 mod machine;
 mod parallel;
@@ -53,10 +54,7 @@ mod trace;
 pub use api::{build_engine, SimEngine};
 pub use classes::{ClassCatalog, CoreClass, DomainMap};
 pub use config::{DvfsSpec, MaxPowerSpec, SimConfig};
-pub use diag::{
-    divergence_verdict, parallel_divergence, rel_dev, report_fingerprint, stride_divergence,
-    traced_events,
-};
+pub use diag::{divergence_verdict, rel_dev, report_fingerprint, stride_divergence, traced_events};
 pub use engine::{RoutedArrival, Simulation};
 pub use machine::PhysicalMachine;
 pub use parallel::{HandoffRecord, ParallelSimulation};

@@ -201,6 +201,13 @@ impl PhysicalMachine {
         self.halt_shares[cpu.0]
     }
 
+    /// The summed halt shares of a CPU list: the thermal-power sample
+    /// it feeds its averages while halted, and the floor an idle list's
+    /// averages decay toward.
+    pub(crate) fn halt_floor(&self, cpus: &[CpuId]) -> f64 {
+        cpus.iter().map(|&c| self.halt_shares[c.0].0).sum()
+    }
+
     /// Die temperature of a package.
     pub fn package_temp(&self, pkg: PackageId) -> Celsius {
         self.thermals[pkg.0].temperature()

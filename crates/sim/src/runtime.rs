@@ -112,11 +112,7 @@ impl ebs_store::Snapshot for TaskRuntime {
         w.u64(self.instr_since_migration);
         w.bool(self.last_move_cross_node);
         w.bool(self.first_slice_recorded);
-        // `last_class` is the one byte-layout change of snapshot format
-        // v2; a writer targeting v1 (migration tests) omits it.
-        if w.format_version() >= 2 {
-            w.usize(self.last_class);
-        }
+        w.usize(self.last_class);
         w.opt(&self.arrival, |w, &(t, phase)| {
             w.time(t);
             w.str(phase);
@@ -129,13 +125,7 @@ impl ebs_store::Snapshot for TaskRuntime {
         self.instr_since_migration = r.u64()?;
         self.last_move_cross_node = r.bool()?;
         self.first_slice_recorded = r.bool()?;
-        // v1 images predate core classes; every v1 machine was
-        // homogeneous, so class 0 is exact, not a guess.
-        self.last_class = if r.format_version() >= 2 {
-            r.usize()?
-        } else {
-            0
-        };
+        self.last_class = r.usize()?;
         self.arrival = r.opt(|r| Ok((r.time()?, ebs_store::intern(&r.str()?))))?;
         Ok(())
     }

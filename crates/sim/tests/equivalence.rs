@@ -192,15 +192,11 @@ proptest! {
 }
 
 /// Homogeneous bit-identity regression for the heterogeneous-hardware
-/// refactor: on every single-class preset, the refactor's knobs at
-/// their neutral settings are byte-level no-ops on both engine cores —
-/// pinning the legacy `PerPackage` scope explicitly and switching the
-/// policy layer `class_blind` must change nothing, because with one
-/// class there are no capacities to ignore and the per-domain state is
-/// exactly the old per-package state.
+/// refactor: on every single-class preset, switching the policy layer
+/// `class_blind` is a byte-level no-op on both engine cores, because
+/// with one class there are no capacities to ignore.
 #[test]
 fn homogeneous_presets_are_unchanged_by_the_class_refactor() {
-    use ebs_dvfs::DomainScope;
     use ebs_sim::ParallelSimulation;
     for preset in TopologyPreset::all() {
         let base = SimConfig::preset(preset)
@@ -226,14 +222,7 @@ fn homogeneous_presets_are_unchanged_by_the_class_refactor() {
         };
         for run in [strided_run, parallel_run] {
             let default = run(base.clone());
-            let pinned = run(base.clone().scope(DomainScope::PerPackage));
             let blind = run(base.clone().class_blind(true));
-            assert_eq!(
-                default,
-                pinned,
-                "{}: pinning PerPackage scope changed a homogeneous run",
-                preset.name()
-            );
             assert_eq!(
                 default,
                 blind,

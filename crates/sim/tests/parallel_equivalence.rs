@@ -21,7 +21,7 @@
 
 use ebs_dvfs::GovernorKind;
 use ebs_sim::{
-    parallel_divergence, rel_dev as rel, report_fingerprint as fingerprint, MaxPowerSpec,
+    rel_dev as rel, report_fingerprint as fingerprint, stride_divergence, MaxPowerSpec,
     ParallelSimulation, SimConfig, SimEngine, SimReport,
 };
 use ebs_topology::TopologyPreset;
@@ -72,7 +72,7 @@ fn assert_one_worker_identity(cfg: SimConfig, mix: usize, duration: SimDuration,
         "{label}: parallel(1) reports not bit-equal across builds"
     );
     if !strided.bit_eq(&par) || fingerprint(&strided) != fingerprint(&par) {
-        let diff = parallel_divergence(cfg.clone().strided(), cfg.parallel(1), duration, |sim| {
+        let diff = stride_divergence(cfg.clone().strided(), cfg.parallel(1), duration, |sim| {
             if mix > 0 {
                 sim.spawn_mix(&section61_mix(), mix);
             }
@@ -105,10 +105,9 @@ fn one_worker_is_bit_identical_on_table2_shape() {
             fingerprint(&sim.report())
         };
         if strided != par {
-            let diff =
-                parallel_divergence(cfg.clone().strided(), cfg.parallel(1), duration, |sim| {
-                    sim.spawn_program(&program);
-                });
+            let diff = stride_divergence(cfg.clone().strided(), cfg.parallel(1), duration, |sim| {
+                sim.spawn_program(&program);
+            });
             panic!(
                 "{} solo: parallel(1) diverged from strided; {diff}",
                 program.name
@@ -259,7 +258,7 @@ fn hybrid_multi_worker_runs_are_worker_count_invariant() {
 /// of claiming identity.
 #[test]
 fn divergence_diagnostics_work_on_hybrid_shapes() {
-    let text = parallel_divergence(
+    let text = stride_divergence(
         hybrid_cfg(TopologyPreset::Hybrid8, 3).strided(),
         hybrid_cfg(TopologyPreset::Hybrid8, 4).parallel(1),
         SimDuration::from_secs(2),

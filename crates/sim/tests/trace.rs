@@ -181,17 +181,6 @@ fn throttle_events_reconcile_with_engagement_counts() {
 }
 
 #[test]
-fn event_ring_capacity_keeps_the_newest_events() {
-    let sim = run_traced(busy_cfg().trace_events_cap(256), SimDuration::from_secs(2));
-    let trace = sim.events().expect("tracing on");
-    assert_eq!(trace.len(), 256);
-    assert!(trace.dropped() > 0);
-    // The ring still yields events oldest-first.
-    let events = trace.to_vec();
-    assert!(events.windows(2).all(|w| w[0].t <= w[1].t));
-}
-
-#[test]
 fn metrics_cadence_floors_strides_only_when_subscribed() {
     // An open workload with long quiet gaps: the strided engine takes
     // long spans unless something bounds them.

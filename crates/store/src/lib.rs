@@ -30,9 +30,9 @@ pub const MAGIC: [u8; 4] = *b"EBSS";
 
 /// Format version of the snapshot layout. Bump on any change to what
 /// the engines save or how the store encodes it; [`StateImage::open`]
-/// refuses images of another version, while
-/// [`StateImage::open_migrating`] also accepts older versions the
-/// engines still know how to read.
+/// refuses images of any other version with [`StoreError::Version`].
+/// Every reader restores an image the same build just wrote, so one
+/// readable format is enough.
 ///
 /// History:
 /// - **v1** — the original layout: homogeneous machines, dvfs state
@@ -44,12 +44,10 @@ pub const MAGIC: [u8; 4] = *b"EBSS";
 /// - **v3** — one sampling mechanism: the engine image drops the
 ///   retired thermal-trace cadence cursor (one byte shorter); the
 ///   metrics cursor is the only one left.
-pub const FORMAT_VERSION: u32 = 3;
-
-/// Oldest format version the migrating reader still accepts. Version-
-/// conditional `restore` code may be dropped when this moves past the
-/// version it covers.
-pub const MIN_FORMAT_VERSION: u32 = 1;
+/// - **v4** — DVFS decision state is one record per frequency domain
+///   instead of nine parallel per-domain tables, and a frozen domain's
+///   flag and freeze time become one optional instant.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// A restore failure. Every variant names enough context to locate
 /// the divergence in the byte stream.
@@ -109,52 +107,15 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Serialises state into the keyed byte layout.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct StateWriter {
     buf: Vec<u8>,
-    version: u32,
-}
-
-impl Default for StateWriter {
-    fn default() -> Self {
-        StateWriter::new()
-    }
 }
 
 impl StateWriter {
-    /// An empty writer targeting the current [`FORMAT_VERSION`].
+    /// An empty writer targeting [`FORMAT_VERSION`].
     pub fn new() -> Self {
-        StateWriter {
-            buf: Vec::new(),
-            version: FORMAT_VERSION,
-        }
-    }
-
-    /// An empty writer targeting an *older* still-supported format
-    /// version. Version-conditional `save` code consults
-    /// [`StateWriter::format_version`] to emit the matching layout —
-    /// this is how tests fabricate genuine old-format images for the
-    /// migration path without keeping byte fixtures around.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `version` is outside
-    /// [`MIN_FORMAT_VERSION`]`..=`[`FORMAT_VERSION`].
-    pub fn versioned(version: u32) -> Self {
-        assert!(
-            (MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version),
-            "unsupported target format version {version}"
-        );
-        StateWriter {
-            buf: Vec::new(),
-            version,
-        }
-    }
-
-    /// The format version this writer targets; `save` implementations
-    /// with version-dependent layout branch on it.
-    pub fn format_version(&self) -> u32 {
-        self.version
+        StateWriter::default()
     }
 
     /// Marks the start of a keyed section. Purely structural: the
@@ -252,7 +213,7 @@ impl StateWriter {
 
     /// Seals the payload into a versioned, hashed image.
     pub fn finish(self) -> StateImage {
-        StateImage::seal(self.version, self.buf)
+        StateImage::seal(self.buf)
     }
 }
 
@@ -261,19 +222,9 @@ impl StateWriter {
 pub struct StateReader<'a> {
     buf: &'a [u8],
     pos: usize,
-    version: u32,
 }
 
 impl<'a> StateReader<'a> {
-    /// The format version of the image being read. `restore`
-    /// implementations whose layout changed across versions branch on
-    /// it — that branch *is* the migration shim: old sections restore
-    /// into the current in-memory state, which then snapshots as the
-    /// current version.
-    pub fn format_version(&self) -> u32 {
-        self.version
-    }
-
     fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
         let left = self.buf.len() - self.pos;
         if n > left {
@@ -423,7 +374,8 @@ pub struct StateImage {
 const HEADER_LEN: usize = 24;
 
 impl StateImage {
-    fn seal(version: u32, payload: Vec<u8>) -> Self {
+    fn seal(payload: Vec<u8>) -> Self {
+        let version = FORMAT_VERSION;
         let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
         bytes.extend_from_slice(&MAGIC);
         bytes.extend_from_slice(&version.to_le_bytes());
@@ -472,46 +424,18 @@ impl StateImage {
     }
 
     /// Validates the header and returns a reader over the payload.
-    /// Strict: only the current [`FORMAT_VERSION`] opens — the right
-    /// call when the image was produced in-process (the equivalence
-    /// gates, fork sweeps). Use [`StateImage::open_migrating`] for
-    /// images from disk that may predate a format bump.
+    /// Only the current [`FORMAT_VERSION`] opens.
     ///
     /// # Errors
     ///
     /// [`StoreError`] when the magic, version, length, or content
     /// hash disagrees with the payload.
     pub fn open(&self) -> Result<StateReader<'_>, StoreError> {
-        self.open_range(FORMAT_VERSION..=FORMAT_VERSION)
-    }
-
-    /// Validates the header and returns a reader over the payload,
-    /// accepting any still-supported format version
-    /// ([`MIN_FORMAT_VERSION`]`..=`[`FORMAT_VERSION`]). The reader
-    /// reports the image's version via
-    /// [`StateReader::format_version`]; version-conditional `restore`
-    /// code upgrades old sections in place, so a restored engine
-    /// re-snapshots as the current version.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError`] when the magic, version, length, or content
-    /// hash disagrees with the payload. The content hash is checked
-    /// under the image's *own* version, so old images are validated
-    /// exactly as they were sealed.
-    pub fn open_migrating(&self) -> Result<StateReader<'_>, StoreError> {
-        self.open_range(MIN_FORMAT_VERSION..=FORMAT_VERSION)
-    }
-
-    fn open_range(
-        &self,
-        accepted: std::ops::RangeInclusive<u32>,
-    ) -> Result<StateReader<'_>, StoreError> {
         if self.bytes.len() < HEADER_LEN || self.bytes[..4] != MAGIC {
             return Err(StoreError::BadMagic);
         }
         let version = self.version();
-        if !accepted.contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(StoreError::Version {
                 found: version,
                 expected: FORMAT_VERSION,
@@ -535,7 +459,6 @@ impl StateImage {
         Ok(StateReader {
             buf: payload,
             pos: 0,
-            version,
         })
     }
 
@@ -691,69 +614,6 @@ mod tests {
             StateImage::from_bytes(truncated).open().unwrap_err(),
             StoreError::Truncated { .. }
         ));
-    }
-
-    #[test]
-    fn migrating_open_accepts_supported_old_versions() {
-        let mut w = StateWriter::versioned(1);
-        assert_eq!(w.format_version(), 1);
-        w.key("old");
-        w.u64(0xfeed);
-        let image = w.finish();
-        assert_eq!(image.version(), 1);
-
-        // Strict open refuses v1 outright.
-        assert_eq!(
-            image.open().unwrap_err(),
-            StoreError::Version {
-                found: 1,
-                expected: FORMAT_VERSION,
-            }
-        );
-
-        // The migrating reader opens it, validates the hash under v1,
-        // and reports the image's own version.
-        let mut r = image.open_migrating().expect("v1 opens migrating");
-        assert_eq!(r.format_version(), 1);
-        r.key("old").unwrap();
-        assert_eq!(r.u64().unwrap(), 0xfeed);
-        assert_eq!(r.remaining(), 0);
-
-        // Corruption in a v1 payload still fails its (v1) hash check.
-        let mut flipped = image.as_bytes().to_vec();
-        let last = flipped.len() - 1;
-        flipped[last] ^= 0xff;
-        assert!(matches!(
-            StateImage::from_bytes(flipped)
-                .open_migrating()
-                .unwrap_err(),
-            StoreError::HashMismatch { .. }
-        ));
-    }
-
-    #[test]
-    fn migrating_open_rejects_unknown_versions() {
-        let mut w = StateWriter::new();
-        w.u64(1);
-        let image = w.finish();
-        // A future version is rejected by both open paths.
-        let mut future = image.as_bytes().to_vec();
-        future[4] = (FORMAT_VERSION + 1) as u8;
-        let future = StateImage::from_bytes(future);
-        assert!(matches!(
-            future.open_migrating().unwrap_err(),
-            StoreError::Version { .. }
-        ));
-        assert!(matches!(
-            future.open().unwrap_err(),
-            StoreError::Version { .. }
-        ));
-    }
-
-    #[test]
-    #[should_panic(expected = "unsupported target format version")]
-    fn writer_refuses_unsupported_target_versions() {
-        let _ = StateWriter::versioned(FORMAT_VERSION + 1);
     }
 
     #[test]

@@ -185,30 +185,16 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// The engine's event sink: an in-memory event buffer, unbounded by
-/// default or bounded as a ring (oldest events dropped) via
-/// [`EventTrace::with_capacity`].
+/// The engine's event sink: an append-only in-memory event buffer.
 #[derive(Clone, Debug, Default)]
 pub struct EventTrace {
     buf: Vec<TraceEvent>,
-    /// Start of the logical sequence within `buf` (ring mode only).
-    head: usize,
-    cap: Option<usize>,
-    dropped: u64,
 }
 
 impl EventTrace {
-    /// An unbounded event buffer.
+    /// An empty event buffer.
     pub fn new() -> Self {
         EventTrace::default()
-    }
-
-    /// A ring buffer keeping only the most recent `cap` events.
-    pub fn with_capacity(cap: usize) -> Self {
-        EventTrace {
-            cap: Some(cap.max(1)),
-            ..EventTrace::default()
-        }
     }
 
     /// Number of buffered events.
@@ -221,34 +207,19 @@ impl EventTrace {
         self.buf.is_empty()
     }
 
-    /// Events dropped because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// The buffered events, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.buf[self.head..]
-            .iter()
-            .chain(self.buf[..self.head].iter())
+        self.buf.iter()
     }
 
     /// The buffered events as a contiguous vector, oldest first.
     pub fn to_vec(&self) -> Vec<TraceEvent> {
-        self.iter().copied().collect()
+        self.buf.clone()
     }
 
     /// Records one event at instant `t`.
     pub fn record(&mut self, t: SimTime, kind: EventKind) {
-        let ev = TraceEvent { t, kind };
-        match self.cap {
-            Some(cap) if self.buf.len() >= cap => {
-                self.buf[self.head] = ev;
-                self.head = (self.head + 1) % cap;
-                self.dropped += 1;
-            }
-            _ => self.buf.push(ev),
-        }
+        self.buf.push(TraceEvent { t, kind });
     }
 }
 
@@ -263,25 +234,9 @@ mod tests {
             trace.record(SimTime::from_millis(i), EventKind::Wakeup { task: i });
         }
         assert_eq!(trace.len(), 100);
-        assert_eq!(trace.dropped(), 0);
         let v = trace.to_vec();
         assert_eq!(v[0].kind, EventKind::Wakeup { task: 0 });
         assert_eq!(v[99].t, SimTime::from_millis(99));
-    }
-
-    #[test]
-    fn ring_buffer_drops_oldest() {
-        let mut trace = EventTrace::with_capacity(10);
-        for i in 0..25 {
-            trace.record(SimTime::from_millis(i), EventKind::Wakeup { task: i });
-        }
-        assert_eq!(trace.len(), 10);
-        assert_eq!(trace.dropped(), 15);
-        let v = trace.to_vec();
-        assert_eq!(v[0].kind, EventKind::Wakeup { task: 15 });
-        assert_eq!(v[9].kind, EventKind::Wakeup { task: 24 });
-        // Oldest-first even when the ring has wrapped mid-way.
-        assert!(v.windows(2).all(|w| w[0].t < w[1].t));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   (context switches, wakeups, migrations with reasons, arrivals and
 //!   completions, governor decisions and P-state transitions, throttle
 //!   flips, balancer rounds, engine strides), collected in the
-//!   [`EventTrace`] vec/ring buffer.
+//!   [`EventTrace`] buffer.
 //! - [`MetricsRegistry`]: named monotonic counters and instantaneous
 //!   gauges, registered by subsystem, snapshotted periodically into a
 //!   time-series CSV.
