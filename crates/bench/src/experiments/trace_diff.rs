@@ -86,7 +86,8 @@ pub fn seeds(key: &str, seed_b: u64) -> Result<TraceDiff, String> {
 /// # Errors
 ///
 /// Returns a message when the snapshot cannot be read, `key` names no
-/// sweep cell, or the image does not fit the cell's topology.
+/// sweep cell, or the image does not fit the cell's topology — and
+/// the full diff report when the two forks disagree.
 pub fn from_snapshot(snap_path: &str, key: &str) -> Result<TraceDiff, String> {
     let image = StateImage::read_file(Path::new(snap_path))
         .map_err(|e| format!("cannot read snapshot {snap_path}: {e}"))?;
@@ -102,23 +103,36 @@ pub fn from_snapshot(snap_path: &str, key: &str) -> Result<TraceDiff, String> {
     };
     let (events_a, hash_a) = fork()?;
     let (events_b, hash_b) = fork()?;
-    let summary = match first_divergence(&events_a, &events_b) {
-        None if hash_a == hash_b => format!(
-            "fork deterministic: event streams identical ({} events), end-state hash {hash_a:016x}",
-            events_a.len()
-        ),
-        None => format!(
-            "event streams identical ({} events) but end-state hashes differ \
-             ({hash_a:016x} vs {hash_b:016x}) — divergence is outside the traced event set",
-            events_a.len()
-        ),
-        Some(d) => format!("first divergent event — {d}"),
-    };
-    Ok(TraceDiff {
+    let report = |summary| TraceDiff {
         key: key.to_string(),
         mode: format!("forked twice from {snap_path}"),
         summary,
-    })
+    };
+    fork_verdict(&events_a, hash_a, &events_b, hash_b)
+        .map(report)
+        .map_err(|summary| report(summary).to_string())
+}
+
+/// The verdict on two forks' event streams and end-state hashes: the
+/// agreement line when both match, otherwise the first difference.
+fn fork_verdict(
+    events_a: &[TraceEvent],
+    hash_a: u64,
+    events_b: &[TraceEvent],
+    hash_b: u64,
+) -> Result<String, String> {
+    match first_divergence(events_a, events_b) {
+        None if hash_a == hash_b => Ok(format!(
+            "fork deterministic: event streams identical ({} events), end-state hash {hash_a:016x}",
+            events_a.len()
+        )),
+        None => Err(format!(
+            "event streams identical ({} events) but end-state hashes differ \
+             ({hash_a:016x} vs {hash_b:016x}) — divergence is outside the traced event set",
+            events_a.len()
+        )),
+        Some(d) => Err(format!("first divergent event — {d}")),
+    }
 }
 
 #[cfg(test)]
@@ -148,13 +162,25 @@ mod tests {
         warmup.run_for(SimDuration::from_secs(1));
         let path = std::env::temp_dir().join(format!("ebs-trace-diff-{}.snap", std::process::id()));
         warmup.snapshot().write_file(&path).expect("write snapshot");
-        let diff = from_snapshot(path.to_str().expect("utf-8 path"), key).expect("replay");
+        let diff = from_snapshot(path.to_str().expect("utf-8 path"), key).expect("forks agree");
         let _ = std::fs::remove_file(&path);
         assert!(
             diff.summary.contains("fork deterministic"),
             "{}",
             diff.summary
         );
+        // Forks that differ in the end state or in any event are
+        // refused, which is what makes the binary exit non-zero.
+        let mut traced = Simulation::new(scaling::cell_config(key).unwrap().trace_events(true));
+        traced.run_for(SimDuration::from_millis(200));
+        let events = traced.events().expect("tracing on").to_vec();
+        assert!(events.len() > 1, "no events to diverge on");
+        assert!(fork_verdict(&events, 7, &events, 7).is_ok());
+        let hashes = fork_verdict(&events, 7, &events, 8).unwrap_err();
+        assert!(hashes.contains("end-state hashes differ"), "{hashes}");
+        let short = &events[..events.len() - 1];
+        let event = fork_verdict(&events, 7, short, 7).unwrap_err();
+        assert!(event.contains("first divergent event"), "{event}");
     }
 
     #[test]

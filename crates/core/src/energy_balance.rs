@@ -23,7 +23,9 @@
 //!    create energy imbalances.
 
 use crate::metrics::{runqueue_power, runqueue_power_ratio, GroupRatioCache, PowerState};
-use ebs_sched::{busiest_queued_cpu, BalanceOutcome, MigrationReason, System, TaskId};
+use ebs_sched::{
+    busiest_queued_cpu, BalanceOutcome, BalanceTimers, MigrationReason, System, TaskId,
+};
 use ebs_topology::{CpuId, SchedDomain};
 use ebs_units::{SimTime, Watts};
 
@@ -69,7 +71,7 @@ impl Default for EnergyBalanceConfig {
 #[derive(Clone, Debug)]
 pub struct EnergyAwareBalancer {
     cfg: EnergyBalanceConfig,
-    next_balance: Vec<Vec<SimTime>>,
+    timers: BalanceTimers,
     /// Memoised group runqueue-power ratios (see [`GroupRatioCache`]).
     ratios: GroupRatioCache,
 }
@@ -77,31 +79,17 @@ pub struct EnergyAwareBalancer {
 impl EnergyAwareBalancer {
     /// Creates a balancer for systems shaped like `sys`.
     pub fn new(sys: &System, cfg: EnergyBalanceConfig) -> Self {
-        let next_balance = sys
-            .topology()
-            .cpu_ids()
-            .map(|c| vec![SimTime::ZERO; sys.topology().domains(c).len()])
-            .collect();
         EnergyAwareBalancer {
             cfg,
-            next_balance,
+            timers: BalanceTimers::new(sys.topology()),
             ratios: GroupRatioCache::new(sys.topology()),
         }
     }
 
     /// The earliest instant any CPU's domain level is due for a
-    /// periodic balancing pass (see
-    /// [`ebs_sched::LoadBalancer::next_due`]).
+    /// periodic balancing pass (see [`BalanceTimers::next_due`]).
     pub fn next_due(&self) -> SimTime {
-        self.next_balance
-            .iter()
-            .flatten()
-            .copied()
-            .min()
-            // No domain levels at all (degenerate one-CPU machines):
-            // never due, not "due now" — ZERO here would floor a
-            // variable-stride engine to tick steps forever.
-            .unwrap_or(SimTime::from_micros(u64::MAX))
+        self.timers.next_due()
     }
 
     /// Runs the merged algorithm for `cpu` on every domain level whose
@@ -113,11 +101,7 @@ impl EnergyAwareBalancer {
         // mutating the system, without cloning a domain (whose group
         // lists span O(CPUs) at the top level) every pass.
         let topo = sys.topology_shared();
-        for (level, domain) in topo.domains(cpu).iter().enumerate() {
-            if now < self.next_balance[cpu.0][level] {
-                continue;
-            }
-            self.next_balance[cpu.0][level] = now + domain.balance_interval();
+        for domain in self.timers.due(cpu, topo.domains(cpu), now) {
             if self.cfg.energy_step_enabled && !domain.flags().share_cpu_power {
                 outcome.pulled += energy_step(sys, cpu, domain, power, &self.cfg, &mut self.ratios);
             }
@@ -361,24 +345,11 @@ impl ebs_store::Snapshot for EnergyAwareBalancer {
         // The ratio cache is never serialized: its entries are bitwise
         // identical to a fresh member-order scan, so a restored
         // balancer simply starts all-stale and recomputes on demand.
-        w.seq(&self.next_balance, |w, levels| {
-            w.seq(levels, |w, &t| w.time(t));
-        });
+        self.timers.save(w);
     }
 
     fn restore(&mut self, r: &mut ebs_store::StateReader<'_>) -> Result<(), ebs_store::StoreError> {
-        let next_balance = r.seq(|r| r.seq(|r| r.time()))?;
-        if next_balance.len() != self.next_balance.len()
-            || next_balance
-                .iter()
-                .zip(&self.next_balance)
-                .any(|(a, b)| a.len() != b.len())
-        {
-            return Err(ebs_store::StoreError::Invalid(
-                "balancer timer table shaped unlike this topology".into(),
-            ));
-        }
-        self.next_balance = next_balance;
+        self.timers.restore(r)?;
         self.ratios.mark_all_stale();
         Ok(())
     }

@@ -143,17 +143,7 @@ impl ebs_store::Snapshot for EnergyEstimator {
     }
 
     fn restore(&mut self, r: &mut ebs_store::StateReader<'_>) -> Result<(), ebs_store::StoreError> {
-        let n = r.usize()?;
-        if n != self.last.len() {
-            return Err(ebs_store::StoreError::Invalid(format!(
-                "estimator state for {n} CPUs, expected {}",
-                self.last.len()
-            )));
-        }
-        for snap in &mut self.last {
-            snap.restore(r)?;
-        }
-        Ok(())
+        r.table("estimator CPUs", &mut self.last, |r, snap| snap.restore(r))
     }
 }
 

@@ -47,15 +47,13 @@ impl Default for PowerStateConfig {
     }
 }
 
-/// Per-CPU scheduling metrics state.
+/// Per-CPU scheduling metrics state. The maximum powers are fixed at
+/// construction.
 #[derive(Clone, Debug)]
 pub struct PowerState {
     thermal: Vec<PowerAverage>,
     max_power: Vec<Watts>,
     idle_power: Watts,
-    /// Bumped when a budget changes; caches of budget-derived values
-    /// (the group ratio cache) key on it.
-    budget_gen: u64,
 }
 
 impl PowerState {
@@ -79,7 +77,6 @@ impl PowerState {
                 .collect(),
             max_power: max_powers.to_vec(),
             idle_power: cfg.idle_power,
-            budget_gen: 0,
         }
     }
 
@@ -109,20 +106,6 @@ impl PowerState {
     /// The maximum power of `cpu`.
     pub fn max_power(&self, cpu: CpuId) -> Watts {
         self.max_power[cpu.0]
-    }
-
-    /// Replaces the maximum power of `cpu` (e.g. when an experiment
-    /// lowers the budget at runtime).
-    pub fn set_max_power(&mut self, cpu: CpuId, max: Watts) {
-        assert!(max.is_sane(), "max power not sane");
-        self.max_power[cpu.0] = max;
-        self.budget_gen += 1;
-    }
-
-    /// Change counter of the per-CPU budgets; see
-    /// [`GroupRatioCache`].
-    pub fn budget_gen(&self) -> u64 {
-        self.budget_gen
     }
 
     /// The power attributed to an idle CPU.
@@ -208,17 +191,15 @@ pub fn group_runqueue_ratio(sys: &System, group: &CpuGroup, power: &PowerState) 
 /// and reused until the unit's generation (bumped by `ebs_sched` on
 /// any membership or profile change, in O(depth)) moves. A balancing
 /// pass over a quiescent domain therefore costs O(groups) instead of
-/// O(CPUs), while yielding the same bits as a full rescan.
-///
-/// Budget changes ([`PowerState::set_max_power`]) shift every ratio,
-/// so the whole cache also keys on [`PowerState::budget_gen`].
+/// O(CPUs), while yielding the same bits as a full rescan. Budgets are
+/// fixed when the [`PowerState`] is built, so the unit generation is
+/// the whole key.
 #[derive(Clone, Debug)]
 pub struct GroupRatioCache {
     /// Cached `(unit_gen, ratio_sum)` per core / package / node.
     core: Vec<(u64, f64)>,
     package: Vec<(u64, f64)>,
     node: Vec<(u64, f64)>,
-    budget_gen_seen: u64,
 }
 
 /// Sentinel forcing the first read of a slot to recompute (unit
@@ -232,7 +213,6 @@ impl GroupRatioCache {
             core: vec![(STALE, 0.0); topo.n_cores()],
             package: vec![(STALE, 0.0); topo.n_packages()],
             node: vec![(STALE, 0.0); topo.n_nodes()],
-            budget_gen_seen: 0,
         }
     }
 
@@ -240,17 +220,6 @@ impl GroupRatioCache {
     /// to [`group_runqueue_ratio`], amortised O(1) for unit-tagged
     /// groups.
     pub fn group_ratio(&mut self, sys: &System, group: &CpuGroup, power: &PowerState) -> f64 {
-        if power.budget_gen() != self.budget_gen_seen {
-            self.budget_gen_seen = power.budget_gen();
-            for slot in self
-                .core
-                .iter_mut()
-                .chain(self.package.iter_mut())
-                .chain(self.node.iter_mut())
-            {
-                slot.0 = STALE;
-            }
-        }
         // Singleton groups (SMT siblings, one-CPU packages) skip the
         // cache: the direct read is already O(1), and `r / 1.0 == r`
         // keeps the bits identical to the scan.
@@ -298,7 +267,6 @@ impl GroupRatioCache {
         {
             slot.0 = STALE;
         }
-        self.budget_gen_seen = 0;
     }
 }
 
@@ -306,32 +274,15 @@ impl ebs_store::Snapshot for PowerState {
     fn save(&self, w: &mut ebs_store::StateWriter) {
         w.seq(&self.thermal, |w, avg| avg.save(w));
         w.seq(&self.max_power, |w, &p| w.watts(p));
-        w.u64(self.budget_gen);
     }
 
     fn restore(&mut self, r: &mut ebs_store::StateReader<'_>) -> Result<(), ebs_store::StoreError> {
-        let n = r.usize()?;
-        if n != self.thermal.len() {
-            return Err(ebs_store::StoreError::Invalid(format!(
-                "power state for {n} CPUs, expected {}",
-                self.thermal.len()
-            )));
-        }
-        for avg in &mut self.thermal {
-            avg.restore(r)?;
-        }
-        let n = r.usize()?;
-        if n != self.max_power.len() {
-            return Err(ebs_store::StoreError::Invalid(format!(
-                "budget table for {n} CPUs, expected {}",
-                self.max_power.len()
-            )));
-        }
-        for p in &mut self.max_power {
-            *p = r.watts()?;
-        }
-        self.budget_gen = r.u64()?;
-        Ok(())
+        r.table("thermal averages", &mut self.thermal, |r, avg| {
+            avg.restore(r)
+        })?;
+        r.table("power budgets", &mut self.max_power, |r, p| {
+            r.watts().map(|w| *p = w)
+        })
     }
 }
 
@@ -439,19 +390,10 @@ mod tests {
     }
 
     #[test]
-    fn set_max_power_takes_effect() {
-        let mut ps = PowerState::uniform(1, Watts(60.0), cfg());
-        let gen = ps.budget_gen();
-        ps.set_max_power(CpuId(0), Watts(40.0));
-        assert_eq!(ps.max_power(CpuId(0)), Watts(40.0));
-        assert!(ps.budget_gen() > gen, "budget change must bump the gen");
-    }
-
-    #[test]
     fn ratio_cache_matches_scans_and_tracks_changes() {
         let topo = Topology::build_cmp(2, 2, 2, 1); // 8 CPUs, 3 levels.
         let mut sys = System::new(topo.clone());
-        let mut ps = PowerState::uniform(8, Watts(60.0), cfg());
+        let ps = PowerState::uniform(8, Watts(60.0), cfg());
         let mut cache = GroupRatioCache::new(&topo);
         for c in 0..8 {
             spawn_with_profile(&mut sys, CpuId(c), 20.0 + 5.0 * c as f64);
@@ -472,9 +414,6 @@ mod tests {
         let moved = sys.rq(CpuId(0)).iter_migration_candidates().next().unwrap();
         sys.migrate_queued(moved, CpuId(7), ebs_sched::MigrationReason::LoadBalance)
             .unwrap();
-        check(&mut cache, &sys, &ps);
-        // A budget change invalidates everything.
-        ps.set_max_power(CpuId(3), Watts(45.0));
         check(&mut cache, &sys, &ps);
     }
 

@@ -231,10 +231,12 @@ mod tests {
     #[test]
     fn heterogeneous_budgets_affect_placement() {
         let mut sys = System::new(Topology::xseries445(false));
-        let mut power = PowerState::uniform(8, Watts(60.0), PowerStateConfig::default());
         // CPU 3 has a poor heat sink: a hot task there would push its
         // *ratio* far above average.
-        power.set_max_power(CpuId(3), Watts(40.0));
+        let budgets: Vec<Watts> = (0..8)
+            .map(|c| Watts(if c == 3 { 40.0 } else { 60.0 }))
+            .collect();
+        let power = PowerState::new(8, &budgets, PowerStateConfig::default());
         for c in 0..8 {
             spawn(&mut sys, CpuId(c), 40.0);
         }

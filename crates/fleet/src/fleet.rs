@@ -307,15 +307,6 @@ impl Fleet {
         self.routed_total
     }
 
-    /// `host,preset,cpus,share_w` lines describing the rack layout.
-    pub fn layout_csv(&self) -> String {
-        let mut out = String::from("host,preset,cpus,share_w\n");
-        for (i, h) in self.hosts.iter().enumerate() {
-            out.push_str(&format!("{},{},{},{:.3}\n", i, h.preset, h.cpus, h.share.0));
-        }
-        out
-    }
-
     /// Advances the fleet by exactly one dispatcher epoch: route every
     /// arrival due within it, step all hosts concurrently, then roll
     /// up the epoch's metrics.

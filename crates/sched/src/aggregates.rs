@@ -11,17 +11,12 @@
 //! in O(depth), i.e. O(1) hops up the fixed core → package → node
 //! chain.
 //!
-//! Three kinds of state per unit:
+//! Two kinds of state per unit:
 //!
-//! - **`nr_running` / `nr_queued` sums** (integers, exact): the load
-//!   metrics. Reading a group's load becomes one table lookup, and the
-//!   value is *bitwise identical* to a fresh scan because integer
-//!   sums carry no rounding.
-//! - **`profile_sum`** (f64): the summed energy profiles of every task
-//!   associated with the unit's runqueues (queued and running) — the
-//!   machine-wide power picture at a glance. Like the runqueue's
-//!   queued-profile cache it snaps back to zero when the unit empties,
-//!   so float residue cannot accumulate.
+//! - **`nr_running` sum** (an integer, exact): the load metric.
+//!   Reading a group's load becomes one table lookup, and the value is
+//!   *bitwise identical* to a fresh scan because integer sums carry no
+//!   rounding.
 //! - **`gen`** (a change counter): bumped whenever any state a
 //!   *runqueue-power* read depends on changes — membership, a
 //!   profile, or a context switch whose credit/debit round-trip
@@ -34,6 +29,9 @@
 //!   member-order scan as the code they replace — bitwise-identical
 //!   balancing decisions, at amortised O(1) reads.
 //!
+//! Per-unit capacity sums ride along; they are config-derived and
+//! change only when capacities are installed.
+//!
 //! [`System`]: crate::System
 
 use ebs_topology::{CpuId, GroupUnit, Topology};
@@ -43,11 +41,6 @@ use ebs_topology::{CpuId, GroupUnit, Topology};
 pub struct AggCell {
     /// Sum of `nr_running` over the unit's CPUs.
     pub nr_running: usize,
-    /// Sum of `nr_queued` (waiting tasks) over the unit's CPUs.
-    pub nr_queued: usize,
-    /// Sum of the energy profiles (watts) of every task associated
-    /// with the unit's runqueues, including running ones.
-    pub profile_sum: f64,
     /// Change counter for runqueue-power-relevant state.
     pub gen: u64,
 }
@@ -137,17 +130,11 @@ impl LoadAggregates {
     }
 
     /// Applies one runqueue change on `cpu` to every ancestor unit:
-    /// task-count deltas, a profile delta, and (for membership or
-    /// profile changes, `bump_gen`) the generation bump consumers key
-    /// their caches on.
-    pub(crate) fn apply(
-        &mut self,
-        cpu: CpuId,
-        d_running: isize,
-        d_queued: isize,
-        d_profile: f64,
-        bump_gen: bool,
-    ) {
+    /// the task-count delta, plus the generation bump consumers key
+    /// their caches on. Every change routed here moves runqueue power
+    /// (membership, a profile, or a perturbed context switch), so every
+    /// call bumps.
+    pub(crate) fn apply(&mut self, cpu: CpuId, d_running: isize) {
         let (core, package, node) = self.paths[cpu.0];
         for cell in [
             &mut self.core[core],
@@ -158,20 +145,7 @@ impl LoadAggregates {
                 .nr_running
                 .checked_add_signed(d_running)
                 .expect("aggregate nr_running underflow: runqueue hooks out of sync");
-            cell.nr_queued = cell
-                .nr_queued
-                .checked_add_signed(d_queued)
-                .expect("aggregate nr_queued underflow: runqueue hooks out of sync");
-            cell.profile_sum += d_profile;
-            // Empty units snap to exactly zero so float residue cannot
-            // accumulate over millions of operations (the same guard
-            // the runqueue's queued-profile cache uses).
-            if cell.nr_running == 0 {
-                cell.profile_sum = 0.0;
-            }
-            if bump_gen {
-                cell.gen += 1;
-            }
+            cell.gen += 1;
         }
     }
 
@@ -190,39 +164,14 @@ impl LoadAggregates {
 impl ebs_store::Snapshot for AggCell {
     fn save(&self, w: &mut ebs_store::StateWriter) {
         w.usize(self.nr_running);
-        w.usize(self.nr_queued);
-        w.f64(self.profile_sum);
         w.u64(self.gen);
     }
 
     fn restore(&mut self, r: &mut ebs_store::StateReader<'_>) -> Result<(), ebs_store::StoreError> {
         self.nr_running = r.usize()?;
-        self.nr_queued = r.usize()?;
-        // The profile sums carry floating-point residue from the exact
-        // credit/debit history, so they are serialized rather than
-        // rebuilt — a fresh scan could differ in the last bit.
-        self.profile_sum = r.f64()?;
         self.gen = r.u64()?;
         Ok(())
     }
-}
-
-fn restore_cells(
-    cells: &mut [AggCell],
-    r: &mut ebs_store::StateReader<'_>,
-) -> Result<(), ebs_store::StoreError> {
-    use ebs_store::Snapshot as _;
-    let n = r.usize()?;
-    if n != cells.len() {
-        return Err(ebs_store::StoreError::Invalid(format!(
-            "aggregate table with {n} cells, expected {}",
-            cells.len()
-        )));
-    }
-    for cell in cells {
-        cell.restore(r)?;
-    }
-    Ok(())
 }
 
 impl ebs_store::Snapshot for LoadAggregates {
@@ -234,9 +183,14 @@ impl ebs_store::Snapshot for LoadAggregates {
     }
 
     fn restore(&mut self, r: &mut ebs_store::StateReader<'_>) -> Result<(), ebs_store::StoreError> {
-        restore_cells(&mut self.core, r)?;
-        restore_cells(&mut self.package, r)?;
-        restore_cells(&mut self.node, r)
+        for (what, table) in [
+            ("core cells", &mut self.core),
+            ("package cells", &mut self.package),
+            ("node cells", &mut self.node),
+        ] {
+            r.table(what, table, |r, cell| cell.restore(r))?;
+        }
+        Ok(())
     }
 }
 
@@ -250,10 +204,9 @@ mod tests {
         let topo = Topology::build_cmp(2, 2, 2, 2); // 16 CPUs.
         let mut agg = LoadAggregates::new(&topo);
         // CPU 9 = thread 1 of core 1 (package 0, node 0).
-        agg.apply(CpuId(9), 1, 1, 30.0, true);
+        agg.apply(CpuId(9), 1);
         let core = agg.cell(GroupUnit::Core(topo.core_of(CpuId(9)))).unwrap();
-        assert_eq!((core.nr_running, core.nr_queued), (1, 1));
-        assert_eq!(core.profile_sum, 30.0);
+        assert_eq!(core.nr_running, 1);
         assert_eq!(core.gen, 1);
         let pkg = agg
             .cell(GroupUnit::Package(topo.package_of(CpuId(9))))
@@ -264,18 +217,6 @@ mod tests {
         // Unrelated units untouched.
         assert_eq!(agg.cell(GroupUnit::Node(NodeId(1))).unwrap().nr_running, 0);
         assert_eq!(agg.cell(GroupUnit::Package(PackageId(3))).unwrap().gen, 0);
-    }
-
-    #[test]
-    fn emptying_a_unit_snaps_profile_to_zero() {
-        let topo = Topology::build(1, 2, 1);
-        let mut agg = LoadAggregates::new(&topo);
-        agg.apply(CpuId(0), 1, 1, 0.1 + 0.2, true);
-        agg.apply(CpuId(0), -1, -1, -0.3, true);
-        let cell = agg.cell(GroupUnit::Core(CoreId(0))).unwrap();
-        assert_eq!(cell.profile_sum, 0.0);
-        assert_eq!(cell.nr_running, 0);
-        assert_eq!(cell.gen, 2);
     }
 
     #[test]
@@ -309,11 +250,18 @@ mod tests {
 
     #[test]
     fn gen_only_bumps_when_asked() {
-        let topo = Topology::build(1, 2, 1);
+        let topo = Topology::build(1, 2, 1); // Two packages, one node.
         let mut agg = LoadAggregates::new(&topo);
-        agg.apply(CpuId(0), 0, 1, 0.0, false); // A context-switch-style change.
-        assert_eq!(agg.cell(GroupUnit::Core(CoreId(0))).unwrap().gen, 0);
-        agg.apply(CpuId(0), 1, 0, 5.0, true);
-        assert_eq!(agg.cell(GroupUnit::Core(CoreId(0))).unwrap().gen, 1);
+        let gen = |agg: &LoadAggregates, unit| agg.cell(unit).unwrap().gen;
+        // A profile-style change on CPU 1: its own core and the shared
+        // node move, CPU 0's core does not.
+        agg.apply(CpuId(1), 0);
+        assert_eq!(gen(&agg, GroupUnit::Core(CoreId(0))), 0);
+        assert_eq!(gen(&agg, GroupUnit::Core(CoreId(1))), 1);
+        assert_eq!(gen(&agg, GroupUnit::Node(NodeId(0))), 1);
+        agg.apply(CpuId(0), 1);
+        assert_eq!(gen(&agg, GroupUnit::Core(CoreId(0))), 1);
+        assert_eq!(gen(&agg, GroupUnit::Core(CoreId(1))), 1);
+        assert_eq!(gen(&agg, GroupUnit::Node(NodeId(0))), 2);
     }
 }

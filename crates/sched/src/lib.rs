@@ -41,7 +41,8 @@ mod task;
 pub use aggregates::{AggCell, LoadAggregates};
 pub use load_balance::{
     balance_domain, busiest_queue_in_group, busiest_queued_cpu, find_busiest_group,
-    group_effective_load, idlest_cpu, pull_tasks, BalanceOutcome, LoadBalancer, LoadBalancerConfig,
+    group_effective_load, idlest_cpu, pull_tasks, BalanceOutcome, BalanceTimers, LoadBalancer,
+    LoadBalancerConfig,
 };
 pub use prio_array::PrioArray;
 pub use runqueue::RunQueue;

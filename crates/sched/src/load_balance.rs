@@ -14,7 +14,7 @@
 
 use crate::system::{MigrationReason, System};
 use crate::task::TaskId;
-use ebs_topology::{CpuGroup, CpuId, SchedDomain};
+use ebs_topology::{CpuGroup, CpuId, SchedDomain, Topology};
 use ebs_units::SimTime;
 
 /// Tunables of the baseline balancer.
@@ -41,30 +41,30 @@ pub struct BalanceOutcome {
     pub pulled: usize,
 }
 
-/// Periodic, per-CPU hierarchical load balancing state.
+/// When each CPU's domain levels are next due for a periodic
+/// balancing pass — the timer table both balancers embed.
 #[derive(Clone, Debug)]
-pub struct LoadBalancer {
-    cfg: LoadBalancerConfig,
-    /// `next_balance[cpu][level]`: when that domain level is due.
-    next_balance: Vec<Vec<SimTime>>,
+pub struct BalanceTimers {
+    /// `next[cpu][level]`: when that domain level is due.
+    next: Vec<Vec<SimTime>>,
 }
 
-impl LoadBalancer {
-    /// Creates a balancer for systems shaped like `sys`.
-    pub fn new(sys: &System, cfg: LoadBalancerConfig) -> Self {
-        let next_balance = sys
-            .topology()
+impl BalanceTimers {
+    /// Every level of every CPU of `topo` due at once.
+    pub fn new(topo: &Topology) -> Self {
+        let next = topo
             .cpu_ids()
-            .map(|c| vec![SimTime::ZERO; sys.topology().domains(c).len()])
+            .map(|c| vec![SimTime::ZERO; topo.domains(c).len()])
             .collect();
-        LoadBalancer { cfg, next_balance }
+        BalanceTimers { next }
     }
 
-    /// The earliest instant any CPU's domain level is due for a
-    /// periodic balancing pass. The variable-stride engine bounds its
-    /// steps by this so balancing runs on schedule.
+    /// The earliest instant any CPU's domain level is due. The
+    /// variable-stride engine bounds its steps by this so balancing
+    /// runs on schedule.
+    #[inline]
     pub fn next_due(&self) -> SimTime {
-        self.next_balance
+        self.next
             .iter()
             .flatten()
             .copied()
@@ -73,6 +73,66 @@ impl LoadBalancer {
             // never due, not "due now" — ZERO here would floor a
             // variable-stride engine to tick steps forever.
             .unwrap_or(SimTime::from_micros(u64::MAX))
+    }
+
+    /// The levels of `cpu`'s domain stack `domains` due at `now`,
+    /// bottom-up; each is re-armed one balance interval later as the
+    /// iterator reaches it. Inlined: both balancers call it for every
+    /// CPU at every step.
+    #[inline]
+    pub fn due<'a>(
+        &'a mut self,
+        cpu: CpuId,
+        domains: &'a [SchedDomain],
+        now: SimTime,
+    ) -> impl Iterator<Item = &'a SchedDomain> + 'a {
+        self.next[cpu.0]
+            .iter_mut()
+            .zip(domains)
+            .filter_map(move |(next, domain)| {
+                if now < *next {
+                    return None;
+                }
+                *next = now + domain.balance_interval();
+                Some(domain)
+            })
+    }
+}
+
+impl ebs_store::Snapshot for BalanceTimers {
+    fn save(&self, w: &mut ebs_store::StateWriter) {
+        w.seq(&self.next, |w, levels| {
+            w.seq(levels, |w, &t| w.time(t));
+        });
+    }
+
+    fn restore(&mut self, r: &mut ebs_store::StateReader<'_>) -> Result<(), ebs_store::StoreError> {
+        r.table("balancer CPUs", &mut self.next, |r, levels| {
+            r.table("balancer levels", levels, |r, t| r.time().map(|v| *t = v))
+        })
+    }
+}
+
+/// Periodic, per-CPU hierarchical load balancing state.
+#[derive(Clone, Debug)]
+pub struct LoadBalancer {
+    cfg: LoadBalancerConfig,
+    timers: BalanceTimers,
+}
+
+impl LoadBalancer {
+    /// Creates a balancer for systems shaped like `sys`.
+    pub fn new(sys: &System, cfg: LoadBalancerConfig) -> Self {
+        LoadBalancer {
+            cfg,
+            timers: BalanceTimers::new(sys.topology()),
+        }
+    }
+
+    /// The earliest instant any CPU's domain level is due for a
+    /// periodic balancing pass (see [`BalanceTimers::next_due`]).
+    pub fn next_due(&self) -> SimTime {
+        self.timers.next_due()
     }
 
     /// Runs periodic balancing for `cpu`: every domain level whose
@@ -84,11 +144,7 @@ impl LoadBalancer {
         // mutating the system, without cloning a domain (whose group
         // lists span O(CPUs) at the top level) every pass.
         let topo = sys.topology_shared();
-        for (level, domain) in topo.domains(cpu).iter().enumerate() {
-            if now < self.next_balance[cpu.0][level] {
-                continue;
-            }
-            self.next_balance[cpu.0][level] = now + domain.balance_interval();
+        for domain in self.timers.due(cpu, topo.domains(cpu), now) {
             outcome.pulled += balance_domain(sys, cpu, domain, &self.cfg);
         }
         outcome
@@ -201,30 +257,16 @@ pub fn group_effective_load(sys: &System, group: &CpuGroup) -> f64 {
 }
 
 /// The CPU with the most *queued* (waiting) tasks in the domain's
-/// span, `exclude` excluded; `None` when every queue is empty. Whole
-/// groups whose aggregate queued count is zero are skipped, so a
-/// new-idle pass on a mostly-idle big machine touches O(groups)
-/// entries instead of every runqueue. Ties resolve to the last CPU in
-/// span order, exactly as the full `max_by_key` scan it replaces
-/// (skipped groups hold only zero-queued CPUs, which cannot tie a
-/// positive maximum).
+/// span, `exclude` excluded; `None` when every queue is empty. Ties
+/// resolve to the last CPU in span order.
 pub fn busiest_queued_cpu(sys: &System, domain: &SchedDomain, exclude: CpuId) -> Option<CpuId> {
-    let mut best: Option<(usize, CpuId)> = None;
-    for group in domain.groups() {
-        if sys.group_nr_queued(group) == 0 {
-            continue;
-        }
-        for &c in group.cpus() {
-            if c == exclude {
-                continue;
-            }
-            let queued = sys.rq(c).nr_queued();
-            if queued > 0 && best.is_none_or(|(b, _)| queued >= b) {
-                best = Some((queued, c));
-            }
-        }
-    }
-    best.map(|(_, c)| c)
+    domain
+        .span()
+        .filter(|&c| c != exclude)
+        .map(|c| (sys.rq(c).nr_queued(), c))
+        .filter(|&(queued, _)| queued > 0)
+        .max_by_key(|&(queued, _)| queued)
+        .map(|(_, c)| c)
 }
 
 /// The queue with the most runnable tasks in a group; `None` if every
@@ -285,25 +327,11 @@ pub fn idlest_cpu(sys: &System) -> Option<CpuId> {
 
 impl ebs_store::Snapshot for LoadBalancer {
     fn save(&self, w: &mut ebs_store::StateWriter) {
-        w.seq(&self.next_balance, |w, levels| {
-            w.seq(levels, |w, &t| w.time(t));
-        });
+        self.timers.save(w);
     }
 
     fn restore(&mut self, r: &mut ebs_store::StateReader<'_>) -> Result<(), ebs_store::StoreError> {
-        let next_balance = r.seq(|r| r.seq(|r| r.time()))?;
-        if next_balance.len() != self.next_balance.len()
-            || next_balance
-                .iter()
-                .zip(&self.next_balance)
-                .any(|(a, b)| a.len() != b.len())
-        {
-            return Err(ebs_store::StoreError::Invalid(
-                "balancer timer table shaped unlike this topology".into(),
-            ));
-        }
-        self.next_balance = next_balance;
-        Ok(())
+        self.timers.restore(r)
     }
 }
 

@@ -139,8 +139,9 @@ pub struct System {
     topology: std::sync::Arc<Topology>,
     tasks: Vec<Task>,
     rqs: Vec<RunQueue>,
-    /// Per-unit (core/package/node) incremental load and profile sums,
-    /// updated in O(depth) by every runqueue-changing operation below.
+    /// Per-unit (core/package/node) `nr_running` sums and change
+    /// generations, updated in O(depth) by every runqueue-changing
+    /// operation below.
     agg: LoadAggregates,
     now: SimTime,
     stats: SystemStats,
@@ -204,7 +205,7 @@ impl System {
         self.tasks.push(task);
         self.rqs[cpu.0].enqueue_active(prio, id);
         self.rqs[cpu.0].credit_profile(profile);
-        self.agg.apply(cpu, 1, 1, profile, true);
+        self.agg.apply(cpu, 1);
         self.stats.spawns += 1;
         id
     }
@@ -216,15 +217,6 @@ impl System {
     /// Panics if the id is unknown.
     pub fn task(&self, id: TaskId) -> &Task {
         &self.tasks[id.0 as usize]
-    }
-
-    /// Mutable task accessor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is unknown.
-    pub fn task_mut(&mut self, id: TaskId) -> &mut Task {
-        &mut self.tasks[id.0 as usize]
     }
 
     /// Number of tasks ever spawned.
@@ -284,7 +276,6 @@ impl System {
     /// is picked.
     pub fn context_switch(&mut self, cpu: CpuId) -> SwitchResult {
         let prev = self.rqs[cpu.0].current();
-        let queued_before = self.rqs[cpu.0].nr_queued();
         let total_before = self.rq_profile_total(cpu);
         if let Some(id) = prev {
             let (prio, expired, profile) = {
@@ -320,17 +311,15 @@ impl System {
             self.stats.context_switches += 1;
         }
         // A context switch shuffles tasks between "queued" and
-        // "running" without changing the queue's task set, so usually
-        // only the queued-count delta needs tracking. But the cached
-        // `queued_profile` does not always round-trip *bitwise*
+        // "running" without changing the queue's task set or
+        // `nr_running`, so usually the tree needs no update. But the
+        // cached `queued_profile` does not always round-trip *bitwise*
         // through credit(prev)/debit(next) — `(Q + p) - p` can differ
         // from `Q` by an ulp — and cached group ratios must stay
         // bit-identical to fresh scans. So the generation is bumped
         // exactly when the queue's profile total changed bits.
-        let d_queued = self.rqs[cpu.0].nr_queued() as isize - queued_before as isize;
-        let perturbed = self.rq_profile_total(cpu).to_bits() != total_before.to_bits();
-        if d_queued != 0 || perturbed {
-            self.agg.apply(cpu, 0, d_queued, 0.0, perturbed);
+        if self.rq_profile_total(cpu).to_bits() != total_before.to_bits() {
+            self.agg.apply(cpu, 0);
         }
         SwitchResult { prev, next }
     }
@@ -341,8 +330,7 @@ impl System {
         let id = self.rqs[cpu.0].current()?;
         self.rqs[cpu.0].set_current(None);
         self.tasks[id.0 as usize].set_state(TaskState::Blocked);
-        self.agg
-            .apply(cpu, -1, 0, -self.tasks[id.0 as usize].profile().0, true);
+        self.agg.apply(cpu, -1);
         Some(id)
     }
 
@@ -368,7 +356,7 @@ impl System {
         let profile = self.tasks[id.0 as usize].profile().0;
         self.rqs[target.0].enqueue_active(prio, id);
         self.rqs[target.0].credit_profile(profile);
-        self.agg.apply(target, 1, 1, profile, true);
+        self.agg.apply(target, 1);
     }
 
     /// Terminates the running task of `cpu` and returns it.
@@ -376,8 +364,7 @@ impl System {
         let id = self.rqs[cpu.0].current()?;
         self.rqs[cpu.0].set_current(None);
         self.tasks[id.0 as usize].set_state(TaskState::Exited);
-        self.agg
-            .apply(cpu, -1, 0, -self.tasks[id.0 as usize].profile().0, true);
+        self.agg.apply(cpu, -1);
         self.stats.exits += 1;
         Some(id)
     }
@@ -415,11 +402,11 @@ impl System {
         let profile = self.tasks[id.0 as usize].profile().0;
         if removed {
             self.rqs[from.0].debit_profile(profile);
-            self.agg.apply(from, -1, -1, -profile, true);
+            self.agg.apply(from, -1);
         }
         self.rqs[to.0].enqueue_active(prio, id);
         self.rqs[to.0].credit_profile(profile);
-        self.agg.apply(to, 1, 1, profile, true);
+        self.agg.apply(to, 1);
         self.finish_migration(id, from, to, reason);
         Ok(())
     }
@@ -453,7 +440,7 @@ impl System {
         let profile = self.tasks[id.0 as usize].profile().0;
         if removed {
             self.rqs[from.0].debit_profile(profile);
-            self.agg.apply(from, -1, -1, -profile, true);
+            self.agg.apply(from, -1);
         }
         self.tasks[id.0 as usize].set_state(TaskState::Exited);
         Ok(())
@@ -483,31 +470,31 @@ impl System {
             task.set_state(TaskState::Runnable);
             (task.prio_index(), task.profile().0)
         };
-        self.agg.apply(from, -1, 0, -profile, true);
+        self.agg.apply(from, -1);
         self.rqs[to.0].enqueue_active(prio, id);
         self.rqs[to.0].credit_profile(profile);
-        self.agg.apply(to, 1, 1, profile, true);
+        self.agg.apply(to, 1);
         self.finish_migration(id, from, to, reason);
         Ok(id)
     }
 
     /// Folds an observed power sample into a task's energy profile
-    /// (Eq. 2) and keeps the aggregate tree's profile sums coherent.
-    /// Engines must use this instead of mutating the task directly: a
-    /// profile change while the task is on a runqueue shifts that
-    /// queue's runqueue power, which the per-unit sums and generation
-    /// counters track.
+    /// (Eq. 2) and keeps the runqueue power caches coherent. Engines
+    /// must use this instead of mutating the task directly: a profile
+    /// change while the task is on a runqueue shifts that queue's
+    /// runqueue power, which the queue's queued-profile sum and the
+    /// aggregate tree's generation counters track.
     pub fn update_profile(&mut self, id: TaskId, power: Watts, period: SimDuration) -> Watts {
         let old = self.tasks[id.0 as usize].profile().0;
         let new = self.tasks[id.0 as usize].update_profile(power, period);
         let cpu = self.tasks[id.0 as usize].cpu();
         match self.tasks[id.0 as usize].state() {
-            TaskState::Running => self.agg.apply(cpu, 0, 0, new.0 - old, true),
+            TaskState::Running => self.agg.apply(cpu, 0),
             // Engines only update running tasks, but a queued task's
             // profile feeds the runqueue-level cache as well.
             TaskState::Runnable => {
                 self.rqs[cpu.0].credit_profile(new.0 - old);
-                self.agg.apply(cpu, 0, 0, new.0 - old, true);
+                self.agg.apply(cpu, 0);
             }
             // Off-queue tasks contribute to no cache.
             TaskState::Blocked | TaskState::Exited => {}
@@ -527,10 +514,10 @@ impl System {
         let new = self.tasks[id.0 as usize].profile();
         let cpu = self.tasks[id.0 as usize].cpu();
         match self.tasks[id.0 as usize].state() {
-            TaskState::Running => self.agg.apply(cpu, 0, 0, new.0 - old, true),
+            TaskState::Running => self.agg.apply(cpu, 0),
             TaskState::Runnable => {
                 self.rqs[cpu.0].credit_profile(new.0 - old);
-                self.agg.apply(cpu, 0, 0, new.0 - old, true);
+                self.agg.apply(cpu, 0);
             }
             TaskState::Blocked | TaskState::Exited => {}
         }
@@ -574,37 +561,6 @@ impl System {
     /// The class-weighted capacity of one logical CPU.
     pub fn cpu_capacity(&self, cpu: CpuId) -> f64 {
         self.agg.cpu_capacity(cpu)
-    }
-
-    /// Sum of `nr_queued` (waiting tasks) over a group's CPUs; see
-    /// [`System::group_nr_running`].
-    pub fn group_nr_queued(&self, group: &CpuGroup) -> usize {
-        match group.unit() {
-            Some(GroupUnit::Cpu(c)) => self.rq(c).nr_queued(),
-            Some(unit) => {
-                self.agg
-                    .cell(unit)
-                    .expect("non-CPU unit has a cell")
-                    .nr_queued
-            }
-            None => group.cpus().iter().map(|&c| self.rq(c).nr_queued()).sum(),
-        }
-    }
-
-    /// Summed energy profiles (watts) of every task associated with a
-    /// group's runqueues — the O(1) power-at-a-glance read backing
-    /// balancing-cost diagnostics. Maintained incrementally; may carry
-    /// float residue of the order validated by [`System::validate`].
-    pub fn group_profile_sum(&self, group: &CpuGroup) -> f64 {
-        match group.unit() {
-            Some(unit) if !matches!(unit, GroupUnit::Cpu(_)) => {
-                self.agg
-                    .cell(unit)
-                    .expect("non-CPU unit has a cell")
-                    .profile_sum
-            }
-            _ => group.cpus().iter().map(|&c| self.rq_profile_total(c)).sum(),
-        }
     }
 
     /// The generation counter of a group's unit: it changes whenever
@@ -702,32 +658,15 @@ impl System {
         self.validate_aggregates();
     }
 
-    /// Checks every unit of the aggregate tree against a from-scratch
-    /// recomputation: integer sums exactly, profile sums within float
-    /// tolerance (they are maintained incrementally).
+    /// Checks every unit's `nr_running` sum of the aggregate tree
+    /// against a from-scratch recount.
     fn validate_aggregates(&self) {
         let check = |unit: GroupUnit, cpus: &[CpuId]| {
             let cell = self.agg.cell(unit).expect("unit has a cell");
-            let fresh_running: usize = cpus.iter().map(|&c| self.nr_running(c)).sum();
-            let fresh_queued: usize = cpus.iter().map(|&c| self.rq(c).nr_queued()).sum();
-            let fresh_profile: f64 = cpus
-                .iter()
-                .flat_map(|&c| self.rq(c).iter_all())
-                .map(|id| self.tasks[id.0 as usize].profile().0)
-                .sum();
+            let fresh: usize = cpus.iter().map(|&c| self.nr_running(c)).sum();
             assert_eq!(
-                cell.nr_running, fresh_running,
+                cell.nr_running, fresh,
                 "{unit:?}: aggregate nr_running drifted"
-            );
-            assert_eq!(
-                cell.nr_queued, fresh_queued,
-                "{unit:?}: aggregate nr_queued drifted"
-            );
-            assert!(
-                (cell.profile_sum - fresh_profile).abs() < 1e-6 * fresh_profile.abs().max(1.0),
-                "{unit:?}: aggregate profile sum drifted: {} vs {}",
-                cell.profile_sum,
-                fresh_profile
             );
         };
         for core in 0..self.topology.n_cores() {
@@ -794,16 +733,7 @@ impl ebs_store::Snapshot for System {
             tasks.push(task);
         }
         self.tasks = tasks;
-        let n_rqs = r.usize()?;
-        if n_rqs != self.rqs.len() {
-            return Err(ebs_store::StoreError::Invalid(format!(
-                "snapshot has {n_rqs} runqueues, topology has {}",
-                self.rqs.len()
-            )));
-        }
-        for rq in &mut self.rqs {
-            rq.restore(r)?;
-        }
+        r.table("runqueues", &mut self.rqs, |r, rq| rq.restore(r))?;
         self.agg.restore(r)?;
         self.now = r.time()?;
         self.stats.restore(r)?;

@@ -170,8 +170,7 @@ proptest! {
             apply_op(&mut sys, &mut blocked, op);
         }
         // `validate()` checks every unit cell against a fresh
-        // recomputation (counts exactly, profile sums within float
-        // tolerance)...
+        // recount...
         sys.validate();
         // ...and the group-level reads the balancers use must agree
         // with explicit scans of the group members, for every group of
@@ -181,21 +180,7 @@ proptest! {
                 for group in domain.groups() {
                     let running: usize =
                         group.cpus().iter().map(|&c| sys.nr_running(c)).sum();
-                    let queued: usize =
-                        group.cpus().iter().map(|&c| sys.rq(c).nr_queued()).sum();
                     prop_assert_eq!(sys.group_nr_running(group), running);
-                    prop_assert_eq!(sys.group_nr_queued(group), queued);
-                    let profile: f64 = group
-                        .cpus()
-                        .iter()
-                        .flat_map(|&c| sys.rq(c).iter_all())
-                        .map(|id| sys.task(id).profile().0)
-                        .sum();
-                    let cached = sys.group_profile_sum(group);
-                    prop_assert!(
-                        (cached - profile).abs() < 1e-6 * profile.abs().max(1.0),
-                        "group profile sum drifted: {} vs {}", cached, profile
-                    );
                 }
             }
         }

@@ -42,14 +42,6 @@ pub struct CoreClass {
     pub thermal_factor: f64,
 }
 
-impl CoreClass {
-    /// Sustained instruction throughput of this class at its nominal
-    /// clock, relative to a 1.0-IPC core at `base_hz`.
-    pub fn throughput_factor(&self, base_hz: f64) -> f64 {
-        self.ipc_factor * self.table.nominal().frequency.0 / base_hz
-    }
-}
-
 /// The machine's classes, class 0 first.
 #[derive(Clone, Debug)]
 pub struct ClassCatalog {

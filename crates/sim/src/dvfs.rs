@@ -4,11 +4,9 @@
 //! per package on homogeneous machines, one per core on hybrid ones).
 //! The record owns everything a domain's governor schedule evolves
 //! between decisions: the utilization window, the hold bands of the
-//! last decision with their dwell, the optional forced deadline, and
-//! the frozen span of a provably parked domain. Its fields are private,
-//! so the engine changes that state only through the record's
-//! transitions (accrue, due test, arm, park, catch-up and thaw), each
-//! guarded by the condition under which the engine may take it.
+//! last decision with their dwell, and the optional forced deadline.
+//! Its fields are private, so the engine changes that state only
+//! through the record's transitions (accrue, due test and arm).
 
 use crate::engine::crossing_time_s;
 use ebs_dvfs::{DecisionHold, GovernorInput};
@@ -120,12 +118,6 @@ pub(crate) struct DomainDecision {
     /// Domain thermal power the last decision was made from — the
     /// reference [`DecisionHold::stale_descent`] compares against.
     armed_power: Watts,
-    /// Set while the domain is provably parked: it accrues exactly zero
-    /// busy time, its hold bands contain every future signal value, and
-    /// no deadline is armed, so no decision can fire until a scheduling
-    /// or throttle event thaws it. Holds the instant the window was
-    /// last brought up to date.
-    frozen_since: Option<SimTime>,
 }
 
 impl Default for DomainDecision {
@@ -138,18 +130,11 @@ impl Default for DomainDecision {
             util: 0.0,
             dwell_until: SimTime::ZERO,
             armed_power: Watts(0.0),
-            frozen_since: None,
         }
     }
 }
 
 impl DomainDecision {
-    /// Whether the domain is frozen out of the per-step accounting.
-    #[inline]
-    pub fn is_frozen(&self) -> bool {
-        self.frozen_since.is_some()
-    }
-
     /// The next forced decision, if one is armed.
     #[inline]
     pub fn deadline(&self) -> Option<SimTime> {
@@ -169,7 +154,6 @@ impl DomainDecision {
     /// and the renormalisation keeps it as responsive as a window reset
     /// every `interval`.
     pub fn accrue(&mut self, dt: SimDuration, busy_fraction: f64, interval: SimDuration) {
-        debug_assert!(!self.is_frozen(), "a frozen domain accrues nothing");
         self.window += dt;
         self.busy += busy_fraction * dt.as_secs_f64();
         if self.window > interval {
@@ -208,7 +192,6 @@ impl DomainDecision {
         hold: DecisionHold,
         max_hold: Option<SimDuration>,
     ) {
-        debug_assert!(!self.is_frozen(), "a frozen domain cannot decide");
         self.busy = 0.0;
         self.window = SimDuration::ZERO;
         self.util = input.utilization;
@@ -218,65 +201,8 @@ impl DomainDecision {
         self.deadline = max_hold.map(|h| now + h);
     }
 
-    /// Freezes the record at `now` when no decision can fire until an
-    /// event touches the domain: no deadline armed, exactly zero busy
-    /// time, nothing executing (`idle`: every CPU idle or the package
-    /// halted — either way the busy increment stays zero until a
-    /// scheduling or throttle event), and hold bands that contain the
-    /// whole future signal trajectory. Utilization is pinned at zero;
-    /// the thermal-power average (`thermal().0`) decays monotonically
-    /// toward the halt floor (`thermal().1`), so containing both bounds
-    /// every intermediate value. The closures run only when needed.
-    pub fn try_park(
-        &mut self,
-        now: SimTime,
-        idle: impl FnOnce() -> bool,
-        thermal: impl FnOnce() -> (f64, f64),
-    ) {
-        if self.is_frozen() || self.deadline.is_some() || self.busy != 0.0 {
-            return;
-        }
-        let Some(hold) = &self.hold else { return };
-        if !idle() {
-            return;
-        }
-        if let Some((lo, hi)) = hold.utilization {
-            if lo > 0.0 || hi < 0.0 {
-                return;
-            }
-        }
-        if let Some((lo, hi)) = hold.thermal_power {
-            let (avg, floor) = thermal();
-            if avg < lo.0 || avg > hi.0 || floor < lo.0 || floor > hi.0 {
-                return;
-            }
-        }
-        self.frozen_since = Some(now);
-    }
-
-    /// Catches a frozen record's window up to `now` in one move and
-    /// keeps it frozen; a live record is left alone. Exact: the busy
-    /// time stayed exactly zero over the frozen span (renormalising a
-    /// zero is a zero), so the only state the skipped steps would have
-    /// changed is the window length, which saturates at `interval`.
-    #[inline]
-    pub fn catch_up(&mut self, now: SimTime, interval: SimDuration) {
-        if let Some(since) = self.frozen_since {
-            self.window = (self.window + now.saturating_since(since)).min(interval);
-            self.frozen_since = Some(now);
-        }
-    }
-
-    /// Ends a frozen span at `now` (a no-op on a live record): the
-    /// window catches up and per-step accounting resumes.
-    #[inline]
-    pub fn thaw(&mut self, now: SimTime, interval: SimDuration) {
-        self.catch_up(now, interval);
-        self.frozen_since = None;
-    }
-
     /// Bounds the span `dt` of the next step so that a trigger of this
-    /// live record lands on a step end instead of drifting up to a
+    /// record lands on a step end instead of drifting up to a
     /// whole stride late: the predicted escape time of each hold band
     /// (the forced deadline bounds spans through
     /// [`DomainDecision::deadline`]). `busy_fraction` and `power` are the
@@ -378,7 +304,6 @@ impl ebs_store::Snapshot for DomainDecision {
         w.f64(self.util);
         w.time(self.dwell_until);
         w.watts(self.armed_power);
-        w.opt(&self.frozen_since, |w, &t| w.time(t));
     }
 
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), StoreError> {
@@ -395,7 +320,6 @@ impl ebs_store::Snapshot for DomainDecision {
         self.util = r.f64()?;
         self.dwell_until = r.time()?;
         self.armed_power = r.watts()?;
-        self.frozen_since = r.opt(|r| r.time())?;
         Ok(())
     }
 }
@@ -504,57 +428,6 @@ mod tests {
     }
 
     #[test]
-    fn parked_catch_up_equals_stepwise_idle_accrual() {
-        // An idle domain parked at 3 ms: one catch-up at 40 ms must land
-        // exactly where per-step accrual at zero busy time would, and
-        // the window saturates at the interval.
-        let hold = DecisionHold {
-            utilization: Some((f64::NEG_INFINITY, 0.2)),
-            thermal_power: None,
-            min_dwell: SimDuration::ZERO,
-        };
-        let mut stepped = armed(ms(0), hold, 0.0, 13.6);
-        for _ in 0..3 {
-            stepped.accrue(SimDuration::from_millis(1), 0.0, INTERVAL);
-        }
-        let mut parked = stepped.clone();
-        // An executing domain never parks; an idle one does.
-        parked.try_park(ms(3), || false, || unreachable!("no thermal band"));
-        assert!(!parked.is_frozen());
-        parked.try_park(ms(3), || true, || unreachable!("no thermal band"));
-        assert!(parked.is_frozen());
-        for _ in 3..40 {
-            stepped.accrue(SimDuration::from_millis(1), 0.0, INTERVAL);
-        }
-        parked.catch_up(ms(40), INTERVAL);
-        assert!(parked.is_frozen(), "catching up keeps the record frozen");
-        parked.thaw(ms(40), INTERVAL);
-        assert_eq!(parked, stepped);
-        assert_eq!(parked.window, INTERVAL);
-        // Thawing a live record changes nothing.
-        parked.thaw(ms(90), INTERVAL);
-        assert_eq!(parked, stepped);
-        // Busy time, an armed deadline, or a thermal band that excludes
-        // the halt floor the average decays toward keep a record live.
-        let mut busy = armed(ms(0), hold, 0.0, 13.6);
-        busy.accrue(SimDuration::from_millis(1), 0.5, INTERVAL);
-        busy.try_park(ms(1), || true, || (0.0, 0.0));
-        let mut deadline = DomainDecision::default();
-        deadline.arm(ms(0), &input(0.0, 13.6), hold, Some(INTERVAL));
-        deadline.try_park(ms(1), || true, || (0.0, 0.0));
-        let mut cooling = armed(
-            ms(0),
-            thermal_band(15.0, 38.0, SimDuration::ZERO),
-            0.0,
-            20.0,
-        );
-        cooling.try_park(ms(1), || true, || (20.0, 13.6));
-        assert!(!busy.is_frozen() && !deadline.is_frozen() && !cooling.is_frozen());
-        cooling.try_park(ms(1), || true, || (20.0, 16.0));
-        assert!(cooling.is_frozen());
-    }
-
-    #[test]
     fn is_due_on_deadline_first_decision_escape_and_after_dwell() {
         // A fresh record has no hold yet: due at once.
         assert!(DomainDecision::default().is_due(ms(0), Watts(0.0)));
@@ -592,10 +465,9 @@ mod tests {
         };
         let mut live = armed(ms(7), hold, 0.5, 31.25);
         live.accrue(SimDuration::from_millis(3), 0.5, INTERVAL);
-        let mut parked = armed(ms(7), DecisionHold::never(), 0.0, 13.6);
-        parked.try_park(ms(8), || true, || unreachable!("no thermal band"));
-        assert!(parked.is_frozen());
-        for record in [live, parked] {
+        // A fresh record covers the other branch of both options: no
+        // hold yet, and a deadline due at once.
+        for record in [live, DomainDecision::default()] {
             let mut w = StateWriter::new();
             record.save(&mut w);
             let image = w.finish();

@@ -26,7 +26,8 @@ use ebs_core::{
 use ebs_counters::{calibration, EnergyModel};
 use ebs_dvfs::{Governor, GovernorInput};
 use ebs_sched::{
-    idlest_cpu, BinaryId, LoadBalancer, LoadBalancerConfig, System, TaskConfig, TaskId,
+    idlest_cpu, BalanceTimers, BinaryId, LoadBalancer, LoadBalancerConfig, System, TaskConfig,
+    TaskId,
 };
 use ebs_thermal::ThrottleState;
 use ebs_topology::CpuId;
@@ -492,31 +493,10 @@ impl Simulation {
         ))
     }
 
-    /// Records one scheduling event: unfreezes the DVFS domains it
-    /// touches, and feeds the event trace when it is enabled. With
-    /// tracing disabled this allocates nothing.
+    /// Records one scheduling event into the event trace when it is
+    /// enabled. With tracing disabled this allocates nothing.
     #[inline]
     fn emit(&mut self, kind: EventKind) {
-        // A scheduling or throttle event touching a frozen domain ends
-        // its provably-idle span: every transition that can move the
-        // domain's busy fraction or thermal trajectory passes through
-        // here (dispatches and undispatches always emit a
-        // `ContextSwitch`; halt flips emit the throttle events, which
-        // touch every domain of the throttled package).
-        let map = self.machine.domain_map();
-        match kind {
-            EventKind::ContextSwitch { cpu, .. } => {
-                let interval = self.dvfs_interval();
-                self.dvfs[map.domain_of(CpuId(cpu as usize))].thaw(self.now, interval);
-            }
-            EventKind::ThrottleEngage { package } | EventKind::ThrottleRelease { package } => {
-                let interval = self.dvfs_interval();
-                for &dom in map.domains_of_package(package as usize) {
-                    self.dvfs[dom].thaw(self.now, interval);
-                }
-            }
-            _ => {}
-        }
         if let Some(trace) = self.tracer.as_mut() {
             trace.record(self.now, kind);
         }
@@ -797,16 +777,7 @@ impl Simulation {
         let threads_per_core = self.sys.topology().threads_per_core().max(1);
         for (pkg, cpus) in self.pkg_cpus.iter().enumerate() {
             let pkg_running = self.machine.throttles[pkg].state() == ThrottleState::Running;
-            // A frozen package (all its domains frozen) has no running
-            // tasks by construction, so the per-CPU expiry/completion
-            // scan finds nothing.
-            let pkg_frozen = self
-                .machine
-                .domain_map()
-                .domains_of_package(pkg)
-                .iter()
-                .all(|&d| self.dvfs[d].is_frozen());
-            if pkg_running && !pkg_frozen {
+            if pkg_running {
                 for (i, &cpu) in cpus.iter().enumerate() {
                     let Some(task) = self.sys.current(cpu) else {
                         continue;
@@ -904,9 +875,6 @@ impl Simulation {
             };
             let map = self.machine.domain_map();
             for (dom, d) in self.dvfs.iter().enumerate() {
-                if d.is_frozen() {
-                    continue;
-                }
                 let cpus = map.cpus(dom);
                 dt = d.stride_bound(
                     &at,
@@ -953,15 +921,6 @@ impl Simulation {
             .filter(|&&c| self.sys.current(c).is_some())
             .count();
         busy as f64 / cpus.len() as f64
-    }
-
-    /// The DVFS utilization window cap, [`crate::DvfsSpec::interval`]
-    /// (zero without DVFS, where no decision record ever freezes).
-    fn dvfs_interval(&self) -> SimDuration {
-        self.cfg
-            .dvfs
-            .as_ref()
-            .map_or(SimDuration::ZERO, |s| s.interval)
     }
 
     /// Predicts the thermal-power *sample* sum a CPU list (a package,
@@ -1200,34 +1159,14 @@ impl Simulation {
         // Accrue busy time every step so a task blocking and waking
         // between decisions still shows up as load.
         for dom in 0..self.dvfs.len() {
-            if !self.dvfs[dom].is_frozen() {
-                let busy = self.busy_fraction(dom);
-                self.dvfs[dom].accrue(dt, busy, interval);
-            }
+            let busy = self.busy_fraction(dom);
+            self.dvfs[dom].accrue(dt, busy, interval);
         }
         for dom in 0..self.dvfs.len() {
-            if self.dvfs[dom].is_frozen() {
-                continue;
-            }
-            let map = self.machine.domain_map();
-            let cpus = map.cpus(dom);
+            let cpus = self.machine.domain_map().cpus(dom);
             if self.dvfs[dom].is_due(self.now, self.power.thermal_power_sum(cpus)) {
                 self.dvfs_decide(dom, max_hold);
             }
-            // Freeze screen (the per-domain hold-expiry index): a
-            // domain whose hold provably cannot escape and whose
-            // deadline is unarmed is exempted from the per-step
-            // accounting above until an event touches it.
-            let map = self.machine.domain_map();
-            let cpus = map.cpus(dom);
-            let halted =
-                self.machine.throttles[map.package_of(dom)].state() != ThrottleState::Running;
-            let (sys, power, machine) = (&self.sys, &self.power, &self.machine);
-            self.dvfs[dom].try_park(
-                self.now,
-                || halted || cpus.iter().all(|&c| sys.current(c).is_none()),
-                || (power.thermal_power_sum(cpus).0, machine.halt_floor(cpus)),
-            );
         }
     }
 
@@ -1531,8 +1470,8 @@ impl Simulation {
         }
         let p = a.energy.average_power(a.time);
         // Through the system, not the task: the profile of a running
-        // task feeds its queue's runqueue power, which the aggregate
-        // tree tracks incrementally.
+        // task feeds its queue's runqueue power, whose changes the
+        // aggregate tree's generations track.
         self.sys.update_profile(task, p, a.time);
         let binary = self.sys.task(task).binary();
         if let Some(rt) = self.runtimes[task.0 as usize].as_mut() {
@@ -1604,11 +1543,7 @@ impl Simulation {
         for (d, dom) in self.machine.freq_domains.iter().enumerate() {
             reg.set_gauge(m.g_freq[d], dom.frequency().0 / 1e9);
         }
-        let interval = self.dvfs_interval();
-        for (dom, d) in self.dvfs.iter_mut().enumerate() {
-            // Frozen domains stopped accumulating their windows; the
-            // catch-up is exact (zero busy time) and keeps them frozen.
-            d.catch_up(self.now, interval);
+        for (dom, d) in self.dvfs.iter().enumerate() {
             reg.set_gauge(m.g_util[dom], d.utilization());
         }
     }
@@ -1699,26 +1634,6 @@ impl Simulation {
 // exception: the metrics *cadence cursor* is state, because it bounds
 // variable strides and therefore shapes the event sequence.
 // ---------------------------------------------------------------------
-
-/// Reads a shaped table of raw values and rejects a count mismatch.
-fn restore_table<T>(
-    r: &mut ebs_store::StateReader<'_>,
-    out: &mut [T],
-    what: &str,
-    mut read: impl FnMut(&mut ebs_store::StateReader<'_>) -> Result<T, ebs_store::StoreError>,
-) -> Result<(), ebs_store::StoreError> {
-    let n = r.usize()?;
-    if n != out.len() {
-        return Err(ebs_store::StoreError::Invalid(format!(
-            "snapshot has {n} {what}, engine has {}",
-            out.len()
-        )));
-    }
-    for slot in out {
-        *slot = read(r)?;
-    }
-    Ok(())
-}
 
 impl ebs_store::Snapshot for Simulation {
     fn save(&self, w: &mut ebs_store::StateWriter) {
@@ -1826,11 +1741,9 @@ impl ebs_store::Snapshot for Simulation {
             (0, Balancer::Baseline(b)) => b.restore(r)?,
             (1, Balancer::EnergyAware(b)) => b.restore(r)?,
             // A snapshot from the other balancer kind: consume its
-            // timer table (both kinds serialize the same layout) and
-            // keep this engine's fresh timers.
-            (0 | 1, _) => {
-                let _ = r.seq(|r| r.seq(|r| r.time()))?;
-            }
+            // timer table (both kinds embed the same type) and keep
+            // this engine's fresh timers.
+            (0 | 1, _) => BalanceTimers::new(self.sys.topology()).restore(r)?,
             (tag, _) => {
                 return Err(ebs_store::StoreError::Invalid(format!(
                     "balancer tag {tag}"
@@ -1839,10 +1752,7 @@ impl ebs_store::Snapshot for Simulation {
         }
         self.placement.restore(r)?;
         r.key("dvfs")?;
-        restore_table(r, &mut self.dvfs, "dvfs domains", |r| {
-            let mut d = DomainDecision::default();
-            d.restore(r).map(|()| d)
-        })?;
+        r.table("dvfs domains", &mut self.dvfs, |r, d| d.restore(r))?;
         self.dvfs_decisions = r.u64()?;
         r.key("workload")?;
         let n_inbox = r.usize()?;
@@ -1897,17 +1807,22 @@ impl ebs_store::Snapshot for Simulation {
             let phase = ebs_store::intern(&r.str()?);
             Ok((phase, r.f64()?))
         })?;
-        restore_table(r, &mut self.cycle_carry, "cycle carries", |r| r.f64())?;
-        restore_table(r, &mut self.instr_carry, "instruction carries", |r| r.f64())?;
-        self.rng = StdRng::from_state(r.u64()?);
-        restore_table(r, &mut self.acc, "interval accumulators", |r| {
-            Ok(IntervalAcc {
-                task: r.opt(|r| Ok(TaskId(r.u64()?)))?,
-                energy: r.joules()?,
-                time: r.duration()?,
-            })
+        r.table("cycle carries", &mut self.cycle_carry, |r, c| {
+            r.f64().map(|v| *c = v)
         })?;
-        restore_table(r, &mut self.newidle_pending, "new-idle flags", |r| r.bool())?;
+        r.table("instruction carries", &mut self.instr_carry, |r, c| {
+            r.f64().map(|v| *c = v)
+        })?;
+        self.rng = StdRng::from_state(r.u64()?);
+        r.table("interval accumulators", &mut self.acc, |r, acc| {
+            acc.task = r.opt(|r| Ok(TaskId(r.u64()?)))?;
+            acc.energy = r.joules()?;
+            acc.time = r.duration()?;
+            Ok(())
+        })?;
+        r.table("new-idle flags", &mut self.newidle_pending, |r, p| {
+            r.bool().map(|v| *p = v)
+        })?;
         self.now = r.time()?;
         self.sys.set_now(self.now);
         self.steps = r.u64()?;
@@ -2375,14 +2290,11 @@ mod tests {
         let cfg = quick_cfg()
             .energy_aware(false)
             .dvfs_governor(ebs_dvfs::GovernorKind::OnDemand);
-        let interval = cfg.dvfs.as_ref().expect("dvfs on").interval;
         let mut sim = Simulation::new(cfg);
         sim.spawn_program(&catalog::aluadd());
         sim.run_for(SimDuration::from_millis(50));
         let mut busy = false;
         for pkg in 0..sim.dvfs.len() {
-            let now = sim.now;
-            sim.dvfs[pkg].thaw(now, interval);
             let before = sim.dvfs[pkg].utilization();
             busy |= before > 0.0;
             // The first decision reads the window and resets it; the
@@ -2551,47 +2463,6 @@ mod tests {
         let rel = (chatty.instructions_retired as f64 - limited.instructions_retired as f64).abs()
             / chatty.instructions_retired as f64;
         assert!(rel < 0.10, "work drifted {rel}");
-    }
-
-    #[test]
-    fn idle_packages_freeze_and_events_unfreeze_them() {
-        // One busy task: the other seven packages park at the slowest
-        // state with zero utilization inside their hold bands, so the
-        // per-package hold-expiry index freezes them out of the
-        // per-step DVFS accounting entirely.
-        let cfg = quick_cfg()
-            .energy_aware(false)
-            .throttling(false)
-            .dvfs_governor(ebs_dvfs::GovernorKind::OnDemand);
-        let mut sim = Simulation::new(cfg);
-        let id = sim.spawn_program(&catalog::aluadd());
-        sim.run_for(SimDuration::from_secs(5));
-        let busy_pkg = sim
-            .system()
-            .topology()
-            .package_of(sim.system().task(id).cpu())
-            .0;
-        let frozen = sim.dvfs.iter().filter(|d| d.is_frozen()).count();
-        assert!(frozen >= 6, "only {frozen} packages froze");
-        assert!(!sim.dvfs[busy_pkg].is_frozen(), "the busy package froze");
-        // A task landing on a frozen package unfreezes it through the
-        // dispatch event and the governor reacts again.
-        let id2 = sim.spawn_program(&catalog::aluadd());
-        sim.run_for(SimDuration::from_millis(100));
-        let pkg2 = sim
-            .system()
-            .topology()
-            .package_of(sim.system().task(id2).cpu())
-            .0;
-        assert_ne!(pkg2, busy_pkg, "placement should pick an idle package");
-        assert!(!sim.dvfs[pkg2].is_frozen(), "dispatch did not unfreeze");
-        assert_eq!(
-            sim.machine()
-                .freq_domain(ebs_topology::PackageId(pkg2))
-                .current_index(),
-            0,
-            "unfrozen package did not clock back up"
-        );
     }
 
     #[test]

@@ -251,31 +251,15 @@ impl ebs_store::Snapshot for PhysicalMachine {
     /// config-derived and stay as constructed.
     fn restore(&mut self, r: &mut ebs_store::StateReader<'_>) -> Result<(), ebs_store::StoreError> {
         r.key("machine")?;
-        restore_shaped(r, &mut self.banks, "counter banks")?;
-        restore_shaped(r, &mut self.thermals, "thermal nodes")?;
-        restore_shaped(r, &mut self.throttles, "throttle controllers")?;
-        restore_shaped(r, &mut self.freq_domains, "frequency domains")
+        r.table("counter banks", &mut self.banks, |r, b| b.restore(r))?;
+        r.table("thermal nodes", &mut self.thermals, |r, t| t.restore(r))?;
+        r.table("throttle controllers", &mut self.throttles, |r, t| {
+            t.restore(r)
+        })?;
+        r.table("frequency domains", &mut self.freq_domains, |r, d| {
+            d.restore(r)
+        })
     }
-}
-
-/// Restores a fixed-shape table of snapshot sections, rejecting a
-/// count mismatch (a snapshot from a differently shaped machine).
-fn restore_shaped<T: ebs_store::Snapshot>(
-    r: &mut ebs_store::StateReader<'_>,
-    items: &mut [T],
-    what: &str,
-) -> Result<(), ebs_store::StoreError> {
-    let n = r.usize()?;
-    if n != items.len() {
-        return Err(ebs_store::StoreError::Invalid(format!(
-            "snapshot has {n} {what}, machine has {}",
-            items.len()
-        )));
-    }
-    for item in items {
-        item.restore(r)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

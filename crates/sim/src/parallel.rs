@@ -443,16 +443,7 @@ impl ebs_store::Snapshot for ParallelSimulation {
     /// fixed by the topology).
     fn restore(&mut self, r: &mut ebs_store::StateReader<'_>) -> Result<(), ebs_store::StoreError> {
         r.key("parallel")?;
-        let n = r.usize()?;
-        if n != self.shards.len() {
-            return Err(ebs_store::StoreError::Invalid(format!(
-                "snapshot has {n} partitions, engine has {}",
-                self.shards.len()
-            )));
-        }
-        for shard in &mut self.shards {
-            shard.restore(r)?;
-        }
+        r.table("partitions", &mut self.shards, |r, shard| shard.restore(r))?;
         let has_open = r.bool()?;
         match (has_open, &mut self.open) {
             (true, Some(open)) => open.restore(r)?,

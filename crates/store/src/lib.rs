@@ -47,7 +47,10 @@ pub const MAGIC: [u8; 4] = *b"EBSS";
 /// - **v4** — DVFS decision state is one record per frequency domain
 ///   instead of nine parallel per-domain tables, and a frozen domain's
 ///   flag and freeze time become one optional instant.
-pub const FORMAT_VERSION: u32 = 4;
+/// - **v5** — state nothing read is gone: the DVFS record's freeze
+///   instant, the aggregate cells' `nr_queued` and profile sums, and
+///   the power state's budget generation.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// A restore failure. Every variant names enough context to locate
 /// the divergence in the byte stream.
@@ -357,6 +360,34 @@ impl<'a> StateReader<'a> {
         Ok(out)
     }
 
+    /// Restores a fixed-shape table written by [`StateWriter::seq`]
+    /// into `items` in place, one `f` per entry.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Invalid`] naming the table (`what`) and both
+    /// counts when the stored count differs from `items.len()` (a
+    /// snapshot of a differently shaped machine); otherwise any
+    /// failure of `f`.
+    pub fn table<T>(
+        &mut self,
+        what: &str,
+        items: &mut [T],
+        mut f: impl FnMut(&mut Self, &mut T) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
+        let n = self.usize()?;
+        if n != items.len() {
+            return Err(StoreError::Invalid(format!(
+                "snapshot has {n} {what}, expected {}",
+                items.len()
+            )));
+        }
+        for item in items {
+            f(self, item)?;
+        }
+        Ok(())
+    }
+
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -548,6 +579,8 @@ mod tests {
         w.opt(&Some(9u64), |w, v| w.u64(*v));
         w.opt(&None::<u64>, |w, v| w.u64(*v));
         w.seq(&[1u64, 2, 3], |w, v| w.u64(*v));
+        w.seq(&[4u64, 5], |w, v| w.u64(*v));
+        w.seq(&[6u64, 7], |w, v| w.u64(*v));
         let image = w.finish();
         let mut r = image.open().expect("valid image");
         r.key("prims").unwrap();
@@ -566,7 +599,21 @@ mod tests {
         assert_eq!(r.opt(|r| r.u64()).unwrap(), Some(9));
         assert_eq!(r.opt(|r| r.u64()).unwrap(), None);
         assert_eq!(r.seq(|r| r.u64()).unwrap(), vec![1, 2, 3]);
-        assert_eq!(r.remaining(), 0);
+        let mut table = [0u64; 2];
+        r.table("entries", &mut table, |r, v| r.u64().map(|x| *v = x))
+            .unwrap();
+        assert_eq!(table, [4, 5]);
+        // A count mismatch is refused, naming the table and both counts.
+        let mut wide = [0u64; 3];
+        let err = r
+            .table("timers", &mut wide, |r, v| r.u64().map(|x| *v = x))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            StoreError::Invalid("snapshot has 2 timers, expected 3".into())
+        );
+        assert_eq!(wide, [0; 3], "nothing restored past the count check");
+        assert_eq!(r.remaining(), 16);
     }
 
     #[test]

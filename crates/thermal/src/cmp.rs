@@ -116,14 +116,6 @@ impl CmpThermalNode {
         self.sink_temp
     }
 
-    /// The hottest core right now.
-    pub fn max_core_temp(&self) -> Celsius {
-        self.core_temps
-            .iter()
-            .copied()
-            .fold(self.model.ambient, Celsius::max)
-    }
-
     /// Advances the package by `dt` under the given per-core powers.
     ///
     /// Integration is semi-implicit Euler with internal sub-stepping
