@@ -8,13 +8,17 @@
 //! (`sim_time / engine_steps`) shows how far the engine gets from its
 //! one-tick floor on each shape. The DVFS cells run the scaling
 //! sweep's thermal-aware enforcement, whose governors only end spans
-//! when a hold band is about to be escaped.
+//! when a hold band is about to be escaped. One numa64 `par4` cell
+//! runs again with `profile_engine` on, so the table ends with the
+//! partitioned core's synchronizer profile (route, step, rebalance per
+//! horizon).
 
 use crate::experiments::scaling;
 use crate::fmt::Table;
 use ebs_dvfs::GovernorKind;
-use ebs_sim::{build_engine, MaxPowerSpec, SimConfig, Simulation};
+use ebs_sim::{build_engine, MaxPowerSpec, ParallelSimulation, SimConfig, Simulation};
 use ebs_topology::TopologyPreset;
+use ebs_trace::PhaseProfiler;
 use ebs_units::{SimDuration, Watts};
 use ebs_workloads::{catalog, LoadCurve, OpenWorkload};
 use std::time::Instant;
@@ -73,6 +77,23 @@ pub struct TraceParity {
     pub traced_wall_s: f64,
 }
 
+/// The synchronizer profile: one numa64 `par4` cell run with
+/// `profile_engine` on, which charges the partitioned core's host wall
+/// time per horizon to routing, stepping (the calling thread's round,
+/// including its wait for the other threads) and rebalancing. The
+/// call counts are deterministic; the wall times are informational.
+#[derive(Clone, Debug)]
+pub struct SyncProfile {
+    /// Topology of the profiled cell.
+    pub topology: &'static str,
+    /// Engine steps of the profiled run (profiling must not move it).
+    pub steps: u64,
+    /// The synchronizer's per-phase profile.
+    pub profile: PhaseProfiler,
+    /// Wall seconds of the profiled run (informational).
+    pub wall_s: f64,
+}
+
 /// The fork-sweep amortization measurement: the scaling matrix run
 /// straight (one warm-up per cell) vs forked from per-group
 /// `ebs-store` checkpoints (one warm-up per topology×curve group).
@@ -109,6 +130,8 @@ pub struct EngineBench {
     pub rows: Vec<EngineBenchRow>,
     /// The tracing-overhead / self-profiling measurement.
     pub parity: TraceParity,
+    /// The partitioned core's synchronizer profile.
+    pub sync: SyncProfile,
     /// The checkpoint/fork warm-up-amortization measurement.
     pub fork: ForkSweep,
 }
@@ -157,10 +180,15 @@ const MODES: [(&str, bool, &str, usize); 5] = [
     ("par4", true, "off", 4),
 ];
 
+/// The simulated span of every cell: 4 s under `quick`, 20 s on the
+/// full ladder.
+fn duration(quick: bool) -> SimDuration {
+    SimDuration::from_secs(if quick { 4 } else { 20 })
+}
+
 /// Runs the benchmark. `quick` shortens the simulated horizon and the
 /// topology ladder for CI.
 pub fn run(quick: bool) -> EngineBench {
-    let duration = SimDuration::from_secs(if quick { 4 } else { 20 });
     let presets = if quick {
         vec![
             TopologyPreset::XSeries445 { smt: false },
@@ -171,40 +199,57 @@ pub fn run(quick: bool) -> EngineBench {
     };
     let mut rows = Vec::new();
     for preset in presets {
-        for (mode, strided, dvfs, workers) in MODES {
-            let cfg = cell(preset, strided, dvfs);
-            let cpus = cfg.n_cpus();
-            // `workers == 0` leaves the config sequential;
-            // `build_engine` then picks the core — no per-core dispatch
-            // here anymore.
-            let cfg = if workers > 0 {
-                cfg.parallel(workers)
-            } else {
-                cfg
-            };
-            let start = Instant::now();
-            let mut sim = build_engine(cfg);
-            sim.run_for(duration);
-            let (wall_s, report) = (start.elapsed().as_secs_f64().max(1e-9), sim.report());
-            let sim_s = report.duration.as_secs_f64();
-            rows.push(EngineBenchRow {
-                topology: preset.name(),
-                cpus,
-                mode,
-                dvfs,
-                sim_s,
-                wall_s,
-                sim_per_wall: sim_s / wall_s,
-                steps: report.engine_steps,
-                mean_stride_us: sim_s * 1e6 / report.engine_steps.max(1) as f64,
-                dvfs_decisions: report.dvfs_decisions,
-                instructions: report.instructions_retired,
-            });
+        for (mode, _, dvfs, _) in MODES {
+            rows.push(measure(preset, mode, dvfs, quick));
         }
     }
-    let parity = trace_parity(duration);
+    let parity = trace_parity(duration(quick));
+    let sync = sync_profile(duration(quick));
     let fork = fork_sweep(quick);
-    EngineBench { rows, parity, fork }
+    EngineBench {
+        rows,
+        parity,
+        sync,
+        fork,
+    }
+}
+
+/// Measures one cell of the matrix: `preset` in the engine mode `mode`
+/// with DVFS mode `dvfs`, over the span [`run`] uses for `quick`.
+/// Re-measuring a cell repeats its counters exactly; only the wall
+/// columns move.
+pub fn measure(preset: TopologyPreset, mode: &str, dvfs: &str, quick: bool) -> EngineBenchRow {
+    let (mode, strided, dvfs, workers) = MODES
+        .into_iter()
+        .find(|m| m.0 == mode && m.2 == dvfs)
+        .expect("a (mode, dvfs) pair of the matrix");
+    let cfg = cell(preset, strided, dvfs);
+    let cpus = cfg.n_cpus();
+    // `workers == 0` leaves the config sequential; `build_engine` then
+    // picks the core.
+    let cfg = if workers > 0 {
+        cfg.parallel(workers)
+    } else {
+        cfg
+    };
+    let start = Instant::now();
+    let mut sim = build_engine(cfg);
+    sim.run_for(duration(quick));
+    let (wall_s, report) = (start.elapsed().as_secs_f64().max(1e-9), sim.report());
+    let sim_s = report.duration.as_secs_f64();
+    EngineBenchRow {
+        topology: preset.name(),
+        cpus,
+        mode,
+        dvfs,
+        sim_s,
+        wall_s,
+        sim_per_wall: sim_s / wall_s,
+        steps: report.engine_steps,
+        mean_stride_us: sim_s * 1e6 / report.engine_steps.max(1) as f64,
+        dvfs_decisions: report.dvfs_decisions,
+        instructions: report.instructions_retired,
+    }
 }
 
 /// Runs both legs of the scaling fork sweep (the smoke matrix under
@@ -250,6 +295,25 @@ fn trace_parity(duration: SimDuration) -> TraceParity {
             .unwrap_or_default(),
         bare_wall_s,
         traced_wall_s,
+    }
+}
+
+/// Runs the numa64 `par4` cell with the synchronizer profile on.
+fn sync_profile(duration: SimDuration) -> SyncProfile {
+    let preset = TopologyPreset::Numa64;
+    let cfg = cell(preset, true, "off").parallel(4).profile_engine(true);
+    let start = Instant::now();
+    let mut sim = ParallelSimulation::new(cfg);
+    sim.run_for(duration);
+    let wall_s = start.elapsed().as_secs_f64();
+    SyncProfile {
+        topology: preset.name(),
+        steps: sim.report().engine_steps,
+        profile: sim
+            .sync_profile()
+            .expect("a multi-package shape with profiling on")
+            .clone(),
+        wall_s,
     }
 }
 
@@ -364,6 +428,13 @@ impl core::fmt::Display for EngineBench {
         )?;
         writeln!(
             f,
+            "\nSynchronizer self-profile ({} par4, profile_engine on; {} engine \
+             steps, wall {:.3}s, informational):",
+            self.sync.topology, self.sync.steps, self.sync.wall_s,
+        )?;
+        write!(f, "{}", self.sync.profile)?;
+        writeln!(
+            f,
             "
 Fork sweep ({} cells, {} warm-up groups): {:.2}x fewer engine steps \
              with shared warm-ups ({} -> {}), {:.2}x wall speedup \
@@ -472,5 +543,14 @@ mod tests {
             fork.fork_steps
         );
         assert!(bench.to_string().contains("bit-identical"));
+        // The synchronizer profile: every phase runs once per horizon
+        // (4 s of 25 ms horizons). Counts only, never wall times.
+        let rows = bench.sync.profile.rows();
+        let names: Vec<&str> = rows.iter().map(|r| r.name).collect();
+        assert_eq!(names, ["route", "step", "rebalance"]);
+        for row in rows {
+            assert_eq!(row.calls, 160, "{} calls", row.name);
+        }
+        assert!(bench.sync.steps > 0);
     }
 }

@@ -139,8 +139,9 @@ pub struct SimConfig {
     /// snapshots land on their exact instants.
     pub metrics_interval: Option<SimDuration>,
     /// Measure host wall time per engine phase (stride selection,
-    /// physics, scheduler, ...). Purely an engine-side profile; the
-    /// simulation's behaviour is unaffected.
+    /// physics, scheduler, ...), or on the multi-partition core per
+    /// synchronizer phase (route, step, rebalance). Purely an
+    /// engine-side profile; the simulation's behaviour is unaffected.
     pub profile_engine: bool,
     /// An open workload driven by the engine: Poisson task arrivals
     /// under a load curve. `None` keeps the paper's closed model

@@ -14,8 +14,11 @@
 //! - A **synchronizer** advances every partition through a shared
 //!   *horizon* (the stride cap). Within a horizon, partitions share
 //!   nothing and run concurrently on the sweep runner's work-stealing
-//!   pool ([`crate::map_parallel`]); threads are used only when the
-//!   host has parallelism to offer.
+//!   loop (the round runner under [`crate::map_parallel`]). Its
+//!   threads are spawned once per [`ParallelSimulation::run_for`]
+//!   call, park between horizons, and the calling thread steps
+//!   partitions too; threads are used only when the host has
+//!   parallelism to offer.
 //! - Partitions interact **only at horizon boundaries**: open-workload
 //!   arrivals are routed to the least-loaded partition, and a
 //!   cross-package handoff queue rebalances queued tasks from
@@ -23,6 +26,12 @@
 //!   spare capacity. Routing and handoffs are computed serially in
 //!   partition-index order, so results are identical for every worker
 //!   count ≥ 2 and deterministic per seed.
+//! - With [`SimConfig::profile_engine`] on, the synchronizer charges
+//!   its host wall time per horizon to three phases — `route`, `step`
+//!   (the calling thread's round, including its wait for the other
+//!   threads) and `rebalance` — readable as
+//!   [`ParallelSimulation::sync_profile`]. Profiling never changes a
+//!   result and is never written into snapshots.
 //!
 //! # Determinism contract
 //!
@@ -42,13 +51,20 @@
 
 use crate::config::SimConfig;
 use crate::engine::{RoutedArrival, Simulation};
-use crate::runner::map_parallel;
+use crate::runner::run_rounds;
 use crate::trace::{merge_residency, phase_latencies, LatencyStats, SimReport};
 use ebs_sched::MigrationReason;
-use ebs_trace::TraceEvent;
+use ebs_trace::{PhaseProfiler, TraceEvent};
 use ebs_units::{Hertz, Joules, SimDuration, SimTime};
 use ebs_workloads::{ArrivalProcess, Program};
-use std::sync::Mutex;
+use std::time::Instant;
+
+/// Synchronizer-phase indices into the self-profiler (names below,
+/// same order).
+const PHASE_ROUTE: usize = 0;
+const PHASE_STEP: usize = 1;
+const PHASE_REBALANCE: usize = 2;
+const PHASE_NAMES: [&str; 3] = ["route", "step", "rebalance"];
 
 /// One cross-partition task handoff, recorded for the determinism
 /// tests: handoffs must be identical across worker counts and applied
@@ -80,10 +96,14 @@ pub struct ParallelSimulation {
     open: Option<ArrivalProcess>,
     now: SimTime,
     horizon: SimDuration,
-    /// OS threads the stepping pool uses (1 = step serially).
+    /// OS threads that step partitions, the caller included (1 =
+    /// step serially).
     threads: usize,
     handoffs: Vec<HandoffRecord>,
     next_seq: u64,
+    /// Host wall time per synchronizer phase (multi-partition mode
+    /// with `profile_engine` only).
+    profiler: Option<PhaseProfiler>,
 }
 
 impl ParallelSimulation {
@@ -110,6 +130,7 @@ impl ParallelSimulation {
                 threads: 1,
                 handoffs: Vec::new(),
                 next_seq: 0,
+                profiler: None,
                 cfg,
             };
         }
@@ -133,6 +154,7 @@ impl ParallelSimulation {
             threads,
             handoffs: Vec::new(),
             next_seq: 0,
+            profiler: cfg.profile_engine.then(|| PhaseProfiler::new(&PHASE_NAMES)),
             cfg,
         }
     }
@@ -157,23 +179,33 @@ impl ParallelSimulation {
         &self.handoffs
     }
 
+    /// The synchronizer's self-profile: host wall time per horizon
+    /// spent routing arrivals, stepping the partitions (the calling
+    /// thread's round, including its wait for the other threads) and
+    /// rebalancing. `None` unless [`SimConfig::profile_engine`] is set
+    /// and the machine runs more than one partition.
+    pub fn sync_profile(&self) -> Option<&PhaseProfiler> {
+        self.profiler.as_ref()
+    }
+
     /// Spawns one instance of a program on the least-loaded partition
     /// (ties go to the lowest package index). Mix spawning comes from
     /// the [`crate::SimEngine`] provided methods.
     pub fn spawn_program(&mut self, program: &Program) {
-        let routed = vec![0usize; self.shards.len()];
-        let idx = least_loaded(&self.shards, &routed);
+        let idx = least_loaded(self.shards.iter().map(Simulation::runnable_tasks));
         self.shards[idx].spawn_program(program);
     }
 
     /// Queues an externally routed arrival on the least-loaded
     /// partition, counting arrivals already sitting in partition
     /// inboxes so one-at-a-time routing spreads like
-    /// [`ParallelSimulation::route_arrivals`] does.
+    /// [`route_arrivals`] does.
     pub(crate) fn queue_routed(&mut self, a: RoutedArrival) {
-        let idx = (0..self.shards.len())
-            .min_by_key(|&i| self.shards[i].runnable_tasks() + self.shards[i].inbox_len())
-            .expect("at least one partition");
+        let idx = least_loaded(
+            self.shards
+                .iter()
+                .map(|s| s.runnable_tasks() + s.inbox_len()),
+        );
         self.shards[idx].queue_arrival(a);
     }
 
@@ -200,6 +232,9 @@ impl ParallelSimulation {
     /// Runs the simulation for a span of simulated time: repeated
     /// horizons of concurrent partition stepping, with arrival routing
     /// ahead of each horizon and handoff rebalancing at each boundary.
+    /// The stepping threads live for this call only: one round per
+    /// horizon, with routing and rebalancing as the serial step
+    /// between rounds.
     pub fn run_for(&mut self, duration: SimDuration) {
         let end = self.now + duration;
         if self.shards.len() == 1 {
@@ -207,101 +242,47 @@ impl ParallelSimulation {
             self.now = end;
             return;
         }
-        while self.now < end {
-            let h = self.horizon.min(end - self.now);
-            let boundary = self.now + h;
-            self.route_arrivals(boundary);
-            self.step_shards(h);
-            self.now = boundary;
-            self.rebalance();
-        }
-    }
-
-    /// Pops every arrival due by `until` off the shared process and
-    /// queues it on the least-loaded partition, preserving its exact
-    /// due instant. Serial and index-ordered: the routing is the same
-    /// for every worker count.
-    fn route_arrivals(&mut self, until: SimTime) {
-        let mut routed = vec![0usize; self.shards.len()];
-        let Some(open) = self.open.as_mut() else {
-            return;
-        };
-        loop {
-            let t = open.next_arrival();
-            if t > until {
-                break;
-            }
-            for a in open.pop_due(t) {
-                let program = open.spec().materialize(&a);
-                let idx = least_loaded(&self.shards, &routed);
-                routed[idx] += 1;
-                self.shards[idx].queue_arrival(RoutedArrival {
-                    due: t,
-                    program,
-                    seed: a.seed,
-                    phase: a.phase,
-                });
-            }
-        }
-    }
-
-    /// Advances every partition by `h`, on the work-stealing pool when
-    /// the host offers parallelism, serially otherwise. Partitions
-    /// share nothing within a horizon, so the schedule cannot affect
-    /// results.
-    fn step_shards(&mut self, h: SimDuration) {
-        let slots: Vec<Mutex<&mut Simulation>> = self.shards.iter_mut().map(Mutex::new).collect();
-        map_parallel(&slots, self.threads, |slot| {
-            slot.lock().expect("partition slot poisoned").run_for(h);
-        });
-    }
-
-    /// The cross-package handoff queue, applied at a horizon boundary:
-    /// partitions holding more runnable tasks than CPUs donate queued
-    /// (never running) tasks to partitions with spare capacity.
-    /// Donors and receivers are visited in ascending package order, so
-    /// the handoff sequence is deterministic and identical for every
-    /// worker count.
-    fn rebalance(&mut self) {
-        let n = self.shards.len();
-        let mut counts: Vec<usize> = self.shards.iter().map(|s| s.runnable_tasks()).collect();
-        let caps: Vec<usize> = self.shards.iter().map(|s| s.n_cpus()).collect();
-        for donor in 0..n {
-            for recv in 0..n {
-                let surplus = counts[donor].saturating_sub(caps[donor]);
-                if surplus == 0 {
-                    break;
+        let ParallelSimulation {
+            shards,
+            open,
+            now,
+            horizon,
+            threads,
+            handoffs,
+            next_seq,
+            profiler,
+            ..
+        } = self;
+        // The serial step between rounds, on this thread: rebalance at
+        // the boundary just reached, stop at `end`, or route the next
+        // horizon's arrivals. `in_flight` holds the boundary of the
+        // round in flight and when it started.
+        let mut in_flight: Option<(SimTime, Option<Instant>)> = None;
+        run_rounds(
+            shards,
+            *threads,
+            |shards| {
+                if let Some((boundary, started)) = in_flight.take() {
+                    record(profiler, PHASE_STEP, started);
+                    *now = boundary;
+                    let t0 = start_phase(profiler);
+                    rebalance(shards, *now, handoffs, next_seq);
+                    record(profiler, PHASE_REBALANCE, t0);
                 }
-                if recv == donor {
-                    continue;
+                if *now >= end {
+                    return None;
                 }
-                let deficit = caps[recv].saturating_sub(counts[recv]);
-                if deficit == 0 {
-                    continue;
+                let h = (*horizon).min(end - *now);
+                let t0 = start_phase(profiler);
+                if let Some(open) = open.as_mut() {
+                    route_arrivals(shards, open, *now + h);
                 }
-                let want = surplus.min(deficit);
-                let tasks = self.shards[donor].extract_queued(want);
-                let moved = tasks.len();
-                for task in tasks {
-                    self.handoffs.push(HandoffRecord {
-                        at: self.now,
-                        seq: self.next_seq,
-                        binary: task.binary,
-                        from_shard: donor,
-                        to_shard: recv,
-                    });
-                    self.next_seq += 1;
-                    self.shards[recv].inject_task(task);
-                }
-                counts[donor] -= moved;
-                counts[recv] += moved;
-                if moved < want {
-                    // Nothing else extractable from this donor (its
-                    // remaining runnable tasks are all running).
-                    break;
-                }
-            }
-        }
+                record(profiler, PHASE_ROUTE, t0);
+                in_flight = Some((*now + h, start_phase(profiler)));
+                Some(h)
+            },
+            |shard, h| shard.run_for(h),
+        );
     }
 
     /// The merged event streams of all partitions, in global timestamp
@@ -469,25 +450,125 @@ impl ebs_store::Snapshot for ParallelSimulation {
     }
 }
 
-/// The partition with the fewest runnable tasks plus already-routed
-/// arrivals; ties go to the lowest package index (`min_by_key` keeps
-/// the first minimum).
-fn least_loaded(shards: &[Simulation], routed: &[usize]) -> usize {
-    (0..shards.len())
-        .min_by_key(|&i| shards[i].runnable_tasks() + routed[i])
+/// Starts a profiled phase (`None` when profiling is off, so the
+/// disabled path never reads the host clock).
+fn start_phase(profiler: &Option<PhaseProfiler>) -> Option<Instant> {
+    profiler.as_ref().map(|_| Instant::now())
+}
+
+/// Ends a profiled phase started by [`start_phase`].
+fn record(profiler: &mut Option<PhaseProfiler>, phase: usize, t0: Option<Instant>) {
+    if let (Some(p), Some(t0)) = (profiler.as_mut(), t0) {
+        p.record(phase, t0.elapsed());
+    }
+}
+
+/// Pops every arrival due by `until` off the shared process and
+/// queues it on the least-loaded partition, preserving its exact due
+/// instant. Serial and index-ordered: the routing is the same for
+/// every worker count.
+fn route_arrivals(shards: &mut [&mut Simulation], open: &mut ArrivalProcess, until: SimTime) {
+    let mut routed = vec![0usize; shards.len()];
+    loop {
+        let t = open.next_arrival();
+        if t > until {
+            break;
+        }
+        for a in open.pop_due(t) {
+            let program = open.spec().materialize(&a);
+            let idx = least_loaded(
+                shards
+                    .iter()
+                    .zip(&routed)
+                    .map(|(s, &r)| s.runnable_tasks() + r),
+            );
+            routed[idx] += 1;
+            shards[idx].queue_arrival(RoutedArrival {
+                due: t,
+                program,
+                seed: a.seed,
+                phase: a.phase,
+            });
+        }
+    }
+}
+
+/// The cross-package handoff queue, applied at the horizon boundary
+/// `at`: partitions holding more runnable tasks than CPUs donate
+/// queued (never running) tasks to partitions with spare capacity.
+/// Donors and receivers are visited in ascending package order, so
+/// the handoff sequence is deterministic and identical for every
+/// worker count.
+fn rebalance(
+    shards: &mut [&mut Simulation],
+    at: SimTime,
+    handoffs: &mut Vec<HandoffRecord>,
+    next_seq: &mut u64,
+) {
+    let n = shards.len();
+    let mut counts: Vec<usize> = shards.iter().map(|s| s.runnable_tasks()).collect();
+    let caps: Vec<usize> = shards.iter().map(|s| s.n_cpus()).collect();
+    for donor in 0..n {
+        for recv in 0..n {
+            let surplus = counts[donor].saturating_sub(caps[donor]);
+            if surplus == 0 {
+                break;
+            }
+            if recv == donor {
+                continue;
+            }
+            let deficit = caps[recv].saturating_sub(counts[recv]);
+            if deficit == 0 {
+                continue;
+            }
+            let want = surplus.min(deficit);
+            let tasks = shards[donor].extract_queued(want);
+            let moved = tasks.len();
+            for task in tasks {
+                handoffs.push(HandoffRecord {
+                    at,
+                    seq: *next_seq,
+                    binary: task.binary,
+                    from_shard: donor,
+                    to_shard: recv,
+                });
+                *next_seq += 1;
+                shards[recv].inject_task(task);
+            }
+            counts[donor] -= moved;
+            counts[recv] += moved;
+            if moved < want {
+                // Nothing else extractable from this donor (its
+                // remaining runnable tasks are all running).
+                break;
+            }
+        }
+    }
+}
+
+/// The index of the partition with the least load; ties go to the
+/// lowest package index (`min_by_key` keeps the first minimum).
+fn least_loaded(loads: impl Iterator<Item = usize>) -> usize {
+    loads
+        .enumerate()
+        .min_by_key(|&(_, load)| load)
+        .map(|(i, _)| i)
         .expect("at least one partition")
 }
 
 /// The configuration of partition `pkg`: the same machine parameters
 /// over a single-package topology. The seed is unchanged, so every
 /// partition calibrates the *same* energy model the global cores use;
-/// the arrival process moves to the synchronizer.
+/// the arrival process moves to the synchronizer. Partitions never
+/// self-profile: nothing can read their profiles, and the clock reads
+/// would inflate the synchronizer's `step` phase.
 fn shard_cfg(cfg: &SimConfig, pkg: usize) -> SimConfig {
     let mut s = cfg.clone();
     s.n_nodes = 1;
     s.packages_per_node = 1;
     s.parallel_workers = None;
     s.open_workload = None;
+    s.profile_engine = false;
     if !cfg.cooling_factors.is_empty() {
         s.cooling_factors = vec![cfg.cooling_factors[pkg]];
     }

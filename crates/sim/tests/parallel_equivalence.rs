@@ -372,7 +372,9 @@ proptest! {
     /// The partitioned engine is deterministic per seed, and the
     /// worker count never changes results — it only sizes the thread
     /// pool. Any `w ≥ 2` produces the same report as any other, and
-    /// repeated runs reproduce bit-exactly.
+    /// repeated runs reproduce bit-exactly. The stepping threads live
+    /// for one `run_for` call, so slicing the same span into many
+    /// calls must not change the report either.
     #[test]
     fn parallel_runs_are_deterministic_and_worker_count_invariant(
         curve_idx in 0usize..4,
@@ -382,8 +384,14 @@ proptest! {
         let w2a = run_parallel(open_cfg(2, curve_idx, seed).parallel(2), 0, duration);
         let w2b = run_parallel(open_cfg(2, curve_idx, seed).parallel(2), 0, duration);
         let w4 = run_parallel(open_cfg(2, curve_idx, seed).parallel(4), 0, duration);
+        // 12 calls of 250 ms (10 whole horizons each) reach the same 3 s.
+        let mut sliced = ParallelSimulation::new(open_cfg(2, curve_idx, seed).parallel(2));
+        for _ in 0..12 {
+            sliced.run_for(SimDuration::from_millis(250));
+        }
         prop_assert_eq!(fingerprint(&w2a), fingerprint(&w2b));
         prop_assert_eq!(fingerprint(&w2a), fingerprint(&w4));
+        prop_assert_eq!(fingerprint(&w2a), fingerprint(&sliced.report()));
     }
 
     /// Cross-partition handoffs queued at a horizon boundary are
@@ -420,6 +428,30 @@ proptest! {
     }
 }
 
+/// The synchronizer's self-profile only observes: a profiled run's
+/// report is bit-identical to an unprofiled one, and route, step and
+/// rebalance each run exactly once per horizon.
+#[test]
+fn sync_profile_leaves_reports_bit_identical_and_counts_horizons() {
+    let duration = SimDuration::from_secs(2);
+    let mut plain = ParallelSimulation::new(open_cfg(2, 1, 7).parallel(2));
+    let mut profiled = ParallelSimulation::new(open_cfg(2, 1, 7).parallel(2).profile_engine(true));
+    plain.run_for(duration);
+    profiled.run_for(duration);
+    assert!(plain.report().bit_eq(&profiled.report()));
+    assert!(
+        plain.sync_profile().is_none(),
+        "profiling is off by default"
+    );
+    let horizons = duration.as_micros() / SimConfig::DEFAULT_MAX_STRIDE.as_micros();
+    let rows = profiled.sync_profile().expect("profiling on").rows();
+    let names: Vec<&str> = rows.iter().map(|r| r.name).collect();
+    assert_eq!(names, ["route", "step", "rebalance"]);
+    for row in rows {
+        assert_eq!(row.calls, horizons, "{} calls", row.name);
+    }
+}
+
 /// A skewed closed workload must actually exercise the handoff queue
 /// — guards against the rebalancer silently never firing. Half the
 /// partitions are loaded with a queued surplus of long tasks; the
@@ -434,14 +466,18 @@ fn drained_partitions_receive_handoffs() {
         .respawn(false)
         .seed(11)
         .parallel(4);
-    let mut sim = ParallelSimulation::new(cfg);
-    assert_eq!(sim.partitions(), 8);
     let short = catalog::aluadd().with_total_work(200_000_000); // ~50 ms
     let long = catalog::aluadd().with_total_work(20_000_000_000); // ~4.5 s
-                                                                  // One short task per partition, then 12 long tasks: least-loaded
-                                                                  // routing parks a *second* queued long on partitions 0–3 only.
-    sim.spawn_mix(&[short], 8);
-    sim.spawn_mix(&[long], 12);
+    let build = || {
+        let mut sim = ParallelSimulation::new(cfg.clone());
+        // One short task per partition, then 12 long tasks: least-loaded
+        // routing parks a *second* queued long on partitions 0–3 only.
+        sim.spawn_mix(std::slice::from_ref(&short), 8);
+        sim.spawn_mix(std::slice::from_ref(&long), 12);
+        sim
+    };
+    let mut sim = build();
+    assert_eq!(sim.partitions(), 8);
     sim.run_for(SimDuration::from_secs(8));
     let log = sim.handoff_log();
     assert!(
@@ -455,4 +491,11 @@ fn drained_partitions_receive_handoffs() {
     // Exactly-once: every moved task completes exactly once overall
     // (20 tasks, all bounded, all must finish within the run).
     assert_eq!(sim.report().completions, 20);
+    // One horizon per `run_for` call: every call must still end with
+    // its boundary's rebalance, so the same handoffs apply.
+    let mut sliced = build();
+    for _ in 0..320 {
+        sliced.run_for(SimDuration::from_millis(25));
+    }
+    assert_eq!(sliced.handoff_log(), log);
 }
