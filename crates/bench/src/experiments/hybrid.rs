@@ -73,8 +73,8 @@ fn palette() -> Vec<Program> {
 /// machine's aggregate capacity. Capacity is counted in class-0 CPU
 /// equivalents from the [`ClassCatalog`] (an E core contributes its
 /// real fraction of a P core), and service time uses the palette's
-/// mean inverse IPC — so the offered load lands in the same queueing
-/// regime at every P/E split.
+/// mean inverse IPC at the class-0 clock — so the offered load lands
+/// in the same queueing regime at every P/E split.
 fn peak_rate(cfg: &SimConfig, perf: usize) -> f64 {
     let cat = ClassCatalog::for_config(cfg);
     let eff_cap = cat.capacity(ClassId(1));
@@ -86,7 +86,7 @@ fn peak_rate(cfg: &SimConfig, perf: usize) -> f64 {
         .sum::<f64>()
         / programs.len() as f64;
     let mean_work = 0.5 * (MIN_WORK + MAX_WORK) as f64;
-    let mean_service_s = mean_work * mean_inv_ipc / cfg.freq_hz;
+    let mean_service_s = mean_work * mean_inv_ipc / cat.get(ClassId(0)).truth.freq_hz;
     PEAK_UTIL * p_equiv / mean_service_s
 }
 

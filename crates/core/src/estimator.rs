@@ -115,24 +115,6 @@ impl EnergyEstimator {
         let class = self.cpu_class[cpu.0];
         self.models[class].estimate(&delta) + self.halt_shares[class].over(halted)
     }
-
-    /// The average power over an accounted interval; convenience for
-    /// profile updates.
-    ///
-    /// Returns zero power for an empty interval.
-    pub fn account_power(
-        &mut self,
-        cpu: CpuId,
-        bank: &mut CounterBank,
-        interval: SimDuration,
-        halted: SimDuration,
-    ) -> Watts {
-        if interval.is_zero() {
-            return Watts::ZERO;
-        }
-        self.account(cpu, bank, interval, halted)
-            .average_power(interval)
-    }
 }
 
 impl ebs_store::Snapshot for EnergyEstimator {
@@ -200,8 +182,6 @@ mod tests {
         // Fully halted interval: no events, only halt power.
         let e = est.account(CpuId(0), &mut bank, interval, interval);
         assert!((e.0 - 6.8 * 0.1).abs() < 1e-12);
-        let p = est.account_power(CpuId(0), &mut bank, interval, interval);
-        assert!((p.0 - 6.8).abs() < 1e-12);
     }
 
     #[test]
@@ -220,14 +200,6 @@ mod tests {
         let running_part =
             EnergyModel::ground_truth_weights().estimate(&rates.counts_for_cycles(110_000_000));
         assert!((e.0 - running_part.0 - 6.8 * 0.05).abs() < 1e-9);
-    }
-
-    #[test]
-    fn account_power_of_empty_interval_is_zero() {
-        let mut est = estimator();
-        let mut bank = CounterBank::new();
-        let p = est.account_power(CpuId(0), &mut bank, SimDuration::ZERO, SimDuration::ZERO);
-        assert_eq!(p, Watts::ZERO);
     }
 
     #[test]

@@ -272,16 +272,13 @@ impl GroupRatioCache {
 
 impl ebs_store::Snapshot for PowerState {
     fn save(&self, w: &mut ebs_store::StateWriter) {
+        // The budgets and idle power are configuration.
         w.seq(&self.thermal, |w, avg| avg.save(w));
-        w.seq(&self.max_power, |w, &p| w.watts(p));
     }
 
     fn restore(&mut self, r: &mut ebs_store::StateReader<'_>) -> Result<(), ebs_store::StoreError> {
         r.table("thermal averages", &mut self.thermal, |r, avg| {
             avg.restore(r)
-        })?;
-        r.table("power budgets", &mut self.max_power, |r, p| {
-            r.watts().map(|w| *p = w)
         })
     }
 }

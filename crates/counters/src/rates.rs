@@ -58,21 +58,6 @@ impl EventRates {
         EventCounts::from_array(out)
     }
 
-    /// Linear interpolation `self * (1 - t) + other * t`, used to blend
-    /// activity during phase transitions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is outside `[0, 1]`.
-    pub fn lerp(&self, other: &EventRates, t: f64) -> EventRates {
-        assert!((0.0..=1.0).contains(&t), "lerp parameter {t} out of range");
-        let mut out = [0.0; N_EVENTS];
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = self.0[i] * (1.0 - t) + other.0[i] * t;
-        }
-        EventRates(out)
-    }
-
     /// Scales every activity rate (but not the `Cycles` self-count) by
     /// `factor`, modelling reduced per-cycle activity, e.g. under SMT
     /// resource sharing.
@@ -224,24 +209,6 @@ mod tests {
     #[test]
     fn halted_produces_no_events() {
         assert!(EventRates::HALTED.counts_for_cycles(1_000_000).is_zero());
-    }
-
-    #[test]
-    fn lerp_endpoints_and_midpoint() {
-        let a = EventRates::builder().uops_retired(1.0).build();
-        let b = EventRates::builder().uops_retired(3.0).build();
-        assert_eq!(a.lerp(&b, 0.0), a);
-        assert_eq!(a.lerp(&b, 1.0), b);
-        let mid = a.lerp(&b, 0.5);
-        assert!((mid.get(EventKind::UopsRetired) - 2.0).abs() < 1e-12);
-        assert!((mid.get(EventKind::Cycles) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn lerp_rejects_out_of_range() {
-        let a = EventRates::builder().build();
-        let _ = a.lerp(&a, 1.5);
     }
 
     #[test]

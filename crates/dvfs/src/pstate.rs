@@ -43,15 +43,6 @@ impl PState {
     pub fn power_factor(&self, nominal: &PState) -> f64 {
         self.voltage.ratio_squared(nominal.voltage) * self.speed_factor(nominal)
     }
-
-    /// Energy per unit of work relative to `nominal`: `(V/V₀)²`.
-    ///
-    /// Work done scales with `f` and power with `V²·f`, so the energy
-    /// for a fixed amount of work scales with `V²` alone — the reason
-    /// DVFS saves energy where `hlt` merely defers work.
-    pub fn energy_per_work_factor(&self, nominal: &PState) -> f64 {
-        self.voltage.ratio_squared(nominal.voltage)
-    }
 }
 
 /// An ordered table of P-states, fastest first (index 0 = P0, the
@@ -204,14 +195,6 @@ mod tests {
         }
         // The slowest state cuts dynamic power to ~38 % of nominal.
         assert!((t.power_factor(5) - (1.25f64 / 1.5).powi(2) * (1.2 / 2.2)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn energy_per_work_follows_voltage_squared() {
-        let t = PStateTable::p4_xeon();
-        let slow = t.slowest().energy_per_work_factor(t.nominal());
-        assert!((slow - (1.25f64 / 1.5).powi(2)).abs() < 1e-12);
-        assert!(slow < 1.0, "slower states must be more efficient per work");
     }
 
     #[test]

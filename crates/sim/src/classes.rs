@@ -56,14 +56,15 @@ impl ClassCatalog {
     /// Xeon truth, the configured DVFS table or a pinned nominal
     /// state); hybrid configs add the efficiency class.
     pub fn for_config(cfg: &SimConfig) -> Self {
-        let perf_table = match &cfg.dvfs {
+        let truth = GroundTruth::p4_xeon_2200();
+        let table = match &cfg.dvfs {
             Some(spec) => spec.table.clone(),
-            None => PStateTable::nominal_only(Hertz(cfg.freq_hz), Volts(1.5)),
+            None => PStateTable::nominal_only(Hertz(truth.freq_hz), Volts(1.5)),
         };
         let mut classes = vec![CoreClass {
             name: "perf",
-            truth: GroundTruth::p4_xeon_2200(),
-            table: perf_table,
+            truth,
+            table,
             ipc_factor: 1.0,
             thermal_factor: 1.0,
         }];

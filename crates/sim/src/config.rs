@@ -28,10 +28,10 @@ pub enum MaxPowerSpec {
 pub struct DvfsSpec {
     /// The P-state ladder every package scales over. Execution speed
     /// follows the table's *absolute* frequencies, so a table whose
-    /// nominal differs from [`SimConfig::freq_hz`] simulates a
-    /// differently-clocked part consistently (reports and physics
-    /// agree); `freq_hz` only sets the clock of a machine without
-    /// DVFS.
+    /// nominal differs from the class-0 clock
+    /// ([`GroundTruth::freq_hz`](ebs_counters::GroundTruth::freq_hz))
+    /// simulates a differently-clocked part consistently (reports and
+    /// physics agree); that clock only pins a machine without DVFS.
     pub table: PStateTable,
     /// The governor policy driving each package's frequency domain.
     pub governor: GovernorKind,
@@ -97,8 +97,6 @@ pub struct SimConfig {
     /// `ZERO` — makes every step exactly one tick (the fixed-tick
     /// reference).
     pub max_stride: SimDuration,
-    /// Core clock in hertz.
-    pub freq_hz: f64,
     /// Energy-aware scheduling: the merged energy balancer (Fig. 4)
     /// instead of the stock load balancer, hot task migration (Fig. 5),
     /// and energy-aware initial placement (Section 4.6) — the toggle
@@ -151,9 +149,6 @@ pub struct SimConfig {
     /// core; `None` selects the single-loop cores. See
     /// [`SimConfig::parallel`].
     pub parallel_workers: Option<usize>,
-    /// Combined throughput factor of two busy SMT siblings relative to
-    /// one solo thread (the literature's ~1.25 for the Pentium 4).
-    pub smt_speedup: f64,
     /// Cache-warmup model: IPC factor right after an intra-node
     /// migration, ramping linearly back to 1.
     pub warmup_ipc_floor: f64,
@@ -191,7 +186,6 @@ impl SimConfig {
             seed: 1,
             tick: SimDuration::from_millis(1),
             max_stride: SimDuration::ZERO,
-            freq_hz: 2.2e9,
             energy_aware: true,
             balance: EnergyBalanceConfig::default(),
             throttling: true,
@@ -205,7 +199,6 @@ impl SimConfig {
             profile_engine: false,
             open_workload: None,
             parallel_workers: None,
-            smt_speedup: 1.25,
             warmup_ipc_floor: 0.55,
             warmup_instructions: 40_000_000,
             warmup_ipc_floor_cross_node: 0.40,

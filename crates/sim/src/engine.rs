@@ -888,6 +888,10 @@ impl Simulation {
         dt.max(tick).min(end - self.now)
     }
 
+    /// Combined throughput factor of two busy SMT siblings relative to
+    /// one solo thread (the literature's ~1.25 for the Pentium 4).
+    const SMT_SPEEDUP: f64 = 1.25;
+
     /// The issue share of the CPU at index `i` of a core-major CPU list:
     /// SMT contention is per *core*, so only the running hardware
     /// threads sharing its pipeline split the issue width.
@@ -901,7 +905,7 @@ impl Simulation {
         if n_active <= 1 {
             1.0
         } else {
-            self.cfg.smt_speedup / n_active as f64
+            Self::SMT_SPEEDUP / n_active as f64
         }
     }
 
@@ -1575,18 +1579,11 @@ impl Simulation {
         let throttle_stats: Vec<_> = self.machine.throttles.iter().map(|t| t.stats()).collect();
         let domains = &self.machine.freq_domains;
         let pstate_residency = merge_residency(domains.iter().flat_map(|d| d.residency()));
-        let avg_scaled_fraction = if domains.is_empty() {
-            0.0
-        } else {
-            domains.iter().map(|d| d.scaled_fraction()).sum::<f64>() / domains.len() as f64
-        };
-        let mean_frequency = if domains.is_empty() {
-            ebs_units::Hertz(self.cfg.freq_hz)
-        } else {
-            ebs_units::Hertz(
-                domains.iter().map(|d| d.mean_frequency().0).sum::<f64>() / domains.len() as f64,
-            )
-        };
+        let avg_scaled_fraction =
+            domains.iter().map(|d| d.scaled_fraction()).sum::<f64>() / domains.len() as f64;
+        let mean_frequency = ebs_units::Hertz(
+            domains.iter().map(|d| d.mean_frequency().0).sum::<f64>() / domains.len() as f64,
+        );
         // Open-workload statistics: overall and per-curve-phase
         // sojourn times of every completed arrival.
         let latency = LatencyStats::from_samples(self.latencies.iter().map(|&(_, s)| s).collect());

@@ -77,19 +77,6 @@ impl TaskRuntime {
         self.instr_since_migration = self.instr_since_migration.saturating_add(instructions);
     }
 
-    /// Instructions still to execute before the cache-warmth ramp of
-    /// the last migration completes (0 when fully warm). The
-    /// variable-stride engine bounds a step by this so the warmth
-    /// factor stays near-constant within one step.
-    pub fn instructions_to_full_warmth(&self, model: &WarmthModel) -> u64 {
-        let ramp = if self.last_move_cross_node {
-            model.ramp_cross_node
-        } else {
-            model.ramp
-        };
-        ramp.saturating_sub(self.instr_since_migration)
-    }
-
     /// The current IPC multiplier in `[floor, 1]`.
     pub fn warmth_factor(&self, model: &WarmthModel) -> f64 {
         let (floor, ramp) = if self.last_move_cross_node {
@@ -177,20 +164,6 @@ mod tests {
         // Warmth saturates.
         rt.add_warmth(u64::MAX / 2);
         assert_eq!(rt.warmth_factor(&m), 1.0);
-    }
-
-    #[test]
-    fn warmth_remainder_counts_down() {
-        let mut rt = runtime();
-        let m = model();
-        assert_eq!(rt.instructions_to_full_warmth(&m), 40_000_000);
-        rt.add_warmth(15_000_000);
-        assert_eq!(rt.instructions_to_full_warmth(&m), 25_000_000);
-        rt.add_warmth(100_000_000);
-        assert_eq!(rt.instructions_to_full_warmth(&m), 0);
-        // A cross-node move restarts the longer ramp.
-        rt.note_migration(1, true);
-        assert_eq!(rt.instructions_to_full_warmth(&m), 90_000_000);
     }
 
     #[test]

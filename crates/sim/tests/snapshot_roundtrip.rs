@@ -157,19 +157,19 @@ fn shape_mismatch_is_rejected() {
 /// the standard fork entry point, never restored.
 #[test]
 fn other_format_versions_are_refused() {
-    assert_eq!(ebs_store::FORMAT_VERSION, 5);
+    assert_eq!(ebs_store::FORMAT_VERSION, 6);
     let cfg = open_cfg(1, 2, 7);
     let mut warm = Simulation::new(cfg.clone());
     warm.run_for(SimDuration::from_secs(2));
     let mut bytes = warm.snapshot().as_bytes().to_vec();
-    bytes[4..8].copy_from_slice(&4u32.to_le_bytes());
+    bytes[4..8].copy_from_slice(&5u32.to_le_bytes());
     let old = ebs_store::StateImage::from_bytes(bytes);
-    assert_eq!(old.version(), 4);
+    assert_eq!(old.version(), 5);
     assert!(matches!(
         Simulation::from_snapshot(cfg, &old),
         Err(ebs_store::StoreError::Version {
-            found: 4,
-            expected: 5
+            found: 5,
+            expected: 6
         })
     ));
 }
@@ -196,4 +196,29 @@ fn cross_policy_forks_are_deterministic() {
             "governor {governor_idx} fork not deterministic"
         );
     }
+}
+
+/// Budgets are configuration, not state: a warm-up image forked into
+/// a cell with a different power budget runs under the cell's budget,
+/// in the power state and in every package's throttle limit.
+#[test]
+fn a_fork_runs_under_its_own_power_budget() {
+    let budget = |watts: f64| {
+        SimConfig::preset(TopologyPreset::Dual)
+            .seed(3)
+            .max_power(MaxPowerSpec::PerLogical(Watts(watts)))
+            .strided()
+    };
+    let mut warm = Simulation::new(budget(60.0));
+    warm.run_for(SimDuration::from_secs(1));
+    let fork = Simulation::from_snapshot(budget(40.0), &warm.snapshot()).expect("fork");
+    let fresh = Simulation::new(budget(40.0));
+    let n_cpus = fork.system().topology().n_cpus();
+    for cpu in (0..n_cpus).map(ebs_topology::CpuId) {
+        assert_eq!(fork.power_state().max_power(cpu), Watts(40.0));
+    }
+    let limits = |sim: &Simulation| -> Vec<Watts> {
+        sim.machine().throttles.iter().map(|t| t.limit()).collect()
+    };
+    assert_eq!(limits(&fork), limits(&fresh));
 }

@@ -50,7 +50,10 @@ pub const MAGIC: [u8; 4] = *b"EBSS";
 /// - **v5** — state nothing read is gone: the DVFS record's freeze
 ///   instant, the aggregate cells' `nr_queued` and profile sums, and
 ///   the power state's budget generation.
-pub const FORMAT_VERSION: u32 = 5;
+/// - **v6** — configuration stays out of images: the power state's
+///   per-CPU budgets and each throttle controller's limit are no
+///   longer saved, so a fork runs under its own config's budget.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// A restore failure. Every variant names enough context to locate
 /// the divergence in the byte stream.

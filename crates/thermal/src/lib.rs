@@ -17,8 +17,6 @@
 //! - [`RcThermalModel`] / [`ThermalNode`]: the RC network with exact
 //!   exponential integration, per-CPU heterogeneous cooling, and the
 //!   derived *maximum power* of a CPU.
-//! - [`calibrate`]: fitting R and the time constant from a recorded
-//!   heating curve, mirroring the paper's off-line calibration.
 //! - [`ThrottleController`]: the `hlt`-based bang-bang temperature
 //!   control used in the evaluation (Section 6.2).
 
@@ -26,12 +24,6 @@ mod expavg;
 mod rc_model;
 mod throttle;
 
-pub mod calibrate;
-pub mod cmp;
-pub mod online;
-
-pub use cmp::{CmpThermalModel, CmpThermalNode};
 pub use expavg::{ExpAverage, PowerAverage};
-pub use online::OnlineCalibrator;
 pub use rc_model::{RcThermalModel, ThermalNode};
 pub use throttle::{ThrottleController, ThrottleState, ThrottleStats};

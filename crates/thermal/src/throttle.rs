@@ -93,17 +93,6 @@ impl ThrottleController {
         self.limit
     }
 
-    /// Replaces the limit, e.g. when an experiment changes the allowed
-    /// maximum power at runtime.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `limit` is not a sane power.
-    pub fn set_limit(&mut self, limit: Watts) {
-        assert!(limit.is_sane(), "throttle limit {limit:?} not sane");
-        self.limit = limit;
-    }
-
     /// The thermal power at which a running CPU engages the throttle.
     pub fn engage_threshold(&self) -> Watts {
         self.limit
@@ -159,9 +148,7 @@ impl ThrottleController {
 
 impl ebs_store::Snapshot for ThrottleController {
     fn save(&self, w: &mut ebs_store::StateWriter) {
-        // The limit is mutable at runtime (`set_limit`), so it is
-        // state, not configuration.
-        w.watts(self.limit);
+        // The limit and release margin are configuration.
         w.bool(matches!(self.state, ThrottleState::Halted));
         w.duration(self.stats.throttled);
         w.duration(self.stats.observed);
@@ -169,7 +156,6 @@ impl ebs_store::Snapshot for ThrottleController {
     }
 
     fn restore(&mut self, r: &mut ebs_store::StateReader<'_>) -> Result<(), ebs_store::StoreError> {
-        self.limit = r.watts()?;
         self.state = if r.bool()? {
             ThrottleState::Halted
         } else {
@@ -279,15 +265,6 @@ mod tests {
     fn empty_observation_fraction_is_zero() {
         let c = ThrottleController::new(Watts(50.0));
         assert_eq!(c.stats().throttled_fraction(), 0.0);
-    }
-
-    #[test]
-    fn set_limit_applies_immediately() {
-        let mut c = ThrottleController::new(Watts(60.0));
-        assert_eq!(c.observe(Watts(50.0), TICK), ThrottleState::Running);
-        c.set_limit(Watts(40.0));
-        assert_eq!(c.limit(), Watts(40.0));
-        assert_eq!(c.observe(Watts(50.0), TICK), ThrottleState::Halted);
     }
 
     #[test]

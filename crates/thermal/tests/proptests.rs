@@ -1,7 +1,7 @@
 //! Property-based tests for the thermal substrate.
 
-use ebs_thermal::{calibrate, ExpAverage, RcThermalModel, ThermalNode, ThrottleController};
-use ebs_units::{Celsius, SimDuration, Watts};
+use ebs_thermal::{ExpAverage, RcThermalModel, ThermalNode, ThrottleController};
+use ebs_units::{SimDuration, Watts};
 use proptest::prelude::*;
 
 proptest! {
@@ -51,30 +51,6 @@ proptest! {
         node.step(Watts(power), SimDuration::from_secs(1_000));
         let expected = model.steady_state(Watts(power));
         prop_assert!((node.temperature().0 - expected.0).abs() < 1e-6);
-    }
-
-    /// Heating-curve fitting recovers max power at the limit within a
-    /// watt for any plausible cooling factor and heating power.
-    #[test]
-    fn curve_fit_recovers_power_budget(
-        factor in 0.6f64..1.4,
-        power in 40.0f64..90.0,
-    ) {
-        let truth = RcThermalModel::reference().with_cooling_factor(factor);
-        let trace = calibrate::record_trace(
-            &truth,
-            Watts(power),
-            SimDuration::from_millis(500),
-            160,
-            &[],
-        );
-        let fit = calibrate::fit_heating_curve(&trace).unwrap();
-        let budget_true = truth.max_power_for_limit(Celsius(38.0));
-        let budget_fit = fit.model.max_power_for_limit(Celsius(38.0));
-        prop_assert!(
-            (budget_true.0 - budget_fit.0).abs() < 1.0,
-            "{budget_true:?} vs {budget_fit:?}"
-        );
     }
 
     /// The throttle controller's accounting is exact: observed time
