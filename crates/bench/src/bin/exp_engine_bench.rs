@@ -1,9 +1,10 @@
 //! Benchmarks the engine cores: simulated seconds per wall second for
 //! the fixed-tick, variable-stride, and partitioned (parallel) loops
-//! across the topology ladder, then prints the partitioned core's
-//! synchronizer profile (route, step and rebalance wall time per
-//! horizon) for one profiled numa64 `par4` run. `--quick` runs the
-//! reduced two-shape matrix.
+//! across the topology ladder, then prints the sequential core's
+//! engine phase profile for one profiled numa64 `strided` run and the
+//! partitioned core's synchronizer profile (route, step and rebalance
+//! wall time per horizon) for one profiled numa64 `par4` run.
+//! `--quick` runs the reduced two-shape matrix.
 //!
 //! On the full ladder, the numa64 shape (256 CPUs) gates the parallel
 //! core: its simulated-seconds-per-wall-second must reach at least 2x
@@ -45,6 +46,10 @@ fn main() {
     assert!(
         rel < 0.03,
         "numa64 par4 retired work drifted {rel} from strided"
+    );
+    assert_eq!(
+        bench.phases.steps, strided.steps,
+        "the engine profile changed the numa64 strided run"
     );
     assert_eq!(
         bench.sync.steps, par.steps,

@@ -8,8 +8,9 @@
 //! (`sim_time / engine_steps`) shows how far the engine gets from its
 //! one-tick floor on each shape. The DVFS cells run the scaling
 //! sweep's thermal-aware enforcement, whose governors only end spans
-//! when a hold band is about to be escaped. One numa64 `par4` cell
-//! runs again with `profile_engine` on, so the table ends with the
+//! when a hold band is about to be escaped. The numa64 `strided` and
+//! `par4` cells run again with `profile_engine` on, so the table ends
+//! with the sequential core's phase profile at 256 CPUs and the
 //! partitioned core's synchronizer profile (route, step, rebalance per
 //! horizon).
 
@@ -77,18 +78,21 @@ pub struct TraceParity {
     pub traced_wall_s: f64,
 }
 
-/// The synchronizer profile: one numa64 `par4` cell run with
-/// `profile_engine` on, which charges the partitioned core's host wall
-/// time per horizon to routing, stepping (the calling thread's round,
-/// including its wait for the other threads) and rebalancing. The
-/// call counts are deterministic; the wall times are informational.
+/// One numa64 cell run again with `profile_engine` on. On the
+/// sequential `strided` core the profile charges host wall time per
+/// step to the engine phases (stride, arrivals, physics, throttle,
+/// DVFS, scheduler, sampling); on the partitioned `par4` core it
+/// charges it per horizon to the synchronizer's routing, stepping (the
+/// calling thread's round, including its wait for the other threads)
+/// and rebalancing. The call counts are deterministic; the wall times
+/// are informational.
 #[derive(Clone, Debug)]
-pub struct SyncProfile {
+pub struct ProfiledRun {
     /// Topology of the profiled cell.
     pub topology: &'static str,
     /// Engine steps of the profiled run (profiling must not move it).
     pub steps: u64,
-    /// The synchronizer's per-phase profile.
+    /// The per-phase profile.
     pub profile: PhaseProfiler,
     /// Wall seconds of the profiled run (informational).
     pub wall_s: f64,
@@ -130,8 +134,10 @@ pub struct EngineBench {
     pub rows: Vec<EngineBenchRow>,
     /// The tracing-overhead / self-profiling measurement.
     pub parity: TraceParity,
-    /// The partitioned core's synchronizer profile.
-    pub sync: SyncProfile,
+    /// The sequential core's engine phase profile (numa64 `strided`).
+    pub phases: ProfiledRun,
+    /// The partitioned core's synchronizer profile (numa64 `par4`).
+    pub sync: ProfiledRun,
     /// The checkpoint/fork warm-up-amortization measurement.
     pub fork: ForkSweep,
 }
@@ -204,11 +210,13 @@ pub fn run(quick: bool) -> EngineBench {
         }
     }
     let parity = trace_parity(duration(quick));
+    let phases = phase_profile(duration(quick));
     let sync = sync_profile(duration(quick));
     let fork = fork_sweep(quick);
     EngineBench {
         rows,
         parity,
+        phases,
         sync,
         fork,
     }
@@ -298,15 +306,31 @@ fn trace_parity(duration: SimDuration) -> TraceParity {
     }
 }
 
+/// Runs the numa64 `strided` cell with the engine phase profile on.
+fn phase_profile(duration: SimDuration) -> ProfiledRun {
+    let preset = TopologyPreset::Numa64;
+    let cfg = cell(preset, true, "off").profile_engine(true);
+    let start = Instant::now();
+    let mut sim = Simulation::new(cfg);
+    sim.run_for(duration);
+    let wall_s = start.elapsed().as_secs_f64();
+    ProfiledRun {
+        topology: preset.name(),
+        steps: sim.report().engine_steps,
+        profile: sim.engine_profile().expect("profiling on").clone(),
+        wall_s,
+    }
+}
+
 /// Runs the numa64 `par4` cell with the synchronizer profile on.
-fn sync_profile(duration: SimDuration) -> SyncProfile {
+fn sync_profile(duration: SimDuration) -> ProfiledRun {
     let preset = TopologyPreset::Numa64;
     let cfg = cell(preset, true, "off").parallel(4).profile_engine(true);
     let start = Instant::now();
     let mut sim = ParallelSimulation::new(cfg);
     sim.run_for(duration);
     let wall_s = start.elapsed().as_secs_f64();
-    SyncProfile {
+    ProfiledRun {
         topology: preset.name(),
         steps: sim.report().engine_steps,
         profile: sim
@@ -428,6 +452,13 @@ impl core::fmt::Display for EngineBench {
         )?;
         writeln!(
             f,
+            "\nEngine phase profile ({} strided, profile_engine on; {} engine \
+             steps, wall {:.3}s, informational):",
+            self.phases.topology, self.phases.steps, self.phases.wall_s,
+        )?;
+        write!(f, "{}", self.phases.profile)?;
+        writeln!(
+            f,
             "\nSynchronizer self-profile ({} par4, profile_engine on; {} engine \
              steps, wall {:.3}s, informational):",
             self.sync.topology, self.sync.steps, self.sync.wall_s,
@@ -543,6 +574,28 @@ mod tests {
             fork.fork_steps
         );
         assert!(bench.to_string().contains("bit-identical"));
+        // The 256-CPU phase profile: every phase runs once per step
+        // (throttling is on in the cell). Counts only.
+        let rows = bench.phases.profile.rows();
+        let names: Vec<&str> = rows.iter().map(|r| r.name).collect();
+        assert_eq!(
+            names,
+            [
+                "stride",
+                "arrivals",
+                "physics",
+                "throttle",
+                "dvfs",
+                "scheduler",
+                "sampling"
+            ]
+        );
+        for row in rows {
+            assert_eq!(row.calls, bench.phases.steps, "{} calls", row.name);
+        }
+        // The quick ladder has no numa64 row, so measure the bare cell.
+        let bare = measure(TopologyPreset::Numa64, "strided", "off", true);
+        assert_eq!(bench.phases.steps, bare.steps, "profiling moved the steps");
         // The synchronizer profile: every phase runs once per horizon
         // (4 s of 25 ms horizons). Counts only, never wall times.
         let rows = bench.sync.profile.rows();

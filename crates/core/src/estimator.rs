@@ -104,7 +104,7 @@ impl EnergyEstimator {
     pub fn account(
         &mut self,
         cpu: CpuId,
-        bank: &mut CounterBank,
+        bank: &CounterBank,
         interval: SimDuration,
         halted: SimDuration,
     ) -> Joules {
@@ -114,6 +114,28 @@ impl EnergyEstimator {
         self.last[cpu.0] = snap;
         let class = self.cpu_class[cpu.0];
         self.models[class].estimate(&delta) + self.halt_shares[class].over(halted)
+    }
+
+    /// Accounts an `interval` that `cpu` spent wholly halted: its halt
+    /// share over the interval, bit for bit what
+    /// [`account`](Self::account) returns with `halted == interval`.
+    /// A halted CPU records no events, so its delta since the previous
+    /// read is all zero; Eq. 1 of an all-zero delta is `+0.0` for
+    /// finite weights, and `0.0 + x == x`. The previous read stays
+    /// current, so the bank is only read to check that it has not
+    /// moved.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, panics if `bank` recorded events since the
+    /// previous read.
+    pub fn account_halted(&self, cpu: CpuId, bank: &CounterBank, interval: SimDuration) -> Joules {
+        debug_assert!(
+            bank.snapshot() == self.last[cpu.0],
+            "CPU {} recorded events since the previous read",
+            cpu.0
+        );
+        self.halt_share_of(cpu).over(interval)
     }
 }
 
@@ -150,9 +172,9 @@ mod tests {
         let slice = SimDuration::from_millis(100);
 
         run_cycles(&mut bank, &rates, 220_000_000);
-        let first = est.account(CpuId(0), &mut bank, slice, SimDuration::ZERO);
+        let first = est.account(CpuId(0), &bank, slice, SimDuration::ZERO);
         run_cycles(&mut bank, &rates, 220_000_000);
-        let second = est.account(CpuId(0), &mut bank, slice, SimDuration::ZERO);
+        let second = est.account(CpuId(0), &bank, slice, SimDuration::ZERO);
         // Identical activity in both slices: identical energy, no
         // double counting.
         assert!((first.0 - second.0).abs() < 1e-9);
@@ -163,13 +185,13 @@ mod tests {
     fn per_cpu_snapshots_are_independent() {
         let mut est = estimator();
         let mut bank0 = CounterBank::new();
-        let mut bank1 = CounterBank::new();
+        let bank1 = CounterBank::new();
         let rates = EventRates::builder().uops_retired(1.0).build();
         run_cycles(&mut bank0, &rates, 1_000_000);
         let slice = SimDuration::from_millis(10);
-        let e0 = est.account(CpuId(0), &mut bank0, slice, SimDuration::ZERO);
+        let e0 = est.account(CpuId(0), &bank0, slice, SimDuration::ZERO);
         // CPU 1 saw nothing.
-        let e1 = est.account(CpuId(1), &mut bank1, slice, SimDuration::ZERO);
+        let e1 = est.account(CpuId(1), &bank1, slice, SimDuration::ZERO);
         assert!(e0.0 > 0.0);
         assert_eq!(e1, Joules::ZERO);
     }
@@ -177,10 +199,10 @@ mod tests {
     #[test]
     fn halted_time_charged_at_halt_share() {
         let mut est = estimator();
-        let mut bank = CounterBank::new();
+        let bank = CounterBank::new();
         let interval = SimDuration::from_millis(100);
         // Fully halted interval: no events, only halt power.
-        let e = est.account(CpuId(0), &mut bank, interval, interval);
+        let e = est.account(CpuId(0), &bank, interval, interval);
         assert!((e.0 - 6.8 * 0.1).abs() < 1e-12);
     }
 
@@ -193,7 +215,7 @@ mod tests {
         run_cycles(&mut bank, &rates, 110_000_000);
         let e = est.account(
             CpuId(0),
-            &mut bank,
+            &bank,
             SimDuration::from_millis(100),
             SimDuration::from_millis(50),
         );
@@ -226,10 +248,56 @@ mod tests {
         let mut bank1 = CounterBank::new();
         run_cycles(&mut bank0, &rates, 100_000_000);
         run_cycles(&mut bank1, &rates, 100_000_000);
-        let e0 = est.account(CpuId(0), &mut bank0, slice, SimDuration::ZERO);
-        let e1 = est.account(CpuId(1), &mut bank1, slice, SimDuration::ZERO);
+        let e0 = est.account(CpuId(0), &bank0, slice, SimDuration::ZERO);
+        let e1 = est.account(CpuId(1), &bank1, slice, SimDuration::ZERO);
         // Same counter deltas, half the per-event energy.
         assert!((e1.0 - 0.5 * e0.0).abs() < 1e-12, "{e1:?} vs {e0:?}");
+    }
+
+    #[test]
+    fn halted_accounting_matches_a_fully_halted_read() {
+        let perf = EnergyModel::ground_truth_weights();
+        let mut cheap = *perf.weights_nj();
+        for w in &mut cheap {
+            *w *= 0.5;
+        }
+        let mut est = EnergyEstimator::with_classes(
+            vec![perf, EnergyModel::from_weights_nj(cheap)],
+            vec![0, 1],
+            vec![Watts(6.8), Watts(2.25)],
+        );
+        let rates = EventRates::builder().uops_retired(2.0).build();
+        for cpu in [CpuId(0), CpuId(1)] {
+            let mut bank = CounterBank::new();
+            // Halted from bring-up, then again after a running read.
+            for ran in [false, true] {
+                if ran {
+                    run_cycles(&mut bank, &rates, 22_000_000);
+                    let _ =
+                        est.account(cpu, &bank, SimDuration::from_millis(10), SimDuration::ZERO);
+                }
+                for ms in [1, 4, 25, 100] {
+                    let dt = SimDuration::from_millis(ms);
+                    let halted = est.account_halted(cpu, &bank, dt);
+                    let read = est.account(cpu, &bank, dt, dt);
+                    assert_eq!(halted.0.to_bits(), read.0.to_bits(), "{cpu:?} over {dt:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "recorded events since the previous read")]
+    fn halted_accounting_rejects_a_bank_that_moved() {
+        let est = estimator();
+        let mut bank = CounterBank::new();
+        run_cycles(
+            &mut bank,
+            &EventRates::builder().uops_retired(1.0).build(),
+            1_000,
+        );
+        let _ = est.account_halted(CpuId(0), &bank, SimDuration::from_millis(1));
     }
 
     #[test]
@@ -241,9 +309,9 @@ mod tests {
         let slice = SimDuration::from_millis(10);
         let mut bank = CounterBank::new();
         run_cycles(&mut bank, &rates, 22_000_000);
-        let mut bank2 = bank.clone();
-        let ea = a.account(CpuId(0), &mut bank, slice, SimDuration::ZERO);
-        let eb = b.account(CpuId(0), &mut bank2, slice, SimDuration::ZERO);
+        let bank2 = bank.clone();
+        let ea = a.account(CpuId(0), &bank, slice, SimDuration::ZERO);
+        let eb = b.account(CpuId(0), &bank2, slice, SimDuration::ZERO);
         assert_eq!(ea, eb);
     }
 
@@ -251,10 +319,10 @@ mod tests {
     #[should_panic(expected = "halted time exceeds")]
     fn halted_longer_than_interval_rejected() {
         let mut est = estimator();
-        let mut bank = CounterBank::new();
+        let bank = CounterBank::new();
         let _ = est.account(
             CpuId(0),
-            &mut bank,
+            &bank,
             SimDuration::from_millis(10),
             SimDuration::from_millis(20),
         );

@@ -54,6 +54,10 @@ pub struct PowerState {
     thermal: Vec<PowerAverage>,
     max_power: Vec<Watts>,
     idle_power: Watts,
+    /// The last observed non-zero period and its Eq. 2 weight. Every
+    /// average shares one standard period and weight, and every CPU
+    /// observes the same engine step, so one `powf` serves a step.
+    weight: (SimDuration, f64),
 }
 
 impl PowerState {
@@ -77,6 +81,7 @@ impl PowerState {
                 .collect(),
             max_power: max_powers.to_vec(),
             idle_power: cfg.idle_power,
+            weight: (SimDuration::ZERO, 0.0),
         }
     }
 
@@ -93,9 +98,16 @@ impl PowerState {
     }
 
     /// Folds an estimated power sample (over `period` of wall time)
-    /// into `cpu`'s thermal power.
+    /// into `cpu`'s thermal power. A zero period leaves it untouched.
     pub fn observe(&mut self, cpu: CpuId, power: Watts, period: SimDuration) -> Watts {
-        self.thermal[cpu.0].update(power, period)
+        let avg = &mut self.thermal[cpu.0];
+        if period.is_zero() {
+            return avg.watts();
+        }
+        if self.weight.0 != period {
+            self.weight = (period, avg.effective_weight(period));
+        }
+        avg.fold(power, self.weight.1)
     }
 
     /// The thermal power of `cpu` — the scheduler's temperature proxy.
@@ -328,6 +340,33 @@ mod tests {
         }
         // 300 s >> 15 s time constant.
         assert!((ps.thermal_power(CpuId(0)).0 - 61.0).abs() < 0.01);
+    }
+
+    #[test]
+    fn observe_matches_one_update_per_cpu() {
+        let mut ps = PowerState::uniform(3, Watts(60.0), cfg());
+        let mut reference = ps.thermal.clone();
+        let periods = [1_000, 4_000, 1_000, 25_000, 0].map(SimDuration::from_micros);
+        // Whole steps of one period, then CPUs interleaving periods.
+        for k in 0..4 * periods.len() {
+            for (c, avg) in reference.iter_mut().enumerate() {
+                let period = periods[if k < 2 * periods.len() { k } else { k + c } % periods.len()];
+                let sample = Watts(10.0 + 7.5 * c as f64 + k as f64);
+                let observed = ps.observe(CpuId(c), sample, period);
+                let updated = avg.update(sample, period);
+                assert_eq!(
+                    observed.0.to_bits(),
+                    updated.0.to_bits(),
+                    "CPU {c}, {period:?}"
+                );
+            }
+        }
+        for (c, avg) in reference.iter().enumerate() {
+            assert_eq!(
+                ps.thermal_power(CpuId(c)).0.to_bits(),
+                avg.watts().0.to_bits()
+            );
+        }
     }
 
     #[test]

@@ -17,7 +17,6 @@ use crate::event::EventCounts;
 #[derive(Clone, Debug, Default)]
 pub struct CounterBank {
     counts: EventCounts,
-    reads: u64,
 }
 
 /// A point-in-time copy of a counter bank's registers.
@@ -38,17 +37,10 @@ impl CounterBank {
     }
 
     /// Reads the current register values without disturbing them.
-    pub fn snapshot(&mut self) -> CounterSnapshot {
-        self.reads += 1;
+    pub fn snapshot(&self) -> CounterSnapshot {
         CounterSnapshot {
             counts: self.counts,
         }
-    }
-
-    /// Number of snapshot reads since creation; the estimation overhead
-    /// accounting in the simulator charges a fixed cost per read.
-    pub fn reads(&self) -> u64 {
-        self.reads
     }
 
     /// Clears all registers.
@@ -78,13 +70,10 @@ impl CounterSnapshot {
 impl ebs_store::Snapshot for CounterBank {
     fn save(&self, w: &mut ebs_store::StateWriter) {
         self.counts.save(w);
-        w.u64(self.reads);
     }
 
     fn restore(&mut self, r: &mut ebs_store::StateReader<'_>) -> Result<(), ebs_store::StoreError> {
-        self.counts.restore(r)?;
-        self.reads = r.u64()?;
-        Ok(())
+        self.counts.restore(r)
     }
 }
 
@@ -143,15 +132,6 @@ mod tests {
         // The interval spans a reset: saturating diff yields zeros
         // rather than wrapping garbage.
         assert!(after.since(&before).is_zero());
-    }
-
-    #[test]
-    fn read_count_tracks_snapshots() {
-        let mut bank = CounterBank::new();
-        assert_eq!(bank.reads(), 0);
-        let _ = bank.snapshot();
-        let _ = bank.snapshot();
-        assert_eq!(bank.reads(), 2);
     }
 
     #[test]

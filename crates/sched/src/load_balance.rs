@@ -16,6 +16,7 @@ use crate::system::{MigrationReason, System};
 use crate::task::TaskId;
 use ebs_topology::{CpuGroup, CpuId, SchedDomain, Topology};
 use ebs_units::SimTime;
+use std::cell::Cell;
 
 /// Tunables of the baseline balancer.
 #[derive(Clone, Copy, Debug)]
@@ -47,6 +48,11 @@ pub struct BalanceOutcome {
 pub struct BalanceTimers {
     /// `next[cpu][level]`: when that domain level is due.
     next: Vec<Vec<SimTime>>,
+    /// The minimum of `next`, or `None` once a re-arm or a restore may
+    /// have moved it. [`BalanceTimers::next_due`] rescans only then,
+    /// so the engine's every-step read costs O(1) between balancing
+    /// passes.
+    earliest: Cell<Option<SimTime>>,
 }
 
 impl BalanceTimers {
@@ -56,14 +62,29 @@ impl BalanceTimers {
             .cpu_ids()
             .map(|c| vec![SimTime::ZERO; topo.domains(c).len()])
             .collect();
-        BalanceTimers { next }
+        BalanceTimers {
+            next,
+            earliest: Cell::new(None),
+        }
     }
 
     /// The earliest instant any CPU's domain level is due. The
     /// variable-stride engine bounds its steps by this so balancing
-    /// runs on schedule.
+    /// runs on schedule, and skips both balancers on any step that
+    /// ends before it.
     #[inline]
     pub fn next_due(&self) -> SimTime {
+        let due = self.earliest.get().unwrap_or_else(|| {
+            let due = self.scan();
+            self.earliest.set(Some(due));
+            due
+        });
+        debug_assert_eq!(due, self.scan(), "stale earliest balance due");
+        due
+    }
+
+    /// The minimum over every CPU's levels, by a full scan.
+    fn scan(&self) -> SimTime {
         self.next
             .iter()
             .flatten()
@@ -77,8 +98,9 @@ impl BalanceTimers {
 
     /// The levels of `cpu`'s domain stack `domains` due at `now`,
     /// bottom-up; each is re-armed one balance interval later as the
-    /// iterator reaches it. Inlined: both balancers call it for every
-    /// CPU at every step.
+    /// iterator reaches it. Only `cpu`'s own levels move, so a step's
+    /// pass over every CPU finds due exactly the levels that were due
+    /// before it started.
     #[inline]
     pub fn due<'a>(
         &'a mut self,
@@ -86,7 +108,8 @@ impl BalanceTimers {
         domains: &'a [SchedDomain],
         now: SimTime,
     ) -> impl Iterator<Item = &'a SchedDomain> + 'a {
-        self.next[cpu.0]
+        let BalanceTimers { next, earliest } = self;
+        next[cpu.0]
             .iter_mut()
             .zip(domains)
             .filter_map(move |(next, domain)| {
@@ -94,6 +117,7 @@ impl BalanceTimers {
                     return None;
                 }
                 *next = now + domain.balance_interval();
+                earliest.set(None);
                 Some(domain)
             })
     }
@@ -107,6 +131,7 @@ impl ebs_store::Snapshot for BalanceTimers {
     }
 
     fn restore(&mut self, r: &mut ebs_store::StateReader<'_>) -> Result<(), ebs_store::StoreError> {
+        self.earliest.set(None);
         r.table("balancer CPUs", &mut self.next, |r, levels| {
             r.table("balancer levels", levels, |r, t| r.time().map(|v| *t = v))
         })
@@ -421,6 +446,67 @@ mod tests {
         // interval (the shortest without SMT) past now.
         let due = lb.next_due();
         assert!(due > ebs_units::SimTime::from_millis(10), "due {due:?}");
+    }
+
+    #[test]
+    fn next_due_is_the_minimum_over_every_level() {
+        use ebs_store::Snapshot;
+        use ebs_units::{SimDuration, SimTime};
+        // SMT on: three levels per CPU with three different intervals.
+        let topo = Topology::xseries445(true);
+        let mut timers = BalanceTimers::new(&topo);
+        // The test's own copy of every level's due instant.
+        let mut model: Vec<Vec<SimTime>> = topo
+            .cpu_ids()
+            .map(|c| vec![SimTime::ZERO; topo.domains(c).len()])
+            .collect();
+        let earliest = |model: &[Vec<SimTime>]| model.iter().flatten().copied().min().unwrap();
+        let pass =
+            |timers: &mut BalanceTimers, model: &mut [Vec<SimTime>], cpu: CpuId, now: SimTime| {
+                let domains = topo.domains(cpu);
+                let yielded = timers.due(cpu, domains, now).count();
+                let mut expected = 0;
+                for (next, domain) in model[cpu.0].iter_mut().zip(domains) {
+                    if now >= *next {
+                        *next = now + domain.balance_interval();
+                        expected += 1;
+                    }
+                }
+                assert_eq!(yielded, expected, "levels due on {cpu:?} at {now:?}");
+            };
+        assert_eq!(timers.next_due(), SimTime::ZERO);
+        // A subset of CPUs at staggered instants: the others stay due
+        // at zero until the full pass.
+        for (k, c) in [0, 3, 5, 3, 10].into_iter().enumerate() {
+            let now = SimTime::from_millis(7 * k as u64 + 3);
+            pass(&mut timers, &mut model, CpuId(c), now);
+            assert_eq!(timers.next_due(), earliest(&model));
+        }
+        let full = SimTime::from_millis(40);
+        for cpu in topo.cpu_ids() {
+            pass(&mut timers, &mut model, cpu, full);
+        }
+        assert_eq!(timers.next_due(), earliest(&model));
+        assert!(timers.next_due() > full);
+        // Staggered passes once the shortest intervals elapse: only
+        // some levels re-arm.
+        for (k, c) in [1, 14, 6, 1].into_iter().enumerate() {
+            let now = full + SimDuration::from_millis(64 + 20 * k as u64);
+            pass(&mut timers, &mut model, CpuId(c), now);
+            assert_eq!(timers.next_due(), earliest(&model));
+        }
+        // A restore replaces a fresh table whose earliest (zero) was
+        // already read.
+        let mut w = ebs_store::StateWriter::new();
+        timers.save(&mut w);
+        let image = w.finish();
+        let mut restored = BalanceTimers::new(&topo);
+        assert_eq!(restored.next_due(), SimTime::ZERO);
+        restored
+            .restore(&mut image.open().expect("valid image"))
+            .expect("restore");
+        assert_eq!(restored.next_due(), earliest(&model));
+        assert!(restored.next_due() > SimTime::ZERO);
     }
 
     #[test]

@@ -60,6 +60,17 @@ enum Balancer {
     EnergyAware(EnergyAwareBalancer),
 }
 
+impl Balancer {
+    /// The earliest instant any CPU's domain level is due for a
+    /// periodic balancing pass.
+    fn next_due(&self) -> SimTime {
+        match self {
+            Balancer::Baseline(lb) => lb.next_due(),
+            Balancer::EnergyAware(eb) => eb.next_due(),
+        }
+    }
+}
+
 /// Per-CPU accounting of the currently running task's interval (energy
 /// and execution time since it was dispatched or last accounted).
 #[derive(Clone, Copy, Debug, Default)]
@@ -767,11 +778,7 @@ impl Simulation {
             dt = dt.min(m.next.saturating_since(self.now));
         }
         // Periodic balancing passes.
-        let due = match &self.balancer {
-            Balancer::Baseline(lb) => lb.next_due(),
-            Balancer::EnergyAware(eb) => eb.next_due(),
-        };
-        dt = dt.min(due.saturating_since(self.now));
+        dt = dt.min(self.balancer.next_due().saturating_since(self.now));
 
         let tau_s = self.thermal_tau.as_secs_f64();
         let threads_per_core = self.sys.topology().threads_per_core().max(1);
@@ -1097,7 +1104,7 @@ impl Simulation {
                     // just as it adds the known halt power for idling.
                     let est = self.estimator.account(
                         cpu,
-                        &mut self.machine.banks[cpu.0],
+                        &self.machine.banks[cpu.0],
                         dt,
                         SimDuration::ZERO,
                     ) * vscale_sq;
@@ -1107,11 +1114,13 @@ impl Simulation {
                     self.power.observe(cpu, est.average_power(dt), dt);
                 } else {
                     // Idle or throttled: halt power only (the class's
-                    // own share on hybrid machines).
+                    // own share on hybrid machines). The CPU retired no
+                    // events, so the estimator charges its halt share
+                    // without estimating an all-zero counter delta.
                     pkg_energy += self.machine.halt_power_share_of(cpu).over(dt);
                     let est = self
                         .estimator
-                        .account(cpu, &mut self.machine.banks[cpu.0], dt, dt);
+                        .account_halted(cpu, &self.machine.banks[cpu.0], dt);
                     self.estimated_energy += est;
                     self.power.observe(cpu, est.average_power(dt), dt);
                 }
@@ -1262,6 +1271,10 @@ impl Simulation {
             }
         }
 
+        // Periodic balancing, entered only on a step with a level due.
+        // A pass re-arms only its own CPU's levels, so whether any
+        // level is due cannot change within the loop below.
+        let balance_due = self.now >= self.balancer.next_due();
         for c in 0..self.n_cpus() {
             let cpu = CpuId(c);
             // Timeslice accounting only while actually executing.
@@ -1281,16 +1294,18 @@ impl Simulation {
                 self.hot_check(cpu);
             }
 
-            // Periodic balancing (self-gated by domain intervals).
-            let pulled = match &mut self.balancer {
-                Balancer::Baseline(lb) => lb.run(cpu, &mut self.sys).pulled,
-                Balancer::EnergyAware(eb) => eb.run(cpu, &mut self.sys, &self.power).pulled,
-            };
-            if pulled > 0 {
-                self.emit(EventKind::BalancerRound {
-                    cpu: cpu.0 as u32,
-                    pulled: pulled as u32,
-                });
+            // Periodic balancing of the CPU's due domain levels.
+            if balance_due {
+                let pulled = match &mut self.balancer {
+                    Balancer::Baseline(lb) => lb.run(cpu, &mut self.sys).pulled,
+                    Balancer::EnergyAware(eb) => eb.run(cpu, &mut self.sys, &self.power).pulled,
+                };
+                if pulled > 0 {
+                    self.emit(EventKind::BalancerRound {
+                        cpu: cpu.0 as u32,
+                        pulled: pulled as u32,
+                    });
+                }
             }
 
             // New-idle balancing, once per idle transition.
@@ -2063,6 +2078,34 @@ mod tests {
         assert_eq!(report.duration, duration);
         assert_eq!(report.engine_steps, 4_000);
         assert!(report.instructions_retired > 0);
+    }
+
+    #[test]
+    fn every_step_balances_each_level_due_by_its_end() {
+        // The scheduler phase enters the balancers only on steps with a
+        // level due; no step may leave a level due at or before the
+        // clock, on either balancer and at either stride cap.
+        for energy_aware in [false, true] {
+            for strided in [false, true] {
+                let cfg = quick_cfg().energy_aware(energy_aware);
+                let mut sim = Simulation::new(if strided { cfg.strided() } else { cfg });
+                sim.spawn_mix(&ebs_workloads::section61_mix(), 2);
+                let end = sim.now + SimDuration::from_secs(2);
+                let mut passes = 0;
+                while sim.now < end {
+                    let due = sim.balancer.next_due();
+                    let dt = sim.next_stride(end);
+                    sim.step_span(dt);
+                    passes += usize::from(sim.now >= due);
+                    assert!(
+                        sim.balancer.next_due() > sim.now,
+                        "a level due by {:?} was left unbalanced",
+                        sim.now
+                    );
+                }
+                assert!(passes >= 8, "{passes} balancing steps in 2 s");
+            }
+        }
     }
 
     #[test]

@@ -53,7 +53,9 @@ pub const MAGIC: [u8; 4] = *b"EBSS";
 /// - **v6** — configuration stays out of images: the power state's
 ///   per-CPU budgets and each throttle controller's limit are no
 ///   longer saved, so a fork runs under its own config's budget.
-pub const FORMAT_VERSION: u32 = 6;
+/// - **v7** — counter banks no longer save a read count (nothing read
+///   it), 8 bytes fewer per logical CPU.
+pub const FORMAT_VERSION: u32 = 7;
 
 /// A restore failure. Every variant names enough context to locate
 /// the divergence in the byte stream.

@@ -90,8 +90,16 @@ impl ExpAverage {
         if period.is_zero() {
             return self.value;
         }
-        let p = self.effective_weight(period);
-        self.value = p * sample + (1.0 - p) * self.value;
+        self.fold(sample, self.effective_weight(period))
+    }
+
+    /// Folds in a sample with a `weight` that
+    /// [`effective_weight`](Self::effective_weight) already computed:
+    /// [`update`](Self::update) without the `powf`, for callers that
+    /// fold many averages of one standard period and weight over the
+    /// same period.
+    pub fn fold(&mut self, sample: f64, weight: f64) -> f64 {
+        self.value = weight * sample + (1.0 - weight) * self.value;
         self.value
     }
 
@@ -144,6 +152,12 @@ impl PowerAverage {
     /// Folds in a power sample observed over `period`.
     pub fn update(&mut self, sample: Watts, period: SimDuration) -> Watts {
         Watts(self.0.update(sample.0, period))
+    }
+
+    /// Folds in a power sample with a precomputed effective weight
+    /// (see [`ExpAverage::fold`]).
+    pub fn fold(&mut self, sample: Watts, weight: f64) -> Watts {
+        Watts(self.0.fold(sample.0, weight))
     }
 
     /// Resets to a fixed power.

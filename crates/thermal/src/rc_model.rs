@@ -107,11 +107,6 @@ impl ThermalNode {
         ThermalNode { model, temperature }
     }
 
-    /// The node's thermal parameters.
-    pub fn model(&self) -> &RcThermalModel {
-        &self.model
-    }
-
     /// Current die temperature.
     pub fn temperature(&self) -> Celsius {
         self.temperature
