@@ -4,6 +4,11 @@
 //! throttling vs thermal-aware DVFS). Writes per-epoch fleet metrics
 //! for every cell to `results/fleet.csv`.
 //!
+//! Beside the result table, every cell prints its fleet phase split
+//! ([`Fleet::profile`]): the share of host wall time and the mean per
+//! epoch spent routing, stepping and rolling up. Wall times never
+//! reach the CSV.
+//!
 //! `--smoke` shrinks the rack to 8 hosts and the horizon to 4 s — the
 //! CI variant — and the sweep always ends with a worker-invariance
 //! check: one cell re-run at 1 vs 2 workers must produce bit-equal
@@ -18,6 +23,7 @@ use ebs_fleet::{
 };
 use ebs_sim::{default_workers, SimConfig};
 use ebs_topology::TopologyPreset;
+use ebs_trace::PhaseProfiler;
 use ebs_units::{SimDuration, Watts};
 use ebs_workloads::{catalog, LoadCurve, OpenWorkload};
 use std::fmt;
@@ -106,6 +112,8 @@ pub struct FleetCell {
     pub report: FleetReport,
     /// Per-epoch fleet metrics.
     pub epochs: Vec<EpochMetrics>,
+    /// Host wall time per epoch phase (route, step, roll-up).
+    pub profile: PhaseProfiler,
 }
 
 /// The full sweep plus the worker-invariance verdict.
@@ -167,6 +175,18 @@ impl fmt::Display for FleetSweep {
                 c.report.stranded_w_mean,
             )?;
         }
+        writeln!(
+            f,
+            "fleet phases, share of wall time and mean ms per epoch:\n{:<14} {:<5} {:>16} {:>16} {:>16}",
+            "dispatch", "mech", "route", "step", "roll-up"
+        )?;
+        for c in &self.cells {
+            write!(f, "{:<14} {:<5}", c.dispatch.name(), c.mechanism)?;
+            for row in c.profile.rows() {
+                write!(f, " {:>6.1}% {:>8.3}", row.share * 100.0, row.mean_ns / 1e6)?;
+            }
+            writeln!(f)?;
+        }
         writeln!(f, "worker invariance: {}", self.invariance)
     }
 }
@@ -183,6 +203,7 @@ pub fn run(smoke: bool) -> FleetSweep {
                 mechanism,
                 report: fleet.report(),
                 epochs: fleet.epochs().to_vec(),
+                profile: fleet.profile().clone(),
             });
         }
     }

@@ -98,9 +98,10 @@ impl HotTaskMigrator {
         if rq.nr_running() != 1 || rq.current().is_none() {
             return false;
         }
-        let pkg = package_cpus(sys.topology(), cpu);
-        let thermal = power.thermal_power_sum(&pkg);
-        let budget = power.max_power_sum(&pkg);
+        let topo = sys.topology();
+        let pkg = topo.package_of(cpu);
+        let thermal = power.thermal_power_sum(topo.cpus_of_package(pkg));
+        let budget = power.max_power_sum(topo.cpus_of_package(pkg));
         thermal.0 >= budget.0 * self.cfg.trigger_fraction
     }
 
@@ -189,19 +190,13 @@ impl HotTaskMigrator {
     }
 }
 
-/// All logical CPUs of `cpu`'s package (including `cpu`).
-fn package_cpus(topo: &Topology, cpu: CpuId) -> Vec<CpuId> {
-    topo.cpus_of_package(topo.package_of(cpu))
-}
-
 /// Per-logical-CPU average thermal power of `cpu`'s core — the
 /// coolness metric for destination candidates. Judging per core
 /// prevents "cool" idle siblings of hot cores from attracting the
 /// task. On single-core packages (the paper's machine) this equals
 /// the package average.
 fn core_avg_thermal(topo: &Topology, cpu: CpuId, power: &PowerState) -> Watts {
-    let core = topo.cpus_of_core(topo.core_of(cpu));
-    power.thermal_power_sum(&core) / core.len() as f64
+    power.thermal_power_sum(topo.cpus_of_core(topo.core_of(cpu))) / topo.threads_per_core() as f64
 }
 
 /// Sort key for destination candidates: core coolness first, then

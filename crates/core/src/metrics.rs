@@ -143,13 +143,15 @@ impl PowerState {
     /// Sum of the thermal powers of the given CPUs — the package-level
     /// quantity the SMT adaptations compare against the package budget
     /// (Section 4.7).
-    pub fn thermal_power_sum(&self, cpus: &[CpuId]) -> Watts {
-        cpus.iter().map(|&c| self.thermal_power(c)).sum()
+    /// Takes any CPU sequence, so a topology listing is summed without
+    /// being collected first.
+    pub fn thermal_power_sum(&self, cpus: impl IntoIterator<Item = CpuId>) -> Watts {
+        cpus.into_iter().map(|c| self.thermal_power(c)).sum()
     }
 
     /// Sum of the maximum powers of the given CPUs.
-    pub fn max_power_sum(&self, cpus: &[CpuId]) -> Watts {
-        cpus.iter().map(|&c| self.max_power(c)).sum()
+    pub fn max_power_sum(&self, cpus: impl IntoIterator<Item = CpuId>) -> Watts {
+        cpus.into_iter().map(|c| self.max_power(c)).sum()
     }
 }
 
@@ -420,9 +422,9 @@ mod tests {
             ps.observe(CpuId(0), Watts(30.0), SimDuration::from_millis(100));
             ps.observe(CpuId(2), Watts(10.0), SimDuration::from_millis(100));
         }
-        let sum = ps.thermal_power_sum(&[CpuId(0), CpuId(2)]);
+        let sum = ps.thermal_power_sum([CpuId(0), CpuId(2)]);
         assert!((sum.0 - 40.0).abs() < 0.1);
-        assert_eq!(ps.max_power_sum(&[CpuId(0), CpuId(2)]), Watts(40.0));
+        assert_eq!(ps.max_power_sum([CpuId(0), CpuId(2)]), Watts(40.0));
     }
 
     #[test]

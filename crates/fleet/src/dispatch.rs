@@ -103,17 +103,8 @@ impl Dispatcher {
             }
             DispatchPolicy::LeastLoaded => Self::least_loaded(stats),
             DispatchPolicy::PowerAware => {
-                let with_headroom: Vec<HostStat> = stats
-                    .iter()
-                    .filter(|s| s.headroom_w() > 0.0)
-                    .copied()
-                    .collect();
-                if with_headroom.is_empty() {
-                    // The whole rack is saturated; shed load evenly.
-                    Self::least_loaded(stats)
-                } else {
-                    Self::power_aware(&with_headroom)
-                }
+                // `None`: the whole rack is saturated; shed load evenly.
+                Self::power_aware(stats).unwrap_or_else(|| Self::least_loaded(stats))
             }
         }
     }
@@ -129,24 +120,29 @@ impl Dispatcher {
         best.host
     }
 
-    /// Least-loaded, then max headroom, then lowest id — over hosts
-    /// already filtered to positive headroom.
-    fn power_aware(stats: &[HostStat]) -> usize {
-        let mut best = &stats[0];
-        for s in &stats[1..] {
-            if s.less_loaded_than(best) {
-                best = s;
-            } else if !best.less_loaded_than(s) {
+    /// Least-loaded, then max headroom, then lowest id — among hosts
+    /// with positive headroom, in one pass; `None` when no host has
+    /// any.
+    fn power_aware(stats: &[HostStat]) -> Option<usize> {
+        let mut best: Option<&HostStat> = None;
+        for s in stats.iter().filter(|s| s.headroom_w() > 0.0) {
+            let Some(b) = best else {
+                best = Some(s);
+                continue;
+            };
+            if s.less_loaded_than(b) {
+                best = Some(s);
+            } else if !b.less_loaded_than(s) {
                 // Equal load ratio: prefer the larger headroom.
                 // total_cmp keeps the comparison deterministic even
                 // for equal headrooms (falls through to lowest id by
                 // iteration order).
-                if s.headroom_w().total_cmp(&best.headroom_w()) == std::cmp::Ordering::Greater {
-                    best = s;
+                if s.headroom_w().total_cmp(&b.headroom_w()) == std::cmp::Ordering::Greater {
+                    best = Some(s);
                 }
             }
         }
-        best.host
+        best.map(|b| b.host)
     }
 }
 

@@ -3,37 +3,64 @@
 //!
 //! # Execution model
 //!
-//! Time advances in *dispatcher epochs*. At each epoch boundary the
-//! fleet drains every arrival due within the upcoming epoch from the
-//! shared [`ArrivalProcess`] — one at a time, in due order — and asks
-//! the [`Dispatcher`] where each one goes. The chosen host's engine
-//! gets the arrival as a [`RoutedArrival`] (the same currency the
-//! parallel core's synchronizer uses between packages) and spawns it
-//! at its exact due instant during the epoch. The hosts then step
-//! through the epoch concurrently via [`map_parallel`].
+//! Time advances in *dispatcher epochs*, each in three phases:
+//!
+//! 1. **Route.** The fleet drains every arrival due within the
+//!    upcoming epoch from the shared [`ArrivalProcess`] — one at a
+//!    time, in due order — and asks the [`Dispatcher`] where each one
+//!    goes. The dispatcher reads one [`HostStat`] buffer built at the
+//!    epoch boundary; each pick bumps the chosen host's runnable
+//!    count in place. The host's engine gets the arrival as a
+//!    [`RoutedArrival`] (the same currency the parallel core's
+//!    synchronizer uses between packages) and spawns it at its exact
+//!    due instant during the epoch.
+//! 2. **Step.** The hosts step through the epoch concurrently via
+//!    [`map_parallel`], largest first: hosts are handed out in
+//!    descending CPU count (ties in host order), so the costliest
+//!    engines start early and a worker is not left stepping a big
+//!    host alone at the end of the epoch.
+//! 3. **Roll up.** Each host, in host order, answers the narrow
+//!    [`SimEngine::read_counters`] read: its cumulative counters,
+//!    differenced against the previous epoch's, plus the sojourn
+//!    samples recorded past its [`SojournCursor`] (one offset per
+//!    partition, so partitioned hosts contribute exactly the epoch's
+//!    samples). No host report is built, so an epoch costs the
+//!    epoch's new work, not the run's history.
+//!
+//! The fleet times the three phases in an always-on [`PhaseProfiler`]
+//! ([`Fleet::profile`]): four clock reads per epoch.
 //!
 //! Determinism: routing is serial and a pure function of
 //! epoch-boundary state; hosts are independent engines with disjoint
-//! seeds; and [`map_parallel`] only changes *when* each host steps,
-//! never what it computes. A fleet run is therefore bit-identical
-//! across worker counts and reproducible per seed — the property the
-//! determinism suite pins down.
+//! seeds; and [`map_parallel`] and the step order only change *when*
+//! each host steps, never what it computes. A fleet run is therefore
+//! bit-identical across worker counts and reproducible per seed — the
+//! property the determinism suite pins down.
 
 use crate::budget::PowerBudget;
 use crate::dispatch::{DispatchPolicy, Dispatcher, HostStat};
 use ebs_sim::{
-    build_engine, divergence_verdict, map_parallel, LatencyStats, MaxPowerSpec, RoutedArrival,
-    SimConfig, SimEngine, SimReport,
+    build_engine, divergence_verdict, map_parallel, EngineCounters, LatencyStats, MaxPowerSpec,
+    RoutedArrival, SimConfig, SimEngine, SimReport, SojournCursor,
 };
 use ebs_topology::TopologyPreset;
+use ebs_trace::PhaseProfiler;
 use ebs_units::{Joules, SimDuration, SimTime, Watts};
 use ebs_workloads::{ArrivalProcess, OpenWorkload};
+use std::cmp::Reverse;
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// Salt for deriving per-host engine seeds from the fleet seed, so no
 /// host shares an RNG stream with the fleet-level arrival process or
 /// with another host.
 const HOST_SEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The epoch phases [`Fleet::profile`] times, in epoch order.
+const PHASE_NAMES: [&str; 3] = ["route", "step", "roll-up"];
+const PHASE_ROUTE: usize = 0;
+const PHASE_STEP: usize = 1;
+const PHASE_ROLL_UP: usize = 2;
 
 /// Configuration for a [`Fleet`] run.
 #[derive(Clone, Debug)]
@@ -132,11 +159,10 @@ struct Host {
     share: Watts,
     /// Mean power draw over the previous epoch (0 before the first).
     power_w: f64,
-    /// Report cursors for per-epoch deltas.
-    last_instructions: u64,
-    last_completions: u64,
-    last_energy_j: f64,
-    last_samples: usize,
+    /// The counters at the previous roll-up, for per-epoch deltas.
+    last: EngineCounters,
+    /// How far the roll-up has read the host's sojourn record.
+    cursor: SojournCursor,
 }
 
 /// Per-epoch fleet metrics, rolled up across hosts.
@@ -198,7 +224,8 @@ impl EpochMetrics {
     }
 }
 
-/// Whole-run fleet summary, rolled up from per-host [`SimReport`]s.
+/// Whole-run fleet summary, rolled up from every host's
+/// [`SimEngine::read_counters`] read.
 #[derive(Clone, Debug)]
 pub struct FleetReport {
     /// Host count.
@@ -232,6 +259,10 @@ pub struct Fleet {
     now: SimTime,
     routed_total: u64,
     epochs: Vec<EpochMetrics>,
+    /// Host indices in step order: descending CPU count, ties in host
+    /// order.
+    step_order: Vec<usize>,
+    profile: PhaseProfiler,
 }
 
 impl Fleet {
@@ -262,15 +293,16 @@ impl Fleet {
                     cpus,
                     share,
                     power_w: 0.0,
-                    last_instructions: 0,
-                    last_completions: 0,
-                    last_energy_j: 0.0,
-                    last_samples: 0,
+                    last: EngineCounters::default(),
+                    cursor: SojournCursor::default(),
                 }
             })
             .collect();
         let arrivals = ArrivalProcess::new(cfg.workload.clone(), cfg.seed);
         let dispatcher = Dispatcher::new(cfg.dispatch);
+        // A stable sort keeps equal-sized hosts in host order.
+        let mut step_order: Vec<usize> = (0..cpus.len()).collect();
+        step_order.sort_by_key(|&i| Reverse(cpus[i]));
         Fleet {
             cfg,
             hosts,
@@ -279,6 +311,8 @@ impl Fleet {
             now: SimTime::ZERO,
             routed_total: 0,
             epochs: Vec::new(),
+            step_order,
+            profile: PhaseProfiler::new(&PHASE_NAMES),
         }
     }
 
@@ -307,39 +341,41 @@ impl Fleet {
         self.routed_total
     }
 
+    /// Host wall time spent so far in each epoch phase — `route`,
+    /// `step` and `roll-up`, in that order — with one call per phase
+    /// per epoch. Always on: four clock reads per epoch.
+    pub fn profile(&self) -> &PhaseProfiler {
+        &self.profile
+    }
+
     /// Advances the fleet by exactly one dispatcher epoch: route every
     /// arrival due within it, step all hosts concurrently, then roll
     /// up the epoch's metrics.
     pub fn run_epoch(&mut self) {
         let boundary = self.now + self.cfg.epoch;
         let epoch_secs = self.cfg.epoch.as_secs_f64();
+        let t_route = Instant::now();
 
         // --- Route (serial, due order). Runnable counts are kept
         // current as arrivals land; power draw stays frozen at the
         // previous epoch's measurement.
-        let mut routed = vec![0usize; self.hosts.len()];
-        let base_runnable: Vec<usize> = self
+        let mut stats: Vec<HostStat> = self
             .hosts
             .iter()
-            .map(|h| h.engine.runnable_tasks())
+            .enumerate()
+            .map(|(i, h)| HostStat {
+                host: i,
+                runnable: h.engine.runnable_tasks(),
+                cpus: h.cpus,
+                power_w: h.power_w,
+                budget_w: h.share,
+            })
             .collect();
         let mut arrivals_this_epoch = 0u64;
         while self.arrivals.next_arrival() <= boundary {
             let due = self.arrivals.next_arrival();
             for a in self.arrivals.pop_due(due) {
                 let program = self.arrivals.spec().materialize(&a);
-                let stats: Vec<HostStat> = self
-                    .hosts
-                    .iter()
-                    .enumerate()
-                    .map(|(i, h)| HostStat {
-                        host: i,
-                        runnable: base_runnable[i] + routed[i],
-                        cpus: h.cpus,
-                        power_w: h.power_w,
-                        budget_w: h.share,
-                    })
-                    .collect();
                 let idx = self.dispatcher.pick(&stats);
                 self.hosts[idx].engine.queue_arrival(RoutedArrival {
                     due,
@@ -347,23 +383,29 @@ impl Fleet {
                     seed: a.seed,
                     phase: a.phase,
                 });
-                routed[idx] += 1;
+                stats[idx].runnable += 1;
                 arrivals_this_epoch += 1;
             }
         }
         self.routed_total += arrivals_this_epoch;
+        let t_step = Instant::now();
+        self.profile.record(PHASE_ROUTE, t_step - t_route);
 
-        // --- Step all hosts through the epoch, possibly concurrently.
-        // Hosts are independent engines, so the schedule of *which
-        // worker steps which host* cannot change any host's state.
+        // --- Step all hosts through the epoch, possibly concurrently,
+        // largest first. Hosts are independent engines, so neither the
+        // order nor *which worker steps which host* can change any
+        // host's state.
         let epoch = self.cfg.epoch;
         let slots: Vec<Mutex<&mut Host>> = self.hosts.iter_mut().map(Mutex::new).collect();
-        map_parallel(&slots, self.cfg.workers, |slot| {
-            slot.lock()
+        map_parallel(&self.step_order, self.cfg.workers, |&i| {
+            slots[i]
+                .lock()
                 .expect("host mutex poisoned")
                 .engine
                 .run_for(epoch);
         });
+        let t_roll_up = Instant::now();
+        self.profile.record(PHASE_STEP, t_roll_up - t_step);
 
         // --- Roll up (serial, host order).
         let mut completions = 0u64;
@@ -372,18 +414,12 @@ impl Fleet {
         let mut stranded_w = 0.0f64;
         let mut samples: Vec<f64> = Vec::new();
         for host in &mut self.hosts {
-            let report = host.engine.report();
-            let d_instr = report.instructions_retired - host.last_instructions;
-            let d_energy = report.true_energy.0 - host.last_energy_j;
-            completions += report.completions - host.last_completions;
-            instructions += d_instr;
+            let now = host.engine.read_counters(&mut host.cursor, &mut samples);
+            let d_energy = now.true_energy.0 - host.last.true_energy.0;
+            completions += now.completions - host.last.completions;
+            instructions += now.instructions_retired - host.last.instructions_retired;
             energy_j += d_energy;
-            let all = host.engine.sojourn_samples();
-            samples.extend(all[host.last_samples..].iter().map(|&(_, s)| s));
-            host.last_instructions = report.instructions_retired;
-            host.last_completions = report.completions;
-            host.last_energy_j = report.true_energy.0;
-            host.last_samples = all.len();
+            host.last = now;
             host.power_w = d_energy / epoch_secs;
             stranded_w += (host.share.0 - host.power_w).max(0.0);
         }
@@ -406,6 +442,7 @@ impl Fleet {
             latency: LatencyStats::from_samples(samples),
         });
         self.now = boundary;
+        self.profile.record(PHASE_ROLL_UP, t_roll_up.elapsed());
     }
 
     /// Runs `n` dispatcher epochs.
@@ -415,18 +452,22 @@ impl Fleet {
         }
     }
 
-    /// Whole-run summary rolled up from per-host reports.
+    /// Whole-run summary: every host's counters and complete sojourn
+    /// record (read from a fresh cursor), pooled in host order.
     pub fn report(&self) -> FleetReport {
-        let reports = self.host_reports();
-        let completions: u64 = reports.iter().map(|r| r.completions).sum();
-        let instructions: u64 = reports.iter().map(|r| r.instructions_retired).sum();
-        let energy: f64 = reports.iter().map(|r| r.true_energy.0).sum();
-        let duration_s = self.now.as_secs_f64();
-        let samples: Vec<f64> = self
+        let mut samples: Vec<f64> = Vec::new();
+        let counters: Vec<EngineCounters> = self
             .hosts
             .iter()
-            .flat_map(|h| h.engine.sojourn_samples().into_iter().map(|(_, s)| s))
+            .map(|h| {
+                h.engine
+                    .read_counters(&mut SojournCursor::default(), &mut samples)
+            })
             .collect();
+        let completions: u64 = counters.iter().map(|c| c.completions).sum();
+        let instructions: u64 = counters.iter().map(|c| c.instructions_retired).sum();
+        let energy: f64 = counters.iter().map(|c| c.true_energy.0).sum();
+        let duration_s = self.now.as_secs_f64();
         let stranded_w_mean = if self.epochs.is_empty() {
             0.0
         } else {
@@ -518,4 +559,158 @@ pub fn worker_divergence(
         "per-host reports identical across {workers_a} and {workers_b} workers ({} hosts)",
         ra.len()
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ebs_workloads::{catalog, LoadCurve};
+
+    /// The `exp_fleet` workload shape at 0.8 arrivals/s per logical CPU.
+    fn workload(total_cpus: usize) -> OpenWorkload {
+        OpenWorkload::new(
+            vec![
+                catalog::bitcnts(),
+                catalog::memrw(),
+                catalog::aluadd(),
+                catalog::pushpop(),
+            ],
+            0.8 * total_cpus as f64,
+        )
+        .curve(LoadCurve::Diurnal {
+            period: SimDuration::from_secs(4),
+            floor: 0.3,
+        })
+        .service_work(600_000_000, 1_800_000_000)
+    }
+
+    fn config(hosts: Vec<TopologyPreset>, partitioned: bool) -> FleetConfig {
+        let total_cpus: usize = hosts.iter().map(|p| p.builder().n_cpus()).sum();
+        let base = SimConfig::xseries445()
+            .energy_aware(true)
+            .throttling(true)
+            .respawn(false)
+            .strided();
+        let base = if partitioned { base.parallel(2) } else { base };
+        FleetConfig::new(base, hosts, workload(total_cpus)).workers(2)
+    }
+
+    /// A host's complete sojourn record, read from a fresh cursor.
+    fn whole_record(host: &Host) -> Vec<f64> {
+        let mut all = Vec::new();
+        host.engine
+            .read_counters(&mut SojournCursor::default(), &mut all);
+        all
+    }
+
+    /// The samples of `after` that `before` does not account for, as a
+    /// multiset (a record only grows, but a partitioned host's whole
+    /// record interleaves its partitions' growth).
+    fn multiset_difference(after: &[f64], before: &[f64]) -> Vec<f64> {
+        let mut after = after.to_vec();
+        let mut before = before.to_vec();
+        after.sort_by(f64::total_cmp);
+        before.sort_by(f64::total_cmp);
+        let mut out = Vec::new();
+        let mut old = before.iter().peekable();
+        for s in after {
+            if old.peek().is_some_and(|o| o.to_bits() == s.to_bits()) {
+                old.next();
+            } else {
+                out.push(s);
+            }
+        }
+        assert!(old.next().is_none(), "a host's sojourn record shrank");
+        out
+    }
+
+    /// Every epoch's latency statistics cover exactly the samples its
+    /// hosts recorded during that epoch — on partitioned hosts too,
+    /// whose record is one growing list per partition.
+    #[test]
+    fn epoch_latency_covers_exactly_the_epochs_samples() {
+        let cfg = config(vec![TopologyPreset::Numa16; 2], true);
+        let mut fleet = Fleet::new(cfg);
+        let mut pooled = 0;
+        for epoch in 0..40 {
+            let before: Vec<Vec<f64>> = fleet.hosts.iter().map(whole_record).collect();
+            fleet.run_epoch();
+            let mut new = Vec::new();
+            for (host, before) in fleet.hosts.iter().zip(&before) {
+                new.extend(multiset_difference(&whole_record(host), before));
+            }
+            pooled += new.len();
+            let got = &fleet.epochs()[epoch].latency;
+            let want = LatencyStats::from_samples(new);
+            assert!(got.bit_eq(&want), "epoch {epoch}: {got:?} != {want:?}");
+        }
+        assert!(pooled > 100, "too few completions to test: {pooled}");
+    }
+
+    /// The per-epoch roll-up conserves the hosts' own totals, on both
+    /// engine cores.
+    #[test]
+    fn roll_up_conserves_host_totals() {
+        for partitioned in [false, true] {
+            let hosts = vec![
+                TopologyPreset::Dual,
+                TopologyPreset::XSeries445 { smt: false },
+                TopologyPreset::XSeries445 { smt: true },
+                TopologyPreset::Hybrid8,
+            ];
+            let mut fleet = Fleet::new(config(hosts, partitioned));
+            fleet.run(16);
+            let reports = fleet.host_reports();
+            let epochs = fleet.epochs();
+            assert_eq!(
+                epochs.iter().map(|e| e.completions).sum::<u64>(),
+                reports.iter().map(|r| r.completions).sum::<u64>()
+            );
+            assert_eq!(
+                epochs.iter().map(|e| e.instructions).sum::<u64>(),
+                reports.iter().map(|r| r.instructions_retired).sum::<u64>()
+            );
+            let report = fleet.report();
+            assert!(report.latency.count > 0, "nothing completed");
+            assert_eq!(
+                epochs.iter().map(|e| e.latency.count).sum::<u64>(),
+                report.latency.count
+            );
+            let hosts_j: f64 = reports.iter().map(|r| r.true_energy.0).sum();
+            let epochs_j: f64 = epochs.iter().map(|e| e.energy_j).sum();
+            assert!(
+                (epochs_j - hosts_j).abs() <= 1e-9 * hosts_j,
+                "partitioned {partitioned}: epochs {epochs_j} J vs hosts {hosts_j} J"
+            );
+        }
+    }
+
+    /// Hosts step largest first, equal sizes in host order.
+    #[test]
+    fn step_order_is_largest_first_then_host_order() {
+        let hosts = vec![
+            TopologyPreset::Dual,                      // 8 CPUs
+            TopologyPreset::XSeries445 { smt: false }, // 8
+            TopologyPreset::XSeries445 { smt: true },  // 16
+            TopologyPreset::Numa16,                    // 32
+            TopologyPreset::Hybrid8,                   // 8
+            TopologyPreset::XSeries445 { smt: true },  // 16
+        ];
+        let fleet = Fleet::new(config(hosts, false));
+        assert_eq!(fleet.step_order, [3, 2, 5, 0, 1, 4]);
+    }
+
+    /// The phase profile records each phase once per epoch.
+    #[test]
+    fn profile_times_every_phase_once_per_epoch() {
+        let hosts = vec![TopologyPreset::Dual, TopologyPreset::Hybrid8];
+        let mut fleet = Fleet::new(config(hosts, false));
+        fleet.run(5);
+        let rows = fleet.profile().rows();
+        let names: Vec<&str> = rows.iter().map(|r| r.name).collect();
+        assert_eq!(names, ["route", "step", "roll-up"]);
+        for row in rows {
+            assert_eq!(row.calls, 5, "{} calls", row.name);
+        }
+    }
 }

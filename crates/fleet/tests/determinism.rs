@@ -64,13 +64,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Same seed ⇒ identical fleet CSV and per-host end-state hashes
-    /// across 1, 2, and 4 workers, under every dispatch policy.
+    /// across 1, 2, and 4 workers, under every dispatch policy, with
+    /// or without partitioned hosts (`parallel(2)` partitions every
+    /// multi-package host; the hybrid host stays one partition).
     #[test]
     fn fleet_runs_are_worker_count_invariant(
         seed in 0u64..1_000,
         policy_idx in 0usize..3,
+        partitioned in any::<bool>(),
     ) {
-        let cfg = small_fleet(seed, policy(policy_idx));
+        let mut cfg = small_fleet(seed, policy(policy_idx));
+        if partitioned {
+            cfg.base = cfg.base.parallel(2);
+        }
         let (csv1, hashes1) = run(cfg.clone().workers(1), 8);
         let (csv2, hashes2) = run(cfg.clone().workers(2), 8);
         let (csv4, hashes4) = run(cfg.workers(4), 8);

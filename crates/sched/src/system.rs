@@ -671,11 +671,17 @@ impl System {
         };
         for core in 0..self.topology.n_cores() {
             let core = ebs_topology::CoreId(core);
-            check(GroupUnit::Core(core), &self.topology.cpus_of_core(core));
+            check(
+                GroupUnit::Core(core),
+                &self.topology.cpus_of_core(core).collect::<Vec<_>>(),
+            );
         }
         for pkg in 0..self.topology.n_packages() {
             let pkg = ebs_topology::PackageId(pkg);
-            check(GroupUnit::Package(pkg), &self.topology.cpus_of_package(pkg));
+            check(
+                GroupUnit::Package(pkg),
+                &self.topology.cpus_of_package(pkg).collect::<Vec<_>>(),
+            );
         }
         for node in 0..self.topology.n_nodes() {
             let node = ebs_topology::NodeId(node);

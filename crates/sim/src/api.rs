@@ -21,8 +21,38 @@ use crate::engine::{RoutedArrival, Simulation};
 use crate::parallel::ParallelSimulation;
 use crate::trace::SimReport;
 use ebs_trace::TraceEvent;
-use ebs_units::{SimDuration, SimTime};
+use ebs_units::{Joules, SimDuration, SimTime};
 use ebs_workloads::{Mix, Program};
+
+/// The cumulative counters a roll-up differences between reads — the
+/// matching [`SimReport`] fields, bit for bit, without summarising
+/// the whole run.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct EngineCounters {
+    /// Instructions retired so far ([`SimReport::instructions_retired`]).
+    pub instructions_retired: u64,
+    /// Tasks completed so far ([`SimReport::completions`]).
+    pub completions: u64,
+    /// True energy consumed so far ([`SimReport::true_energy`]).
+    pub true_energy: Joules,
+}
+
+/// How far a reader has consumed one engine's sojourn record. A
+/// partitioned engine records each partition's samples separately, so
+/// the cursor holds one offset per partition; a fresh cursor reads
+/// the whole record.
+#[derive(Clone, Debug, Default)]
+pub struct SojournCursor {
+    offsets: Vec<usize>,
+}
+
+impl SojournCursor {
+    /// The per-partition offsets, sized on first use.
+    pub(crate) fn offsets(&mut self, partitions: usize) -> &mut [usize] {
+        self.offsets.resize(partitions, 0);
+        &mut self.offsets
+    }
+}
 
 /// The driving surface shared by both engine cores.
 ///
@@ -70,11 +100,13 @@ pub trait SimEngine: ebs_store::Snapshot + Send {
     /// event tracing is enabled in the config.
     fn event_stream(&self) -> Option<Vec<TraceEvent>>;
 
-    /// Raw open-workload sojourn samples so far: (arrival phase,
-    /// seconds). Pooled by roll-up consumers (the fleet SLO
-    /// percentiles) exactly like the partitioned core pools its
-    /// shards'.
-    fn sojourn_samples(&self) -> Vec<(&'static str, f64)>;
+    /// The roll-up read: the cumulative [`EngineCounters`], plus the
+    /// open-workload sojourn seconds recorded past `cursor`, appended
+    /// to `samples` in partition order (each partition's in
+    /// completion order) before `cursor` advances past them. Costs the
+    /// new samples only, where [`SimEngine::report`] re-sorts every
+    /// sample of the run.
+    fn read_counters(&self, cursor: &mut SojournCursor, samples: &mut Vec<f64>) -> EngineCounters;
 
     /// Spawns `copies` instances of every program in the slice.
     fn spawn_mix(&mut self, programs: &[Program], copies: usize) {
@@ -198,8 +230,9 @@ impl SimEngine for Simulation {
         self.events().map(|t| t.to_vec())
     }
 
-    fn sojourn_samples(&self) -> Vec<(&'static str, f64)> {
-        self.raw_latencies().to_vec()
+    fn read_counters(&self, cursor: &mut SojournCursor, samples: &mut Vec<f64>) -> EngineCounters {
+        self.sojourns_since(&mut cursor.offsets(1)[0], samples);
+        self.counters()
     }
 }
 
@@ -244,18 +277,58 @@ impl SimEngine for ParallelSimulation {
         self.events()
     }
 
-    fn sojourn_samples(&self) -> Vec<(&'static str, f64)> {
-        self.pooled_latencies()
+    fn read_counters(&self, cursor: &mut SojournCursor, samples: &mut Vec<f64>) -> EngineCounters {
+        ParallelSimulation::read_counters(self, cursor, samples)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebs_workloads::catalog;
+    use crate::trace::LatencyStats;
+    use ebs_workloads::{catalog, OpenWorkload};
 
     fn cfg() -> SimConfig {
         SimConfig::xseries445().smt(false).seed(5)
+    }
+
+    /// The narrow roll-up read equals the matching `report()` fields
+    /// bit for bit on both cores, at several instants; the samples it
+    /// appends past a running cursor add up to the whole record, which
+    /// a fresh cursor reads in one go.
+    #[test]
+    fn read_counters_matches_report_on_both_cores() {
+        let workload = OpenWorkload::new(vec![catalog::aluadd(), catalog::memrw()], 12.0)
+            .service_work(100_000_000, 300_000_000);
+        for cfg in [
+            cfg().open_workload(workload.clone()).strided(),
+            cfg().open_workload(workload).parallel(2),
+        ] {
+            let mut sim = build_engine(cfg);
+            let mut cursor = SojournCursor::default();
+            let mut read = Vec::new();
+            for _ in 0..4 {
+                sim.run_for(SimDuration::from_secs(1));
+                let counters = sim.read_counters(&mut cursor, &mut read);
+                let report = sim.report();
+                assert_eq!(counters.instructions_retired, report.instructions_retired);
+                assert_eq!(counters.completions, report.completions);
+                assert_eq!(
+                    counters.true_energy.0.to_bits(),
+                    report.true_energy.0.to_bits()
+                );
+                assert_eq!(read.len() as u64, report.latency.count);
+                let mut whole = Vec::new();
+                let fresh = sim.read_counters(&mut SojournCursor::default(), &mut whole);
+                assert_eq!(fresh, counters);
+                assert!(LatencyStats::from_samples(whole).bit_eq(&report.latency));
+            }
+            assert!(
+                read.len() > 10,
+                "too few completions to compare: {}",
+                read.len()
+            );
+        }
     }
 
     /// `build_engine` picks the core the config selects, and the trait

@@ -292,7 +292,7 @@ mod tests {
         assert_eq!(map.n_domains(), topo.n_cores());
         for d in 0..map.n_domains() {
             let core = ebs_topology::CoreId(d);
-            assert_eq!(map.cpus(d), topo.cpus_of_core(core).as_slice());
+            assert_eq!(map.cpus(d), topo.cpus_of_core(core).collect::<Vec<_>>());
             assert_eq!(map.class_of(d), topo.class_of_core(core));
         }
         // Each package owns its 8 core domains.

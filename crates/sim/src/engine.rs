@@ -14,6 +14,7 @@
 //! the bang-bang duty cycle. A cap at or below the tick (the default)
 //! makes every step one tick: the fixed-tick reference.
 
+use crate::api::EngineCounters;
 use crate::config::SimConfig;
 use crate::dvfs::{DomainDecision, Horizon};
 use crate::machine::PhysicalMachine;
@@ -338,7 +339,11 @@ impl Simulation {
         // package tables.
         let n_domains = machine.domain_map().n_domains();
         let pkg_cpus: Vec<Vec<CpuId>> = (0..sys.topology().n_packages())
-            .map(|p| sys.topology().cpus_of_package(ebs_topology::PackageId(p)))
+            .map(|p| {
+                sys.topology()
+                    .cpus_of_package(ebs_topology::PackageId(p))
+                    .collect()
+            })
             .collect();
         let open = cfg
             .open_workload
@@ -662,6 +667,22 @@ impl Simulation {
         &self.latencies
     }
 
+    /// Appends the sojourn seconds recorded past `offset` to `out` and
+    /// advances `offset` to the end of the record.
+    pub(crate) fn sojourns_since(&self, offset: &mut usize, out: &mut Vec<f64>) {
+        out.extend(self.latencies[*offset..].iter().map(|&(_, s)| s));
+        *offset = self.latencies.len();
+    }
+
+    /// The cumulative counters [`Simulation::report`] summarises.
+    pub(crate) fn counters(&self) -> EngineCounters {
+        EngineCounters {
+            instructions_retired: self.instructions,
+            completions: self.completions.values().sum(),
+            true_energy: self.true_energy,
+        }
+    }
+
     /// Runnable tasks (running + queued) across the whole system.
     pub(crate) fn runnable_tasks(&self) -> usize {
         (0..self.n_cpus())
@@ -845,7 +866,7 @@ impl Simulation {
             // average under constant samples); once past the
             // threshold, fall back to tick-sized steps.
             if self.cfg.throttling {
-                let avg = self.power.thermal_power_sum(cpus).0;
+                let avg = self.power.thermal_power_sum(cpus.iter().copied()).0;
                 let thr = self.machine.throttles[pkg].flip_threshold().0;
                 let crossed = if pkg_running { avg >= thr } else { avg < thr };
                 if crossed {
@@ -887,7 +908,7 @@ impl Simulation {
                     &at,
                     dt,
                     self.busy_fraction(dom),
-                    self.power.thermal_power_sum(cpus),
+                    self.power.thermal_power_sum(cpus.iter().copied()),
                     || self.predicted_sample(map.package_of(dom), cpus, threads_per_core),
                 );
             }
@@ -1140,7 +1161,9 @@ impl Simulation {
     /// the sibling thermal powers (only physical processors overheat).
     fn throttle_tick(&mut self, dt: SimDuration) {
         for pkg in 0..self.pkg_cpus.len() {
-            let thermal = self.power.thermal_power_sum(&self.pkg_cpus[pkg]);
+            let thermal = self
+                .power
+                .thermal_power_sum(self.pkg_cpus[pkg].iter().copied());
             let before = self.machine.throttles[pkg].state();
             let after = self.machine.throttles[pkg].observe(thermal, dt);
             if before != after {
@@ -1177,7 +1200,7 @@ impl Simulation {
         }
         for dom in 0..self.dvfs.len() {
             let cpus = self.machine.domain_map().cpus(dom);
-            if self.dvfs[dom].is_due(self.now, self.power.thermal_power_sum(cpus)) {
+            if self.dvfs[dom].is_due(self.now, self.power.thermal_power_sum(cpus.iter().copied())) {
                 self.dvfs_decide(dom, max_hold);
             }
         }
@@ -1198,8 +1221,8 @@ impl Simulation {
         let map = self.machine.domain_map();
         let cpus = map.cpus(dom);
         let input = GovernorInput {
-            thermal_power: self.power.thermal_power_sum(cpus),
-            budget: self.power.max_power_sum(cpus),
+            thermal_power: self.power.thermal_power_sum(cpus.iter().copied()),
+            budget: self.power.max_power_sum(cpus.iter().copied()),
             idle_floor: self.machine.class_truth(map.class_of(dom)).halt_power,
             utilization: self.dvfs[dom].utilization(),
         };
@@ -1236,8 +1259,8 @@ impl Simulation {
             let trigger = self.hot.config().trigger_fraction;
             for pkg in 0..self.pkg_cpus.len() {
                 let cpus = &self.pkg_cpus[pkg];
-                let thermal = self.power.thermal_power_sum(cpus);
-                let budget = self.power.max_power_sum(cpus);
+                let thermal = self.power.thermal_power_sum(cpus.iter().copied());
+                let budget = self.power.max_power_sum(cpus.iter().copied());
                 self.hot_scratch[pkg] = thermal.0 >= budget.0 * trigger;
             }
         }

@@ -51,7 +51,7 @@ mod runner;
 mod runtime;
 mod trace;
 
-pub use api::{build_engine, SimEngine};
+pub use api::{build_engine, EngineCounters, SimEngine, SojournCursor};
 pub use classes::{ClassCatalog, CoreClass, DomainMap};
 pub use config::{DvfsSpec, MaxPowerSpec, SimConfig};
 pub use diag::{divergence_verdict, rel_dev, report_fingerprint, stride_divergence, traced_events};

@@ -73,7 +73,7 @@ impl PhysicalMachine {
         // per unit of die area). A single-class package blends to
         // exactly 1.0: the coefficients are 1.0, and so is their mean.
         for (p, f) in factors.iter_mut().enumerate() {
-            let cores = topo.cores_of_package(PackageId(p));
+            let cores: Vec<_> = topo.cores_of_package(PackageId(p)).collect();
             let blend: f64 = cores
                 .iter()
                 .map(|&c| catalog.get(topo.class_of_core(c)).thermal_factor)
@@ -125,7 +125,7 @@ impl PhysicalMachine {
         // for the class-0 slope up to 9 cores per package).
         let pkg_leakage = (0..n_packages)
             .map(|p| {
-                let cores = topo.cores_of_package(PackageId(p));
+                let cores: Vec<_> = topo.cores_of_package(PackageId(p)).collect();
                 let slope: f64 = cores
                     .iter()
                     .map(|&c| {

@@ -49,6 +49,7 @@
 //!   not bit-exactly. The arrival stream is still exact: one global
 //!   [`ArrivalProcess`] owns it.
 
+use crate::api::{EngineCounters, SojournCursor};
 use crate::config::SimConfig;
 use crate::engine::{RoutedArrival, Simulation};
 use crate::runner::run_rounds;
@@ -219,14 +220,27 @@ impl ParallelSimulation {
         self.shards.iter().map(|s| s.n_cpus()).sum()
     }
 
-    /// Raw sojourn samples pooled across partitions, in partition
-    /// order — the same pooling [`ParallelSimulation::report`] feeds
-    /// its latency statistics from.
-    pub(crate) fn pooled_latencies(&self) -> Vec<(&'static str, f64)> {
-        self.shards
-            .iter()
-            .flat_map(|s| s.raw_latencies().iter().copied())
-            .collect()
+    /// The [`crate::SimEngine::read_counters`] read: each partition's
+    /// new sojourn samples in partition order, then the counters
+    /// summed exactly as [`ParallelSimulation::report`] sums them.
+    pub(crate) fn read_counters(
+        &self,
+        cursor: &mut SojournCursor,
+        samples: &mut Vec<f64>,
+    ) -> EngineCounters {
+        let offsets = cursor.offsets(self.shards.len());
+        for (shard, offset) in self.shards.iter().zip(offsets) {
+            shard.sojourns_since(offset, samples);
+        }
+        let parts = self.shards.iter().map(Simulation::counters);
+        EngineCounters {
+            instructions_retired: parts.clone().map(|c| c.instructions_retired).sum(),
+            completions: parts.clone().map(|c| c.completions).sum(),
+            // Shard order, like `report`'s sum over shard reports (a
+            // float sum of one shard is that shard's value, bit for
+            // bit, as `report` returns it).
+            true_energy: parts.map(|c| c.true_energy).sum(),
+        }
     }
 
     /// Runs the simulation for a span of simulated time: repeated

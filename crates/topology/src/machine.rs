@@ -281,26 +281,30 @@ impl Topology {
         self.cpus[cpu.0].node
     }
 
-    /// The logical CPUs of a core, in thread order.
-    pub fn cpus_of_core(&self, core: CoreId) -> Vec<CpuId> {
-        (0..self.threads_per_core)
-            .map(|t| CpuId(core.0 + t * self.n_cores()))
-            .collect()
+    /// The logical CPUs of a core, in thread order. Like the other
+    /// `*_of_*` listings that walk the fixed numbering, it yields an
+    /// iterator, so per-step callers (hot-task migration sums a core's
+    /// thermal power for every candidate CPU) walk it without
+    /// allocating; callers that keep the list collect it.
+    pub fn cpus_of_core(&self, core: CoreId) -> impl Iterator<Item = CpuId> {
+        let n_cores = self.n_cores();
+        (0..self.threads_per_core).map(move |t| CpuId(core.0 + t * n_cores))
     }
 
-    /// The cores of a package.
-    pub fn cores_of_package(&self, pkg: PackageId) -> Vec<CoreId> {
-        (0..self.cores_per_package)
-            .map(|i| CoreId(pkg.0 * self.cores_per_package + i))
-            .collect()
+    /// The cores of a package, ascending (an iterator, like
+    /// [`Topology::cpus_of_core`]).
+    pub fn cores_of_package(&self, pkg: PackageId) -> impl Iterator<Item = CoreId> {
+        let first = pkg.0 * self.cores_per_package;
+        (first..first + self.cores_per_package).map(CoreId)
     }
 
-    /// The logical CPUs of a package, core-major order.
-    pub fn cpus_of_package(&self, pkg: PackageId) -> Vec<CpuId> {
+    /// The logical CPUs of a package, core-major order: cores
+    /// ascending, then each core's threads (an iterator, like
+    /// [`Topology::cpus_of_core`]; the hot-task trigger sums the
+    /// package's thermal power over it on every check).
+    pub fn cpus_of_package(&self, pkg: PackageId) -> impl Iterator<Item = CpuId> + '_ {
         self.cores_of_package(pkg)
-            .into_iter()
-            .flat_map(|c| self.cpus_of_core(c))
-            .collect()
+            .flat_map(move |c| self.cpus_of_core(c))
     }
 
     /// The logical CPUs of a node.
@@ -313,7 +317,6 @@ impl Topology {
     /// The SMT sibling threads of `cpu` (same core, excluding `cpu`).
     pub fn siblings(&self, cpu: CpuId) -> Vec<CpuId> {
         self.cpus_of_core(self.core_of(cpu))
-            .into_iter()
             .filter(|&c| c != cpu)
             .collect()
     }
@@ -351,7 +354,6 @@ impl Topology {
         if self.threads_per_core > 1 {
             let groups = self
                 .cpus_of_core(self.core_of(cpu))
-                .into_iter()
                 .map(|c| CpuGroup::with_unit(vec![c], GroupUnit::Cpu(c)))
                 .collect();
             out.push(SchedDomain::new(
@@ -369,8 +371,7 @@ impl Topology {
         if self.cores_per_package > 1 {
             let groups = self
                 .cores_of_package(self.package_of(cpu))
-                .into_iter()
-                .map(|c| CpuGroup::with_unit(self.cpus_of_core(c), GroupUnit::Core(c)))
+                .map(|c| CpuGroup::with_unit(self.cpus_of_core(c).collect(), GroupUnit::Core(c)))
                 .collect();
             out.push(SchedDomain::new(
                 DomainLevel::Core,
@@ -384,7 +385,10 @@ impl Topology {
             let groups = (0..self.packages_per_node)
                 .map(|i| {
                     let pkg = PackageId(node.0 * self.packages_per_node + i);
-                    CpuGroup::with_unit(self.cpus_of_package(pkg), GroupUnit::Package(pkg))
+                    CpuGroup::with_unit(
+                        self.cpus_of_package(pkg).collect(),
+                        GroupUnit::Package(pkg),
+                    )
                 })
                 .collect();
             out.push(SchedDomain::new(
@@ -543,9 +547,12 @@ mod tests {
         // Cores 0 and 1 share package 0.
         assert!(t.same_package(CpuId(0), CpuId(1)));
         assert!(!t.same_package(CpuId(0), CpuId(2)));
-        assert_eq!(t.cores_of_package(PackageId(1)), vec![CoreId(2), CoreId(3)]);
         assert_eq!(
-            t.cpus_of_package(PackageId(0)),
+            t.cores_of_package(PackageId(1)).collect::<Vec<_>>(),
+            vec![CoreId(2), CoreId(3)]
+        );
+        assert_eq!(
+            t.cpus_of_package(PackageId(0)).collect::<Vec<_>>(),
             vec![CpuId(0), CpuId(4), CpuId(1), CpuId(5)]
         );
         assert_eq!(t.siblings(CpuId(1)), vec![CpuId(5)]);
@@ -603,7 +610,10 @@ mod tests {
     #[test]
     fn package_cpu_listing() {
         let t = Topology::xseries445(true);
-        assert_eq!(t.cpus_of_package(PackageId(2)), vec![CpuId(2), CpuId(10)]);
+        assert_eq!(
+            t.cpus_of_package(PackageId(2)).collect::<Vec<_>>(),
+            vec![CpuId(2), CpuId(10)]
+        );
         assert_eq!(
             t.cpus_of_node(NodeId(1)),
             vec![
@@ -635,8 +645,8 @@ mod tests {
                         let unit = g.unit().expect("generated groups are tagged");
                         let cpus = match unit {
                             GroupUnit::Cpu(c) => vec![c],
-                            GroupUnit::Core(c) => topo.cpus_of_core(c),
-                            GroupUnit::Package(p) => topo.cpus_of_package(p),
+                            GroupUnit::Core(c) => topo.cpus_of_core(c).collect(),
+                            GroupUnit::Package(p) => topo.cpus_of_package(p).collect(),
                             GroupUnit::Node(n) => topo.cpus_of_node(n),
                         };
                         assert_eq!(g.cpus(), cpus.as_slice(), "{:?} mistagged", d.level());

@@ -22,7 +22,7 @@ fn package_summary(sim: &Simulation, topo: &Topology) {
     );
     for p in 0..topo.n_packages() {
         let pkg = PackageId(p);
-        let cpus = topo.cpus_of_package(pkg);
+        let cpus: Vec<_> = topo.cpus_of_package(pkg).collect();
         let sum: Watts = cpus
             .iter()
             .map(|&c| sim.power_state().thermal_power(c))
