@@ -5,13 +5,12 @@
 //! timeslice, transforming the counter values into energy values."
 //!
 //! The estimator keeps one previous counter snapshot per logical CPU;
-//! each accounting call attributes the events since that snapshot to
-//! the task that just ran. Time the CPU spent halted during the
-//! interval produces no events, so the estimator adds the known halt
-//! power for it — the kernel knows exactly when it was in the idle
-//! loop.
+//! each read of a running CPU attributes the events since that snapshot
+//! to the task that just ran. A halted CPU produces no events, so the
+//! estimator charges the known halt power for it instead — the kernel
+//! knows exactly when it was in the idle loop.
 
-use ebs_counters::{CounterBank, CounterSnapshot, EnergyModel};
+use ebs_counters::{CounterBank, CounterSnapshot, EnergyModel, EventCounts};
 use ebs_topology::CpuId;
 use ebs_units::{Joules, SimDuration, Watts};
 
@@ -78,6 +77,7 @@ impl EnergyEstimator {
     }
 
     /// The calibrated model governing one CPU.
+    #[inline]
     pub fn model_for(&self, cpu: CpuId) -> &EnergyModel {
         &self.models[self.cpu_class[cpu.0]]
     }
@@ -88,47 +88,59 @@ impl EnergyEstimator {
     }
 
     /// The halt power attributed to one specific CPU.
+    #[inline]
     pub fn halt_share_of(&self, cpu: CpuId) -> Watts {
         self.halt_shares[self.cpu_class[cpu.0]]
     }
 
-    /// Accounts the energy spent on `cpu` since the previous read.
+    /// Accounts an interval that `cpu` spent running: the events `bank`
+    /// recorded since the previous read are `delta`, and `estimate` is
+    /// their Eq. 1 energy under the CPU's calibrated model
+    /// ([`model_for`](Self::model_for)). Moves the previous read up to
+    /// `bank` and returns `estimate`.
     ///
-    /// `interval` is the wall time covered and `halted` how much of it
-    /// the CPU spent in the idle/halt loop. Returns the estimated
-    /// energy for the interval.
+    /// The caller passes what it recorded, so an Eq. 1 energy it
+    /// memoised for the same counts serves unchanged: the read costs a
+    /// copy of the registers, not a second evaluation of Eq. 1.
     ///
     /// # Panics
     ///
-    /// Panics if `halted` exceeds `interval` or `cpu` is out of range.
-    pub fn account(
+    /// In debug builds, panics if `bank` moved by anything but `delta`
+    /// since the previous read, or if `estimate` is not bit for bit
+    /// Eq. 1 of `delta`.
+    #[inline]
+    pub fn account_running(
         &mut self,
         cpu: CpuId,
         bank: &CounterBank,
-        interval: SimDuration,
-        halted: SimDuration,
+        delta: &EventCounts,
+        estimate: Joules,
     ) -> Joules {
-        assert!(halted <= interval, "halted time exceeds the interval");
         let snap = bank.snapshot();
-        let delta = snap.since(&self.last[cpu.0]);
+        debug_assert!(
+            snap.since(&self.last[cpu.0]) == *delta,
+            "CPU {} recorded other events than the counts read",
+            cpu.0
+        );
+        debug_assert!(
+            self.model_for(cpu).estimate(delta).0.to_bits() == estimate.0.to_bits(),
+            "the estimate read on CPU {} is not Eq. 1 of its counts",
+            cpu.0
+        );
         self.last[cpu.0] = snap;
-        let class = self.cpu_class[cpu.0];
-        self.models[class].estimate(&delta) + self.halt_shares[class].over(halted)
+        estimate
     }
 
     /// Accounts an `interval` that `cpu` spent wholly halted: its halt
-    /// share over the interval, bit for bit what
-    /// [`account`](Self::account) returns with `halted == interval`.
-    /// A halted CPU records no events, so its delta since the previous
-    /// read is all zero; Eq. 1 of an all-zero delta is `+0.0` for
-    /// finite weights, and `0.0 + x == x`. The previous read stays
-    /// current, so the bank is only read to check that it has not
-    /// moved.
+    /// share over the interval. A halted CPU records no events, so the
+    /// previous read stays current and the bank is only read to check
+    /// that it has not moved.
     ///
     /// # Panics
     ///
     /// In debug builds, panics if `bank` recorded events since the
     /// previous read.
+    #[inline]
     pub fn account_halted(&self, cpu: CpuId, bank: &CounterBank, interval: SimDuration) -> Joules {
         debug_assert!(
             bank.snapshot() == self.last[cpu.0],
@@ -160,8 +172,19 @@ mod tests {
         EnergyEstimator::new(EnergyModel::ground_truth_weights(), 2, Watts(6.8))
     }
 
-    fn run_cycles(bank: &mut CounterBank, rates: &EventRates, cycles: u64) {
-        bank.record(&rates.counts_for_cycles(cycles));
+    /// Runs `cycles` cycles of `rates` on `bank` and reads them back
+    /// as a running interval, the way the engine does.
+    fn run_and_read(
+        est: &mut EnergyEstimator,
+        cpu: CpuId,
+        bank: &mut CounterBank,
+        rates: &EventRates,
+        cycles: u64,
+    ) -> Joules {
+        let counts = rates.counts_for_cycles(cycles);
+        bank.record(&counts);
+        let estimate = est.model_for(cpu).estimate(&counts);
+        est.account_running(cpu, bank, &counts, estimate)
     }
 
     #[test]
@@ -169,12 +192,11 @@ mod tests {
         let mut est = estimator();
         let mut bank = CounterBank::new();
         let rates = EventRates::builder().uops_retired(2.0).build();
-        let slice = SimDuration::from_millis(100);
 
-        run_cycles(&mut bank, &rates, 220_000_000);
-        let first = est.account(CpuId(0), &bank, slice, SimDuration::ZERO);
-        run_cycles(&mut bank, &rates, 220_000_000);
-        let second = est.account(CpuId(0), &bank, slice, SimDuration::ZERO);
+        let first = run_and_read(&mut est, CpuId(0), &mut bank, &rates, 220_000_000);
+        assert_eq!(est.last[0], bank.snapshot());
+        let second = run_and_read(&mut est, CpuId(0), &mut bank, &rates, 220_000_000);
+        assert_eq!(est.last[0], bank.snapshot());
         // Identical activity in both slices: identical energy, no
         // double counting.
         assert!((first.0 - second.0).abs() < 1e-9);
@@ -185,43 +207,24 @@ mod tests {
     fn per_cpu_snapshots_are_independent() {
         let mut est = estimator();
         let mut bank0 = CounterBank::new();
-        let bank1 = CounterBank::new();
+        let mut bank1 = CounterBank::new();
         let rates = EventRates::builder().uops_retired(1.0).build();
-        run_cycles(&mut bank0, &rates, 1_000_000);
-        let slice = SimDuration::from_millis(10);
-        let e0 = est.account(CpuId(0), &bank0, slice, SimDuration::ZERO);
+        let e0 = run_and_read(&mut est, CpuId(0), &mut bank0, &rates, 1_000_000);
         // CPU 1 saw nothing.
-        let e1 = est.account(CpuId(1), &bank1, slice, SimDuration::ZERO);
+        let e1 = run_and_read(&mut est, CpuId(1), &mut bank1, &EventRates::HALTED, 0);
         assert!(e0.0 > 0.0);
         assert_eq!(e1, Joules::ZERO);
+        assert_eq!(est.last[0], bank0.snapshot());
+        assert_eq!(est.last[1], CounterSnapshot::ZERO);
     }
 
     #[test]
     fn halted_time_charged_at_halt_share() {
-        let mut est = estimator();
+        let est = estimator();
         let bank = CounterBank::new();
-        let interval = SimDuration::from_millis(100);
         // Fully halted interval: no events, only halt power.
-        let e = est.account(CpuId(0), &bank, interval, interval);
+        let e = est.account_halted(CpuId(0), &bank, SimDuration::from_millis(100));
         assert!((e.0 - 6.8 * 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mixed_interval_adds_both_parts() {
-        let mut est = estimator();
-        let mut bank = CounterBank::new();
-        let rates = EventRates::builder().uops_retired(2.0).build();
-        // 50 ms running at 2.2 GHz, 50 ms halted.
-        run_cycles(&mut bank, &rates, 110_000_000);
-        let e = est.account(
-            CpuId(0),
-            &bank,
-            SimDuration::from_millis(100),
-            SimDuration::from_millis(50),
-        );
-        let running_part =
-            EnergyModel::ground_truth_weights().estimate(&rates.counts_for_cycles(110_000_000));
-        assert!((e.0 - running_part.0 - 6.8 * 0.05).abs() < 1e-9);
     }
 
     #[test]
@@ -243,13 +246,10 @@ mod tests {
         assert_eq!(est.halt_share_of(CpuId(1)), Watts(2.25));
 
         let rates = EventRates::builder().uops_retired(2.0).build();
-        let slice = SimDuration::from_millis(100);
         let mut bank0 = CounterBank::new();
         let mut bank1 = CounterBank::new();
-        run_cycles(&mut bank0, &rates, 100_000_000);
-        run_cycles(&mut bank1, &rates, 100_000_000);
-        let e0 = est.account(CpuId(0), &bank0, slice, SimDuration::ZERO);
-        let e1 = est.account(CpuId(1), &bank1, slice, SimDuration::ZERO);
+        let e0 = run_and_read(&mut est, CpuId(0), &mut bank0, &rates, 100_000_000);
+        let e1 = run_and_read(&mut est, CpuId(1), &mut bank1, &rates, 100_000_000);
         // Same counter deltas, half the per-event energy.
         assert!((e1.0 - 0.5 * e0.0).abs() < 1e-12, "{e1:?} vs {e0:?}");
     }
@@ -267,20 +267,22 @@ mod tests {
             vec![Watts(6.8), Watts(2.25)],
         );
         let rates = EventRates::builder().uops_retired(2.0).build();
-        for cpu in [CpuId(0), CpuId(1)] {
+        for (cpu, share) in [(CpuId(0), Watts(6.8)), (CpuId(1), Watts(2.25))] {
             let mut bank = CounterBank::new();
-            // Halted from bring-up, then again after a running read.
+            // Halted from bring-up, then again after a running read:
+            // each whole interval at the CPU's own class share.
             for ran in [false, true] {
                 if ran {
-                    run_cycles(&mut bank, &rates, 22_000_000);
-                    let _ =
-                        est.account(cpu, &bank, SimDuration::from_millis(10), SimDuration::ZERO);
+                    let _ = run_and_read(&mut est, cpu, &mut bank, &rates, 22_000_000);
                 }
                 for ms in [1, 4, 25, 100] {
                     let dt = SimDuration::from_millis(ms);
                     let halted = est.account_halted(cpu, &bank, dt);
-                    let read = est.account(cpu, &bank, dt, dt);
-                    assert_eq!(halted.0.to_bits(), read.0.to_bits(), "{cpu:?} over {dt:?}");
+                    assert_eq!(
+                        halted.0.to_bits(),
+                        share.over(dt).0.to_bits(),
+                        "{cpu:?} over {dt:?}"
+                    );
                 }
             }
         }
@@ -292,12 +294,50 @@ mod tests {
     fn halted_accounting_rejects_a_bank_that_moved() {
         let est = estimator();
         let mut bank = CounterBank::new();
-        run_cycles(
-            &mut bank,
-            &EventRates::builder().uops_retired(1.0).build(),
-            1_000,
+        bank.record(
+            &EventRates::builder()
+                .uops_retired(1.0)
+                .build()
+                .counts_for_cycles(1_000),
         );
         let _ = est.account_halted(CpuId(0), &bank, SimDuration::from_millis(1));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "recorded other events than the counts read")]
+    fn running_read_rejects_counts_the_bank_did_not_record() {
+        let mut est = estimator();
+        let mut bank = CounterBank::new();
+        let rates = EventRates::builder().uops_retired(1.0).build();
+        let _ = run_and_read(&mut est, CpuId(0), &mut bank, &rates, 1_000);
+        // Two steps recorded, one read: the second read's counts miss
+        // the first step's events.
+        bank.record(&rates.counts_for_cycles(1_000));
+        let _ = run_and_read(&mut est, CpuId(0), &mut bank, &rates, 1_000);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "is not Eq. 1 of its counts")]
+    fn running_read_rejects_an_estimate_off_eq_1() {
+        let mut est = EnergyEstimator::with_classes(
+            vec![
+                EnergyModel::ground_truth_weights(),
+                EnergyModel::from_weights_nj([1.0; ebs_counters::N_EVENTS]),
+            ],
+            vec![0, 1],
+            vec![Watts(6.8), Watts(2.25)],
+        );
+        let mut bank = CounterBank::new();
+        let counts = EventRates::builder()
+            .uops_retired(1.0)
+            .build()
+            .counts_for_cycles(1_000);
+        bank.record(&counts);
+        // The other class's model.
+        let estimate = est.model_for(CpuId(0)).estimate(&counts);
+        let _ = est.account_running(CpuId(1), &bank, &counts, estimate);
     }
 
     #[test]
@@ -306,25 +346,15 @@ mod tests {
         let mut a = EnergyEstimator::new(model, 2, Watts(6.8));
         let mut b = EnergyEstimator::with_classes(vec![model], vec![0, 0], vec![Watts(6.8)]);
         let rates = EventRates::builder().mem_loads(0.4).build();
-        let slice = SimDuration::from_millis(10);
-        let mut bank = CounterBank::new();
-        run_cycles(&mut bank, &rates, 22_000_000);
-        let bank2 = bank.clone();
-        let ea = a.account(CpuId(0), &bank, slice, SimDuration::ZERO);
-        let eb = b.account(CpuId(0), &bank2, slice, SimDuration::ZERO);
+        let mut bank_a = CounterBank::new();
+        let mut bank_b = CounterBank::new();
+        for cpu in [CpuId(0), CpuId(1)] {
+            assert_eq!(a.model_for(cpu), b.model_for(cpu));
+            assert_eq!(a.halt_share_of(cpu), b.halt_share_of(cpu));
+        }
+        let ea = run_and_read(&mut a, CpuId(0), &mut bank_a, &rates, 22_000_000);
+        let eb = run_and_read(&mut b, CpuId(0), &mut bank_b, &rates, 22_000_000);
         assert_eq!(ea, eb);
-    }
-
-    #[test]
-    #[should_panic(expected = "halted time exceeds")]
-    fn halted_longer_than_interval_rejected() {
-        let mut est = estimator();
-        let bank = CounterBank::new();
-        let _ = est.account(
-            CpuId(0),
-            &bank,
-            SimDuration::from_millis(10),
-            SimDuration::from_millis(20),
-        );
+        assert_eq!(a.last, b.last);
     }
 }

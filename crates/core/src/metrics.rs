@@ -99,6 +99,7 @@ impl PowerState {
 
     /// Folds an estimated power sample (over `period` of wall time)
     /// into `cpu`'s thermal power. A zero period leaves it untouched.
+    #[inline]
     pub fn observe(&mut self, cpu: CpuId, power: Watts, period: SimDuration) -> Watts {
         let avg = &mut self.thermal[cpu.0];
         if period.is_zero() {

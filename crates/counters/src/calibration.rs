@@ -157,17 +157,12 @@ pub fn calibrate(runs: &[CalibrationRun]) -> Result<EnergyModel, CalibrationErro
     }
     // Work in units of (events * 1e9, joules) so the weights come out in
     // nanojoules directly and the Gram matrix stays well-scaled.
-    let rows: Vec<Vec<f64>> = runs
-        .iter()
-        .map(|run| {
-            run.counts
-                .as_array()
-                .iter()
-                .map(|&c| c as f64 * 1e-9)
-                .collect()
-        })
-        .collect();
-    let design = Matrix::from_rows(&rows);
+    let mut design = Matrix::zeros(runs.len(), N_EVENTS);
+    for (r, run) in runs.iter().enumerate() {
+        for (c, &count) in run.counts.as_array().iter().enumerate() {
+            design.set(r, c, count as f64 * 1e-9);
+        }
+    }
     let rhs: Vec<f64> = runs.iter().map(|r| r.measured.0).collect();
     let weights =
         linalg::least_squares(&design, &rhs).map_err(CalibrationError::DegenerateDesign)?;

@@ -32,11 +32,13 @@ impl CounterBank {
     }
 
     /// Accumulates events observed during a stretch of execution.
+    #[inline]
     pub fn record(&mut self, events: &EventCounts) {
         self.counts += *events;
     }
 
     /// Reads the current register values without disturbing them.
+    #[inline]
     pub fn snapshot(&self) -> CounterSnapshot {
         CounterSnapshot {
             counts: self.counts,

@@ -66,6 +66,7 @@ impl EnergyModel {
 
     /// Evaluates Eq. 1: the energy attributed to the given counter
     /// deltas.
+    #[inline]
     pub fn estimate(&self, counts: &EventCounts) -> Joules {
         let mut nanojoules = 0.0;
         for (i, &w) in self.weights_nj.iter().enumerate() {

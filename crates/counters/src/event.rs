@@ -153,6 +153,7 @@ impl Add for EventCounts {
 }
 
 impl AddAssign for EventCounts {
+    #[inline]
     fn add_assign(&mut self, rhs: EventCounts) {
         for i in 0..N_EVENTS {
             self.0[i] += rhs.0[i];

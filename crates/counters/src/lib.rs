@@ -52,4 +52,4 @@ pub mod linalg;
 pub use counter::{CounterBank, CounterSnapshot};
 pub use energy_model::{EnergyModel, GroundTruth, LeakageModel};
 pub use event::{EventCounts, EventKind, N_EVENTS};
-pub use rates::EventRates;
+pub use rates::{nearest_count, EventRates};

@@ -48,27 +48,6 @@ impl Matrix {
         }
     }
 
-    /// Creates a matrix from rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows are empty or ragged.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
-        assert!(!rows.is_empty(), "matrix must have at least one row");
-        let cols = rows[0].len();
-        assert!(cols > 0, "matrix must have at least one column");
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for row in rows {
-            assert_eq!(row.len(), cols, "ragged rows");
-            data.extend_from_slice(row);
-        }
-        Matrix {
-            rows: rows.len(),
-            cols,
-            data,
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -235,6 +214,18 @@ pub fn least_squares(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
 mod tests {
     use super::*;
 
+    fn from_rows(rows: &[Vec<f64>]) -> Matrix {
+        let cols = rows[0].len();
+        let mut a = Matrix::zeros(rows.len(), cols);
+        for (r, row) in rows.iter().enumerate() {
+            assert_eq!(row.len(), cols, "ragged rows");
+            for (c, &v) in row.iter().enumerate() {
+                a.set(r, c, v);
+            }
+        }
+        a
+    }
+
     #[test]
     fn solve_identity() {
         let mut a = Matrix::zeros(3, 3);
@@ -248,7 +239,7 @@ mod tests {
     #[test]
     fn solve_known_system() {
         // 2x + y = 5; x + 3y = 10  =>  x = 1, y = 3.
-        let a = Matrix::from_rows(&[vec![2.0, 1.0], vec![1.0, 3.0]]);
+        let a = from_rows(&[vec![2.0, 1.0], vec![1.0, 3.0]]);
         let x = solve(a, vec![5.0, 10.0]).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
@@ -257,7 +248,7 @@ mod tests {
     #[test]
     fn solve_requires_pivoting() {
         // Leading zero forces a row swap.
-        let a = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]);
+        let a = from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]);
         let x = solve(a, vec![2.0, 7.0]).unwrap();
         assert!((x[0] - 7.0).abs() < 1e-12);
         assert!((x[1] - 2.0).abs() < 1e-12);
@@ -265,7 +256,7 @@ mod tests {
 
     #[test]
     fn singular_detected() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]);
+        let a = from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]);
         assert!(matches!(
             solve(a, vec![1.0, 2.0]),
             Err(LinalgError::Singular { .. })
@@ -274,7 +265,7 @@ mod tests {
 
     #[test]
     fn dimension_mismatch_detected() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0]]);
+        let a = from_rows(&[vec![1.0, 2.0]]);
         assert_eq!(
             solve(a.clone(), vec![1.0]),
             Err(LinalgError::DimensionMismatch)
@@ -289,7 +280,7 @@ mod tests {
     #[test]
     fn least_squares_exact_fit() {
         // Overdetermined but consistent: x = [2, -1].
-        let a = Matrix::from_rows(&[
+        let a = from_rows(&[
             vec![1.0, 0.0],
             vec![0.0, 1.0],
             vec![1.0, 1.0],
@@ -306,7 +297,7 @@ mod tests {
         // Fit a line through three non-collinear points; the residual of
         // the LS solution must not exceed the residual of nearby
         // perturbed solutions.
-        let a = Matrix::from_rows(&[vec![1.0, 0.0], vec![1.0, 1.0], vec![1.0, 2.0]]);
+        let a = from_rows(&[vec![1.0, 0.0], vec![1.0, 1.0], vec![1.0, 2.0]]);
         let b = vec![0.0, 1.1, 1.9];
         let x = least_squares(&a, &b).unwrap();
         let resid = |x: &[f64]| -> f64 {
@@ -326,7 +317,7 @@ mod tests {
 
     #[test]
     fn gram_is_symmetric() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
+        let a = from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
         let g = a.gram();
         for i in 0..3 {
             for j in 0..3 {

@@ -49,11 +49,13 @@ impl EventRates {
     }
 
     /// The exact (noise-free) event counts generated by `cycles` cycles
-    /// of this activity, rounded to the nearest integer count.
+    /// of this activity, each rounded to the nearest integer count with
+    /// ties rounded half away from zero (see [`nearest_count`]).
+    #[inline]
     pub fn counts_for_cycles(&self, cycles: Cycles) -> EventCounts {
         let mut out = [0u64; N_EVENTS];
         for (i, slot) in out.iter_mut().enumerate() {
-            *slot = (self.0[i] * cycles as f64).round() as u64;
+            *slot = nearest_count(self.0[i] * cycles as f64);
         }
         EventCounts::from_array(out)
     }
@@ -65,6 +67,7 @@ impl EventRates {
     /// # Panics
     ///
     /// Panics if `factor` is negative or non-finite.
+    #[inline]
     pub fn scale_activity(&self, factor: f64) -> EventRates {
         assert!(
             factor.is_finite() && factor >= 0.0,
@@ -78,6 +81,23 @@ impl EventRates {
         }
         EventRates(out)
     }
+}
+
+/// `x.round() as u64` without the call to the C library's `round`
+/// that baseline x86-64 (no `roundsd`) makes for every `f64::round`:
+/// ties round half away from zero, NaN and negative values give 0, and
+/// values past `u64::MAX` saturate to it.
+///
+/// Exact for every `f64`: below 2⁶⁴ the truncation `t` converts back
+/// without loss and `x - t` is the exact fractional part, so comparing
+/// it with one half rounds exactly (from 2⁵² on every `f64` is integral
+/// and the part is zero). NaN and negative values truncate to 0 with a
+/// remainder that fails the comparison; past `u64::MAX` the cast
+/// saturates and the saturating add keeps it there.
+#[inline]
+pub fn nearest_count(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add((x - t as f64 >= 0.5) as u64)
 }
 
 /// Builder for [`EventRates`]; unset events default to zero.
@@ -204,6 +224,50 @@ mod tests {
         let rates = EventRates::builder().uops_retired(0.4).build();
         assert_eq!(rates.counts_for_cycles(1).get(EventKind::UopsRetired), 0);
         assert_eq!(rates.counts_for_cycles(4).get(EventKind::UopsRetired), 2);
+    }
+
+    #[test]
+    fn nearest_count_matches_round_on_edge_cases() {
+        let two_52 = (1u64 << 52) as f64;
+        let two_53 = (1u64 << 53) as f64;
+        let two_64 = 2.0f64.powi(64);
+        let cases = [
+            // Ties round half away from zero.
+            0.5,
+            1.5,
+            2.5,
+            // The largest double below one half.
+            0.49999999999999994,
+            // Not representable: the sum is already an integer.
+            two_52 + 0.5,
+            // The last binade with halves.
+            two_52 - 0.5,
+            two_53,
+            two_53 + 2.0,
+            2.0f64.powi(63),
+            two_64 - 2048.0,
+            two_64,
+            two_64 * 2.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            -0.5,
+            -0.0,
+            -1.5,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            0.0,
+        ];
+        for x in cases {
+            assert_eq!(nearest_count(x), x.round() as u64, "{x:e}");
+        }
+        assert_eq!(nearest_count(0.5), 1);
+        assert_eq!(nearest_count(2.5), 3);
+        assert_eq!(nearest_count(0.49999999999999994), 0);
+        assert_eq!(nearest_count(two_64), u64::MAX);
+        assert_eq!(nearest_count(f64::NAN), 0);
+        assert_eq!(nearest_count(-0.5), 0);
     }
 
     #[test]

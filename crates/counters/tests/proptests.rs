@@ -1,8 +1,8 @@
 //! Property-based tests for the counter and calibration machinery.
 
 use ebs_counters::{
-    calibration, linalg, CounterBank, EnergyModel, EventCounts, EventRates, GroundTruth,
-    LeakageModel, N_EVENTS,
+    calibration, linalg, nearest_count, CounterBank, EnergyModel, EventCounts, EventRates,
+    GroundTruth, LeakageModel, N_EVENTS,
 };
 use ebs_units::SimDuration;
 use proptest::prelude::*;
@@ -111,5 +111,32 @@ proptest! {
         prop_assert!(
             (scaled.get(ebs_counters::EventKind::UopsRetired) - uops * factor).abs() < 1e-12
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(100_000))]
+
+    /// The library-call-free rounding is `f64::round() as u64` for
+    /// every bit pattern: NaNs, infinities, negatives, subnormals and
+    /// values past `u64::MAX` included.
+    #[test]
+    fn nearest_count_is_round_for_any_bits(bits in any::<u64>()) {
+        let x = f64::from_bits(bits);
+        prop_assert_eq!(nearest_count(x), x.round() as u64, "{:e} ({:#x})", x, bits);
+    }
+
+    /// The same over the counts a CPU step actually rounds: integral
+    /// parts of every magnitude below 2⁵³ with any fraction, halves
+    /// included.
+    #[test]
+    fn nearest_count_is_round_below_two_to_the_53(
+        raw in 0u64..(1 << 53),
+        shift in 0u32..53,
+        tie in any::<bool>(),
+        fine in 0.0f64..1.0,
+    ) {
+        let x = (raw >> shift) as f64 + if tie { 0.5 } else { fine };
+        prop_assert_eq!(nearest_count(x), x.round() as u64, "{:e}", x);
     }
 }

@@ -16,6 +16,7 @@
 
 use crate::api::EngineCounters;
 use crate::config::SimConfig;
+use crate::counter_memo::CounterMemo;
 use crate::dvfs::{DomainDecision, Horizon};
 use crate::machine::PhysicalMachine;
 use crate::runtime::{TaskRuntime, WarmthModel};
@@ -243,6 +244,9 @@ pub struct Simulation {
     /// Per-CPU fractional instructions not yet retired (same carry
     /// scheme, applied to the instruction stream).
     instr_carry: Vec<f64>,
+    /// Per-CPU memo of the last step's counts and Eq. 1 energies
+    /// (scratch: never saved or hashed).
+    counter_memo: Vec<CounterMemo>,
     /// Time constant of the per-CPU thermal-power averages, for the
     /// stride bound that predicts throttle flips.
     thermal_tau: SimDuration,
@@ -371,6 +375,7 @@ impl Simulation {
             hot_scratch: vec![false; n_packages],
             cycle_carry: vec![0.0; n_cpus],
             instr_carry: vec![0.0; n_cpus],
+            counter_memo: vec![CounterMemo::default(); n_cpus],
             thermal_tau: power_cfg.time_constant,
             rng,
             acc: vec![IntervalAcc::default(); n_cpus],
@@ -1094,11 +1099,15 @@ impl Simulation {
                     let rt = self.runtimes[task.0 as usize]
                         .as_mut()
                         .expect("running task has runtime state");
-                    let counts = rt.program.current_rates().counts_for_cycles(cycles);
-                    self.machine.banks[cpu.0].record(&counts);
                     let class = self.sys.topology().class_of(cpu);
-                    pkg_energy +=
-                        self.machine.class_truth(class).model.estimate(&counts) * vscale_sq;
+                    let kernel = self.counter_memo[cpu.0].kernel(
+                        rt.program.current_rates(),
+                        cycles,
+                        &self.machine.class_truth(class).model,
+                        self.estimator.model_for(cpu),
+                    );
+                    self.machine.banks[cpu.0].record(&kernel.counts);
+                    pkg_energy += kernel.truth * vscale_sq;
                     // Instruction progress, damped by cache warmth and
                     // the class's pipeline width (`ipc_factor` is
                     // exactly 1.0 for class 0, so homogeneous runs are
@@ -1119,15 +1128,16 @@ impl Simulation {
                     if done {
                         completed.push(cpu);
                     }
-                    // Estimator: running interval, nothing halted. The
-                    // kernel programs the P-state itself, so it scales
-                    // the counter-derived energy by the known (V/V₀)²
-                    // just as it adds the known halt power for idling.
-                    let est = self.estimator.account(
+                    // Estimator: the step's counts, read back with their
+                    // memoised Eq. 1 estimate. The kernel programs the
+                    // P-state itself, so it scales the counter-derived
+                    // energy by the known (V/V₀)² just as it adds the
+                    // known halt power for idling.
+                    let est = self.estimator.account_running(
                         cpu,
                         &self.machine.banks[cpu.0],
-                        dt,
-                        SimDuration::ZERO,
+                        &kernel.counts,
+                        kernel.estimate,
                     ) * vscale_sq;
                     self.acc[cpu.0].energy += est;
                     self.acc[cpu.0].time += dt;

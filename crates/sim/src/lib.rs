@@ -42,6 +42,7 @@
 mod api;
 mod classes;
 mod config;
+mod counter_memo;
 mod diag;
 mod dvfs;
 mod engine;

@@ -72,13 +72,13 @@ impl PhysicalMachine {
         // thermal coefficients (efficiency cores sink heat more easily
         // per unit of die area). A single-class package blends to
         // exactly 1.0: the coefficients are 1.0, and so is their mean.
+        let cores_per_package = topo.cores_per_package() as f64;
         for (p, f) in factors.iter_mut().enumerate() {
-            let cores: Vec<_> = topo.cores_of_package(PackageId(p)).collect();
-            let blend: f64 = cores
-                .iter()
-                .map(|&c| catalog.get(topo.class_of_core(c)).thermal_factor)
+            let blend: f64 = topo
+                .cores_of_package(PackageId(p))
+                .map(|c| catalog.get(topo.class_of_core(c)).thermal_factor)
                 .sum::<f64>()
-                / cores.len() as f64;
+                / cores_per_package;
             *f *= blend;
         }
         let models: Vec<RcThermalModel> = factors
@@ -125,10 +125,9 @@ impl PhysicalMachine {
         // for the class-0 slope up to 9 cores per package).
         let pkg_leakage = (0..n_packages)
             .map(|p| {
-                let cores: Vec<_> = topo.cores_of_package(PackageId(p)).collect();
-                let slope: f64 = cores
-                    .iter()
-                    .map(|&c| {
+                let slope: f64 = topo
+                    .cores_of_package(PackageId(p))
+                    .map(|c| {
                         catalog
                             .get(topo.class_of_core(c))
                             .truth
@@ -136,7 +135,7 @@ impl PhysicalMachine {
                             .watts_per_kelvin
                     })
                     .sum::<f64>()
-                    / cores.len() as f64;
+                    / cores_per_package;
                 ebs_counters::LeakageModel {
                     watts_per_kelvin: slope,
                     reference: catalog.get(ClassId(0)).truth.leakage.reference,

@@ -18,8 +18,8 @@ use ebs_sim::{
     report_fingerprint, MaxPowerSpec, ParallelSimulation, SimConfig, SimEngine, Simulation,
 };
 use ebs_topology::TopologyPreset;
-use ebs_units::{SimDuration, Watts};
-use ebs_workloads::{catalog, LoadCurve, OpenWorkload};
+use ebs_units::{Celsius, SimDuration, Watts};
+use ebs_workloads::{catalog, section61_mix, LoadCurve, OpenWorkload};
 use proptest::prelude::*;
 
 fn preset(idx: usize) -> TopologyPreset {
@@ -221,4 +221,47 @@ fn a_fork_runs_under_its_own_power_budget() {
         sim.machine().throttles.iter().map(|t| t.limit()).collect()
     };
     assert_eq!(limits(&fork), limits(&fresh));
+}
+
+/// The paper's Table 3 testbed — xseries445 with SMT, hlt throttling,
+/// energy-aware balancing and the fixed 1 ms tick — checkpointed in the
+/// middle of its tasks' 100 ms timeslices. The engine that runs on
+/// keeps every CPU's counter memo warm; the restored one starts with
+/// every memo cold. Both must land on the same state and report, bit
+/// for bit. The memo is engine scratch, so the restored engine's own
+/// image is the checkpoint's, byte for byte.
+#[test]
+fn a_cold_counter_memo_resumes_the_paper_run_bit_for_bit() {
+    let cfg = SimConfig::xseries445()
+        .smt(true)
+        .throttling(true)
+        .max_power(MaxPowerSpec::FromThermalLimit(Celsius(38.0)))
+        .energy_aware(true)
+        .seed(42);
+    let mut straight = Simulation::new(cfg.clone());
+    straight.spawn_mix(&section61_mix(), 6);
+    // A minute heats the packages to the limit, so the throttles have
+    // engaged before the checkpoint.
+    straight.run_for(SimDuration::from_millis(60_037));
+    assert!(straight.report().avg_throttled_fraction > 0.0);
+    let image = straight.snapshot();
+
+    let mut restored = Simulation::from_snapshot(cfg, &image).expect("same-config restore");
+    assert_eq!(restored.snapshot().as_bytes(), image.as_bytes());
+
+    let rest = SimDuration::from_secs(10);
+    straight.run_for(rest);
+    restored.run_for(rest);
+    assert_eq!(
+        restored.state_hash(),
+        straight.state_hash(),
+        "end-of-run state hashes diverged"
+    );
+    let (a, b) = (straight.report(), restored.report());
+    assert!(
+        a.bit_eq(&b),
+        "reports diverged:\n{}\nvs\n{}",
+        report_fingerprint(&a),
+        report_fingerprint(&b)
+    );
 }

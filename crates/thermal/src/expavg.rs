@@ -98,6 +98,7 @@ impl ExpAverage {
     /// [`update`](Self::update) without the `powf`, for callers that
     /// fold many averages of one standard period and weight over the
     /// same period.
+    #[inline]
     pub fn fold(&mut self, sample: f64, weight: f64) -> f64 {
         self.value = weight * sample + (1.0 - weight) * self.value;
         self.value
@@ -156,6 +157,7 @@ impl PowerAverage {
 
     /// Folds in a power sample with a precomputed effective weight
     /// (see [`ExpAverage::fold`]).
+    #[inline]
     pub fn fold(&mut self, sample: Watts, weight: f64) -> Watts {
         Watts(self.0.fold(sample.0, weight))
     }

@@ -133,11 +133,20 @@ impl SchedDomain {
     /// Panics if there are no groups or a CPU appears in two groups.
     pub fn new(level: DomainLevel, flags: DomainFlags, groups: Vec<CpuGroup>) -> Self {
         assert!(!groups.is_empty(), "domain must have at least one group");
-        let mut seen: Vec<CpuId> = Vec::new();
+        // One bit per CPU id keeps the check linear in the span: a
+        // 256-CPU machine builds 128 top-level domains of 256 CPUs.
+        let words = groups
+            .iter()
+            .flat_map(|g| g.cpus())
+            .map(|c| c.0 / 64 + 1)
+            .max()
+            .unwrap_or(0);
+        let mut seen = vec![0u64; words];
         for g in &groups {
             for &c in g.cpus() {
-                assert!(!seen.contains(&c), "{c} appears in two groups");
-                seen.push(c);
+                let (word, bit) = (c.0 / 64, 1u64 << (c.0 % 64));
+                assert!(seen[word] & bit == 0, "{c} appears in two groups");
+                seen[word] |= bit;
             }
         }
         SchedDomain {

@@ -3,6 +3,7 @@
 
 use crate::domain::{CpuGroup, DomainFlags, DomainLevel, GroupUnit, SchedDomain};
 use crate::ids::{ClassId, CoreId, CpuId, NodeId, PackageId};
+use std::sync::Arc;
 
 /// Static description of one logical CPU.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,8 +38,9 @@ pub struct Topology {
     /// whole machine is a single class.
     perf_cores_per_package: usize,
     cpus: Vec<CpuInfo>,
-    /// Per-CPU domain stacks, bottom-up.
-    domains: Vec<Vec<SchedDomain>>,
+    /// Per-CPU domain stacks, bottom-up. SMT siblings share one
+    /// stack: every level of it depends only on the core.
+    domains: Vec<Arc<[SchedDomain]>>,
 }
 
 impl Topology {
@@ -144,7 +146,15 @@ impl Topology {
             cpus,
             domains: Vec::new(),
         };
-        topo.domains = (0..n_cpus).map(|c| topo.build_domains(CpuId(c))).collect();
+        // Thread 0 of core `g` is CPU `g`.
+        let stacks: Vec<Arc<[SchedDomain]>> = (0..n_cores)
+            .map(|g| topo.build_domains(CpuId(g)).into())
+            .collect();
+        topo.domains = topo
+            .cpus
+            .iter()
+            .map(|info| Arc::clone(&stacks[info.core.0]))
+            .collect();
         topo
     }
 

@@ -24,6 +24,7 @@ impl Watts {
     pub const ZERO: Watts = Watts(0.0);
 
     /// The energy dissipated at this power over `dt`.
+    #[inline]
     pub fn over(self, dt: SimDuration) -> Joules {
         Joules(self.0 * dt.as_secs_f64())
     }
@@ -72,6 +73,7 @@ impl Joules {
     /// # Panics
     ///
     /// Panics if `dt` is zero.
+    #[inline]
     pub fn average_power(self, dt: SimDuration) -> Watts {
         assert!(!dt.is_zero(), "average power over an empty interval");
         Watts(self.0 / dt.as_secs_f64())

@@ -79,6 +79,7 @@ impl SimDuration {
     }
 
     /// Length in seconds as a float.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }

@@ -33,7 +33,10 @@ impl Program {
     ///
     /// # Panics
     ///
-    /// Panics if there are no phases or the jitter is negative.
+    /// Panics if there are no phases, the jitter is outside `[0, 1)`,
+    /// or the program is [`Behavior::Cyclic`] and a phase dwells for
+    /// zero time (a rotation through zero-dwell phases never consumes
+    /// execution time, so it could never finish).
     pub fn new(
         name: &'static str,
         binary: u64,
@@ -45,6 +48,10 @@ impl Program {
         assert!(
             (0.0..1.0).contains(&jitter),
             "jitter {jitter} outside [0, 1)"
+        );
+        assert!(
+            !has_zero_dwell_cycle(behavior, &phases),
+            "cyclic program with a zero-dwell phase"
         );
         Program {
             name,
@@ -113,11 +120,13 @@ impl ProgramState {
     }
 
     /// Index of the phase currently in effect (spikes included).
+    #[inline]
     pub fn phase_index(&self) -> usize {
         self.spike.unwrap_or(self.phase_idx)
     }
 
     /// The phase currently in effect.
+    #[inline]
     pub fn active_phase(&self) -> &Phase {
         &self.program.phases[self.phase_index()]
     }
@@ -155,6 +164,7 @@ impl ProgramState {
 
     /// Advances phase dwell by `dt` of *execution* time (only while the
     /// task actually runs).
+    #[inline]
     pub fn advance_time(&mut self, dt: SimDuration) {
         if matches!(self.program.behavior, Behavior::Steady) || self.program.phases.len() < 2 {
             return;
@@ -185,6 +195,7 @@ impl ProgramState {
 
     /// The effective event rates right now: the active phase's rates
     /// with the per-slice jitter applied to the activity events.
+    #[inline]
     pub fn current_rates(&self) -> EventRates {
         self.active_phase().rates.scale_activity(self.jitter_factor)
     }
@@ -192,18 +203,21 @@ impl ProgramState {
     /// The effective IPC right now. Power and speed move together: a
     /// slice with more activity per cycle also retires more
     /// instructions.
+    #[inline]
     pub fn ipc(&self) -> f64 {
         self.active_phase().ipc * self.jitter_factor
     }
 
     /// Credits retired instructions; returns `true` when the program's
     /// total work is complete.
+    #[inline]
     pub fn add_work(&mut self, instructions: Instructions) -> bool {
         self.work_done = self.work_done.saturating_add(instructions);
         self.is_complete()
     }
 
     /// Whether the program has finished its work.
+    #[inline]
     pub fn is_complete(&self) -> bool {
         match self.program.total_work {
             Some(total) => self.work_done >= total,
@@ -215,6 +229,12 @@ impl ProgramState {
     pub fn work_done(&self) -> Instructions {
         self.work_done
     }
+}
+
+/// Whether a [`Behavior::Cyclic`] program has a phase it would leave
+/// as soon as it entered it.
+fn has_zero_dwell_cycle(behavior: Behavior, phases: &[Phase]) -> bool {
+    matches!(behavior, Behavior::Cyclic) && phases.iter().any(|p| p.dwell.is_zero())
 }
 
 fn behavior_code(b: Behavior) -> (u8, f64) {
@@ -285,6 +305,11 @@ impl ebs_store::Snapshot for Program {
         let code = r.u8()?;
         let arg = r.f64()?;
         self.behavior = behavior_from_code(code, arg)?;
+        if has_zero_dwell_cycle(self.behavior, &self.phases) {
+            return Err(ebs_store::StoreError::Invalid(
+                "cyclic program with a zero-dwell phase".into(),
+            ));
+        }
         self.jitter = r.f64()?;
         self.blocking = r.opt(|r| {
             Ok(BlockProfile {
@@ -331,6 +356,7 @@ impl ebs_store::Snapshot for ProgramState {
 mod tests {
     use super::*;
     use ebs_counters::{EnergyModel, EventRates};
+    use ebs_store::Snapshot;
     use ebs_units::Watts;
 
     fn two_phase_program(behavior: Behavior) -> Program {
@@ -500,5 +526,47 @@ mod tests {
     #[should_panic(expected = "at least one phase")]
     fn empty_program_rejected() {
         let _ = Program::new("bad", 0, vec![], Behavior::Steady, 0.0);
+    }
+
+    fn zero_dwell_phases() -> Vec<Phase> {
+        let rates = EventRates::builder().uops_retired(1.0).build();
+        vec![
+            Phase::new("a", rates, 1.0, SimDuration::ZERO),
+            Phase::new("b", rates, 1.0, SimDuration::ZERO),
+        ]
+    }
+
+    #[test]
+    #[should_panic(expected = "cyclic program with a zero-dwell phase")]
+    fn zero_dwell_cycle_rejected() {
+        // Rotating through these would never consume the time to
+        // advance, so `advance_time` would spin forever.
+        let _ = Program::new("spin", 0, zero_dwell_phases(), Behavior::Cyclic, 0.0);
+    }
+
+    #[test]
+    fn zero_dwell_cycle_image_is_invalid() {
+        // Zero dwell is harmless where nothing rotates on dwell.
+        let steady = Program::new("still", 0, zero_dwell_phases(), Behavior::Steady, 0.0);
+        let mut state = ProgramState::new(steady.clone(), 1);
+        state.advance_time(SimDuration::from_millis(1));
+        // The image of a cyclic program whose dwells were zeroed after
+        // construction restores to an error, not to a task that hangs
+        // on its first step.
+        let mut cyclic = two_phase_program(Behavior::Cyclic);
+        for phase in &mut cyclic.phases {
+            phase.dwell = SimDuration::ZERO;
+        }
+        let mut w = ebs_store::StateWriter::new();
+        ProgramState::new(cyclic, 1).save(&mut w);
+        let image = w.finish();
+        let mut restored = ProgramState::new(steady, 1);
+        let err = restored
+            .restore(&mut image.open().expect("valid image"))
+            .expect_err("zero-dwell cycle restored");
+        assert!(
+            matches!(&err, ebs_store::StoreError::Invalid(what) if what.contains("zero-dwell")),
+            "{err}"
+        );
     }
 }
