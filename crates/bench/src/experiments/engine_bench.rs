@@ -32,8 +32,8 @@ pub struct EngineBenchRow {
     /// Logical CPUs of the shape.
     pub cpus: usize,
     /// Engine mode: "fixed" (one-tick stride cap), "strided", or
-    /// "parN" (the partitioned core with N workers requested; threads
-    /// engage only when the host offers parallelism).
+    /// "parN" (the partitioned core built with `parallel(N)`: one
+    /// whole-machine partition for N = 1, one per package otherwise).
     pub mode: &'static str,
     /// DVFS mode of the cell: "off" or "event" (thermal-aware
     /// governors on hold-band triggers).
@@ -82,10 +82,9 @@ pub struct TraceParity {
 /// sequential `strided` core the profile charges host wall time per
 /// step to the engine phases (stride, arrivals, physics, throttle,
 /// DVFS, scheduler, sampling); on the partitioned `par4` core it
-/// charges it per horizon to the synchronizer's routing, stepping (the
-/// calling thread's round, including its wait for the other threads)
-/// and rebalancing. The call counts are deterministic; the wall times
-/// are informational.
+/// charges it per horizon to the synchronizer's routing, stepping of
+/// the partitions and rebalancing. The call counts are deterministic;
+/// the wall times are informational.
 #[derive(Clone, Debug)]
 pub struct ProfiledRun {
     /// Topology of the profiled cell.
@@ -359,10 +358,10 @@ impl EngineBench {
     }
 
     /// Simulated-seconds-per-wall-second ratio of a partitioned mode
-    /// ("par1"/"par4") over single-thread strided for one topology
-    /// (DVFS off) — the parallel-core speedup gate. Meaningful only
-    /// when the host offers parallelism; on a single-CPU host the
-    /// partitions step serially and the ratio hovers near 1.
+    /// ("par1"/"par4") over strided for one topology (DVFS off) — the
+    /// partitioned-core speedup gate. Both run on one thread, so the
+    /// ratio measures per-package calendars against the whole-machine
+    /// calendar.
     pub fn parallel_speedup(&self, topology: &str, mode: &str) -> Option<f64> {
         Some(
             self.cell(topology, mode, "off")?.sim_per_wall

@@ -145,9 +145,10 @@ pub struct SimConfig {
     /// under a load curve. `None` keeps the paper's closed model
     /// (tasks are spawned explicitly and optionally respawned).
     pub open_workload: Option<OpenWorkload>,
-    /// Worker threads of the parallel (per-package partitioned) engine
-    /// core; `None` selects the single-loop cores. See
-    /// [`SimConfig::parallel`].
+    /// Selects the partitioned engine core: `Some(1)` runs one
+    /// whole-machine partition, any `Some(w ≥ 2)` one partition per
+    /// package, and `None` the single-loop cores. The count sizes
+    /// nothing else. See [`SimConfig::parallel`].
     pub parallel_workers: Option<usize>,
     /// Cache-warmup model: IPC factor right after an intra-node
     /// migration, ramping linearly back to 1.
@@ -335,15 +336,16 @@ impl SimConfig {
         self.max_stride > self.tick
     }
 
-    /// Selects the parallel engine core: the machine is split into
-    /// per-package simulation partitions with their own event
-    /// calendars, synchronized by conservative lookahead, stepped by up
-    /// to `workers` threads (clamped to the package count and the
-    /// host's parallelism; threads only engage when both exceed one).
-    /// Partitions ride the variable-stride core, so this implies
-    /// [`SimConfig::strided`] unless the config is already strided.
-    /// `parallel(1)` runs the whole machine as one partition —
-    /// bit-identical to the strided core by construction.
+    /// Selects the partitioned engine core: with `workers ≥ 2` the
+    /// machine is split into per-package simulation partitions with
+    /// their own event calendars, synchronized by conservative
+    /// lookahead and stepped on the calling thread. `parallel(1)` runs
+    /// the whole machine as one partition — bit-identical to the
+    /// strided core by construction. One versus at least two is all
+    /// the count selects: every `workers ≥ 2` builds the same
+    /// partitions and produces the same results. Partitions ride the
+    /// variable-stride core, so this implies [`SimConfig::strided`]
+    /// unless the config is already strided.
     pub fn parallel(mut self, workers: usize) -> Self {
         self.parallel_workers = Some(workers.max(1));
         if !self.strided_enabled() {

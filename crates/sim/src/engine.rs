@@ -1001,7 +1001,7 @@ impl Simulation {
     fn arrival_tick(&mut self) {
         // Arrivals routed by an outer synchronizer first: the inbox is
         // sorted by due time and spawns follow routing order, which is
-        // deterministic regardless of worker count.
+        // deterministic per seed.
         while self.inbox.front().is_some_and(|a| a.due <= self.now) {
             let a = self.inbox.pop_front().expect("checked non-empty");
             let id = self.spawn_internal(a.program, a.seed);

@@ -13,23 +13,20 @@
 //!   state, frequency domain, and event trace.
 //! - A **synchronizer** advances every partition through a shared
 //!   *horizon* (the stride cap). Within a horizon, partitions share
-//!   nothing and run concurrently on the sweep runner's work-stealing
-//!   loop (the round runner under [`crate::map_parallel`]). Its
-//!   threads are spawned once per [`ParallelSimulation::run_for`]
-//!   call, park between horizons, and the calling thread steps
-//!   partitions too; threads are used only when the host has
-//!   parallelism to offer.
+//!   nothing, and the synchronizer steps them one after another in
+//!   package order on the calling thread. The speed comes from the
+//!   calendars: a partition's step advances only its own package's
+//!   CPUs, where a global core's step advances every CPU of the
+//!   machine.
 //! - Partitions interact **only at horizon boundaries**: open-workload
 //!   arrivals are routed to the least-loaded partition, and a
 //!   cross-package handoff queue rebalances queued tasks from
 //!   partitions with more runnable tasks than CPUs to partitions with
-//!   spare capacity. Routing and handoffs are computed serially in
-//!   partition-index order, so results are identical for every worker
-//!   count ≥ 2 and deterministic per seed.
+//!   spare capacity. Routing and handoffs are computed in
+//!   partition-index order, so results are deterministic per seed.
 //! - With [`SimConfig::profile_engine`] on, the synchronizer charges
 //!   its host wall time per horizon to three phases — `route`, `step`
-//!   (the calling thread's round, including its wait for the other
-//!   threads) and `rebalance` — readable as
+//!   (the partitions' own stepping) and `rebalance` — readable as
 //!   [`ParallelSimulation::sync_profile`]. Profiling never changes a
 //!   result and is never written into snapshots.
 //!
@@ -38,10 +35,10 @@
 //! - `parallel(1)` (or a single-package topology) runs one partition
 //!   spanning the whole machine — literally the strided core, so the
 //!   report is **bit-identical** to `strided()`.
-//! - `parallel(w)` for any `w ≥ 2` partitions per package. The worker
-//!   count sizes the thread pool only; partition results never depend
-//!   on which thread ran them, so every `w ≥ 2` produces the same
-//!   report, and every `(seed, w)` pair reproduces exactly.
+//! - `parallel(w)` for any `w ≥ 2` partitions per package. Beyond
+//!   choosing one partition or one per package, the count selects
+//!   nothing, so every `w ≥ 2` produces the same report, and every
+//!   seed reproduces exactly.
 //! - Multi-partition runs are a *different policy discretisation*
 //!   than the global cores (cross-package balancing happens at
 //!   horizon boundaries instead of continuously), so they agree with
@@ -52,7 +49,6 @@
 use crate::api::{EngineCounters, SojournCursor};
 use crate::config::SimConfig;
 use crate::engine::{RoutedArrival, Simulation};
-use crate::runner::run_rounds;
 use crate::trace::{merge_residency, phase_latencies, LatencyStats, SimReport};
 use ebs_sched::MigrationReason;
 use ebs_trace::{PhaseProfiler, TraceEvent};
@@ -68,7 +64,7 @@ const PHASE_REBALANCE: usize = 2;
 const PHASE_NAMES: [&str; 3] = ["route", "step", "rebalance"];
 
 /// One cross-partition task handoff, recorded for the determinism
-/// tests: handoffs must be identical across worker counts and applied
+/// tests: handoffs must be identical for every `w ≥ 2` and applied
 /// exactly once.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HandoffRecord {
@@ -97,9 +93,6 @@ pub struct ParallelSimulation {
     open: Option<ArrivalProcess>,
     now: SimTime,
     horizon: SimDuration,
-    /// OS threads that step partitions, the caller included (1 =
-    /// step serially).
-    threads: usize,
     handoffs: Vec<HandoffRecord>,
     next_seq: u64,
     /// Host wall time per synchronizer phase (multi-partition mode
@@ -112,9 +105,18 @@ impl ParallelSimulation {
     /// via [`SimConfig::parallel`]). With one worker or one package
     /// this constructs a single whole-machine partition — the strided
     /// core, bit-identical reports and all.
+    ///
+    /// # Panics
+    ///
+    /// If [`SimConfig::cooling_factors`] is set but does not hold one
+    /// factor per package.
     pub fn new(cfg: SimConfig) -> Self {
         let workers = cfg.parallel_workers.unwrap_or(1).max(1);
         let n_packages = cfg.n_nodes * cfg.packages_per_node;
+        assert!(
+            cfg.cooling_factors.is_empty() || cfg.cooling_factors.len() == n_packages,
+            "need one cooling factor per package"
+        );
         let horizon = if cfg.strided_enabled() {
             cfg.max_stride
         } else {
@@ -128,18 +130,12 @@ impl ParallelSimulation {
                 open: None,
                 now: SimTime::ZERO,
                 horizon,
-                threads: 1,
                 handoffs: Vec::new(),
                 next_seq: 0,
                 profiler: None,
                 cfg,
             };
         }
-        let threads = workers.min(n_packages).min(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        );
         let shards = (0..n_packages)
             .map(|pkg| Simulation::new(shard_cfg(&cfg, pkg)))
             .collect();
@@ -152,7 +148,6 @@ impl ParallelSimulation {
             open,
             now: SimTime::ZERO,
             horizon,
-            threads,
             handoffs: Vec::new(),
             next_seq: 0,
             profiler: cfg.profile_engine.then(|| PhaseProfiler::new(&PHASE_NAMES)),
@@ -181,8 +176,7 @@ impl ParallelSimulation {
     }
 
     /// The synchronizer's self-profile: host wall time per horizon
-    /// spent routing arrivals, stepping the partitions (the calling
-    /// thread's round, including its wait for the other threads) and
+    /// spent routing arrivals, stepping the partitions and
     /// rebalancing. `None` unless [`SimConfig::profile_engine`] is set
     /// and the machine runs more than one partition.
     pub fn sync_profile(&self) -> Option<&PhaseProfiler> {
@@ -244,11 +238,9 @@ impl ParallelSimulation {
     }
 
     /// Runs the simulation for a span of simulated time: repeated
-    /// horizons of concurrent partition stepping, with arrival routing
-    /// ahead of each horizon and handoff rebalancing at each boundary.
-    /// The stepping threads live for this call only: one round per
-    /// horizon, with routing and rebalancing as the serial step
-    /// between rounds.
+    /// horizons, each of which routes the arrivals due within it, steps
+    /// every partition through it in package order, and rebalances
+    /// handoffs at its boundary.
     pub fn run_for(&mut self, duration: SimDuration) {
         let end = self.now + duration;
         if self.shards.len() == 1 {
@@ -256,47 +248,28 @@ impl ParallelSimulation {
             self.now = end;
             return;
         }
-        let ParallelSimulation {
-            shards,
-            open,
-            now,
-            horizon,
-            threads,
-            handoffs,
-            next_seq,
-            profiler,
-            ..
-        } = self;
-        // The serial step between rounds, on this thread: rebalance at
-        // the boundary just reached, stop at `end`, or route the next
-        // horizon's arrivals. `in_flight` holds the boundary of the
-        // round in flight and when it started.
-        let mut in_flight: Option<(SimTime, Option<Instant>)> = None;
-        run_rounds(
-            shards,
-            *threads,
-            |shards| {
-                if let Some((boundary, started)) = in_flight.take() {
-                    record(profiler, PHASE_STEP, started);
-                    *now = boundary;
-                    let t0 = start_phase(profiler);
-                    rebalance(shards, *now, handoffs, next_seq);
-                    record(profiler, PHASE_REBALANCE, t0);
-                }
-                if *now >= end {
-                    return None;
-                }
-                let h = (*horizon).min(end - *now);
-                let t0 = start_phase(profiler);
-                if let Some(open) = open.as_mut() {
-                    route_arrivals(shards, open, *now + h);
-                }
-                record(profiler, PHASE_ROUTE, t0);
-                in_flight = Some((*now + h, start_phase(profiler)));
-                Some(h)
-            },
-            |shard, h| shard.run_for(h),
-        );
+        while self.now < end {
+            let h = self.horizon.min(end - self.now);
+            let t0 = start_phase(&self.profiler);
+            if let Some(open) = self.open.as_mut() {
+                route_arrivals(&mut self.shards, open, self.now + h);
+            }
+            record(&mut self.profiler, PHASE_ROUTE, t0);
+            let t0 = start_phase(&self.profiler);
+            for shard in &mut self.shards {
+                shard.run_for(h);
+            }
+            record(&mut self.profiler, PHASE_STEP, t0);
+            self.now += h;
+            let t0 = start_phase(&self.profiler);
+            rebalance(
+                &mut self.shards,
+                self.now,
+                &mut self.handoffs,
+                &mut self.next_seq,
+            );
+            record(&mut self.profiler, PHASE_REBALANCE, t0);
+        }
     }
 
     /// The merged event streams of all partitions, in global timestamp
@@ -479,9 +452,8 @@ fn record(profiler: &mut Option<PhaseProfiler>, phase: usize, t0: Option<Instant
 
 /// Pops every arrival due by `until` off the shared process and
 /// queues it on the least-loaded partition, preserving its exact due
-/// instant. Serial and index-ordered: the routing is the same for
-/// every worker count.
-fn route_arrivals(shards: &mut [&mut Simulation], open: &mut ArrivalProcess, until: SimTime) {
+/// instant. Index-ordered, so the routing is deterministic.
+fn route_arrivals(shards: &mut [Simulation], open: &mut ArrivalProcess, until: SimTime) {
     let mut routed = vec![0usize; shards.len()];
     loop {
         let t = open.next_arrival();
@@ -511,10 +483,9 @@ fn route_arrivals(shards: &mut [&mut Simulation], open: &mut ArrivalProcess, unt
 /// `at`: partitions holding more runnable tasks than CPUs donate
 /// queued (never running) tasks to partitions with spare capacity.
 /// Donors and receivers are visited in ascending package order, so
-/// the handoff sequence is deterministic and identical for every
-/// worker count.
+/// the handoff sequence is deterministic.
 fn rebalance(
-    shards: &mut [&mut Simulation],
+    shards: &mut [Simulation],
     at: SimTime,
     handoffs: &mut Vec<HandoffRecord>,
     next_seq: &mut u64,

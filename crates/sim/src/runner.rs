@@ -6,21 +6,19 @@
 //! parallelise trivially — each simulation is self-contained and
 //! deterministic given its config.
 //!
-//! Underneath is the crate's one work-stealing loop, [`run_rounds`]:
-//! rounds of work over a slice on threads spawned once per call, which
-//! park between rounds while a serial step runs alone on the calling
-//! thread, and the caller works as one of the threads. A sweep is its
-//! one-round case ([`map_parallel`]); the partitioned engine
-//! ([`crate::ParallelSimulation`]) runs one round per horizon.
+//! Underneath is the crate's one work-stealing loop, [`map_parallel`]:
+//! one call maps a closure over a slice on threads spawned for that
+//! call, with the caller working as one of them. The sweeps and the
+//! fleet run on it; the partitioned engine
+//! ([`crate::ParallelSimulation`]) steps its partitions on the calling
+//! thread and needs no threads at all.
 
 use crate::config::SimConfig;
 use crate::engine::Simulation;
 use crate::trace::SimReport;
 use ebs_units::SimDuration;
-use std::any::Any;
-use std::panic::{self, AssertUnwindSafe};
+use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Runs one simulation to completion: build, populate via `setup`,
 /// run, report.
@@ -93,219 +91,63 @@ pub fn default_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// Maps `f` over `items` on a work-stealing pool of `workers` OS
-/// threads and returns the results in input order. This is the
-/// generic core under [`run_configs`]; sweeps whose unit of work is
-/// *not* "build one simulation, run, report" — the fork-sweep's
-/// warm-up-then-fork groups, for instance — map their own closures
-/// over it. Results are identical for every worker count: each item
-/// is processed independently and slotted back by index. One
-/// effective worker — a single-core container, or a cell too small to
-/// share — is a plain serial loop with no spawned thread.
+/// Maps `f` over `items` on `workers` OS threads and returns the
+/// results in input order. This is the generic core under
+/// [`run_configs`]; sweeps whose unit of work is *not* "build one
+/// simulation, run, report" — the fork-sweep's warm-up-then-fork
+/// groups, for instance — map their own closures over it, and so does
+/// the fleet, one call per epoch. Results are identical for every
+/// worker count: each item is processed independently and slotted
+/// back by index. One effective worker — a single-core container, or a
+/// cell too small to share — is a plain serial loop with no spawned
+/// thread.
 ///
-/// It is the one-round case of the crate's round runner, the same
-/// work-stealing loop the partitioned engine steps its partitions on.
+/// Otherwise the caller and `workers - 1` scoped helpers take items
+/// off a shared index, whichever is free next: work-stealing, because
+/// items can differ wildly in cost (a 64-package machine simulates far
+/// slower than a 2-package one). A panic in `f` reaches the caller
+/// with its own payload, whichever thread raised it.
 pub fn map_parallel<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let mut slots: Vec<(&T, Option<R>)> = items.iter().map(|item| (item, None)).collect();
-    let mut pending = true;
-    run_rounds(
-        &mut slots,
-        workers,
-        |_| std::mem::take(&mut pending).then_some(()),
-        |(item, out), ()| *out = Some(f(*item)),
-    );
-    slots
-        .into_iter()
-        .map(|(_, out)| out.expect("every slot filled"))
-        .collect()
-}
-
-/// Runs rounds of work over `items` on `workers` threads: the caller
-/// plus `workers - 1` helpers, spawned once for the whole call and
-/// parked between rounds.
-///
-/// Before each round, `serial` runs alone on the caller with every
-/// item in index order and returns the round's parameter, or `None`
-/// to stop. The round then applies `work(item, param)` to every item
-/// exactly once. Items are taken from a shared index by whichever
-/// thread is free — work-stealing, because items can differ wildly in
-/// cost — and the round ends only when every item is done, so the
-/// next `serial` sees each item's state after it. With one effective
-/// worker everything runs on the caller and no thread is spawned.
-///
-/// A panic in `work` on any thread, or in `serial`, reaches the
-/// caller as a panic; the helpers are told to exit first, so nothing
-/// waits on a parked thread.
-pub(crate) fn run_rounds<T, P, S, W>(items: &mut [T], workers: usize, mut serial: S, work: W)
-where
-    T: Send,
-    P: Copy + Send,
-    S: FnMut(&mut [&mut T]) -> Option<P>,
-    W: Fn(&mut T, P) + Sync,
-{
     let workers = workers.clamp(1, items.len().max(1));
     if workers == 1 {
-        let mut view: Vec<&mut T> = items.iter_mut().collect();
-        while let Some(param) = serial(&mut view) {
-            for item in view.iter_mut() {
-                work(item, param);
-            }
-        }
-        return;
+        return items.iter().map(f).collect();
     }
-    let slots: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
-    let rounds = Rounds {
-        next: AtomicUsize::new(0),
-        state: Mutex::new(RoundState {
-            published: 0,
-            param: None,
-            busy: 0,
-            panic: None,
-        }),
-        wake: Condvar::new(),
-        done: Condvar::new(),
-    };
-    let (slots, work, rounds) = (&slots, &work, &rounds);
-    crossbeam::thread::scope(|scope| {
-        // Dropped on every way out of this closure, unwinding
-        // included: the helpers wake to a stop and exit, so the scope
-        // can join them.
-        let _stop = StopHelpers(rounds);
-        for _ in 1..workers {
-            scope.spawn(move |_| rounds.help(slots, work));
-        }
+    // The shared index publishes no data (items are only read, and
+    // results come back through `join`), so `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
+    let steal = || {
+        let mut done = Vec::new();
         loop {
-            let param = {
-                // The helpers are parked: every lock is uncontended.
-                let mut guards: Vec<_> = slots
-                    .iter()
-                    .map(|slot| slot.lock().expect("item slot poisoned"))
-                    .collect();
-                let mut view: Vec<&mut T> = guards.iter_mut().map(|g| &mut ***g).collect();
-                serial(&mut view)
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return done;
             };
-            let Some(param) = param else { break };
-            rounds.run(slots, work, param, workers - 1);
+            done.push((i, f(item)));
+        }
+    };
+    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    crossbeam::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(|_| steal())).collect();
+        let mut done = steal();
+        for helper in helpers {
+            // Joined here, a helper's panic re-raises with its own
+            // payload instead of the scope's generic one.
+            done.extend(helper.join().unwrap_or_else(|p| panic::resume_unwind(p)));
+        }
+        for (i, out) in done {
+            slots[i] = Some(out);
         }
     })
     .expect("crossbeam scope");
-}
-
-/// The hand-off between [`run_rounds`]' caller and its helpers.
-struct Rounds<P> {
-    /// The shared index the current round's items are taken from.
-    next: AtomicUsize,
-    state: Mutex<RoundState<P>>,
-    /// Signals helpers that a round, or the stop, was published.
-    wake: Condvar,
-    /// Signals the caller that the last helper left the round.
-    done: Condvar,
-}
-
-struct RoundState<P> {
-    /// Rounds published so far, the stop included; a parked helper
-    /// waits for it to move.
-    published: u64,
-    /// The published round's parameter; `None` tells helpers to exit.
-    param: Option<P>,
-    /// Helpers still inside the published round.
-    busy: usize,
-    /// The first panic a helper caught in the published round.
-    panic: Option<Box<dyn Any + Send>>,
-}
-
-impl<P: Copy> Rounds<P> {
-    fn lock(&self) -> MutexGuard<'_, RoundState<P>> {
-        self.state.lock().expect("round state poisoned")
-    }
-
-    /// Takes items off the shared index until none are left.
-    fn steal<T, W: Fn(&mut T, P)>(&self, slots: &[Mutex<&mut T>], work: &W, param: P) {
-        loop {
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            let Some(slot) = slots.get(i) else { return };
-            work(&mut slot.lock().expect("item slot poisoned"), param);
-        }
-    }
-
-    /// The caller's side of one round: publish it, steal alongside
-    /// the helpers, wait for the last of them, and re-raise the first
-    /// panic one of them caught.
-    fn run<T, W: Fn(&mut T, P)>(
-        &self,
-        slots: &[Mutex<&mut T>],
-        work: &W,
-        param: P,
-        helpers: usize,
-    ) {
-        // Every helper left the previous round before `busy` reached
-        // zero, so none can still be taking from the old index. The
-        // index publishes no data: the reset reaches the helpers
-        // through the state mutex (unlocked below, locked by each
-        // helper before it steals), and item data through the slots.
-        self.next.store(0, Ordering::Relaxed);
-        {
-            let mut state = self.lock();
-            state.published += 1;
-            state.param = Some(param);
-            state.busy = helpers;
-            self.wake.notify_all();
-        }
-        self.steal(slots, work, param);
-        let mut state = self.lock();
-        while state.busy > 0 {
-            state = self.done.wait(state).expect("round state poisoned");
-        }
-        if let Some(payload) = state.panic.take() {
-            drop(state);
-            panic::resume_unwind(payload);
-        }
-    }
-
-    /// A helper's life: park until a round is published, steal its
-    /// items, leave it; exit at the stop. A panic in `work` ends the
-    /// helper's part of the round and is handed to the caller.
-    fn help<T, W: Fn(&mut T, P)>(&self, slots: &[Mutex<&mut T>], work: &W) {
-        let mut seen = 0;
-        loop {
-            let param = {
-                let mut state = self.lock();
-                while state.published == seen {
-                    state = self.wake.wait(state).expect("round state poisoned");
-                }
-                seen = state.published;
-                state.param
-            };
-            let Some(param) = param else { return };
-            let outcome = panic::catch_unwind(AssertUnwindSafe(|| self.steal(slots, work, param)));
-            let mut state = self.lock();
-            if let Err(payload) = outcome {
-                state.panic.get_or_insert(payload);
-            }
-            state.busy -= 1;
-            if state.busy == 0 {
-                self.done.notify_one();
-            }
-        }
-    }
-}
-
-/// Publishes the stop when dropped.
-struct StopHelpers<'a, P>(&'a Rounds<P>);
-
-impl<P> Drop for StopHelpers<'_, P> {
-    fn drop(&mut self) {
-        // Never panic here: this runs while the caller unwinds.
-        let mut state = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
-        state.published += 1;
-        state.param = None;
-        self.0.wake.notify_all();
-    }
+    slots
+        .into_iter()
+        .map(|out| out.expect("every slot filled"))
+        .collect()
 }
 
 fn run_parallel<F>(
@@ -337,6 +179,8 @@ pub fn mean<F: Fn(&SimReport) -> f64>(reports: &[SimReport], f: F) -> f64 {
 mod tests {
     use super::*;
     use ebs_workloads::catalog;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::Mutex;
 
     #[test]
     fn seeds_run_in_parallel_and_stay_deterministic() {
@@ -400,45 +244,6 @@ mod tests {
         assert!(default_workers() >= 1);
     }
 
-    /// Runs five rounds of `x <- 3x + round` over 16 items and returns
-    /// what the serial step saw before each round, plus the end state.
-    fn rounds_log(workers: usize) -> (Vec<Vec<u64>>, Vec<u64>) {
-        let mut items: Vec<u64> = (0..16).collect();
-        let mut seen = Vec::new();
-        run_rounds(
-            &mut items,
-            workers,
-            |view| {
-                seen.push(view.iter().map(|x| **x).collect::<Vec<u64>>());
-                (seen.len() <= 5).then_some(seen.len() as u64)
-            },
-            |x, round| *x = *x * 3 + round,
-        );
-        (seen, items)
-    }
-
-    #[test]
-    fn rounds_are_worker_count_invariant_and_serial_sees_each_round() {
-        let (seen, end) = rounds_log(1);
-        // Five rounds, then the serial step that stops.
-        assert_eq!(seen.len(), 6);
-        let mut expect: Vec<u64> = (0..16).collect();
-        for (round, state) in seen.iter().enumerate() {
-            assert_eq!(state, &expect, "serial step before round {}", round + 1);
-            for x in &mut expect {
-                *x = *x * 3 + round as u64 + 1;
-            }
-        }
-        assert_eq!(end, seen[5]);
-        for workers in [2, 8] {
-            assert_eq!(
-                rounds_log(workers),
-                (seen.clone(), end.clone()),
-                "{workers} workers"
-            );
-        }
-    }
-
     /// Runs `f` on its own thread and returns its panic message
     /// (`None` if it returned), failing the test instead of hanging if
     /// it never does.
@@ -457,35 +262,21 @@ mod tests {
             tx.send(message).expect("test thread listening");
         });
         rx.recv_timeout(std::time::Duration::from_secs(60))
-            .expect("round runner hung")
-    }
-
-    /// Five rounds over 16 items; `work` sees `(item, round)`.
-    fn five_rounds(workers: usize, work: impl Fn(usize, u64) + Sync) {
-        let mut items: Vec<usize> = (0..16).collect();
-        let mut round = 0;
-        run_rounds(
-            &mut items,
-            workers,
-            |_| {
-                round += 1;
-                (round <= 5).then_some(round)
-            },
-            |item, round| work(*item, round),
-        );
+            .expect("map_parallel hung")
     }
 
     #[test]
-    fn a_work_panic_in_round_three_reaches_the_caller() {
+    fn a_panic_on_one_item_reaches_the_caller() {
         for workers in [1, 2, 8] {
             let message = panic_message(move || {
-                five_rounds(workers, |item, round| {
-                    assert!(round != 3 || item != 5, "item 5 fails in round 3");
+                let items: Vec<usize> = (0..16).collect();
+                map_parallel(&items, workers, |&item| {
+                    assert!(item != 5, "item 5 fails");
                 });
             });
             assert_eq!(
                 message.as_deref(),
-                Some("item 5 fails in round 3"),
+                Some("item 5 fails"),
                 "{workers} workers"
             );
         }
@@ -493,53 +284,26 @@ mod tests {
 
     #[test]
     fn a_helper_thread_panic_reaches_the_caller() {
-        // Forces the panic onto a spawned helper: in round 3 the
-        // caller's first item waits until a helper has taken an item
-        // and is about to panic on it. The caller must re-raise the
-        // helper's own panic, not a later symptom of it.
+        // Forces the panic onto a spawned helper: the caller's first
+        // item waits until a helper has taken an item and is about to
+        // panic on it. The caller must re-raise the helper's own
+        // panic, not the scope's generic "a scoped thread panicked".
         let message = panic_message(|| {
             let caller = std::thread::current().id();
             let (tx, rx) = std::sync::mpsc::channel::<()>();
             let (tx, rx) = (Mutex::new(tx), Mutex::new(Some(rx)));
-            five_rounds(2, |_, round| {
-                if round != 3 {
-                    return;
-                }
+            let items: Vec<usize> = (0..16).collect();
+            map_parallel(&items, 2, |_| {
                 if std::thread::current().id() != caller {
                     tx.lock().unwrap().send(()).unwrap();
-                    panic!("helper fails in round 3");
+                    panic!("helper fails");
                 }
                 if let Some(rx) = rx.lock().unwrap().take() {
                     rx.recv().unwrap();
                 }
             });
         });
-        assert_eq!(message.as_deref(), Some("helper fails in round 3"));
-    }
-
-    #[test]
-    fn a_serial_step_panic_after_round_two_reaches_the_caller() {
-        for workers in [1, 2, 8] {
-            let message = panic_message(move || {
-                let mut items = vec![0u64; 16];
-                let mut rounds = 0;
-                run_rounds(
-                    &mut items,
-                    workers,
-                    |_| {
-                        assert!(rounds < 2, "serial step fails after round 2");
-                        rounds += 1;
-                        Some(())
-                    },
-                    |x, ()| *x += 1,
-                );
-            });
-            assert_eq!(
-                message.as_deref(),
-                Some("serial step fails after round 2"),
-                "{workers} workers"
-            );
-        }
+        assert_eq!(message.as_deref(), Some("helper fails"));
     }
 
     #[test]

@@ -13,11 +13,12 @@
 //!    with the strided core within the strided suite's tolerances —
 //!    exact arrival streams, energy and instructions within 3 %,
 //!    latency percentiles within 15 % / 25 %.
-//! 3. **Determinism**: reports depend on `(seed)` only — never on the
-//!    worker count (any `w ≥ 2` is identical to any other) or on the
-//!    thread schedule (repeated runs are identical). Cross-partition
+//! 3. **Determinism**: reports depend on `(seed)` only. Every
+//!    `w ≥ 2` builds the same per-package partitions, stepped one
+//!    after another on the calling thread, so any `w ≥ 2` is identical
+//!    to any other and repeated runs are identical. Cross-partition
 //!    handoffs are logged and must be applied exactly once, in the
-//!    same order, for every worker count.
+//!    same order, for every `w ≥ 2`.
 
 use ebs_dvfs::GovernorKind;
 use ebs_sim::{
@@ -370,10 +371,11 @@ proptest! {
     }
 
     /// The partitioned engine is deterministic per seed, and the
-    /// worker count never changes results — it only sizes the thread
-    /// pool. Any `w ≥ 2` produces the same report as any other, and
-    /// repeated runs reproduce bit-exactly. The stepping threads live
-    /// for one `run_for` call, so slicing the same span into many
+    /// worker count never changes results beyond choosing one
+    /// partition or one per package. Any `w ≥ 2` produces the same
+    /// report as any other, and repeated runs reproduce bit-exactly.
+    /// Routing and rebalancing happen at horizon boundaries, never at
+    /// `run_for` call boundaries, so slicing the same span into many
     /// calls must not change the report either.
     #[test]
     fn parallel_runs_are_deterministic_and_worker_count_invariant(
@@ -498,4 +500,21 @@ fn drained_partitions_receive_handoffs() {
         sliced.run_for(SimDuration::from_millis(25));
     }
     assert_eq!(sliced.handoff_log(), log);
+}
+
+/// A cooling-factor list that does not hold one factor per package is
+/// rejected when the engine is built, as on the whole-machine cores,
+/// instead of dropping the surplus or indexing past a short list.
+#[test]
+#[should_panic(expected = "one cooling factor per package")]
+fn too_many_cooling_factors_rejected() {
+    let cfg = SimConfig::xseries445().cooling_factors(vec![1.0; 9]);
+    let _ = ParallelSimulation::new(cfg.parallel(2));
+}
+
+#[test]
+#[should_panic(expected = "one cooling factor per package")]
+fn too_few_cooling_factors_rejected() {
+    let cfg = SimConfig::xseries445().cooling_factors(vec![1.0; 3]);
+    let _ = ParallelSimulation::new(cfg.parallel(2));
 }

@@ -129,8 +129,7 @@ impl EventKind {
 /// Merges per-partition event streams — each already in timestamp
 /// order — into one stream in global timestamp order. Ties break by
 /// stream index (then intra-stream order), so the merge is
-/// deterministic and independent of how many worker threads produced
-/// the streams.
+/// deterministic.
 pub fn merge_streams(streams: Vec<Vec<TraceEvent>>) -> Vec<TraceEvent> {
     let mut all: Vec<TraceEvent> = streams.into_iter().flatten().collect();
     // Stable sort: equal timestamps keep the flattened (stream index,
