@@ -34,6 +34,7 @@
 //!
 //! [`System`]: crate::System
 
+use crate::system::ensure;
 use ebs_topology::{CpuId, GroupUnit, Topology};
 
 /// One unit's running sums.
@@ -147,6 +148,37 @@ impl LoadAggregates {
                 .expect("aggregate nr_running underflow: runqueue hooks out of sync");
             cell.gen += 1;
         }
+    }
+
+    /// Compares every unit's `nr_running` sum with a recount of
+    /// `per_cpu`, one `nr_running` per logical CPU in id order.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first unit whose sum differs.
+    pub(crate) fn check(&self, per_cpu: impl Iterator<Item = usize>) -> Result<(), String> {
+        let tables = [
+            ("core", &self.core),
+            ("package", &self.package),
+            ("node", &self.node),
+        ];
+        let mut fresh = tables.map(|(_, cells)| vec![0; cells.len()]);
+        for (&(core, package, node), n) in self.paths.iter().zip(per_cpu) {
+            fresh[0][core] += n;
+            fresh[1][package] += n;
+            fresh[2][node] += n;
+        }
+        for ((what, cells), sums) in tables.into_iter().zip(fresh) {
+            for (i, (cell, sum)) in cells.iter().zip(sums).enumerate() {
+                ensure(cell.nr_running == sum, || {
+                    format!(
+                        "{what} {i}: aggregate nr_running {} but {sum} runnable",
+                        cell.nr_running
+                    )
+                })?;
+            }
+        }
+        Ok(())
     }
 
     /// The aggregate cell of one unit. `Cpu` units have no cell — the

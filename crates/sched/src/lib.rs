@@ -1,9 +1,9 @@
 //! Multiprocessor scheduler substrate.
 //!
 //! This crate is the stand-in for the Linux 2.6.10 scheduler the paper
-//! modifies (Section 5): per-CPU runqueues with O(1) priority arrays,
-//! nice-scaled timeslices, task states, migration machinery, and the
-//! stock hierarchical load balancer. The energy-aware policies of
+//! modifies (Section 5): per-CPU runqueues with active and expired FIFO
+//! arrays, one fixed timeslice, task states, migration machinery, and
+//! the stock hierarchical load balancer. The energy-aware policies of
 //! `ebs-core` plug into this substrate exactly where the paper patched
 //! Linux:
 //!
@@ -15,8 +15,9 @@
 //!   (Section 4.6).
 //!
 //! Simplifications relative to real Linux 2.6 are documented on the
-//! items concerned; the main ones are static priorities (no interactive
-//! bonus — the evaluation workloads are CPU hogs) and load measured as
+//! items concerned; the main ones are one static priority for every
+//! task (no nice levels and no interactive bonus — the evaluation
+//! workloads are CPU hogs at default priority) and load measured as
 //! runqueue length (which is what the paper balances).
 //!
 //! # Examples
@@ -33,7 +34,6 @@
 
 mod aggregates;
 mod load_balance;
-mod prio_array;
 mod runqueue;
 mod system;
 mod task;
@@ -44,9 +44,6 @@ pub use load_balance::{
     group_effective_load, idlest_cpu, pull_tasks, BalanceOutcome, BalanceTimers, LoadBalancer,
     LoadBalancerConfig,
 };
-pub use prio_array::PrioArray;
 pub use runqueue::RunQueue;
 pub use system::{MigrateError, MigrationReason, SwitchResult, System, SystemStats, TickResult};
-pub use task::{
-    timeslice_for_nice, BinaryId, Task, TaskConfig, TaskId, TaskState, DEFAULT_TIMESLICE,
-};
+pub use task::{BinaryId, Task, TaskConfig, TaskId, TaskState, DEFAULT_TIMESLICE, PROFILE_WEIGHT};

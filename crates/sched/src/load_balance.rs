@@ -306,7 +306,8 @@ pub fn busiest_queue_in_group(sys: &System, group: &CpuGroup) -> Option<CpuId> {
 }
 
 /// Pulls up to `n` queued tasks from `src` to `dst`, preferring tasks
-/// that will not run soon (expired, low priority). `filter` lets the
+/// that will not run soon (the reverse of run order; see
+/// [`crate::RunQueue::iter_migration_candidates`]). `filter` lets the
 /// caller restrict the choice, e.g. to hot or cool tasks when the
 /// energy balancer avoids creating energy imbalances.
 ///

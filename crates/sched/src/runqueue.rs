@@ -1,21 +1,23 @@
-//! Per-CPU runqueues with active/expired priority arrays.
+//! Per-CPU runqueues with active/expired arrays.
 //!
-//! As in Linux 2.6: each CPU owns a runqueue with two priority arrays.
-//! Tasks whose timeslice expires move to the *expired* array; when the
-//! *active* array drains, the arrays are swapped. This gives round-robin
-//! behaviour within a priority level at timeslice granularity, with O(1)
-//! scheduling operations throughout.
+//! As in Linux 2.6: each CPU owns a runqueue with two arrays. Tasks
+//! whose timeslice expires move to the *expired* array; when the
+//! *active* array drains, the arrays are swapped. This gives
+//! round-robin behaviour at timeslice granularity, and a woken or
+//! migrated-in task (enqueued on the active array) runs before every
+//! expired one. Every task runs at the one static priority, so each
+//! array is a plain FIFO.
 
-use crate::prio_array::PrioArray;
 use crate::task::TaskId;
 use ebs_topology::CpuId;
+use std::collections::VecDeque;
 
 /// A per-CPU runqueue.
 #[derive(Clone, Debug)]
 pub struct RunQueue {
     cpu: CpuId,
-    active: PrioArray,
-    expired: PrioArray,
+    active: VecDeque<TaskId>,
+    expired: VecDeque<TaskId>,
     /// The task currently executing on this CPU (not in either array).
     current: Option<TaskId>,
     /// Sum of the energy profiles (watts) of the *queued* tasks,
@@ -32,8 +34,8 @@ impl RunQueue {
     pub fn new(cpu: CpuId) -> Self {
         RunQueue {
             cpu,
-            active: PrioArray::new(),
-            expired: PrioArray::new(),
+            active: VecDeque::new(),
+            expired: VecDeque::new(),
             current: None,
             queued_profile: 0.0,
         }
@@ -69,20 +71,27 @@ impl RunQueue {
         self.active.len() + self.expired.len()
     }
 
-    /// Enqueues a task on the active array.
-    pub(crate) fn enqueue_active(&mut self, prio: usize, task: TaskId) {
-        self.active.enqueue(prio, task);
+    /// Enqueues a task at the back of the active array.
+    pub(crate) fn enqueue_active(&mut self, task: TaskId) {
+        self.active.push_back(task);
     }
 
-    /// Enqueues a task on the expired array (timeslice ran out).
-    pub(crate) fn enqueue_expired(&mut self, prio: usize, task: TaskId) {
-        self.expired.enqueue(prio, task);
+    /// Enqueues a task at the back of the expired array (timeslice ran
+    /// out).
+    pub(crate) fn enqueue_expired(&mut self, task: TaskId) {
+        self.expired.push_back(task);
     }
 
     /// Removes a queued (non-running) task; returns whether it was
     /// found.
-    pub(crate) fn remove(&mut self, prio: usize, task: TaskId) -> bool {
-        self.active.remove(prio, task) || self.expired.remove(prio, task)
+    pub(crate) fn remove(&mut self, task: TaskId) -> bool {
+        for q in [&mut self.active, &mut self.expired] {
+            if let Some(pos) = q.iter().position(|&t| t == task) {
+                q.remove(pos);
+                return true;
+            }
+        }
+        false
     }
 
     /// Picks the next task to run, swapping the arrays if the active
@@ -92,7 +101,7 @@ impl RunQueue {
         if self.active.is_empty() && !self.expired.is_empty() {
             core::mem::swap(&mut self.active, &mut self.expired);
         }
-        self.active.pop()
+        self.active.pop_front()
     }
 
     /// Sum of the queued (waiting) tasks' energy profiles, in watts.
@@ -116,12 +125,15 @@ impl RunQueue {
     }
 
     /// Iterates over queued (waiting) tasks in migration-preference
-    /// order: expired tasks first (they will not run for the longest
-    /// time), lowest priorities first.
+    /// order, the reverse of run order: the expired array from its
+    /// back, then the active array from its back — the tasks that will
+    /// not run for the longest time first.
     pub fn iter_migration_candidates(&self) -> impl Iterator<Item = TaskId> + '_ {
         self.expired
-            .iter_migration_order()
-            .chain(self.active.iter_migration_order())
+            .iter()
+            .rev()
+            .chain(self.active.iter().rev())
+            .copied()
     }
 
     /// Iterates over every task associated with this queue, including
@@ -130,22 +142,27 @@ impl RunQueue {
     pub fn iter_all(&self) -> impl Iterator<Item = TaskId> + '_ {
         self.current
             .into_iter()
-            .chain(self.active.iter())
-            .chain(self.expired.iter())
+            .chain(self.active.iter().copied())
+            .chain(self.expired.iter().copied())
     }
 }
 
 impl ebs_store::Snapshot for RunQueue {
     fn save(&self, w: &mut ebs_store::StateWriter) {
-        self.active.save(w);
-        self.expired.save(w);
+        for q in [&self.active, &self.expired] {
+            w.usize(q.len());
+            for id in q {
+                w.u64(id.0);
+            }
+        }
         w.opt(&self.current, |w, id| w.u64(id.0));
         w.f64(self.queued_profile);
     }
 
     fn restore(&mut self, r: &mut ebs_store::StateReader<'_>) -> Result<(), ebs_store::StoreError> {
-        self.active.restore(r)?;
-        self.expired.restore(r)?;
+        for q in [&mut self.active, &mut self.expired] {
+            *q = r.seq(|r| Ok(TaskId(r.u64()?)))?.into();
+        }
         self.current = r.opt(|r| Ok(TaskId(r.u64()?)))?;
         self.queued_profile = r.f64()?;
         Ok(())
@@ -171,7 +188,7 @@ mod tests {
     #[test]
     fn nr_running_counts_current() {
         let mut q = rq();
-        q.enqueue_active(20, TaskId(1));
+        q.enqueue_active(TaskId(1));
         q.set_current(Some(TaskId(2)));
         assert_eq!(q.nr_running(), 2);
         assert_eq!(q.nr_queued(), 1);
@@ -181,8 +198,8 @@ mod tests {
     #[test]
     fn pick_next_swaps_arrays_when_active_drains() {
         let mut q = rq();
-        q.enqueue_active(20, TaskId(1));
-        q.enqueue_expired(20, TaskId(2));
+        q.enqueue_active(TaskId(1));
+        q.enqueue_expired(TaskId(2));
         assert_eq!(q.pick_next(), Some(TaskId(1)));
         // Active now empty; expired array must rotate in.
         assert_eq!(q.pick_next(), Some(TaskId(2)));
@@ -192,13 +209,13 @@ mod tests {
     #[test]
     fn round_robin_via_expired_array() {
         let mut q = rq();
-        q.enqueue_active(20, TaskId(1));
-        q.enqueue_active(20, TaskId(2));
+        q.enqueue_active(TaskId(1));
+        q.enqueue_active(TaskId(2));
         // Simulate: run 1, expire it, run 2, expire it, then both again.
         let first = q.pick_next().unwrap();
-        q.enqueue_expired(20, first);
+        q.enqueue_expired(first);
         let second = q.pick_next().unwrap();
-        q.enqueue_expired(20, second);
+        q.enqueue_expired(second);
         assert_eq!(first, TaskId(1));
         assert_eq!(second, TaskId(2));
         assert_eq!(q.pick_next(), Some(TaskId(1)));
@@ -208,30 +225,38 @@ mod tests {
     #[test]
     fn remove_searches_both_arrays() {
         let mut q = rq();
-        q.enqueue_active(20, TaskId(1));
-        q.enqueue_expired(20, TaskId(2));
-        assert!(q.remove(20, TaskId(2)));
-        assert!(q.remove(20, TaskId(1)));
-        assert!(!q.remove(20, TaskId(3)));
+        q.enqueue_active(TaskId(1));
+        q.enqueue_expired(TaskId(2));
+        assert!(q.remove(TaskId(2)));
+        assert!(q.remove(TaskId(1)));
+        assert!(!q.remove(TaskId(3)));
         assert_eq!(q.nr_queued(), 0);
     }
 
+    /// Migration prefers the tasks that will wait longest: the expired
+    /// array from its back, then the active array from its back — the
+    /// exact reverse of the order [`RunQueue::pick_next`] runs them in.
     #[test]
     fn migration_candidates_prefer_expired_and_low_prio() {
         let mut q = rq();
-        q.enqueue_active(10, TaskId(1));
-        q.enqueue_active(30, TaskId(2));
-        q.enqueue_expired(20, TaskId(3));
+        for id in [1, 2, 3] {
+            q.enqueue_active(TaskId(id));
+        }
+        for id in [4, 5] {
+            q.enqueue_expired(TaskId(id));
+        }
         let order: Vec<_> = q.iter_migration_candidates().collect();
-        assert_eq!(order, vec![TaskId(3), TaskId(2), TaskId(1)]);
+        assert_eq!(order, [5, 4, 3, 2, 1].map(TaskId));
+        let run: Vec<_> = std::iter::from_fn(|| q.pick_next()).collect();
+        assert_eq!(run, [1, 2, 3, 4, 5].map(TaskId));
     }
 
     #[test]
     fn iter_all_includes_current() {
         let mut q = rq();
         q.set_current(Some(TaskId(9)));
-        q.enqueue_active(20, TaskId(1));
-        q.enqueue_expired(20, TaskId(2));
+        q.enqueue_active(TaskId(1));
+        q.enqueue_expired(TaskId(2));
         let all: Vec<_> = q.iter_all().collect();
         assert_eq!(all, vec![TaskId(9), TaskId(1), TaskId(2)]);
     }

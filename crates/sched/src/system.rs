@@ -65,10 +65,6 @@ pub struct SystemStats {
     pub migrations_by_reason: [u64; 4],
     /// Context switches performed.
     pub context_switches: u64,
-    /// Tasks spawned.
-    pub spawns: u64,
-    /// Tasks exited.
-    pub exits: u64,
 }
 
 impl SystemStats {
@@ -199,14 +195,8 @@ impl System {
     pub fn spawn(&mut self, config: TaskConfig, cpu: CpuId) -> TaskId {
         assert!(cpu.0 < self.rqs.len(), "{cpu} out of range");
         let id = TaskId(self.tasks.len() as u64);
-        let task = Task::new(id, config, cpu);
-        let prio = task.prio_index();
-        let profile = task.profile().0;
-        self.tasks.push(task);
-        self.rqs[cpu.0].enqueue_active(prio, id);
-        self.rqs[cpu.0].credit_profile(profile);
-        self.agg.apply(cpu, 1);
-        self.stats.spawns += 1;
+        self.tasks.push(Task::new(id, config, cpu));
+        self.enqueue(id, cpu);
         id
     }
 
@@ -278,19 +268,19 @@ impl System {
         let prev = self.rqs[cpu.0].current();
         let total_before = self.rq_profile_total(cpu);
         if let Some(id) = prev {
-            let (prio, expired, profile) = {
+            let (expired, profile) = {
                 let task = &mut self.tasks[id.0 as usize];
                 task.set_state(TaskState::Runnable);
                 let expired = task.timeslice().is_zero();
                 if expired {
                     task.refresh_timeslice();
                 }
-                (task.prio_index(), expired, task.profile().0)
+                (expired, task.profile().0)
             };
             if expired {
-                self.rqs[cpu.0].enqueue_expired(prio, id);
+                self.rqs[cpu.0].enqueue_expired(id);
             } else {
-                self.rqs[cpu.0].enqueue_active(prio, id);
+                self.rqs[cpu.0].enqueue_active(id);
             }
             self.rqs[cpu.0].credit_profile(profile);
         }
@@ -301,11 +291,9 @@ impl System {
         }
         self.rqs[cpu.0].set_current(next);
         if let Some(id) = next {
-            let now = self.now;
             let task = &mut self.tasks[id.0 as usize];
             task.set_state(TaskState::Running);
             task.set_cpu(cpu);
-            task.set_last_scheduled(now);
         }
         if prev != next {
             self.stats.context_switches += 1;
@@ -341,22 +329,16 @@ impl System {
     ///
     /// Panics if the task is not blocked.
     pub fn wake(&mut self, id: TaskId, cpu: Option<CpuId>) {
-        let target = cpu.unwrap_or(self.tasks[id.0 as usize].cpu());
-        {
-            let task = &mut self.tasks[id.0 as usize];
-            assert_eq!(
-                task.state(),
-                TaskState::Blocked,
-                "waking a non-blocked task"
-            );
-            task.set_state(TaskState::Runnable);
-            task.set_cpu(target);
-        }
-        let prio = self.tasks[id.0 as usize].prio_index();
-        let profile = self.tasks[id.0 as usize].profile().0;
-        self.rqs[target.0].enqueue_active(prio, id);
-        self.rqs[target.0].credit_profile(profile);
-        self.agg.apply(target, 1);
+        let task = &mut self.tasks[id.0 as usize];
+        assert_eq!(
+            task.state(),
+            TaskState::Blocked,
+            "waking a non-blocked task"
+        );
+        let target = cpu.unwrap_or(task.cpu());
+        task.set_state(TaskState::Runnable);
+        task.set_cpu(target);
+        self.enqueue(id, target);
     }
 
     /// Terminates the running task of `cpu` and returns it.
@@ -365,7 +347,6 @@ impl System {
         self.rqs[cpu.0].set_current(None);
         self.tasks[id.0 as usize].set_state(TaskState::Exited);
         self.agg.apply(cpu, -1);
-        self.stats.exits += 1;
         Some(id)
     }
 
@@ -382,31 +363,11 @@ impl System {
         to: CpuId,
         reason: MigrationReason,
     ) -> Result<(), MigrateError> {
-        let (from, prio, state) = {
-            let t = &self.tasks[id.0 as usize];
-            (t.cpu(), t.prio_index(), t.state())
-        };
-        if from == to {
+        if self.tasks[id.0 as usize].cpu() == to {
             return Err(MigrateError::SameCpu);
         }
-        match state {
-            TaskState::Runnable => {}
-            TaskState::Running => return Err(MigrateError::Running),
-            _ => return Err(MigrateError::BadState),
-        }
-        if self.rqs[from.0].current() == Some(id) {
-            return Err(MigrateError::Running);
-        }
-        let removed = self.rqs[from.0].remove(prio, id);
-        debug_assert!(removed, "runnable task {id} missing from its runqueue");
-        let profile = self.tasks[id.0 as usize].profile().0;
-        if removed {
-            self.rqs[from.0].debit_profile(profile);
-            self.agg.apply(from, -1);
-        }
-        self.rqs[to.0].enqueue_active(prio, id);
-        self.rqs[to.0].credit_profile(profile);
-        self.agg.apply(to, 1);
+        let from = self.dequeue(id)?;
+        self.enqueue(id, to);
         self.finish_migration(id, from, to, reason);
         Ok(())
     }
@@ -423,25 +384,7 @@ impl System {
     /// Returns [`MigrateError`] when the task is running or not
     /// runnable.
     pub fn take_queued(&mut self, id: TaskId) -> Result<(), MigrateError> {
-        let (from, prio, state) = {
-            let t = &self.tasks[id.0 as usize];
-            (t.cpu(), t.prio_index(), t.state())
-        };
-        match state {
-            TaskState::Runnable => {}
-            TaskState::Running => return Err(MigrateError::Running),
-            _ => return Err(MigrateError::BadState),
-        }
-        if self.rqs[from.0].current() == Some(id) {
-            return Err(MigrateError::Running);
-        }
-        let removed = self.rqs[from.0].remove(prio, id);
-        debug_assert!(removed, "runnable task {id} missing from its runqueue");
-        let profile = self.tasks[id.0 as usize].profile().0;
-        if removed {
-            self.rqs[from.0].debit_profile(profile);
-            self.agg.apply(from, -1);
-        }
+        self.dequeue(id)?;
         self.tasks[id.0 as usize].set_state(TaskState::Exited);
         Ok(())
     }
@@ -465,15 +408,9 @@ impl System {
         }
         let id = self.rqs[from.0].current().ok_or(MigrateError::NoCurrent)?;
         self.rqs[from.0].set_current(None);
-        let (prio, profile) = {
-            let task = &mut self.tasks[id.0 as usize];
-            task.set_state(TaskState::Runnable);
-            (task.prio_index(), task.profile().0)
-        };
+        self.tasks[id.0 as usize].set_state(TaskState::Runnable);
         self.agg.apply(from, -1);
-        self.rqs[to.0].enqueue_active(prio, id);
-        self.rqs[to.0].credit_profile(profile);
-        self.agg.apply(to, 1);
+        self.enqueue(id, to);
         self.finish_migration(id, from, to, reason);
         Ok(id)
     }
@@ -585,6 +522,40 @@ impl System {
         total
     }
 
+    /// Appends a runnable task to `cpu`'s active array and credits it
+    /// to the queued-profile and aggregate caches.
+    fn enqueue(&mut self, id: TaskId, cpu: CpuId) {
+        let profile = self.tasks[id.0 as usize].profile().0;
+        self.rqs[cpu.0].enqueue_active(id);
+        self.rqs[cpu.0].credit_profile(profile);
+        self.agg.apply(cpu, 1);
+    }
+
+    /// Removes a *queued* (runnable, not running) task from its
+    /// runqueue and debits the caches; returns the CPU it left.
+    fn dequeue(&mut self, id: TaskId) -> Result<CpuId, MigrateError> {
+        let (from, state) = {
+            let t = &self.tasks[id.0 as usize];
+            (t.cpu(), t.state())
+        };
+        match state {
+            TaskState::Runnable => {}
+            TaskState::Running => return Err(MigrateError::Running),
+            _ => return Err(MigrateError::BadState),
+        }
+        if self.rqs[from.0].current() == Some(id) {
+            return Err(MigrateError::Running);
+        }
+        let removed = self.rqs[from.0].remove(id);
+        debug_assert!(removed, "runnable task {id} missing from its runqueue");
+        if removed {
+            let profile = self.tasks[id.0 as usize].profile().0;
+            self.rqs[from.0].debit_profile(profile);
+            self.agg.apply(from, -1);
+        }
+        Ok(from)
+    }
+
     fn finish_migration(&mut self, id: TaskId, from: CpuId, to: CpuId, reason: MigrationReason) {
         let cross_node = !self.topology.same_node(from, to);
         let now = self.now;
@@ -594,99 +565,83 @@ impl System {
         self.stats.migrations_by_reason[reason.index()] += 1;
     }
 
-    /// Checks every cross-structure invariant; used by tests and debug
-    /// assertions in the simulator.
+    /// Checks every cross-structure invariant: each runqueue names
+    /// only known tasks, each in the state its place implies and
+    /// homed on that queue's CPU; every runnable or running task sits
+    /// on exactly one runqueue; every task's CPU exists and its profile
+    /// is finite; each queued-profile cache matches a fresh sum; and
+    /// the aggregate tree's `nr_running` sums match a recount. Restore
+    /// runs it on every image, so inconsistent state fails there
+    /// instead of panicking at first use.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first violated invariant.
+    pub fn check(&self) -> Result<(), String> {
+        let mut seen = vec![0usize; self.tasks.len()];
+        for rq in &self.rqs {
+            let cpu = rq.cpu();
+            let mut fresh = 0.0;
+            for id in rq.iter_all() {
+                let task = self
+                    .tasks
+                    .get(id.0 as usize)
+                    .ok_or_else(|| format!("{cpu} lists unknown {id}"))?;
+                seen[id.0 as usize] += 1;
+                let state = if rq.current() == Some(id) {
+                    TaskState::Running
+                } else {
+                    fresh += task.profile().0;
+                    TaskState::Runnable
+                };
+                ensure(task.cpu() == cpu, || {
+                    format!("{id} on {cpu} but task.cpu() says {}", task.cpu())
+                })?;
+                ensure(task.state() == state, || {
+                    format!("{id} on {cpu} is {:?}, expected {state:?}", task.state())
+                })?;
+            }
+            // The cached queued-profile sum matches a fresh recompute
+            // (a NaN fails the comparison).
+            let cached = rq.queued_profile();
+            ensure((fresh - cached).abs() < 1e-6 * fresh.abs().max(1.0), || {
+                format!("queued-profile cache drifted on {cpu}: {cached} vs {fresh}")
+            })?;
+        }
+        for (task, &n) in self.tasks.iter().zip(&seen) {
+            let (id, state) = (task.id(), task.state());
+            let queued = matches!(state, TaskState::Runnable | TaskState::Running);
+            ensure(n == usize::from(queued), || {
+                format!("{id} in state {state:?} appears {n} times on runqueues")
+            })?;
+            ensure(task.cpu().0 < self.rqs.len(), || {
+                format!("{id} homed on unknown {}", task.cpu())
+            })?;
+            ensure(task.profile().0.is_finite(), || {
+                format!("{id} has profile {}", task.profile().0)
+            })?;
+        }
+        self.agg.check(self.rqs.iter().map(RunQueue::nr_running))
+    }
+
+    /// [`System::check`] for tests and debug assertions.
     ///
     /// # Panics
     ///
-    /// Panics on any violated invariant.
+    /// Panics with the check's message on any violated invariant.
     pub fn validate(&self) {
-        let mut seen = vec![0usize; self.tasks.len()];
-        for rq in &self.rqs {
-            // The cached queued-profile sum matches a fresh recompute.
-            let fresh: f64 = rq
-                .iter_all()
-                .filter(|&id| rq.current() != Some(id))
-                .map(|id| self.tasks[id.0 as usize].profile().0)
-                .sum();
-            assert!(
-                (fresh - rq.queued_profile()).abs() < 1e-6 * fresh.abs().max(1.0),
-                "queued-profile cache drifted on {}: {} vs {}",
-                rq.cpu(),
-                rq.queued_profile(),
-                fresh
-            );
-            for id in rq.iter_all() {
-                seen[id.0 as usize] += 1;
-                let task = &self.tasks[id.0 as usize];
-                assert_eq!(
-                    task.cpu(),
-                    rq.cpu(),
-                    "{id} on {} but task.cpu() says {}",
-                    rq.cpu(),
-                    task.cpu()
-                );
-                if rq.current() == Some(id) {
-                    assert_eq!(
-                        task.state(),
-                        TaskState::Running,
-                        "{id} current but not Running"
-                    );
-                } else {
-                    assert_eq!(
-                        task.state(),
-                        TaskState::Runnable,
-                        "{id} queued but not Runnable"
-                    );
-                }
-            }
+        if let Err(e) = self.check() {
+            panic!("{e}");
         }
-        for (i, task) in self.tasks.iter().enumerate() {
-            let expected = match task.state() {
-                TaskState::Runnable | TaskState::Running => 1,
-                TaskState::Blocked | TaskState::Exited => 0,
-            };
-            assert_eq!(
-                seen[i],
-                expected,
-                "{} in state {:?} appears {} times on runqueues",
-                task.id(),
-                task.state(),
-                seen[i]
-            );
-        }
-        self.validate_aggregates();
     }
+}
 
-    /// Checks every unit's `nr_running` sum of the aggregate tree
-    /// against a from-scratch recount.
-    fn validate_aggregates(&self) {
-        let check = |unit: GroupUnit, cpus: &[CpuId]| {
-            let cell = self.agg.cell(unit).expect("unit has a cell");
-            let fresh: usize = cpus.iter().map(|&c| self.nr_running(c)).sum();
-            assert_eq!(
-                cell.nr_running, fresh,
-                "{unit:?}: aggregate nr_running drifted"
-            );
-        };
-        for core in 0..self.topology.n_cores() {
-            let core = ebs_topology::CoreId(core);
-            check(
-                GroupUnit::Core(core),
-                &self.topology.cpus_of_core(core).collect::<Vec<_>>(),
-            );
-        }
-        for pkg in 0..self.topology.n_packages() {
-            let pkg = ebs_topology::PackageId(pkg);
-            check(
-                GroupUnit::Package(pkg),
-                &self.topology.cpus_of_package(pkg).collect::<Vec<_>>(),
-            );
-        }
-        for node in 0..self.topology.n_nodes() {
-            let node = ebs_topology::NodeId(node);
-            check(GroupUnit::Node(node), &self.topology.cpus_of_node(node));
-        }
+/// `Ok` when `ok` holds, else the error `msg` describes.
+pub(crate) fn ensure(ok: bool, msg: impl FnOnce() -> String) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(msg())
     }
 }
 
@@ -696,8 +651,6 @@ impl ebs_store::Snapshot for SystemStats {
             w.u64(n);
         }
         w.u64(self.context_switches);
-        w.u64(self.spawns);
-        w.u64(self.exits);
     }
 
     fn restore(&mut self, r: &mut ebs_store::StateReader<'_>) -> Result<(), ebs_store::StoreError> {
@@ -705,8 +658,6 @@ impl ebs_store::Snapshot for SystemStats {
             *n = r.u64()?;
         }
         self.context_switches = r.u64()?;
-        self.spawns = r.u64()?;
-        self.exits = r.u64()?;
         Ok(())
     }
 }
@@ -722,8 +673,10 @@ impl ebs_store::Snapshot for System {
     }
 
     /// Restores into a freshly built [`System::new`] of the *same
-    /// topology*; tasks travel with their configs, so nothing else
+    /// topology*; tasks travel with their binaries, so nothing else
     /// about the saved workload needs to be re-created by the caller.
+    /// The restored state must pass [`System::check`]; an image that
+    /// fails it is refused with [`ebs_store::StoreError::Invalid`].
     fn restore(&mut self, r: &mut ebs_store::StateReader<'_>) -> Result<(), ebs_store::StoreError> {
         r.key("system")?;
         let n = r.usize()?;
@@ -743,7 +696,7 @@ impl ebs_store::Snapshot for System {
         self.agg.restore(r)?;
         self.now = r.time()?;
         self.stats.restore(r)?;
-        Ok(())
+        self.check().map_err(ebs_store::StoreError::Invalid)
     }
 }
 
@@ -761,31 +714,60 @@ mod tests {
         let t = sys.spawn(TaskConfig::default(), CpuId(3));
         assert_eq!(sys.task(t).state(), TaskState::Runnable);
         assert_eq!(sys.nr_running(CpuId(3)), 1);
-        assert_eq!(sys.stats().spawns, 1);
         sys.validate();
     }
 
+    /// Every task has the one static priority, so the highest-priority
+    /// runnable task is always the one queued first: a CPU runs its
+    /// tasks in FIFO order.
     #[test]
     fn context_switch_runs_highest_priority() {
         let mut sys = system();
-        let lo = sys.spawn(
-            TaskConfig {
-                nice: 5,
-                ..TaskConfig::default()
-            },
-            CpuId(0),
-        );
-        let hi = sys.spawn(
-            TaskConfig {
-                nice: -5,
-                ..TaskConfig::default()
-            },
-            CpuId(0),
-        );
-        let sw = sys.context_switch(CpuId(0));
-        assert_eq!(sw.next, Some(hi));
-        assert_eq!(sys.task(hi).state(), TaskState::Running);
-        assert_eq!(sys.task(lo).state(), TaskState::Runnable);
+        let ids: Vec<_> = (0..3)
+            .map(|_| sys.spawn(TaskConfig::default(), CpuId(0)))
+            .collect();
+        let mut order = Vec::new();
+        while let Some(id) = sys.context_switch(CpuId(0)).next {
+            assert_eq!(sys.task(id).state(), TaskState::Running);
+            sys.validate();
+            order.extend(sys.block_current(CpuId(0)));
+        }
+        assert_eq!(order, ids);
+    }
+
+    /// The active/expired pair decides that a task enqueued on the
+    /// active array — woken, or migrated in — runs before every task
+    /// whose slice already expired, however long those have waited.
+    #[test]
+    fn woken_and_migrated_tasks_run_before_expired_ones() {
+        let mut sys = system();
+        let slice = crate::task::DEFAULT_TIMESLICE;
+        let hogs: Vec<_> = (0..3)
+            .map(|_| sys.spawn(TaskConfig::default(), CpuId(0)))
+            .collect();
+        // Each hog burns its whole slice; the last keeps running.
+        sys.context_switch(CpuId(0));
+        for _ in 0..2 {
+            sys.tick(CpuId(0), slice);
+            sys.context_switch(CpuId(0));
+        }
+        assert_eq!(sys.current(CpuId(0)), Some(hogs[2]));
+        // A task blocks on CPU 1; another waits there.
+        let woken = sys.spawn(TaskConfig::default(), CpuId(1));
+        sys.context_switch(CpuId(1));
+        sys.block_current(CpuId(1));
+        let migrant = sys.spawn(TaskConfig::default(), CpuId(1));
+        sys.wake(woken, Some(CpuId(0)));
+        sys.migrate_queued(migrant, CpuId(0), MigrationReason::LoadBalance)
+            .unwrap();
+        sys.validate();
+        let mut order = Vec::new();
+        for _ in 0..7 {
+            sys.tick(CpuId(0), slice);
+            order.extend(sys.context_switch(CpuId(0)).next);
+        }
+        let expected = [woken, migrant, hogs[0], hogs[1], hogs[2], woken, migrant];
+        assert_eq!(order, expected);
         sys.validate();
     }
 
@@ -864,7 +846,6 @@ mod tests {
         sys.context_switch(CpuId(0));
         assert_eq!(sys.exit_current(CpuId(0)), Some(t));
         assert_eq!(sys.task(t).state(), TaskState::Exited);
-        assert_eq!(sys.stats().exits, 1);
         assert_eq!(sys.context_switch(CpuId(0)).next, None);
         sys.validate();
     }
@@ -880,8 +861,7 @@ mod tests {
         sys.take_queued(queued).unwrap();
         assert_eq!(sys.task(queued).state(), TaskState::Exited);
         assert_eq!(sys.nr_running(CpuId(0)), 1);
-        // A handoff is neither an exit nor a migration.
-        assert_eq!(sys.stats().exits, 0);
+        // A handoff is not a migration.
         assert_eq!(sys.stats().migrations(), 0);
         // Re-taking fails; blocked tasks fail too.
         assert_eq!(sys.take_queued(queued), Err(MigrateError::BadState));
@@ -995,12 +975,50 @@ mod tests {
         assert_eq!(sys.now(), SimTime::from_millis(5));
     }
 
+    /// Snapshots `src`, restores the image into a fresh system, and
+    /// expects the restore to refuse it, naming `what`.
+    fn assert_refused(src: &System, what: &str) {
+        use ebs_store::Snapshot as _;
+        let mut w = ebs_store::StateWriter::new();
+        src.save(&mut w);
+        let image = w.finish();
+        let mut dst = System::new(src.topology().clone());
+        match dst.restore(&mut image.open().expect("a sealed image")) {
+            Err(ebs_store::StoreError::Invalid(msg)) => {
+                assert!(msg.contains(what), "{msg:?} does not name {what:?}")
+            }
+            other => panic!("inconsistent image restored: {other:?}"),
+        }
+    }
+
+    /// A runqueue naming a task the table does not hold is refused at
+    /// restore; unchecked, the next context switch on that CPU indexed
+    /// past the end of the task table.
     #[test]
-    fn last_scheduled_records_dispatch_time() {
+    fn restore_refuses_an_orphan_task_id() {
+        let mut sys = system();
+        sys.spawn(TaskConfig::default(), CpuId(0));
+        sys.tasks.clear();
+        assert_refused(&sys, "cpu0 lists unknown task0");
+    }
+
+    #[test]
+    fn restore_refuses_a_task_queued_on_two_cpus() {
         let mut sys = system();
         let t = sys.spawn(TaskConfig::default(), CpuId(0));
-        sys.set_now(SimTime::from_millis(250));
-        sys.context_switch(CpuId(0));
-        assert_eq!(sys.task(t).last_scheduled(), SimTime::from_millis(250));
+        // Everything but the duplicate entry stays consistent.
+        let profile = sys.task(t).profile().0;
+        sys.rqs[1].enqueue_active(t);
+        sys.rqs[1].credit_profile(profile);
+        sys.agg.apply(CpuId(1), 1);
+        assert_refused(&sys, "task0 on cpu1 but task.cpu() says cpu0");
+    }
+
+    #[test]
+    fn restore_refuses_an_aggregate_off_by_one() {
+        let mut sys = system();
+        sys.spawn(TaskConfig::default(), CpuId(0));
+        sys.agg.apply(CpuId(0), 1);
+        assert_refused(&sys, "aggregate nr_running 2 but 1 runnable");
     }
 }

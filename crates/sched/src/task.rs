@@ -1,7 +1,7 @@
 //! Tasks: the schedulable entities.
 //!
-//! Besides the usual scheduler bookkeeping (state, priority, timeslice),
-//! a task carries the fields the paper adds to Linux's `task_struct`:
+//! Besides the usual scheduler bookkeeping (state, timeslice), a task
+//! carries the fields the paper adds to Linux's `task_struct`:
 //! the *energy profile* — a variable-period exponential average of the
 //! power the task drew while executing (Section 3.3) — and the identity
 //! of the binary it was started from, which keys the initial-placement
@@ -41,48 +41,33 @@ pub enum TaskState {
     Exited,
 }
 
-/// The default timeslice for nice 0, as in Linux 2.6 (100 ms).
+/// The timeslice every task is granted, Linux 2.6's slice for nice 0
+/// (100 ms). Every task runs at that one static priority: the paper's
+/// evaluation workloads are CPU hogs at default priority.
 pub const DEFAULT_TIMESLICE: SimDuration = SimDuration::from_millis(100);
 
-/// Minimum and maximum timeslices (Linux 2.6: 5 ms and 200 ms).
-const MIN_TIMESLICE_MS: i64 = 5;
-const MAX_TIMESLICE_MS: i64 = 200;
-
-/// The timeslice granted to a task of the given nice value, following
-/// the Linux 2.6 linear scale: nice -20 gets 200 ms, nice 0 gets
-/// 100 ms, nice 19 gets 5 ms.
-pub fn timeslice_for_nice(nice: i32) -> SimDuration {
-    let nice = nice.clamp(-20, 19) as i64;
-    // Linear interpolation through (−20, 200 ms) and (19, 5 ms).
-    let ms = MAX_TIMESLICE_MS + (nice + 20) * (MIN_TIMESLICE_MS - MAX_TIMESLICE_MS) / 39;
-    SimDuration::from_millis(ms as u64)
-}
+/// Standard weight of a task profile's exponential average for one
+/// standard timeslice. The paper leaves the constant unspecified;
+/// 0.25 makes a phase change dominate the profile after ~5 slices,
+/// slow enough to ride out momentary spikes (Section 3.3).
+pub const PROFILE_WEIGHT: f64 = 0.25;
 
 /// Parameters for spawning a task.
 #[derive(Clone, Copy, Debug)]
 pub struct TaskConfig {
-    /// Nice value in `[-20, 19]`; determines priority and timeslice.
-    pub nice: i32,
     /// The binary the task executes, for the placement table.
     pub binary: BinaryId,
     /// Initial energy-profile estimate. The paper seeds this from the
     /// per-binary hash table, falling back to a default for binaries
     /// never seen before.
     pub initial_profile: Watts,
-    /// Standard weight of the profile's exponential average for one
-    /// standard timeslice. The paper leaves the constant unspecified;
-    /// 0.25 makes a phase change dominate the profile after ~5 slices,
-    /// slow enough to ride out momentary spikes (Section 3.3).
-    pub profile_weight: f64,
 }
 
 impl Default for TaskConfig {
     fn default() -> Self {
         TaskConfig {
-            nice: 0,
             binary: BinaryId(0),
             initial_profile: Watts(30.0),
-            profile_weight: 0.25,
         }
     }
 }
@@ -91,7 +76,7 @@ impl Default for TaskConfig {
 #[derive(Clone, Debug)]
 pub struct Task {
     id: TaskId,
-    config: TaskConfig,
+    binary: BinaryId,
     state: TaskState,
     /// The CPU whose runqueue the task is (or was last) associated with.
     cpu: CpuId,
@@ -99,8 +84,6 @@ pub struct Task {
     timeslice: SimDuration,
     /// Energy profile: expected power while executing (Section 3.3).
     profile: PowerAverage,
-    /// When the task last started executing on its CPU.
-    last_scheduled: SimTime,
     /// Most recent migration: time and whether it crossed a node
     /// boundary. Consumed by the cache-warmth model.
     last_migration: Option<(SimTime, bool)>,
@@ -117,20 +100,15 @@ impl Task {
     pub(crate) fn new(id: TaskId, config: TaskConfig, cpu: CpuId) -> Self {
         Task {
             id,
+            binary: config.binary,
             state: TaskState::Runnable,
             cpu,
-            timeslice: timeslice_for_nice(config.nice),
-            profile: PowerAverage::new(
-                config.initial_profile,
-                DEFAULT_TIMESLICE,
-                config.profile_weight,
-            ),
-            last_scheduled: SimTime::ZERO,
+            timeslice: DEFAULT_TIMESLICE,
+            profile: PowerAverage::new(config.initial_profile, DEFAULT_TIMESLICE, PROFILE_WEIGHT),
             last_migration: None,
             last_migration_reason: None,
             migrations: 0,
             cpu_time: SimDuration::ZERO,
-            config,
         }
     }
 
@@ -139,14 +117,9 @@ impl Task {
         self.id
     }
 
-    /// The spawn-time configuration.
-    pub fn config(&self) -> &TaskConfig {
-        &self.config
-    }
-
     /// The binary this task runs.
     pub fn binary(&self) -> BinaryId {
-        self.config.binary
+        self.binary
     }
 
     /// Current lifecycle state.
@@ -165,11 +138,6 @@ impl Task {
 
     pub(crate) fn set_cpu(&mut self, cpu: CpuId) {
         self.cpu = cpu;
-    }
-
-    /// Static priority array index in `[0, 40)` (nice + 20).
-    pub fn prio_index(&self) -> usize {
-        (self.config.nice.clamp(-20, 19) + 20) as usize
     }
 
     /// Remaining timeslice.
@@ -191,7 +159,7 @@ impl Task {
 
     /// Grants a fresh timeslice (on expiry).
     pub(crate) fn refresh_timeslice(&mut self) {
-        self.timeslice = timeslice_for_nice(self.config.nice);
+        self.timeslice = DEFAULT_TIMESLICE;
     }
 
     /// The current energy profile: the power this task is expected to
@@ -211,15 +179,6 @@ impl Task {
     /// table.
     pub fn reset_profile(&mut self, power: Watts) {
         self.profile.reset(power);
-    }
-
-    /// When the task last started executing.
-    pub fn last_scheduled(&self) -> SimTime {
-        self.last_scheduled
-    }
-
-    pub(crate) fn set_last_scheduled(&mut self, t: SimTime) {
-        self.last_scheduled = t;
     }
 
     /// The most recent migration (time, crossed-node flag), if any.
@@ -294,25 +253,22 @@ fn reason_from_code(code: u8) -> Result<MigrationReason, ebs_store::StoreError> 
 }
 
 impl Task {
-    /// Rebuilds a task from its snapshot section — the spawn-time
-    /// config travels with the mutable state, so restore needs no
-    /// other context.
+    /// Rebuilds a task from its snapshot section — the binary travels
+    /// with the mutable state, so restore needs no other context.
     pub(crate) fn from_snapshot(
         r: &mut ebs_store::StateReader<'_>,
     ) -> Result<Self, ebs_store::StoreError> {
         let id = TaskId(r.u64()?);
         let config = TaskConfig {
-            nice: r.i64()? as i32,
             binary: BinaryId(r.u64()?),
-            initial_profile: r.watts()?,
-            profile_weight: r.f64()?,
+            ..TaskConfig::default()
         };
         let cpu = CpuId(r.usize()?);
         let mut task = Task::new(id, config, cpu);
         task.state = state_from_code(r.u8()?)?;
         task.timeslice = r.duration()?;
+        // Overwrites the default initial profile.
         task.profile.restore(r)?;
-        task.last_scheduled = r.time()?;
         task.last_migration = r.opt(|r| Ok((r.time()?, r.bool()?)))?;
         task.last_migration_reason = r.opt(|r| {
             let code = r.u8()?;
@@ -327,15 +283,11 @@ impl Task {
 impl ebs_store::Snapshot for Task {
     fn save(&self, w: &mut ebs_store::StateWriter) {
         w.u64(self.id.0);
-        w.i64(i64::from(self.config.nice));
-        w.u64(self.config.binary.0);
-        w.watts(self.config.initial_profile);
-        w.f64(self.config.profile_weight);
+        w.u64(self.binary.0);
         w.usize(self.cpu.0);
         w.u8(state_code(self.state));
         w.duration(self.timeslice);
         self.profile.save(w);
-        w.time(self.last_scheduled);
         w.opt(&self.last_migration, |w, &(t, cross)| {
             w.time(t);
             w.bool(cross);
@@ -357,26 +309,6 @@ impl ebs_store::Snapshot for Task {
 mod tests {
     use super::*;
 
-    #[test]
-    fn timeslice_scale_matches_linux_26() {
-        assert_eq!(timeslice_for_nice(0), SimDuration::from_millis(100));
-        assert_eq!(timeslice_for_nice(-20), SimDuration::from_millis(200));
-        assert_eq!(timeslice_for_nice(19), SimDuration::from_millis(5));
-        // Clamped outside the valid range.
-        assert_eq!(timeslice_for_nice(-100), SimDuration::from_millis(200));
-        assert_eq!(timeslice_for_nice(100), SimDuration::from_millis(5));
-    }
-
-    #[test]
-    fn timeslice_is_monotone_in_priority() {
-        let mut last = timeslice_for_nice(-20);
-        for nice in -19..=19 {
-            let ts = timeslice_for_nice(nice);
-            assert!(ts <= last, "timeslice grew at nice {nice}");
-            last = ts;
-        }
-    }
-
     fn task() -> Task {
         Task::new(TaskId(1), TaskConfig::default(), CpuId(0))
     }
@@ -388,7 +320,6 @@ mod tests {
         assert_eq!(t.timeslice(), DEFAULT_TIMESLICE);
         assert_eq!(t.profile(), Watts(30.0));
         assert_eq!(t.migrations(), 0);
-        assert_eq!(t.prio_index(), 20);
     }
 
     #[test]
@@ -425,21 +356,5 @@ mod tests {
         assert_eq!(t.last_migration(), Some((SimTime::from_secs(3), true)));
         assert_eq!(t.last_migration_reason(), Some(MigrationReason::HotTask));
         assert_eq!(t.migrations(), 1);
-    }
-
-    #[test]
-    fn prio_index_spans_array() {
-        let mk = |nice| {
-            Task::new(
-                TaskId(0),
-                TaskConfig {
-                    nice,
-                    ..TaskConfig::default()
-                },
-                CpuId(0),
-            )
-        };
-        assert_eq!(mk(-20).prio_index(), 0);
-        assert_eq!(mk(19).prio_index(), 39);
     }
 }

@@ -593,10 +593,8 @@ impl Simulation {
         .unwrap_or(CpuId(0));
         let id = self.sys.spawn(
             TaskConfig {
-                nice: 0,
                 binary,
                 initial_profile: profile,
-                profile_weight: 0.25,
             },
             cpu,
         );

@@ -157,19 +157,19 @@ fn shape_mismatch_is_rejected() {
 /// the standard fork entry point, never restored.
 #[test]
 fn other_format_versions_are_refused() {
-    assert_eq!(ebs_store::FORMAT_VERSION, 7);
+    assert_eq!(ebs_store::FORMAT_VERSION, 8);
     let cfg = open_cfg(1, 2, 7);
     let mut warm = Simulation::new(cfg.clone());
     warm.run_for(SimDuration::from_secs(2));
     let mut bytes = warm.snapshot().as_bytes().to_vec();
-    bytes[4..8].copy_from_slice(&6u32.to_le_bytes());
+    bytes[4..8].copy_from_slice(&7u32.to_le_bytes());
     let old = ebs_store::StateImage::from_bytes(bytes);
-    assert_eq!(old.version(), 6);
+    assert_eq!(old.version(), 7);
     assert!(matches!(
         Simulation::from_snapshot(cfg, &old),
         Err(ebs_store::StoreError::Version {
-            found: 6,
-            expected: 7
+            found: 7,
+            expected: 8
         })
     ));
 }

@@ -55,7 +55,12 @@ pub const MAGIC: [u8; 4] = *b"EBSS";
 ///   longer saved, so a fork runs under its own config's budget.
 /// - **v7** — counter banks no longer save a read count (nothing read
 ///   it), 8 bytes fewer per logical CPU.
-pub const FORMAT_VERSION: u32 = 7;
+/// - **v8** — one static priority: each runqueue array is one id list
+///   instead of 40 per-priority lists (640 bytes fewer per logical
+///   CPU); task records drop the nice value, initial profile, profile
+///   weight and last dispatch time (32 bytes fewer per task ever
+///   spawned); scheduler statistics drop the spawn and exit counts.
+pub const FORMAT_VERSION: u32 = 8;
 
 /// A restore failure. Every variant names enough context to locate
 /// the divergence in the byte stream.

@@ -146,9 +146,13 @@ impl Topology {
             cpus,
             domains: Vec::new(),
         };
+        // Every core's top level groups the same per-node listings, so
+        // each node's CPUs are listed once, not once per core.
+        let node_cpus: Vec<Vec<CpuId>> =
+            (0..n_nodes).map(|n| topo.cpus_of_node(NodeId(n))).collect();
         // Thread 0 of core `g` is CPU `g`.
         let stacks: Vec<Arc<[SchedDomain]>> = (0..n_cores)
-            .map(|g| topo.build_domains(CpuId(g)).into())
+            .map(|g| topo.build_domains(CpuId(g), &node_cpus).into())
             .collect();
         topo.domains = topo
             .cpus
@@ -355,7 +359,9 @@ impl Topology {
         &self.domains[cpu.0]
     }
 
-    fn build_domains(&self, cpu: CpuId) -> Vec<SchedDomain> {
+    /// The domain stack of `cpu`; `node_cpus` lists each node's CPUs,
+    /// in node order.
+    fn build_domains(&self, cpu: CpuId, node_cpus: &[Vec<CpuId>]) -> Vec<SchedDomain> {
         // Every group is tagged with the hardware unit it spans, so the
         // incremental aggregate tree can map groups to per-unit sums in
         // O(1) (see `GroupUnit`).
@@ -409,10 +415,10 @@ impl Topology {
         }
         // Top level: groups are the nodes.
         if self.n_nodes > 1 {
-            let groups = (0..self.n_nodes)
-                .map(|n| {
-                    CpuGroup::with_unit(self.cpus_of_node(NodeId(n)), GroupUnit::Node(NodeId(n)))
-                })
+            let groups = node_cpus
+                .iter()
+                .enumerate()
+                .map(|(n, cpus)| CpuGroup::with_unit(cpus.clone(), GroupUnit::Node(NodeId(n))))
                 .collect();
             out.push(SchedDomain::new(
                 DomainLevel::Top,
@@ -643,12 +649,13 @@ mod tests {
     fn generated_groups_are_unit_tagged() {
         // Every group of a generated hierarchy names the hardware unit
         // it spans, and the tag's CPU listing is exactly the group's.
-        for topo in [
-            Topology::xseries445(true),
-            Topology::xseries445(false),
-            Topology::build_cmp(2, 2, 2, 2),
-            Topology::build(1, 1, 1),
-        ] {
+        // A node's reference listing filters every CPU.
+        let presets = crate::TopologyPreset::all()
+            .into_iter()
+            .chain(crate::TopologyPreset::hybrids())
+            .chain([crate::TopologyPreset::XSeries445 { smt: true }])
+            .map(crate::TopologyPreset::build);
+        for topo in presets.chain([Topology::build_cmp(2, 2, 2, 2), Topology::build(1, 1, 1)]) {
             for cpu in topo.cpu_ids() {
                 for d in topo.domains(cpu) {
                     for g in d.groups() {
@@ -657,7 +664,9 @@ mod tests {
                             GroupUnit::Cpu(c) => vec![c],
                             GroupUnit::Core(c) => topo.cpus_of_core(c).collect(),
                             GroupUnit::Package(p) => topo.cpus_of_package(p).collect(),
-                            GroupUnit::Node(n) => topo.cpus_of_node(n),
+                            GroupUnit::Node(n) => {
+                                topo.cpu_ids().filter(|&c| topo.node_of(c) == n).collect()
+                            }
                         };
                         assert_eq!(g.cpus(), cpus.as_slice(), "{:?} mistagged", d.level());
                     }
