@@ -10,28 +10,30 @@
 //! warm-up-amortized matrix (per-cell warm-ups vs one shared warm-up
 //! per topology×curve group, forked from its `ebs-store` checkpoint),
 //! verifies they are byte-identical cell for cell, and writes
-//! `results/scaling_fork.csv`, `results/scaling_straight.csv`,
-//! `results/scaling_fork_hashes.csv` (the state-hash oracle the gate
-//! consumes), and one `results/*.snap` checkpoint per group (replay
-//! them with `exp_trace_diff --from-snapshot`). Exits non-zero when
-//! the legs diverge.
+//! `results/scaling_fork.csv`, `results/scaling_straight.csv`, and one
+//! `results/*.snap` checkpoint per group (replay them with
+//! `exp_trace_diff --from-snapshot`). Exits non-zero when the legs
+//! diverge, naming every cell whose end-state hash differs. The fork
+//! sweep runs on the strided core only, so `--fork` refuses `--fixed`.
 
 use ebs_bench::Cli;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args = Cli::switches(&["--smoke", "--quick", "--fixed", "--fork"]).args();
+    let cli = Cli::switches(&["--smoke", "--quick", "--fixed", "--fork"]);
+    let args = cli.args();
     let smoke = ebs_bench::reduced(&args);
     let fixed = args.flag("--fixed");
     let fork = args.flag("--fork");
+    if fork && fixed {
+        cli.fail("--fixed does not apply to --fork (the fork sweep runs on the strided core)");
+    }
     if fork {
         let cmp = ebs_bench::experiments::scaling::run_fork_compare(smoke);
         ebs_bench::write_artifact("scaling_fork.csv", &cmp.forked.sweep.to_csv())
             .expect("fork csv");
         ebs_bench::write_artifact("scaling_straight.csv", &cmp.straight.sweep.to_csv())
             .expect("straight csv");
-        ebs_bench::write_artifact("scaling_fork_hashes.csv", &cmp.hashes_csv())
-            .expect("hashes csv");
         for (key, image) in &cmp.snapshots {
             let name = format!("{}.snap", key.replace('/', "-"));
             image

@@ -15,7 +15,7 @@
 //!
 //! With `--from-snapshot <path>` the cell is forked twice from the
 //! named `exp_scaling --fork` checkpoint and the two forks are
-//! diffed — the bisection mode for a failed state-hash gate. The exit
+//! diffed — the bisection mode for a fork-sweep divergence. The exit
 //! status is 1 unless both forks agree on every event and on the
 //! end-state hash; `--seed-b` exits 0 whatever it finds, since its
 //! divergence is expected.

@@ -14,7 +14,6 @@
 //! partitioned core's synchronizer profile (route, step, rebalance per
 //! horizon).
 
-use crate::experiments::scaling;
 use crate::fmt::Table;
 use ebs_dvfs::GovernorKind;
 use ebs_sim::{build_engine, MaxPowerSpec, ParallelSimulation, SimConfig, Simulation};
@@ -32,8 +31,8 @@ pub struct EngineBenchRow {
     /// Logical CPUs of the shape.
     pub cpus: usize,
     /// Engine mode: "fixed" (one-tick stride cap), "strided", or
-    /// "parN" (the partitioned core built with `parallel(N)`: one
-    /// whole-machine partition for N = 1, one per package otherwise).
+    /// "par4" (the partitioned core built with `parallel(4)`: one
+    /// partition per package).
     pub mode: &'static str,
     /// DVFS mode of the cell: "off" or "event" (thermal-aware
     /// governors on hold-band triggers).
@@ -52,30 +51,6 @@ pub struct EngineBenchRow {
     pub dvfs_decisions: u64,
     /// Instructions retired (sanity: all modes must agree closely).
     pub instructions: u64,
-}
-
-/// The tracing-parity measurement: one strided event-DVFS cell run
-/// bare and again with the observability stack on (event trace +
-/// phase profiler). The check is counter-based by design — the two
-/// reports must be bit-identical, which subsumes every counter — so
-/// CI wall-clock noise cannot perturb it; the wall times are recorded
-/// for the table but never asserted on.
-#[derive(Clone, Debug)]
-pub struct TraceParity {
-    /// Topology of the parity cell.
-    pub topology: &'static str,
-    /// Whether the bare and instrumented reports are bit-identical.
-    pub identical: bool,
-    /// Engine steps of the instrumented run.
-    pub steps: u64,
-    /// Scheduling events the instrumented run recorded.
-    pub events: usize,
-    /// Rendered per-phase wall-time profile of the instrumented run.
-    pub profile: String,
-    /// Wall seconds of the bare run (informational).
-    pub bare_wall_s: f64,
-    /// Wall seconds of the instrumented run (informational).
-    pub traced_wall_s: f64,
 }
 
 /// One numa64 cell run again with `profile_engine` on. On the
@@ -97,48 +72,15 @@ pub struct ProfiledRun {
     pub wall_s: f64,
 }
 
-/// The fork-sweep amortization measurement: the scaling matrix run
-/// straight (one warm-up per cell) vs forked from per-group
-/// `ebs-store` checkpoints (one warm-up per topology×curve group).
-/// The headline is the executed-step ratio — counter-verified warm-up
-/// amortization, free of wall-clock noise — with the wall speedup
-/// recorded for the table but never asserted on. `identical` holds
-/// both equality oracles: CSV bytes and per-cell end-state hashes.
-#[derive(Clone, Debug)]
-pub struct ForkSweep {
-    /// Matrix cells measured by each leg.
-    pub cells: usize,
-    /// Topology×curve groups (= warm-ups the forked leg runs).
-    pub groups: usize,
-    /// Engine steps the straight leg executed (warm-ups included).
-    pub straight_steps: u64,
-    /// Engine steps the forked leg executed.
-    pub fork_steps: u64,
-    /// straight/forked executed-step ratio.
-    pub step_ratio: f64,
-    /// Wall seconds of the straight leg (informational).
-    pub straight_wall_s: f64,
-    /// Wall seconds of the forked leg (informational).
-    pub fork_wall_s: f64,
-    /// Wall-clock speedup of the forked leg (informational).
-    pub speedup: f64,
-    /// Whether the legs are byte-identical (CSV and state hashes).
-    pub identical: bool,
-}
-
 /// The benchmark result.
 #[derive(Clone, Debug)]
 pub struct EngineBench {
     /// Rows in (topology, mode) order, fixed before strided.
     pub rows: Vec<EngineBenchRow>,
-    /// The tracing-overhead / self-profiling measurement.
-    pub parity: TraceParity,
     /// The sequential core's engine phase profile (numa64 `strided`).
     pub phases: ProfiledRun,
     /// The partitioned core's synchronizer profile (numa64 `par4`).
     pub sync: ProfiledRun,
-    /// The checkpoint/fork warm-up-amortization measurement.
-    pub fork: ForkSweep,
 }
 
 fn cell(preset: TopologyPreset, strided: bool, dvfs: &str) -> SimConfig {
@@ -174,14 +116,12 @@ fn cell(preset: TopologyPreset, strided: bool, dvfs: &str) -> SimConfig {
 
 /// The (engine mode, DVFS mode, workers) matrix: the classic
 /// fixed-vs-strided pair without DVFS, a strided DVFS cell, and the
-/// partitioned core's worker ladder ("par1" must reproduce "strided"
-/// bit-exactly; "par4" exercises per-package partitions).
+/// partitioned core with one partition per package ("par4").
 /// `workers == 0` selects the sequential engine.
-const MODES: [(&str, bool, &str, usize); 5] = [
+const MODES: [(&str, bool, &str, usize); 4] = [
     ("fixed", false, "off", 0),
     ("strided", true, "off", 0),
     ("strided", true, "event", 0),
-    ("par1", true, "off", 1),
     ("par4", true, "off", 4),
 ];
 
@@ -208,17 +148,9 @@ pub fn run(quick: bool) -> EngineBench {
             rows.push(measure(preset, mode, dvfs, quick));
         }
     }
-    let parity = trace_parity(duration(quick));
     let phases = phase_profile(duration(quick));
     let sync = sync_profile(duration(quick));
-    let fork = fork_sweep(quick);
-    EngineBench {
-        rows,
-        parity,
-        phases,
-        sync,
-        fork,
-    }
+    EngineBench { rows, phases, sync }
 }
 
 /// Measures one cell of the matrix: `preset` in the engine mode `mode`
@@ -256,52 +188,6 @@ pub fn measure(preset: TopologyPreset, mode: &str, dvfs: &str, quick: bool) -> E
         mean_stride_us: sim_s * 1e6 / report.engine_steps.max(1) as f64,
         dvfs_decisions: report.dvfs_decisions,
         instructions: report.instructions_retired,
-    }
-}
-
-/// Runs both legs of the scaling fork sweep (the smoke matrix under
-/// `quick`) and distils the amortization numbers.
-fn fork_sweep(quick: bool) -> ForkSweep {
-    let cmp = scaling::run_fork_compare(quick);
-    ForkSweep {
-        cells: cmp.straight.sweep.rows.len(),
-        groups: cmp.snapshots.len(),
-        straight_steps: cmp.straight.executed_steps,
-        fork_steps: cmp.forked.executed_steps,
-        step_ratio: cmp.step_ratio(),
-        straight_wall_s: cmp.straight.sweep.wall_s,
-        fork_wall_s: cmp.forked.sweep.wall_s,
-        speedup: cmp.speedup(),
-        identical: cmp.identical(),
-    }
-}
-
-/// Runs the parity cell: the strided event-DVFS xseries445 shape,
-/// bare vs instrumented (event tracing + engine self-profiling).
-fn trace_parity(duration: SimDuration) -> TraceParity {
-    let preset = TopologyPreset::XSeries445 { smt: false };
-    let cfg = cell(preset, true, "event");
-    let start = Instant::now();
-    let mut bare = Simulation::new(cfg.clone());
-    bare.run_for(duration);
-    let bare_wall_s = start.elapsed().as_secs_f64();
-    let bare_report = bare.report();
-    let start = Instant::now();
-    let mut traced = Simulation::new(cfg.trace_events(true).profile_engine(true));
-    traced.run_for(duration);
-    let traced_wall_s = start.elapsed().as_secs_f64();
-    let traced_report = traced.report();
-    TraceParity {
-        topology: preset.name(),
-        identical: bare_report.bit_eq(&traced_report),
-        steps: traced_report.engine_steps,
-        events: traced.events().map_or(0, |t| t.len()),
-        profile: traced
-            .engine_profile()
-            .map(|p| p.to_string())
-            .unwrap_or_default(),
-        bare_wall_s,
-        traced_wall_s,
     }
 }
 
@@ -357,8 +243,8 @@ impl EngineBench {
         )
     }
 
-    /// Simulated-seconds-per-wall-second ratio of a partitioned mode
-    /// ("par1"/"par4") over strided for one topology (DVFS off) — the
+    /// Simulated-seconds-per-wall-second ratio of the partitioned mode
+    /// ("par4") over strided for one topology (DVFS off) — the
     /// partitioned-core speedup gate. Both run on one thread, so the
     /// ratio measures per-package calendars against the whole-machine
     /// calendar.
@@ -429,28 +315,6 @@ impl core::fmt::Display for EngineBench {
         write!(f, "{t}")?;
         writeln!(
             f,
-            "\nEngine self-profile ({} strided event-DVFS cell, event tracing + \
-             phase profiler on):",
-            self.parity.topology
-        )?;
-        write!(f, "{}", self.parity.profile)?;
-        writeln!(
-            f,
-            "trace parity: reports {} with tracing on; {} events recorded, \
-             {} engine steps; wall {:.3}s bare vs {:.3}s traced \
-             (informational)",
-            if self.parity.identical {
-                "bit-identical"
-            } else {
-                "DIVERGED"
-            },
-            self.parity.events,
-            self.parity.steps,
-            self.parity.bare_wall_s,
-            self.parity.traced_wall_s,
-        )?;
-        writeln!(
-            f,
             "\nEngine phase profile ({} strided, profile_engine on; {} engine \
              steps, wall {:.3}s, informational):",
             self.phases.topology, self.phases.steps, self.phases.wall_s,
@@ -462,27 +326,7 @@ impl core::fmt::Display for EngineBench {
              steps, wall {:.3}s, informational):",
             self.sync.topology, self.sync.steps, self.sync.wall_s,
         )?;
-        write!(f, "{}", self.sync.profile)?;
-        writeln!(
-            f,
-            "
-Fork sweep ({} cells, {} warm-up groups): {:.2}x fewer engine steps \
-             with shared warm-ups ({} -> {}), {:.2}x wall speedup \
-             ({:.1}s -> {:.1}s, informational); legs {}",
-            self.fork.cells,
-            self.fork.groups,
-            self.fork.step_ratio,
-            self.fork.straight_steps,
-            self.fork.fork_steps,
-            self.fork.speedup,
-            self.fork.straight_wall_s,
-            self.fork.fork_wall_s,
-            if self.fork.identical {
-                "byte-identical"
-            } else {
-                "DIVERGED"
-            },
-        )
+        write!(f, "{}", self.sync.profile)
     }
 }
 
@@ -493,9 +337,8 @@ mod tests {
     #[test]
     fn quick_bench_runs_and_modes_agree_on_work() {
         let bench = run(true);
-        // 2 presets × (fixed/off, strided/off, strided/event,
-        // par1/off, par4/off).
-        assert_eq!(bench.rows.len(), 10);
+        // 2 presets × (fixed/off, strided/off, strided/event, par4/off).
+        assert_eq!(bench.rows.len(), 8);
         for topo in ["xseries445", "numa16"] {
             // Every comparison below is counter-based (steps retired,
             // instructions, decisions): single-core CI containers make
@@ -515,14 +358,6 @@ mod tests {
             // The DVFS cell's governors actually decide.
             let event = bench.cell(topo, "strided", "event").unwrap();
             assert!(event.dvfs_decisions > 0, "{topo}: no governor decisions");
-            // The partitioned core with one worker is the strided core
-            // verbatim: counters match exactly, not just closely.
-            let par1 = bench.cell(topo, "par1", "off").unwrap();
-            assert_eq!(par1.steps, strided.steps, "{topo}: par1 steps diverged");
-            assert_eq!(
-                par1.instructions, strided.instructions,
-                "{topo}: par1 work diverged"
-            );
             // Per-package partitions discretise cross-package policy at
             // horizon boundaries; the retired work must still agree.
             let par4 = bench.cell(topo, "par4", "off").unwrap();
@@ -531,48 +366,7 @@ mod tests {
                 / strided.instructions as f64;
             assert!(rel < 0.03, "{topo}: par4 work drifted {rel}");
         }
-        let csv = bench.to_csv();
-        assert_eq!(csv.lines().count(), 11);
-        // The observability stack must not perturb the simulation:
-        // bit-identical reports subsume every counter comparison, and
-        // the phase profile covers the whole loop. All counter-based —
-        // no wall-clock assertions.
-        let parity = &bench.parity;
-        assert!(parity.identical, "tracing perturbed the report");
-        assert!(parity.events > 0, "no events recorded");
-        for phase in [
-            "stride",
-            "arrivals",
-            "physics",
-            "throttle",
-            "dvfs",
-            "scheduler",
-            "sampling",
-        ] {
-            assert!(
-                parity.profile.contains(phase),
-                "phase {phase} missing from profile:\n{}",
-                parity.profile
-            );
-        }
-        // The fork sweep: warm-up amortization must be counter-real
-        // (theoretical shared-warm-up ceiling on a 4-policy matrix with
-        // W = M is 8/5 = 1.6x; the realised step ratio sits near 1.5x
-        // because warm-up and measurement spans retire slightly
-        // different step counts) and the legs must be byte-identical.
-        // Wall columns are informational only — never asserted.
-        let fork = &bench.fork;
-        assert!(fork.identical, "fork-sweep legs diverged");
-        assert_eq!(fork.cells, 24);
-        assert_eq!(fork.groups, 6);
-        assert!(
-            fork.step_ratio >= 1.4,
-            "warm-up amortization collapsed: {:.2}x ({} -> {} steps)",
-            fork.step_ratio,
-            fork.straight_steps,
-            fork.fork_steps
-        );
-        assert!(bench.to_string().contains("bit-identical"));
+        assert_eq!(bench.to_csv().lines().count(), 9);
         // The 256-CPU phase profile: every phase runs once per step
         // (throttling is on in the cell). Counts only.
         let rows = bench.phases.profile.rows();

@@ -1,7 +1,6 @@
 //! One module per reproduced table or figure.
 
 pub mod ablation;
-pub mod balance_bench;
 pub mod dvfs;
 pub mod engine_bench;
 pub mod fig10;

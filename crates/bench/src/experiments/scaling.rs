@@ -566,13 +566,16 @@ impl ForkCompare {
         self.csv_identical && self.hashes_identical
     }
 
-    /// Renders the per-cell hash table as CSV (`key,straight,fork`).
-    pub fn hashes_csv(&self) -> String {
-        let mut out = String::from("cell,straight_hash,fork_hash\n");
-        for ((key, s), (_, f)) in self.straight.hashes.iter().zip(&self.forked.hashes) {
-            out.push_str(&format!("{key},{s:016x},{f:016x}\n"));
-        }
-        out
+    /// The cells whose end-state hash differs between the legs, keyed
+    /// `topology/curve/policy`, in sweep order.
+    pub fn diverged_cells(&self) -> Vec<&str> {
+        self.straight
+            .hashes
+            .iter()
+            .zip(&self.forked.hashes)
+            .filter(|(s, f)| s != f)
+            .map(|((key, _), _)| key.as_str())
+            .collect()
     }
 }
 
@@ -636,7 +639,11 @@ impl core::fmt::Display for ForkCompare {
             } else {
                 "DIVERGED"
             }
-        )
+        )?;
+        for cell in self.diverged_cells() {
+            writeln!(f, "  diverged: {cell}")?;
+        }
+        Ok(())
     }
 }
 
@@ -731,6 +738,28 @@ mod tests {
             }
         }
         assert_eq!(flattened, sweep.len());
+    }
+
+    #[test]
+    fn smoke_fork_legs_agree_and_amortize() {
+        // Warm-up amortization must be counter-real (theoretical
+        // shared-warm-up ceiling on a 4-policy matrix with W = M is
+        // 8/5 = 1.6x; the realised step ratio sits near 1.5x because
+        // warm-up and measurement spans retire slightly different step
+        // counts) and the legs must be byte-identical. Wall columns
+        // are informational only — never asserted.
+        let cmp = run_fork_compare(true);
+        assert!(cmp.identical(), "fork-sweep legs diverged");
+        assert!(cmp.diverged_cells().is_empty());
+        assert_eq!(cmp.straight.sweep.rows.len(), 24);
+        assert_eq!(cmp.snapshots.len(), 6);
+        assert!(
+            cmp.step_ratio() >= 1.4,
+            "warm-up amortization collapsed: {:.2}x ({} -> {} steps)",
+            cmp.step_ratio(),
+            cmp.straight.executed_steps,
+            cmp.forked.executed_steps
+        );
     }
 
     #[test]

@@ -232,50 +232,6 @@ pub fn compare(strided: &[GateRow], fixed: &[GateRow]) -> Result<GateResult, Str
     })
 }
 
-/// The state-hash gate over a `scaling_fork_hashes.csv` artifact
-/// (`cell,straight_hash,fork_hash` rows from `exp_scaling --fork`):
-/// every cell's end-of-measurement state hash must match between the
-/// per-cell-warm-up leg and the forked leg **exactly**. The hash
-/// covers every serialized engine field, so this catches drift the
-/// CSV tolerances — and the ≥20-completion percentile gating — miss;
-/// a zero-completion cell has a state hash like any other.
-///
-/// Returns `(cells checked, mismatched cell keys)`.
-///
-/// # Errors
-///
-/// Returns a message when the artifact is unreadable or malformed.
-pub fn hash_gate(path: &str) -> Result<(usize, Vec<String>), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut cells = 0;
-    let mut mismatched = Vec::new();
-    for (i, line) in text.lines().enumerate().skip(1) {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split(',').collect();
-        if fields.len() != 3 {
-            return Err(format!(
-                "line {}: expected 3 fields, got {}",
-                i + 1,
-                fields.len()
-            ));
-        }
-        let hash = |idx: usize| -> Result<u64, String> {
-            u64::from_str_radix(fields[idx].trim(), 16)
-                .map_err(|e| format!("line {}: field {}: {e}", i + 1, idx + 1))
-        };
-        cells += 1;
-        if hash(1)? != hash(2)? {
-            mismatched.push(fields[0].to_string());
-        }
-    }
-    if cells == 0 {
-        return Err(format!("{path} holds no hash rows"));
-    }
-    Ok((cells, mismatched))
-}
-
 /// Runs the gate over two artifact files.
 ///
 /// # Errors

@@ -8,9 +8,9 @@
 //!   seed-driven arrival.
 //! - [`from_snapshot`]: replays a `results/*.snap` checkpoint
 //!   (written by `exp_scaling --fork`) twice under one cell's config
-//!   and diffs the forks — the bisection mode for a failed state-hash
-//!   gate, confirming (or localising) fork determinism from the exact
-//!   checkpoint CI used.
+//!   and diffs the forks — the bisection mode for a fork-sweep
+//!   divergence, confirming (or localising) fork determinism from the
+//!   exact checkpoint CI used.
 
 use crate::experiments::scaling;
 use ebs_sim::{stride_divergence, SimEngine, Simulation};
@@ -77,7 +77,7 @@ pub fn seeds(key: &str, seed_b: u64) -> Result<TraceDiff, String> {
 /// cell config with event tracing on and diffs the two forks.
 ///
 /// Identical event streams *and* equal end-state hashes mean the fork
-/// is deterministic from that checkpoint — a state-hash gate failure
+/// is deterministic from that checkpoint — a fork-sweep divergence
 /// then points at the straight leg, not the fork machinery. A
 /// divergent event localises nondeterminism to its first observable
 /// effect; matching streams with differing hashes push the hunt

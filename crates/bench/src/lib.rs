@@ -7,7 +7,8 @@
 //! complete evaluation. Absolute numbers differ from the paper (the
 //! substrate is a simulator, not an xSeries 445), but the shapes —
 //! who wins, by roughly what factor, where the crossovers fall — are
-//! the reproduction targets; see `EXPERIMENTS.md`.
+//! the reproduction targets; see the README's "Running the paper
+//! experiments" section.
 
 pub mod cli;
 pub mod experiments;

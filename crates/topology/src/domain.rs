@@ -2,6 +2,7 @@
 
 use crate::ids::{CoreId, CpuId, NodeId, PackageId};
 use ebs_units::SimDuration;
+use std::sync::Arc;
 
 /// The level of a domain in the hierarchy, bottom-up.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -117,12 +118,14 @@ impl CpuGroup {
     }
 }
 
-/// One scheduler domain: a span of CPUs partitioned into groups.
+/// One scheduler domain: a span of CPUs partitioned into groups. A
+/// clone shares the group list, so every CPU whose stack holds the same
+/// unit's domain holds one list.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SchedDomain {
     level: DomainLevel,
     flags: DomainFlags,
-    groups: Vec<CpuGroup>,
+    groups: Arc<[CpuGroup]>,
 }
 
 impl SchedDomain {
@@ -133,8 +136,7 @@ impl SchedDomain {
     /// Panics if there are no groups or a CPU appears in two groups.
     pub fn new(level: DomainLevel, flags: DomainFlags, groups: Vec<CpuGroup>) -> Self {
         assert!(!groups.is_empty(), "domain must have at least one group");
-        // One bit per CPU id keeps the check linear in the span: a
-        // 256-CPU machine builds 128 top-level domains of 256 CPUs.
+        // One bit per CPU id keeps the check linear in the span.
         let words = groups
             .iter()
             .flat_map(|g| g.cpus())
@@ -152,7 +154,7 @@ impl SchedDomain {
         SchedDomain {
             level,
             flags,
-            groups,
+            groups: groups.into(),
         }
     }
 

@@ -146,13 +146,47 @@ impl Topology {
             cpus,
             domains: Vec::new(),
         };
-        // Every core's top level groups the same per-node listings, so
-        // each node's CPUs are listed once, not once per core.
-        let node_cpus: Vec<Vec<CpuId>> =
-            (0..n_nodes).map(|n| topo.cpus_of_node(NodeId(n))).collect();
+        // Every group is tagged with the hardware unit it spans, so the
+        // incremental aggregate tree can map groups to per-unit sums in
+        // O(1) (see `GroupUnit`). A level above SMT depends only on the
+        // unit it spans, so it is built once per package (core level),
+        // node (node level) or machine (top level), and every stack
+        // above that unit clones it; a clone shares the group list.
+        let core_level: Vec<SchedDomain> = if cores_per_package > 1 {
+            (0..n_packages)
+                .map(|p| topo.core_domain(PackageId(p)))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let node_level: Vec<SchedDomain> = if packages_per_node > 1 {
+            (0..n_nodes).map(|n| topo.node_domain(NodeId(n))).collect()
+        } else {
+            Vec::new()
+        };
+        let top_level = (n_nodes > 1).then(|| topo.top_domain());
         // Thread 0 of core `g` is CPU `g`.
         let stacks: Vec<Arc<[SchedDomain]>> = (0..n_cores)
-            .map(|g| topo.build_domains(CpuId(g), &node_cpus).into())
+            .map(|g| {
+                let cpu = CpuId(g);
+                let mut stack = Vec::new();
+                if threads_per_core > 1 {
+                    stack.push(topo.smt_domain(CoreId(g)));
+                }
+                stack.extend(core_level.get(topo.package_of(cpu).0).cloned());
+                stack.extend(node_level.get(topo.node_of(cpu).0).cloned());
+                stack.extend(top_level.clone());
+                // A single-CPU machine still needs one domain so the
+                // balancer has something to walk.
+                if stack.is_empty() {
+                    stack.push(SchedDomain::new(
+                        DomainLevel::Top,
+                        DomainFlags::default(),
+                        vec![CpuGroup::with_unit(vec![cpu], GroupUnit::Cpu(cpu))],
+                    ));
+                }
+                stack.into()
+            })
             .collect();
         topo.domains = topo
             .cpus
@@ -359,86 +393,57 @@ impl Topology {
         &self.domains[cpu.0]
     }
 
-    /// The domain stack of `cpu`; `node_cpus` lists each node's CPUs,
-    /// in node order.
-    fn build_domains(&self, cpu: CpuId, node_cpus: &[Vec<CpuId>]) -> Vec<SchedDomain> {
-        // Every group is tagged with the hardware unit it spans, so the
-        // incremental aggregate tree can map groups to per-unit sums in
-        // O(1) (see `GroupUnit`).
-        let mut out = Vec::new();
-        // SMT level: groups are the hardware threads of this core.
-        if self.threads_per_core > 1 {
-            let groups = self
-                .cpus_of_core(self.core_of(cpu))
-                .map(|c| CpuGroup::with_unit(vec![c], GroupUnit::Cpu(c)))
-                .collect();
-            out.push(SchedDomain::new(
-                DomainLevel::Smt,
-                DomainFlags {
-                    share_cpu_power: true,
-                    crosses_node: false,
-                },
-                groups,
-            ));
-        }
-        // Core level: groups are the cores of this package. Cores have
-        // their own pipelines and (transiently) their own temperatures,
-        // so energy balancing *does* run here (Section 7).
-        if self.cores_per_package > 1 {
-            let groups = self
-                .cores_of_package(self.package_of(cpu))
-                .map(|c| CpuGroup::with_unit(self.cpus_of_core(c).collect(), GroupUnit::Core(c)))
-                .collect();
-            out.push(SchedDomain::new(
-                DomainLevel::Core,
-                DomainFlags::default(),
-                groups,
-            ));
-        }
-        // Node level: groups are the packages of this CPU's node.
-        if self.packages_per_node > 1 {
-            let node = self.node_of(cpu);
-            let groups = (0..self.packages_per_node)
-                .map(|i| {
-                    let pkg = PackageId(node.0 * self.packages_per_node + i);
-                    CpuGroup::with_unit(
-                        self.cpus_of_package(pkg).collect(),
-                        GroupUnit::Package(pkg),
-                    )
-                })
-                .collect();
-            out.push(SchedDomain::new(
-                DomainLevel::Node,
-                DomainFlags::default(),
-                groups,
-            ));
-        }
-        // Top level: groups are the nodes.
-        if self.n_nodes > 1 {
-            let groups = node_cpus
-                .iter()
-                .enumerate()
-                .map(|(n, cpus)| CpuGroup::with_unit(cpus.clone(), GroupUnit::Node(NodeId(n))))
-                .collect();
-            out.push(SchedDomain::new(
-                DomainLevel::Top,
-                DomainFlags {
-                    share_cpu_power: false,
-                    crosses_node: true,
-                },
-                groups,
-            ));
-        }
-        // Degenerate single-core single-node machines still need one
-        // domain so the balancer has something to walk.
-        if out.is_empty() {
-            out.push(SchedDomain::new(
-                DomainLevel::Top,
-                DomainFlags::default(),
-                vec![CpuGroup::with_unit(vec![cpu], GroupUnit::Cpu(cpu))],
-            ));
-        }
-        out
+    /// SMT level of `core`: groups are its hardware threads.
+    fn smt_domain(&self, core: CoreId) -> SchedDomain {
+        let groups = self
+            .cpus_of_core(core)
+            .map(|c| CpuGroup::with_unit(vec![c], GroupUnit::Cpu(c)))
+            .collect();
+        SchedDomain::new(
+            DomainLevel::Smt,
+            DomainFlags {
+                share_cpu_power: true,
+                crosses_node: false,
+            },
+            groups,
+        )
+    }
+
+    /// Core level of `pkg`: groups are its cores. Cores have their own
+    /// pipelines and (transiently) their own temperatures, so energy
+    /// balancing *does* run here (Section 7).
+    fn core_domain(&self, pkg: PackageId) -> SchedDomain {
+        let groups = self
+            .cores_of_package(pkg)
+            .map(|c| CpuGroup::with_unit(self.cpus_of_core(c).collect(), GroupUnit::Core(c)))
+            .collect();
+        SchedDomain::new(DomainLevel::Core, DomainFlags::default(), groups)
+    }
+
+    /// Node level of `node`: groups are its packages.
+    fn node_domain(&self, node: NodeId) -> SchedDomain {
+        let groups = (0..self.packages_per_node)
+            .map(|i| {
+                let pkg = PackageId(node.0 * self.packages_per_node + i);
+                CpuGroup::with_unit(self.cpus_of_package(pkg).collect(), GroupUnit::Package(pkg))
+            })
+            .collect();
+        SchedDomain::new(DomainLevel::Node, DomainFlags::default(), groups)
+    }
+
+    /// Top level: groups are the nodes.
+    fn top_domain(&self) -> SchedDomain {
+        let groups = (0..self.n_nodes)
+            .map(|n| CpuGroup::with_unit(self.cpus_of_node(NodeId(n)), GroupUnit::Node(NodeId(n))))
+            .collect();
+        SchedDomain::new(
+            DomainLevel::Top,
+            DomainFlags {
+                share_cpu_power: false,
+                crosses_node: true,
+            },
+            groups,
+        )
     }
 }
 
@@ -671,6 +676,80 @@ mod tests {
                         assert_eq!(g.cpus(), cpus.as_slice(), "{:?} mistagged", d.level());
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn every_stack_matches_its_definition() {
+        // Each CPU's stack, written out level by level from the
+        // hierarchy's definition: the levels the shape has, bottom-up,
+        // each listing its units in ascending order with their tags
+        // and flags. A node's listing filters every CPU.
+        let presets = crate::TopologyPreset::all()
+            .into_iter()
+            .chain(crate::TopologyPreset::hybrids())
+            .chain([crate::TopologyPreset::XSeries445 { smt: true }])
+            .map(crate::TopologyPreset::build);
+        for topo in presets.chain([Topology::build_cmp(2, 2, 2, 2), Topology::build(1, 1, 1)]) {
+            for cpu in topo.cpu_ids() {
+                let mut expected = Vec::new();
+                if topo.threads_per_core() > 1 {
+                    let groups = topo
+                        .cpus_of_core(topo.core_of(cpu))
+                        .map(|c| CpuGroup::with_unit(vec![c], GroupUnit::Cpu(c)))
+                        .collect();
+                    let flags = DomainFlags {
+                        share_cpu_power: true,
+                        crosses_node: false,
+                    };
+                    expected.push(SchedDomain::new(DomainLevel::Smt, flags, groups));
+                }
+                if topo.cores_per_package() > 1 {
+                    let groups = topo
+                        .cores_of_package(topo.package_of(cpu))
+                        .map(|c| {
+                            CpuGroup::with_unit(topo.cpus_of_core(c).collect(), GroupUnit::Core(c))
+                        })
+                        .collect();
+                    let flags = DomainFlags::default();
+                    expected.push(SchedDomain::new(DomainLevel::Core, flags, groups));
+                }
+                let packages = topo.n_packages() / topo.n_nodes();
+                if packages > 1 {
+                    let node = topo.node_of(cpu);
+                    let groups = (0..packages)
+                        .map(|i| PackageId(node.0 * packages + i))
+                        .map(|p| {
+                            CpuGroup::with_unit(
+                                topo.cpus_of_package(p).collect(),
+                                GroupUnit::Package(p),
+                            )
+                        })
+                        .collect();
+                    let flags = DomainFlags::default();
+                    expected.push(SchedDomain::new(DomainLevel::Node, flags, groups));
+                }
+                if topo.n_nodes() > 1 {
+                    let groups = (0..topo.n_nodes())
+                        .map(NodeId)
+                        .map(|n| {
+                            let cpus = topo.cpu_ids().filter(|&c| topo.node_of(c) == n);
+                            CpuGroup::with_unit(cpus.collect(), GroupUnit::Node(n))
+                        })
+                        .collect();
+                    let flags = DomainFlags {
+                        share_cpu_power: false,
+                        crosses_node: true,
+                    };
+                    expected.push(SchedDomain::new(DomainLevel::Top, flags, groups));
+                }
+                if expected.is_empty() {
+                    let group = CpuGroup::with_unit(vec![cpu], GroupUnit::Cpu(cpu));
+                    let flags = DomainFlags::default();
+                    expected.push(SchedDomain::new(DomainLevel::Top, flags, vec![group]));
+                }
+                assert_eq!(topo.domains(cpu), expected.as_slice(), "{cpu}");
             }
         }
     }
