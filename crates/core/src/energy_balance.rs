@@ -4,7 +4,12 @@
 //! runqueues hold multiple tasks by combining hot tasks with cool tasks
 //! on each CPU. It is merged with load balancing into one algorithm so
 //! the two never undo each other's migrations, and it is pull-only and
-//! distributed like Linux's balancer.
+//! distributed like Linux's balancer. Both steps below move only
+//! waiting tasks, so while none waits anywhere
+//! ([`System::nr_queued`] is zero) a periodic pass only re-arms its
+//! timers and a new-idle pass returns at once. The ratio cache is left
+//! as it was; its entries equal a fresh scan, so no later decision
+//! changes.
 //!
 //! Per domain level, bottom-up:
 //!
@@ -93,9 +98,14 @@ impl EnergyAwareBalancer {
     }
 
     /// Runs the merged algorithm for `cpu` on every domain level whose
-    /// balancing interval elapsed.
+    /// balancing interval elapsed. Both steps pull only waiting tasks,
+    /// so with none anywhere the due levels are only re-armed.
     pub fn run(&mut self, cpu: CpuId, sys: &mut System, power: &PowerState) -> BalanceOutcome {
         let now = sys.now();
+        if sys.nr_queued() == 0 {
+            self.timers.skip_due(cpu, sys.topology().domains(cpu), now);
+            return BalanceOutcome::default();
+        }
         let mut outcome = BalanceOutcome::default();
         // Shared topology handle: iterating the domain stack while
         // mutating the system, without cloning a domain (whose group
@@ -112,8 +122,12 @@ impl EnergyAwareBalancer {
 
     /// New-idle balancing, identical to the baseline's but choosing
     /// tasks energy-aware: when `cpu` just went idle, pull the task
-    /// whose profile best matches what this CPU can afford.
+    /// whose profile best matches what this CPU can afford. Returns at
+    /// once when no task waits anywhere.
     pub fn newidle(&mut self, cpu: CpuId, sys: &mut System, power: &PowerState) -> BalanceOutcome {
+        if sys.nr_queued() == 0 {
+            return BalanceOutcome::default();
+        }
         let topo = sys.topology_shared();
         for domain in topo.domains(cpu) {
             let busiest = busiest_queued_cpu(sys, domain, cpu);

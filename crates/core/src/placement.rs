@@ -109,13 +109,12 @@ pub fn place_new_task(sys: &System, power: &PowerState, profile: Watts) -> Optio
         .map(|c| crate::metrics::runqueue_power_ratio(sys, c, power))
         .sum::<f64>()
         / topo.n_cpus() as f64;
+    let distance = |c: CpuId| (ratio_with_task(sys, power, c, profile) - avg_ratio).abs();
     topo.cpu_ids()
         .filter(|&c| load(c) == min_load)
-        .min_by(|&a, &b| {
-            let da = (ratio_with_task(sys, power, a, profile) - avg_ratio).abs();
-            let db = (ratio_with_task(sys, power, b, profile) - avg_ratio).abs();
-            da.total_cmp(&db).then(a.0.cmp(&b.0))
-        })
+        .map(|c| (distance(c), c))
+        .min_by(|(da, a), (db, b)| da.total_cmp(db).then(a.0.cmp(&b.0)))
+        .map(|(_, c)| c)
 }
 
 /// The runqueue power ratio `cpu` would have if `profile` joined its

@@ -7,7 +7,10 @@
 //! from the busiest runqueue of that group into the local runqueue.
 //! Balancing is pull-only — push imbalances resolve when the balancer
 //! runs on the remote CPU (Section 4.4 describes how the energy
-//! balancer inherits this structure).
+//! balancer inherits this structure). Only a waiting task can be
+//! pulled, so while no task waits anywhere ([`System::nr_queued`] is
+//! zero) a periodic pass only re-arms its timers and a new-idle pass
+//! returns at once.
 //!
 //! The group/queue search helpers are public: `ebs-core` reuses them to
 //! implement the merged energy-and-load balancing algorithm of Fig. 4.
@@ -121,6 +124,12 @@ impl BalanceTimers {
                 Some(domain)
             })
     }
+
+    /// Re-arms exactly the levels [`BalanceTimers::due`] would yield,
+    /// for a pass that has nothing to do at any of them.
+    pub fn skip_due(&mut self, cpu: CpuId, domains: &[SchedDomain], now: SimTime) {
+        self.due(cpu, domains, now).for_each(drop);
+    }
 }
 
 impl ebs_store::Snapshot for BalanceTimers {
@@ -161,9 +170,15 @@ impl LoadBalancer {
     }
 
     /// Runs periodic balancing for `cpu`: every domain level whose
-    /// interval elapsed gets one balancing attempt.
+    /// interval elapsed gets one balancing attempt. With no task
+    /// waiting anywhere there is nothing to pull, so the due levels
+    /// are only re-armed.
     pub fn run(&mut self, cpu: CpuId, sys: &mut System) -> BalanceOutcome {
         let now = sys.now();
+        if sys.nr_queued() == 0 {
+            self.timers.skip_due(cpu, sys.topology().domains(cpu), now);
+            return BalanceOutcome::default();
+        }
         let mut outcome = BalanceOutcome::default();
         // Shared topology handle: iterating the domain stack while
         // mutating the system, without cloning a domain (whose group
@@ -177,9 +192,13 @@ impl LoadBalancer {
 
     /// New-idle balancing: called when `cpu` just went idle; pulls one
     /// task from the nearest overloaded queue so the CPU does not sit
-    /// idle while others queue (work conservation).
+    /// idle while others queue (work conservation). Returns at once
+    /// when no task waits anywhere.
     pub fn newidle(&mut self, cpu: CpuId, sys: &mut System) -> BalanceOutcome {
         debug_assert!(sys.rq(cpu).is_idle(), "newidle on a busy CPU");
+        if sys.nr_queued() == 0 {
+            return BalanceOutcome::default();
+        }
         let topo = sys.topology_shared();
         for domain in topo.domains(cpu) {
             // Pull from the busiest queue in the whole domain span that

@@ -139,6 +139,10 @@ pub struct System {
     /// generations, updated in O(depth) by every runqueue-changing
     /// operation below.
     agg: LoadAggregates,
+    /// Tasks waiting (queued, not running) on every runqueue together:
+    /// see [`System::nr_queued`]. Not stored in images; restore
+    /// recounts it.
+    queued: usize,
     now: SimTime,
     stats: SystemStats,
 }
@@ -153,6 +157,7 @@ impl System {
             tasks: Vec::new(),
             rqs,
             agg,
+            queued: 0,
             now: SimTime::ZERO,
             stats: SystemStats::default(),
         }
@@ -233,6 +238,16 @@ impl System {
         self.rqs[cpu.0].nr_running()
     }
 
+    /// Tasks waiting (queued, not running) across the whole machine —
+    /// the sum of [`RunQueue::nr_queued`] over every runqueue, kept in
+    /// O(1) by every operation that queues or dequeues a task. Every
+    /// pull-only path (both balancers' periodic and new-idle passes,
+    /// and an idle CPU's dispatch) can move or start only a waiting
+    /// task, so at zero each returns at once.
+    pub fn nr_queued(&self) -> usize {
+        self.queued
+    }
+
     /// Time until the running task of `cpu` exhausts its timeslice if
     /// it keeps executing, i.e. its remaining slice. `None` for an
     /// idle CPU. The variable-stride engine uses this to bound a step
@@ -283,11 +298,13 @@ impl System {
                 self.rqs[cpu.0].enqueue_active(id);
             }
             self.rqs[cpu.0].credit_profile(profile);
+            self.queued += 1;
         }
         let next = self.rqs[cpu.0].pick_next();
         if let Some(id) = next {
             let profile = self.tasks[id.0 as usize].profile().0;
             self.rqs[cpu.0].debit_profile(profile);
+            self.queued -= 1;
         }
         self.rqs[cpu.0].set_current(next);
         if let Some(id) = next {
@@ -529,6 +546,7 @@ impl System {
         self.rqs[cpu.0].enqueue_active(id);
         self.rqs[cpu.0].credit_profile(profile);
         self.agg.apply(cpu, 1);
+        self.queued += 1;
     }
 
     /// Removes a *queued* (runnable, not running) task from its
@@ -552,6 +570,7 @@ impl System {
             let profile = self.tasks[id.0 as usize].profile().0;
             self.rqs[from.0].debit_profile(profile);
             self.agg.apply(from, -1);
+            self.queued -= 1;
         }
         Ok(from)
     }
@@ -570,9 +589,10 @@ impl System {
     /// homed on that queue's CPU; every runnable or running task sits
     /// on exactly one runqueue; every task's CPU exists and its profile
     /// is finite; each queued-profile cache matches a fresh sum; and
-    /// the aggregate tree's `nr_running` sums match a recount. Restore
-    /// runs it on every image, so inconsistent state fails there
-    /// instead of panicking at first use.
+    /// the waiting-task count and the aggregate tree's `nr_running`
+    /// sums match a recount. Restore runs it on every image, so
+    /// inconsistent state fails there instead of panicking at first
+    /// use.
     ///
     /// # Errors
     ///
@@ -621,6 +641,10 @@ impl System {
                 format!("{id} has profile {}", task.profile().0)
             })?;
         }
+        let waiting: usize = self.rqs.iter().map(RunQueue::nr_queued).sum();
+        ensure(self.queued == waiting, || {
+            format!("queued count {} but {waiting} tasks wait", self.queued)
+        })?;
         self.agg.check(self.rqs.iter().map(RunQueue::nr_running))
     }
 
@@ -693,6 +717,7 @@ impl ebs_store::Snapshot for System {
         }
         self.tasks = tasks;
         r.table("runqueues", &mut self.rqs, |r, rq| rq.restore(r))?;
+        self.queued = self.rqs.iter().map(RunQueue::nr_queued).sum();
         self.agg.restore(r)?;
         self.now = r.time()?;
         self.stats.restore(r)?;
@@ -966,6 +991,80 @@ mod tests {
         assert_eq!(sys.context_switch(CpuId(1)).next, Some(hot));
         assert_eq!(sys.stats().migrations(), 2);
         sys.validate();
+    }
+
+    /// The waiting-task count follows every operation that queues or
+    /// dequeues a task, and equals the sum over the runqueues after
+    /// each of them and after a restore, which recounts it.
+    #[test]
+    fn nr_queued_follows_every_queue_change() {
+        use ebs_store::Snapshot as _;
+        let mut sys = system();
+        let expect = |sys: &System, n: usize| {
+            let sum: usize = (0..8).map(|c| sys.rq(CpuId(c)).nr_queued()).sum();
+            assert_eq!((sys.nr_queued(), sum), (n, n));
+            sys.validate();
+        };
+        let a = sys.spawn(TaskConfig::default(), CpuId(0));
+        let b = sys.spawn(TaskConfig::default(), CpuId(0));
+        expect(&sys, 2);
+        // No prev, a next: one task leaves the queue.
+        assert_eq!(sys.context_switch(CpuId(0)).next, Some(a));
+        expect(&sys, 1);
+        // A prev and a next: `a` goes back, `b` comes off.
+        sys.tick(CpuId(0), crate::task::DEFAULT_TIMESLICE);
+        let sw = sys.context_switch(CpuId(0));
+        assert_eq!((sw.prev, sw.next), (Some(a), Some(b)));
+        expect(&sys, 1);
+        // Neither prev nor next: an idle CPU's switch changes nothing.
+        assert_eq!(sys.context_switch(CpuId(1)).next, None);
+        expect(&sys, 1);
+        // Leaving the CPU does not touch the queue.
+        assert_eq!(sys.block_current(CpuId(0)), Some(b));
+        expect(&sys, 1);
+        sys.wake(b, Some(CpuId(2)));
+        expect(&sys, 2);
+        sys.migrate_queued(b, CpuId(3), MigrationReason::LoadBalance)
+            .unwrap();
+        expect(&sys, 2);
+        assert_eq!(sys.context_switch(CpuId(3)).next, Some(b));
+        expect(&sys, 1);
+        // Pushing the running task queues it on the destination.
+        sys.migrate_running(CpuId(3), CpuId(4), MigrationReason::HotTask)
+            .unwrap();
+        expect(&sys, 2);
+        sys.take_queued(b).unwrap();
+        expect(&sys, 1);
+        assert_eq!(sys.context_switch(CpuId(0)).next, Some(a));
+        expect(&sys, 0);
+        // A lone task goes back on its queue and comes straight off.
+        let sw = sys.context_switch(CpuId(0));
+        assert_eq!((sw.prev, sw.next), (Some(a), Some(a)));
+        expect(&sys, 0);
+        assert_eq!(sys.exit_current(CpuId(0)), Some(a));
+        expect(&sys, 0);
+        // Images carry no count: restore rebuilds it from the queues.
+        for c in [5, 5, 6] {
+            sys.spawn(TaskConfig::default(), CpuId(c));
+        }
+        sys.context_switch(CpuId(6));
+        expect(&sys, 2);
+        let mut w = ebs_store::StateWriter::new();
+        sys.save(&mut w);
+        let mut restored = system();
+        restored
+            .restore(&mut w.finish().open().expect("a sealed image"))
+            .expect("a consistent image");
+        expect(&restored, 2);
+    }
+
+    #[test]
+    fn check_refuses_a_queued_count_off_by_one() {
+        let mut sys = system();
+        sys.spawn(TaskConfig::default(), CpuId(0));
+        sys.queued += 1;
+        let err = sys.check().expect_err("count off by one");
+        assert_eq!(err, "queued count 2 but 1 tasks wait");
     }
 
     #[test]

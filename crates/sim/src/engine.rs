@@ -1037,8 +1037,13 @@ impl Simulation {
         }
     }
 
-    /// Gives idle CPUs with runnable tasks something to run.
+    /// Gives idle CPUs with runnable tasks something to run. A CPU
+    /// dispatches only from its own queue, so with no task waiting
+    /// anywhere there is nothing to do.
     fn dispatch_idle_cpus(&mut self) {
+        if self.sys.nr_queued() == 0 {
+            return;
+        }
         for c in 0..self.n_cpus() {
             let cpu = CpuId(c);
             if self.sys.current(cpu).is_none() && !self.sys.rq(cpu).is_idle() {
