@@ -149,6 +149,28 @@ impl EnergyEstimator {
         );
         self.halt_share_of(cpu).over(interval)
     }
+
+    /// Checks that each CPU's previous read equals its bank's
+    /// registers, as it does at every step boundary (the debug
+    /// self-checks of the accounting calls rely on it).
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first CPU whose previous read differs from
+    /// its bank.
+    pub fn check_reads(&self, banks: &[CounterBank]) -> Result<(), String> {
+        match self
+            .last
+            .iter()
+            .zip(banks)
+            .position(|(last, bank)| *last != bank.snapshot())
+        {
+            Some(cpu) => Err(format!(
+                "cpu{cpu}'s previous counter read differs from its bank"
+            )),
+            None => Ok(()),
+        }
+    }
 }
 
 impl ebs_store::Snapshot for EnergyEstimator {

@@ -198,8 +198,10 @@ fn an_underloaded_machine_pulls_only_a_waiting_task_on_every_rung() {
             sys.validate();
 
             // One task waits on busy CPU 0; CPU 1 is idle.
-            let placed: Vec<CpuId> = (0..sys.n_tasks())
-                .map(|t| sys.task(TaskId(t as u64)).cpu())
+            let placed: Vec<(TaskId, CpuId)> = sys
+                .task_table()
+                .iter()
+                .map(|(id, t)| (id, t.cpu()))
                 .collect();
             let extra = sys.spawn(TaskConfig::default(), CpuId(0));
             assert_eq!(sys.nr_queued(), 1, "{cell}");
@@ -209,8 +211,8 @@ fn an_underloaded_machine_pulls_only_a_waiting_task_on_every_rung() {
             assert!(balancer.round(&mut sys, &power) >= 1, "{cell}");
             let to = sys.task(extra).cpu();
             assert!(sys.nr_running(to) == 1 && to.0 % 2 == 1, "{cell}: on {to}");
-            for (t, &cpu) in placed.iter().enumerate() {
-                assert_eq!(sys.task(TaskId(t as u64)).cpu(), cpu, "{cell}");
+            for &(t, cpu) in &placed {
+                assert_eq!(sys.task(t).cpu(), cpu, "{cell}");
             }
             sys.validate();
 

@@ -37,6 +37,7 @@ mod load_balance;
 mod runqueue;
 mod system;
 mod task;
+mod task_table;
 
 pub use aggregates::{AggCell, LoadAggregates};
 pub use load_balance::{
@@ -47,3 +48,4 @@ pub use load_balance::{
 pub use runqueue::RunQueue;
 pub use system::{MigrateError, MigrationReason, SwitchResult, System, SystemStats, TickResult};
 pub use task::{BinaryId, Task, TaskConfig, TaskId, TaskState, DEFAULT_TIMESLICE, PROFILE_WEIGHT};
+pub use task_table::TaskTable;

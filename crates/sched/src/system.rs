@@ -1,16 +1,18 @@
 //! The scheduler system: task table, per-CPU runqueues, and migration
 //! machinery.
 //!
-//! [`System`] owns every task and runqueue and enforces the state
-//! invariants (a task is either running on exactly one CPU, queued on
-//! exactly one runqueue, blocked, or exited). Policies — the baseline
-//! load balancer here and the energy-aware policies in `ebs-core` —
-//! mutate the system exclusively through its migration and scheduling
-//! methods, so the invariants hold no matter what a policy does.
+//! [`System`] owns every live task and runqueue and enforces the state
+//! invariants (a live task is either running on exactly one CPU, queued
+//! on exactly one runqueue, or blocked; a task that exits leaves the
+//! system). Policies — the baseline load balancer here and the
+//! energy-aware policies in `ebs-core` — mutate the system exclusively
+//! through its migration and scheduling methods, so the invariants hold
+//! no matter what a policy does.
 
 use crate::aggregates::LoadAggregates;
 use crate::runqueue::RunQueue;
 use crate::task::{Task, TaskConfig, TaskId, TaskState};
+use crate::task_table::TaskTable;
 use ebs_topology::{CpuGroup, CpuId, GroupUnit, Topology};
 use ebs_units::{SimDuration, SimTime, Watts};
 
@@ -103,7 +105,8 @@ pub struct SwitchResult {
 pub enum MigrateError {
     /// Source and destination CPU are the same.
     SameCpu,
-    /// The task is not in a migratable state (e.g. blocked or exited).
+    /// The task is not in a migratable state (blocked, or no longer
+    /// live).
     BadState,
     /// The task is currently running; use [`System::migrate_running`].
     Running,
@@ -133,7 +136,9 @@ pub struct System {
     /// domain (O(span) per balancing pass) to satisfy the borrow
     /// checker.
     topology: std::sync::Arc<Topology>,
-    tasks: Vec<Task>,
+    /// Live tasks only: a task's record leaves when it exits or is
+    /// handed out, while ids keep counting.
+    tasks: TaskTable<Task>,
     rqs: Vec<RunQueue>,
     /// Per-unit (core/package/node) `nr_running` sums and change
     /// generations, updated in O(depth) by every runqueue-changing
@@ -154,7 +159,7 @@ impl System {
         let agg = LoadAggregates::new(&topology);
         System {
             topology: std::sync::Arc::new(topology),
-            tasks: Vec::new(),
+            tasks: TaskTable::new(),
             rqs,
             agg,
             queued: 0,
@@ -199,8 +204,9 @@ impl System {
     /// Panics if `cpu` is out of range.
     pub fn spawn(&mut self, config: TaskConfig, cpu: CpuId) -> TaskId {
         assert!(cpu.0 < self.rqs.len(), "{cpu} out of range");
-        let id = TaskId(self.tasks.len() as u64);
-        self.tasks.push(Task::new(id, config, cpu));
+        let id = self
+            .tasks
+            .insert(Task::new(self.tasks.next_id(), config, cpu));
         self.enqueue(id, cpu);
         id
     }
@@ -209,14 +215,21 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if the id is unknown.
+    /// Panics if the task is not live: never spawned, exited, or
+    /// handed out.
     pub fn task(&self, id: TaskId) -> &Task {
-        &self.tasks[id.0 as usize]
+        &self.tasks[id]
     }
 
-    /// Number of tasks ever spawned.
+    /// Number of live tasks (running, queued or blocked).
     pub fn n_tasks(&self) -> usize {
         self.tasks.len()
+    }
+
+    /// The live tasks by id; engines keep their own per-task state
+    /// under the same ids.
+    pub fn task_table(&self) -> &TaskTable<Task> {
+        &self.tasks
     }
 
     /// The runqueue of `cpu`.
@@ -255,14 +268,14 @@ impl System {
     pub fn time_to_timeslice_expiry(&self, cpu: CpuId) -> Option<SimDuration> {
         self.rqs[cpu.0]
             .current()
-            .map(|id| self.tasks[id.0 as usize].timeslice())
+            .map(|id| self.tasks[id].timeslice())
     }
 
     /// Charges `dt` of CPU time to the running task of `cpu`.
     pub fn tick(&mut self, cpu: CpuId, dt: SimDuration) -> TickResult {
         match self.rqs[cpu.0].current() {
             Some(id) => {
-                let expired = self.tasks[id.0 as usize].consume_timeslice(dt);
+                let expired = self.tasks[id].consume_timeslice(dt);
                 TickResult {
                     current: Some(id),
                     timeslice_expired: expired,
@@ -284,7 +297,7 @@ impl System {
         let total_before = self.rq_profile_total(cpu);
         if let Some(id) = prev {
             let (expired, profile) = {
-                let task = &mut self.tasks[id.0 as usize];
+                let task = &mut self.tasks[id];
                 task.set_state(TaskState::Runnable);
                 let expired = task.timeslice().is_zero();
                 if expired {
@@ -302,13 +315,13 @@ impl System {
         }
         let next = self.rqs[cpu.0].pick_next();
         if let Some(id) = next {
-            let profile = self.tasks[id.0 as usize].profile().0;
+            let profile = self.tasks[id].profile().0;
             self.rqs[cpu.0].debit_profile(profile);
             self.queued -= 1;
         }
         self.rqs[cpu.0].set_current(next);
         if let Some(id) = next {
-            let task = &mut self.tasks[id.0 as usize];
+            let task = &mut self.tasks[id];
             task.set_state(TaskState::Running);
             task.set_cpu(cpu);
         }
@@ -334,7 +347,7 @@ impl System {
     pub fn block_current(&mut self, cpu: CpuId) -> Option<TaskId> {
         let id = self.rqs[cpu.0].current()?;
         self.rqs[cpu.0].set_current(None);
-        self.tasks[id.0 as usize].set_state(TaskState::Blocked);
+        self.tasks[id].set_state(TaskState::Blocked);
         self.agg.apply(cpu, -1);
         Some(id)
     }
@@ -346,7 +359,7 @@ impl System {
     ///
     /// Panics if the task is not blocked.
     pub fn wake(&mut self, id: TaskId, cpu: Option<CpuId>) {
-        let task = &mut self.tasks[id.0 as usize];
+        let task = &mut self.tasks[id];
         assert_eq!(
             task.state(),
             TaskState::Blocked,
@@ -358,11 +371,12 @@ impl System {
         self.enqueue(id, target);
     }
 
-    /// Terminates the running task of `cpu` and returns it.
+    /// Terminates the running task of `cpu` and returns its id; its
+    /// record leaves the system.
     pub fn exit_current(&mut self, cpu: CpuId) -> Option<TaskId> {
         let id = self.rqs[cpu.0].current()?;
         self.rqs[cpu.0].set_current(None);
-        self.tasks[id.0 as usize].set_state(TaskState::Exited);
+        self.tasks.remove(id);
         self.agg.apply(cpu, -1);
         Some(id)
     }
@@ -380,7 +394,7 @@ impl System {
         to: CpuId,
         reason: MigrationReason,
     ) -> Result<(), MigrateError> {
-        if self.tasks[id.0 as usize].cpu() == to {
+        if self.tasks.get(id).ok_or(MigrateError::BadState)?.cpu() == to {
             return Err(MigrateError::SameCpu);
         }
         let from = self.dequeue(id)?;
@@ -390,19 +404,19 @@ impl System {
     }
 
     /// Removes a *queued* (waiting, not running) task from its
-    /// runqueue and retires its id — the extraction half of a
+    /// runqueue and from the system — the extraction half of a
     /// cross-partition handoff: the partitioned engine re-injects the
     /// task's state into another partition's `System` as a fresh
-    /// spawn, so within this system the id is simply gone (state
-    /// `Exited`, counted neither as an exit nor as a migration).
+    /// spawn, so within this system the id is simply gone (counted
+    /// neither as an exit nor as a migration).
     ///
     /// # Errors
     ///
-    /// Returns [`MigrateError`] when the task is running or not
-    /// runnable.
+    /// Returns [`MigrateError`] when the task is running, blocked or
+    /// not live.
     pub fn take_queued(&mut self, id: TaskId) -> Result<(), MigrateError> {
         self.dequeue(id)?;
-        self.tasks[id.0 as usize].set_state(TaskState::Exited);
+        self.tasks.remove(id);
         Ok(())
     }
 
@@ -425,7 +439,7 @@ impl System {
         }
         let id = self.rqs[from.0].current().ok_or(MigrateError::NoCurrent)?;
         self.rqs[from.0].set_current(None);
-        self.tasks[id.0 as usize].set_state(TaskState::Runnable);
+        self.tasks[id].set_state(TaskState::Runnable);
         self.agg.apply(from, -1);
         self.enqueue(id, to);
         self.finish_migration(id, from, to, reason);
@@ -439,10 +453,11 @@ impl System {
     /// runqueue power, which the queue's queued-profile sum and the
     /// aggregate tree's generation counters track.
     pub fn update_profile(&mut self, id: TaskId, power: Watts, period: SimDuration) -> Watts {
-        let old = self.tasks[id.0 as usize].profile().0;
-        let new = self.tasks[id.0 as usize].update_profile(power, period);
-        let cpu = self.tasks[id.0 as usize].cpu();
-        match self.tasks[id.0 as usize].state() {
+        let task = &mut self.tasks[id];
+        let old = task.profile().0;
+        let new = task.update_profile(power, period);
+        let (cpu, state) = (task.cpu(), task.state());
+        match state {
             TaskState::Running => self.agg.apply(cpu, 0),
             // Engines only update running tasks, but a queued task's
             // profile feeds the runqueue-level cache as well.
@@ -451,7 +466,7 @@ impl System {
                 self.agg.apply(cpu, 0);
             }
             // Off-queue tasks contribute to no cache.
-            TaskState::Blocked | TaskState::Exited => {}
+            TaskState::Blocked => {}
         }
         new
     }
@@ -463,17 +478,18 @@ impl System {
     /// costs a different amount of power, e.g. after a migration onto
     /// a different core class.
     pub fn reset_profile(&mut self, id: TaskId, power: Watts) {
-        let old = self.tasks[id.0 as usize].profile().0;
-        self.tasks[id.0 as usize].reset_profile(power);
-        let new = self.tasks[id.0 as usize].profile();
-        let cpu = self.tasks[id.0 as usize].cpu();
-        match self.tasks[id.0 as usize].state() {
+        let task = &mut self.tasks[id];
+        let old = task.profile().0;
+        task.reset_profile(power);
+        let new = task.profile();
+        let (cpu, state) = (task.cpu(), task.state());
+        match state {
             TaskState::Running => self.agg.apply(cpu, 0),
             TaskState::Runnable => {
                 self.rqs[cpu.0].credit_profile(new.0 - old);
                 self.agg.apply(cpu, 0);
             }
-            TaskState::Blocked | TaskState::Exited => {}
+            TaskState::Blocked => {}
         }
     }
 
@@ -534,7 +550,7 @@ impl System {
         let rq = &self.rqs[cpu.0];
         let mut total = rq.queued_profile();
         if let Some(id) = rq.current() {
-            total += self.tasks[id.0 as usize].profile().0;
+            total += self.tasks[id].profile().0;
         }
         total
     }
@@ -542,7 +558,7 @@ impl System {
     /// Appends a runnable task to `cpu`'s active array and credits it
     /// to the queued-profile and aggregate caches.
     fn enqueue(&mut self, id: TaskId, cpu: CpuId) {
-        let profile = self.tasks[id.0 as usize].profile().0;
+        let profile = self.tasks[id].profile().0;
         self.rqs[cpu.0].enqueue_active(id);
         self.rqs[cpu.0].credit_profile(profile);
         self.agg.apply(cpu, 1);
@@ -553,13 +569,13 @@ impl System {
     /// runqueue and debits the caches; returns the CPU it left.
     fn dequeue(&mut self, id: TaskId) -> Result<CpuId, MigrateError> {
         let (from, state) = {
-            let t = &self.tasks[id.0 as usize];
+            let t = self.tasks.get(id).ok_or(MigrateError::BadState)?;
             (t.cpu(), t.state())
         };
         match state {
             TaskState::Runnable => {}
             TaskState::Running => return Err(MigrateError::Running),
-            _ => return Err(MigrateError::BadState),
+            TaskState::Blocked => return Err(MigrateError::BadState),
         }
         if self.rqs[from.0].current() == Some(id) {
             return Err(MigrateError::Running);
@@ -567,7 +583,7 @@ impl System {
         let removed = self.rqs[from.0].remove(id);
         debug_assert!(removed, "runnable task {id} missing from its runqueue");
         if removed {
-            let profile = self.tasks[id.0 as usize].profile().0;
+            let profile = self.tasks[id].profile().0;
             self.rqs[from.0].debit_profile(profile);
             self.agg.apply(from, -1);
             self.queued -= 1;
@@ -578,14 +594,14 @@ impl System {
     fn finish_migration(&mut self, id: TaskId, from: CpuId, to: CpuId, reason: MigrationReason) {
         let cross_node = !self.topology.same_node(from, to);
         let now = self.now;
-        let task = &mut self.tasks[id.0 as usize];
+        let task = &mut self.tasks[id];
         task.set_cpu(to);
         task.record_migration(now, cross_node, reason);
         self.stats.migrations_by_reason[reason.index()] += 1;
     }
 
     /// Checks every cross-structure invariant: each runqueue names
-    /// only known tasks, each in the state its place implies and
+    /// only live tasks, each in the state its place implies and
     /// homed on that queue's CPU; every runnable or running task sits
     /// on exactly one runqueue; every task's CPU exists and its profile
     /// is finite; each queued-profile cache matches a fresh sum; and
@@ -598,16 +614,18 @@ impl System {
     ///
     /// A message naming the first violated invariant.
     pub fn check(&self) -> Result<(), String> {
-        let mut seen = vec![0usize; self.tasks.len()];
+        // Runqueue appearances per id of the task window.
+        let first = self.tasks.ids().next().map_or(0, |id| id.0);
+        let mut seen = vec![0usize; self.tasks.span()];
         for rq in &self.rqs {
             let cpu = rq.cpu();
             let mut fresh = 0.0;
             for id in rq.iter_all() {
                 let task = self
                     .tasks
-                    .get(id.0 as usize)
+                    .get(id)
                     .ok_or_else(|| format!("{cpu} lists unknown {id}"))?;
-                seen[id.0 as usize] += 1;
+                seen[(id.0 - first) as usize] += 1;
                 let state = if rq.current() == Some(id) {
                     TaskState::Running
                 } else {
@@ -628,9 +646,9 @@ impl System {
                 format!("queued-profile cache drifted on {cpu}: {cached} vs {fresh}")
             })?;
         }
-        for (task, &n) in self.tasks.iter().zip(&seen) {
-            let (id, state) = (task.id(), task.state());
-            let queued = matches!(state, TaskState::Runnable | TaskState::Running);
+        for (id, task) in self.tasks.iter() {
+            let (n, state) = (seen[(id.0 - first) as usize], task.state());
+            let queued = state != TaskState::Blocked;
             ensure(n == usize::from(queued), || {
                 format!("{id} in state {state:?} appears {n} times on runqueues")
             })?;
@@ -689,7 +707,7 @@ impl ebs_store::Snapshot for SystemStats {
 impl ebs_store::Snapshot for System {
     fn save(&self, w: &mut ebs_store::StateWriter) {
         w.key("system");
-        w.seq(&self.tasks, |w, t| t.save(w));
+        self.tasks.save_with(w, |w, t| t.save(w));
         w.seq(&self.rqs, |w, rq| rq.save(w));
         self.agg.save(w);
         w.time(self.now);
@@ -699,23 +717,13 @@ impl ebs_store::Snapshot for System {
     /// Restores into a freshly built [`System::new`] of the *same
     /// topology*; tasks travel with their binaries, so nothing else
     /// about the saved workload needs to be re-created by the caller.
-    /// The restored state must pass [`System::check`]; an image that
-    /// fails it is refused with [`ebs_store::StoreError::Invalid`].
+    /// The image holds the window of task ids from the oldest live task
+    /// to the next id, with the record of each live task. The restored
+    /// state must pass [`System::check`]; an image that fails it is
+    /// refused with [`ebs_store::StoreError::Invalid`].
     fn restore(&mut self, r: &mut ebs_store::StateReader<'_>) -> Result<(), ebs_store::StoreError> {
         r.key("system")?;
-        let n = r.usize()?;
-        let mut tasks = Vec::with_capacity(n.min(1 << 20));
-        for i in 0..n {
-            let task = Task::from_snapshot(r)?;
-            if task.id().0 as usize != i {
-                return Err(ebs_store::StoreError::Invalid(format!(
-                    "task table out of order: id {} at slot {i}",
-                    task.id()
-                )));
-            }
-            tasks.push(task);
-        }
-        self.tasks = tasks;
+        self.tasks = TaskTable::restore_with(r, Task::from_snapshot)?;
         r.table("runqueues", &mut self.rqs, |r, rq| rq.restore(r))?;
         self.queued = self.rqs.iter().map(RunQueue::nr_queued).sum();
         self.agg.restore(r)?;
@@ -870,8 +878,11 @@ mod tests {
         let t = sys.spawn(TaskConfig::default(), CpuId(0));
         sys.context_switch(CpuId(0));
         assert_eq!(sys.exit_current(CpuId(0)), Some(t));
-        assert_eq!(sys.task(t).state(), TaskState::Exited);
+        // The record leaves with the task; ids keep counting.
+        assert_eq!(sys.n_tasks(), 0);
+        assert!(sys.task_table().get(t).is_none());
         assert_eq!(sys.context_switch(CpuId(0)).next, None);
+        assert_eq!(sys.spawn(TaskConfig::default(), CpuId(0)), TaskId(1));
         sys.validate();
     }
 
@@ -884,12 +895,17 @@ mod tests {
         // The running task cannot be taken; the queued one can.
         assert_eq!(sys.take_queued(running), Err(MigrateError::Running));
         sys.take_queued(queued).unwrap();
-        assert_eq!(sys.task(queued).state(), TaskState::Exited);
+        assert!(sys.task_table().get(queued).is_none());
         assert_eq!(sys.nr_running(CpuId(0)), 1);
         // A handoff is not a migration.
         assert_eq!(sys.stats().migrations(), 0);
-        // Re-taking fails; blocked tasks fail too.
+        // Re-taking fails, as does migrating the gone task; blocked
+        // tasks fail too.
         assert_eq!(sys.take_queued(queued), Err(MigrateError::BadState));
+        assert_eq!(
+            sys.migrate_queued(queued, CpuId(1), MigrationReason::LoadBalance),
+            Err(MigrateError::BadState)
+        );
         sys.validate();
     }
 
@@ -1097,7 +1113,7 @@ mod tests {
     fn restore_refuses_an_orphan_task_id() {
         let mut sys = system();
         sys.spawn(TaskConfig::default(), CpuId(0));
-        sys.tasks.clear();
+        sys.tasks = TaskTable::new();
         assert_refused(&sys, "cpu0 lists unknown task0");
     }
 

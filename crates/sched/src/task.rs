@@ -13,7 +13,8 @@ use ebs_thermal::PowerAverage;
 use ebs_topology::CpuId;
 use ebs_units::{SimDuration, SimTime, Watts};
 
-/// Identifies a task for the lifetime of a [`crate::System`].
+/// Identifies a task for the lifetime of a [`crate::System`]: ids count
+/// up from 0 and are never reused, also after their task has left.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct TaskId(pub u64);
 
@@ -37,8 +38,6 @@ pub enum TaskState {
     Running,
     /// Sleeping; not on any runqueue.
     Blocked,
-    /// Finished; will never run again.
-    Exited,
 }
 
 /// The timeslice every task is granted, Linux 2.6's slice for nice 0
@@ -218,7 +217,6 @@ fn state_code(state: TaskState) -> u8 {
         TaskState::Runnable => 0,
         TaskState::Running => 1,
         TaskState::Blocked => 2,
-        TaskState::Exited => 3,
     }
 }
 
@@ -227,7 +225,6 @@ fn state_from_code(code: u8) -> Result<TaskState, ebs_store::StoreError> {
         0 => TaskState::Runnable,
         1 => TaskState::Running,
         2 => TaskState::Blocked,
-        3 => TaskState::Exited,
         other => {
             return Err(ebs_store::StoreError::Invalid(format!(
                 "task state code {other}"
@@ -253,12 +250,14 @@ fn reason_from_code(code: u8) -> Result<MigrationReason, ebs_store::StoreError> 
 }
 
 impl Task {
-    /// Rebuilds a task from its snapshot section — the binary travels
-    /// with the mutable state, so restore needs no other context.
+    /// Rebuilds task `id` from its snapshot record — the binary
+    /// travels with the mutable state, so restore needs no other
+    /// context. The id is the record's place in the task table, not
+    /// part of the record.
     pub(crate) fn from_snapshot(
         r: &mut ebs_store::StateReader<'_>,
+        id: TaskId,
     ) -> Result<Self, ebs_store::StoreError> {
-        let id = TaskId(r.u64()?);
         let config = TaskConfig {
             binary: BinaryId(r.u64()?),
             ..TaskConfig::default()
@@ -282,7 +281,6 @@ impl Task {
 
 impl ebs_store::Snapshot for Task {
     fn save(&self, w: &mut ebs_store::StateWriter) {
-        w.u64(self.id.0);
         w.u64(self.binary.0);
         w.usize(self.cpu.0);
         w.u8(state_code(self.state));
@@ -300,7 +298,7 @@ impl ebs_store::Snapshot for Task {
     }
 
     fn restore(&mut self, r: &mut ebs_store::StateReader<'_>) -> Result<(), ebs_store::StoreError> {
-        *self = Task::from_snapshot(r)?;
+        *self = Task::from_snapshot(r, self.id)?;
         Ok(())
     }
 }

@@ -101,13 +101,10 @@ proptest! {
         // Final consistency: every task is in exactly the state the
         // bookkeeping says.
         let mut live = 0;
-        for i in 0..sys.n_tasks() {
-            match sys.task(ebs_sched::TaskId(i as u64)).state() {
+        for (id, task) in sys.task_table().iter() {
+            match task.state() {
                 TaskState::Runnable | TaskState::Running => live += 1,
-                TaskState::Blocked => prop_assert!(
-                    blocked.contains(&ebs_sched::TaskId(i as u64))
-                ),
-                TaskState::Exited => {}
+                TaskState::Blocked => prop_assert!(blocked.contains(&id)),
             }
         }
         let queued: usize = (0..8).map(|c| sys.nr_running(CpuId(c))).sum();

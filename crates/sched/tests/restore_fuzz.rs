@@ -55,10 +55,14 @@ fn restore_and_run(bytes: Vec<u8>, topology: &Topology) -> bool {
     for cpu in topology.cpu_ids() {
         sys.context_switch(cpu);
     }
-    for id in (0..sys.n_tasks() as u64).map(TaskId) {
-        if sys.task(id).state() == TaskState::Blocked {
-            sys.wake(id, None);
-        }
+    let blocked: Vec<TaskId> = sys
+        .task_table()
+        .iter()
+        .filter(|(_, t)| t.state() == TaskState::Blocked)
+        .map(|(id, _)| id)
+        .collect();
+    for id in blocked {
+        sys.wake(id, None);
     }
     sys.validate();
     true

@@ -29,7 +29,7 @@ use ebs_counters::{calibration, EnergyModel};
 use ebs_dvfs::{Governor, GovernorInput};
 use ebs_sched::{
     idlest_cpu, BalanceTimers, BinaryId, LoadBalancer, LoadBalancerConfig, System, TaskConfig,
-    TaskId,
+    TaskId, TaskState, TaskTable,
 };
 use ebs_thermal::ThrottleState;
 use ebs_topology::CpuId;
@@ -74,7 +74,8 @@ impl Balancer {
 }
 
 /// Per-CPU accounting of the currently running task's interval (energy
-/// and execution time since it was dispatched or last accounted).
+/// and execution time since it was dispatched or last accounted). An
+/// idle CPU names no task, so no accumulator outlives its task.
 #[derive(Clone, Copy, Debug, Default)]
 struct IntervalAcc {
     task: Option<TaskId>,
@@ -222,8 +223,9 @@ pub struct Simulation {
     /// parallel partition driver), sorted by due time and drained by
     /// `arrival_tick` exactly like the engine-owned arrival process.
     inbox: std::collections::VecDeque<RoutedArrival>,
-    /// Runtime state, indexed by `TaskId` (dense).
-    runtimes: Vec<Option<TaskRuntime>>,
+    /// Runtime state of every live task, under the scheduler's ids:
+    /// a runtime leaves with its task.
+    runtimes: TaskTable<TaskRuntime>,
     /// Program catalog by binary id, for respawning.
     programs: HashMap<u64, Program>,
     /// Blocked tasks and their wake times (microseconds).
@@ -367,7 +369,7 @@ impl Simulation {
             pkg_cpus,
             dvfs_decisions: 0,
             inbox: std::collections::VecDeque::new(),
-            runtimes: Vec::new(),
+            runtimes: TaskTable::new(),
             programs: HashMap::new(),
             sleepers: BinaryHeap::new(),
             open,
@@ -598,11 +600,9 @@ impl Simulation {
             },
             cpu,
         );
-        if self.runtimes.len() <= id.0 as usize {
-            self.runtimes.resize(id.0 as usize + 1, None);
-        }
         rt.last_class = self.sys.topology().class_of(cpu).0;
-        self.runtimes[id.0 as usize] = Some(rt);
+        let rt_id = self.runtimes.insert(rt);
+        debug_assert_eq!(rt_id, id, "runtime ids follow the scheduler's");
         self.emit(EventKind::Spawn {
             task: id.0,
             cpu: cpu.0 as u32,
@@ -641,8 +641,9 @@ impl Simulation {
                 if self.sys.take_queued(id).is_err() {
                     break;
                 }
-                let runtime = self.runtimes[id.0 as usize]
-                    .take()
+                let runtime = self
+                    .runtimes
+                    .remove(id)
                     .expect("queued task has runtime state");
                 out.push(TaskHandoff {
                     runtime,
@@ -813,9 +814,7 @@ impl Simulation {
                     let Some(task) = self.sys.current(cpu) else {
                         continue;
                     };
-                    let Some(rt) = self.runtimes[task.0 as usize].as_ref() else {
-                        continue;
-                    };
+                    let rt = &self.runtimes[task];
                     // Timeslice expiry — but only where the expiry can
                     // change *what runs*: round-robin with queued
                     // tasks, or a program that may block at slice end.
@@ -979,10 +978,7 @@ impl Simulation {
             let dom = self.machine.domain_map().domain_of(cpu);
             let freq = self.machine.freq_domains[dom].frequency().0;
             let vsq = self.machine.freq_domains[dom].voltage_scale_sq();
-            let rt = self.runtimes[task.0 as usize]
-                .as_ref()
-                .expect("running task has runtime state");
-            let rates = rt.program.current_rates();
+            let rates = self.runtimes[task].program.current_rates();
             sum += self
                 .estimator
                 .model_for(cpu)
@@ -1003,9 +999,7 @@ impl Simulation {
         while self.inbox.front().is_some_and(|a| a.due <= self.now) {
             let a = self.inbox.pop_front().expect("checked non-empty");
             let id = self.spawn_internal(a.program, a.seed);
-            if let Some(rt) = self.runtimes[id.0 as usize].as_mut() {
-                rt.arrival = Some((self.now, a.phase));
-            }
+            self.runtimes[id].arrival = Some((self.now, a.phase));
         }
         let due = match self.open.as_mut() {
             Some(open) => open.pop_due(self.now),
@@ -1019,9 +1013,7 @@ impl Simulation {
                 .spec()
                 .materialize(&arrival);
             let id = self.spawn_internal(program, arrival.seed);
-            if let Some(rt) = self.runtimes[id.0 as usize].as_mut() {
-                rt.arrival = Some((self.now, arrival.phase));
-            }
+            self.runtimes[id].arrival = Some((self.now, arrival.phase));
         }
     }
 
@@ -1038,15 +1030,19 @@ impl Simulation {
     }
 
     /// Gives idle CPUs with runnable tasks something to run. A CPU
-    /// dispatches only from its own queue, so with no task waiting
-    /// anywhere there is nothing to do.
+    /// dispatches only from its own queue, and a dispatch changes no
+    /// other queue, so the walk stops once it has passed every waiting
+    /// task: no later CPU holds one.
     fn dispatch_idle_cpus(&mut self) {
-        if self.sys.nr_queued() == 0 {
-            return;
-        }
+        let mut waiting = self.sys.nr_queued();
         for c in 0..self.n_cpus() {
+            if waiting == 0 {
+                break;
+            }
             let cpu = CpuId(c);
-            if self.sys.current(cpu).is_none() && !self.sys.rq(cpu).is_idle() {
+            let queued = self.sys.rq(cpu).nr_queued();
+            waiting -= queued;
+            if queued > 0 && self.sys.current(cpu).is_none() {
                 let sw = self.sys.context_switch(cpu);
                 if let Some(next) = sw.next {
                     self.on_dispatch(cpu, next);
@@ -1099,9 +1095,7 @@ impl Simulation {
                     let cycles_f = raw_cycles + self.cycle_carry[cpu.0];
                     let cycles = cycles_f as u64;
                     self.cycle_carry[cpu.0] = (cycles_f - cycles as f64).max(0.0);
-                    let rt = self.runtimes[task.0 as usize]
-                        .as_mut()
-                        .expect("running task has runtime state");
+                    let rt = &mut self.runtimes[task];
                     let class = self.sys.topology().class_of(cpu);
                     let kernel = self.counter_memo[cpu.0].kernel(
                         rt.program.current_rates(),
@@ -1281,16 +1275,15 @@ impl Simulation {
         for &cpu in completed {
             if let Some(task) = self.sys.current(cpu) {
                 self.finalize_interval(cpu);
-                self.sys.exit_current(cpu);
+                // The task's record and runtime leave with it.
                 let binary = self.sys.task(task).binary().0;
+                self.sys.exit_current(cpu);
                 *self.completions.entry(binary).or_insert(0) += 1;
                 self.emit(EventKind::Completion {
                     task: task.0,
                     cpu: cpu.0 as u32,
                 });
-                let arrived = self.runtimes[task.0 as usize]
-                    .take()
-                    .and_then(|rt| rt.arrival);
+                let arrived = self.runtimes.remove(task).and_then(|rt| rt.arrival);
                 if let Some((t0, phase)) = arrived {
                     self.latencies
                         .push((phase, self.now.saturating_since(t0).as_secs_f64()));
@@ -1369,9 +1362,7 @@ impl Simulation {
         };
         self.finalize_interval(cpu);
         // Interactive programs may block at slice end.
-        let sleeps = self.runtimes[task.0 as usize]
-            .as_mut()
-            .and_then(|rt| rt.program.end_slice());
+        let sleeps = self.runtimes[task].program.end_slice();
         if let Some(sleep) = sleeps {
             self.sys.block_current(cpu);
             self.sleepers
@@ -1385,14 +1376,20 @@ impl Simulation {
     fn switch(&mut self, cpu: CpuId) {
         match self.sys.context_switch(cpu).next {
             Some(next) => self.on_dispatch(cpu, next),
-            None => {
-                self.newidle_pending[cpu.0] = true;
-                self.emit(EventKind::ContextSwitch {
-                    cpu: cpu.0 as u32,
-                    task: None,
-                });
-            }
+            None => self.went_idle(cpu),
         }
+    }
+
+    /// Records `cpu` going idle: its accounting interval (already
+    /// closed) stops naming the task that left, and a new-idle balance
+    /// attempt becomes pending.
+    fn went_idle(&mut self, cpu: CpuId) {
+        self.acc[cpu.0] = IntervalAcc::default();
+        self.newidle_pending[cpu.0] = true;
+        self.emit(EventKind::ContextSwitch {
+            cpu: cpu.0 as u32,
+            task: None,
+        });
     }
 
     /// Runs the hot-task policy for `cpu`; performs the context
@@ -1412,11 +1409,7 @@ impl Simulation {
                 if let Some(next) = sw.next {
                     self.on_dispatch(dest, next);
                 }
-                self.newidle_pending[cpu.0] = true;
-                self.emit(EventKind::ContextSwitch {
-                    cpu: cpu.0 as u32,
-                    task: None,
-                });
+                self.went_idle(cpu);
             }
             ebs_core::HotMigration::Exchanged { dest, .. } => {
                 self.finalize_interval(dest);
@@ -1438,18 +1431,17 @@ impl Simulation {
         let mut migrated = false;
         let class = self.sys.topology().class_of(cpu).0;
         let mut refit = None;
-        if let Some(rt) = self.runtimes[task.0 as usize].as_mut() {
-            if migrations != rt.migrations_seen {
-                let cross = last.map(|(_, c)| c).unwrap_or(false);
-                rt.note_migration(migrations, cross);
-                migrated = true;
-            }
-            if rt.last_class != class {
-                refit = Some(rt.last_class);
-                rt.last_class = class;
-            }
-            rt.program.begin_slice();
+        let rt = &mut self.runtimes[task];
+        if migrations != rt.migrations_seen {
+            let cross = last.map(|(_, c)| c).unwrap_or(false);
+            rt.note_migration(migrations, cross);
+            migrated = true;
         }
+        if rt.last_class != class {
+            refit = Some(rt.last_class);
+            rt.last_class = class;
+        }
+        rt.program.begin_slice();
         // Cross-class profile refit: the profile measured on the old
         // class predicts the wrong power here — the same counter
         // activity costs class-specific per-event energies at a
@@ -1459,11 +1451,7 @@ impl Simulation {
         // a profile half-life. Only hybrid machines have a second
         // class, so homogeneous runs never take this path.
         if let Some(old_class) = refit {
-            let rates = self.runtimes[task.0 as usize]
-                .as_ref()
-                .expect("dispatched task has runtime state")
-                .program
-                .current_rates();
+            let rates = self.runtimes[task].program.current_rates();
             let old_hz = self
                 .machine
                 .class_truth(ebs_topology::ClassId(old_class))
@@ -1529,11 +1517,10 @@ impl Simulation {
         // aggregate tree's generations track.
         self.sys.update_profile(task, p, a.time);
         let binary = self.sys.task(task).binary();
-        if let Some(rt) = self.runtimes[task.0 as usize].as_mut() {
-            if !rt.first_slice_recorded {
-                rt.first_slice_recorded = true;
-                self.placement.record_first_slice(binary, p);
-            }
+        let rt = &mut self.runtimes[task];
+        if !rt.first_slice_recorded {
+            rt.first_slice_recorded = true;
+            self.placement.record_first_slice(binary, p);
         }
         if let Some(log) = self.slice_powers.as_mut() {
             // Only count substantial slices; sub-50 ms fragments are
@@ -1713,9 +1700,7 @@ impl ebs_store::Snapshot for Simulation {
             w.u64(routed.seed);
             w.str(routed.phase);
         }
-        w.seq(&self.runtimes, |w, rt| {
-            w.opt(rt, |w, rt| rt.save(w));
-        });
+        self.runtimes.save_with(w, |w, rt| rt.save(w));
         // HashMap iteration order is arbitrary; sort so equal catalogs
         // hash equally.
         let mut programs: Vec<&Program> = self.programs.values().collect();
@@ -1784,6 +1769,9 @@ impl ebs_store::Snapshot for Simulation {
         r.key("policies")?;
         self.power.restore(r)?;
         self.estimator.restore(r)?;
+        self.estimator
+            .check_reads(&self.machine.banks)
+            .map_err(ebs_store::StoreError::Invalid)?;
         let balancer_tag = r.u8()?;
         match (balancer_tag, &mut self.balancer) {
             (0, Balancer::Baseline(b)) => b.restore(r)?,
@@ -1818,16 +1806,12 @@ impl ebs_store::Snapshot for Simulation {
                 phase,
             });
         }
-        let n_runtimes = r.usize()?;
-        let mut runtimes = Vec::with_capacity(n_runtimes.min(1 << 20));
-        for _ in 0..n_runtimes {
-            runtimes.push(r.opt(|r| {
-                let mut rt = TaskRuntime::new(ProgramState::new(placeholder_program(), 0));
-                rt.restore(r)?;
-                Ok(rt)
-            })?);
-        }
-        self.runtimes = runtimes;
+        self.runtimes = TaskTable::restore_with(r, |r, _| {
+            let mut rt = TaskRuntime::new(ProgramState::new(placeholder_program(), 0));
+            rt.restore(r)?;
+            Ok(rt)
+        })?;
+        self.check_runtimes()?;
         let n_programs = r.usize()?;
         self.programs.clear();
         for _ in 0..n_programs {
@@ -1835,11 +1819,9 @@ impl ebs_store::Snapshot for Simulation {
             program.restore(r)?;
             self.programs.insert(program.binary, program);
         }
-        let sleepers = r.seq(|r| Ok((r.u64()?, r.u64()?)))?;
-        self.sleepers = sleepers
-            .into_iter()
-            .map(|(wake, id)| Reverse((wake, TaskId(id))))
-            .collect();
+        let sleepers = r.seq(|r| Ok((r.u64()?, TaskId(r.u64()?))))?;
+        self.check_sleepers(&sleepers)?;
+        self.sleepers = sleepers.into_iter().map(Reverse).collect();
         let has_open = r.bool()?;
         match (has_open, &mut self.open) {
             (true, Some(open)) => open.restore(r)?,
@@ -1862,8 +1844,14 @@ impl ebs_store::Snapshot for Simulation {
             r.f64().map(|v| *c = v)
         })?;
         self.rng = StdRng::from_state(r.u64()?);
+        let sys = &self.sys;
         r.table("interval accumulators", &mut self.acc, |r, acc| {
             acc.task = r.opt(|r| Ok(TaskId(r.u64()?)))?;
+            if let Some(id) = acc.task.filter(|&id| sys.task_table().get(id).is_none()) {
+                return Err(ebs_store::StoreError::Invalid(format!(
+                    "an interval accumulator names {id}, which is not live"
+                )));
+            }
             acc.energy = r.joules()?;
             acc.time = r.duration()?;
             Ok(())
@@ -1872,7 +1860,13 @@ impl ebs_store::Snapshot for Simulation {
             r.bool().map(|v| *p = v)
         })?;
         self.now = r.time()?;
-        self.sys.set_now(self.now);
+        if self.now != self.sys.now() {
+            return Err(ebs_store::StoreError::Invalid(format!(
+                "engine clock {:?} but scheduler clock {:?}",
+                self.now,
+                self.sys.now()
+            )));
+        }
         self.steps = r.u64()?;
         let completions = r.seq(|r| Ok((r.u64()?, r.u64()?)))?;
         self.completions = completions.into_iter().collect();
@@ -1892,6 +1886,72 @@ impl ebs_store::Snapshot for Simulation {
                     .checked_div(interval)
                     .map_or(self.now, |k| SimTime::from_micros((k + 1) * interval))
             });
+        }
+        Ok(())
+    }
+}
+
+impl Simulation {
+    /// Restore check: the runtimes are exactly those of the live
+    /// tasks, each valid on this machine.
+    fn check_runtimes(&self) -> Result<(), ebs_store::StoreError> {
+        let invalid = |msg: String| Err(ebs_store::StoreError::Invalid(msg));
+        let tasks = self.sys.task_table();
+        if let Some(id) = tasks.ids().find(|&id| self.runtimes.get(id).is_none()) {
+            return invalid(format!("live {id} has no runtime"));
+        }
+        if let Some(id) = self.runtimes.ids().find(|&id| tasks.get(id).is_none()) {
+            return invalid(format!("a runtime names {id}, which is not live"));
+        }
+        if self.runtimes.next_id() != tasks.next_id() {
+            return invalid(format!(
+                "runtime ids end at {} but task ids at {}",
+                self.runtimes.next_id(),
+                tasks.next_id()
+            ));
+        }
+        let n_classes = self.machine.catalog().n_classes();
+        if let Some((id, rt)) = self
+            .runtimes
+            .iter()
+            .find(|(_, rt)| rt.last_class >= n_classes)
+        {
+            return invalid(format!(
+                "{id} last ran on core class {} of {n_classes}",
+                rt.last_class
+            ));
+        }
+        Ok(())
+    }
+
+    /// Restore check: each sleeper names a distinct blocked task, and
+    /// every blocked task sleeps (a wake needs a blocked task, and a
+    /// blocked task without a sleeper would never run again).
+    fn check_sleepers(&self, sleepers: &[(u64, TaskId)]) -> Result<(), ebs_store::StoreError> {
+        let invalid = |msg: String| Err(ebs_store::StoreError::Invalid(msg));
+        let mut ids: Vec<TaskId> = sleepers.iter().map(|&(_, id)| id).collect();
+        ids.sort_unstable();
+        if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
+            return invalid(format!("{} sleeps twice", w[0]));
+        }
+        for &id in &ids {
+            match self.sys.task_table().get(id).map(|t| t.state()) {
+                Some(TaskState::Blocked) => {}
+                Some(state) => return invalid(format!("sleeping {id} is {state:?}")),
+                None => return invalid(format!("a sleeper names {id}, which is not live")),
+            }
+        }
+        let blocked = self
+            .sys
+            .task_table()
+            .iter()
+            .filter(|(_, t)| t.state() == TaskState::Blocked)
+            .count();
+        if blocked != ids.len() {
+            return invalid(format!(
+                "{blocked} blocked tasks but {} sleepers",
+                ids.len()
+            ));
         }
         Ok(())
     }
@@ -2539,6 +2599,87 @@ mod tests {
         let rel = (chatty.instructions_retired as f64 - limited.instructions_retired as f64).abs()
             / chatty.instructions_retired as f64;
         assert!(rel < 0.10, "work drifted {rel}");
+    }
+
+    /// An engine with a task blocked (an always-blocking bash), tasks
+    /// running and one waiting, and an exited task inside the id
+    /// window; `corrupt` then breaks one reference before the
+    /// snapshot, whose restore must be refused naming `what`.
+    fn assert_restore_refused(corrupt: impl FnOnce(&mut Simulation), what: &str) {
+        let cfg = quick_cfg().perfect_estimation(true).respawn(false);
+        let mut sim = Simulation::new(cfg.clone());
+        let sleepy = ebs_workloads::BlockProfile::new(1.0, SimDuration::from_secs(5));
+        sim.spawn_program(&catalog::bash().with_blocking(sleepy));
+        sim.spawn_program(&catalog::aluadd().with_total_work(50_000_000));
+        for _ in 0..8 {
+            sim.spawn_program(&catalog::memrw());
+        }
+        sim.run_for(SimDuration::from_millis(300));
+        let blocked = sim.sleepers.peek().map(|Reverse((_, id))| *id);
+        assert_eq!(blocked, Some(TaskId(0)), "bash sleeps");
+        assert!(
+            sim.sys.task_table().get(TaskId(1)).is_none(),
+            "the short task exited"
+        );
+        assert!(Simulation::from_snapshot(cfg.clone(), &sim.snapshot()).is_ok());
+        corrupt(&mut sim);
+        match Simulation::from_snapshot(cfg, &sim.snapshot()) {
+            Err(ebs_store::StoreError::Invalid(msg)) => {
+                assert!(msg.contains(what), "{msg:?} does not name {what:?}")
+            }
+            Err(other) => panic!("refused for another reason: {other}"),
+            Ok(_) => panic!("an image naming a missing or wrong task restored"),
+        }
+    }
+
+    #[test]
+    fn restore_refuses_references_to_missing_tasks() {
+        let busy = |sim: &Simulation| sim.sys.current(CpuId(1)).expect("a running task");
+        assert_restore_refused(
+            |sim| sim.sleepers.push(Reverse((u64::MAX, TaskId(1)))),
+            "a sleeper names task1, which is not live",
+        );
+        assert_restore_refused(
+            |sim| {
+                let id = busy(sim);
+                sim.sleepers.push(Reverse((u64::MAX, id)));
+            },
+            "is Running",
+        );
+        assert_restore_refused(|sim| sim.sleepers.clear(), "1 blocked tasks but 0 sleepers");
+        assert_restore_refused(
+            |sim| {
+                let id = busy(sim);
+                sim.runtimes.remove(id);
+            },
+            "has no runtime",
+        );
+        assert_restore_refused(
+            |sim| {
+                sim.runtimes.insert(sim.runtimes[TaskId(0)].clone());
+            },
+            "a runtime names task10, which is not live",
+        );
+        assert_restore_refused(
+            |sim| {
+                let id = sim.runtimes.insert(sim.runtimes[TaskId(0)].clone());
+                sim.runtimes.remove(id);
+            },
+            "runtime ids end at task11 but task ids at task10",
+        );
+        assert_restore_refused(
+            |sim| sim.acc[0].task = Some(TaskId(1)),
+            "an interval accumulator names task1, which is not live",
+        );
+        assert_restore_refused(|sim| sim.now += SimDuration::from_millis(1), "engine clock");
+        assert_restore_refused(
+            |sim| {
+                let mut one = [0; ebs_counters::N_EVENTS];
+                one[0] = 1;
+                sim.machine.banks[2].record(&ebs_counters::EventCounts::from_array(one));
+            },
+            "cpu2's previous counter read differs from its bank",
+        );
     }
 
     #[test]

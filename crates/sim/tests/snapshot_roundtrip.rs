@@ -157,19 +157,19 @@ fn shape_mismatch_is_rejected() {
 /// the standard fork entry point, never restored.
 #[test]
 fn other_format_versions_are_refused() {
-    assert_eq!(ebs_store::FORMAT_VERSION, 8);
+    assert_eq!(ebs_store::FORMAT_VERSION, 9);
     let cfg = open_cfg(1, 2, 7);
     let mut warm = Simulation::new(cfg.clone());
     warm.run_for(SimDuration::from_secs(2));
     let mut bytes = warm.snapshot().as_bytes().to_vec();
-    bytes[4..8].copy_from_slice(&7u32.to_le_bytes());
+    bytes[4..8].copy_from_slice(&8u32.to_le_bytes());
     let old = ebs_store::StateImage::from_bytes(bytes);
-    assert_eq!(old.version(), 7);
+    assert_eq!(old.version(), 8);
     assert!(matches!(
         Simulation::from_snapshot(cfg, &old),
         Err(ebs_store::StoreError::Version {
-            found: 7,
-            expected: 8
+            found: 8,
+            expected: 9
         })
     ));
 }
@@ -263,5 +263,36 @@ fn a_cold_counter_memo_resumes_the_paper_run_bit_for_bit() {
         "reports diverged:\n{}\nvs\n{}",
         report_fingerprint(&a),
         report_fingerprint(&b)
+    );
+}
+
+/// Image bytes of a report's sojourn samples: each sample is its
+/// arrival phase's name, length-prefixed, and its seconds.
+fn sample_bytes(report: &ebs_sim::SimReport) -> usize {
+    report
+        .phase_latencies
+        .iter()
+        .map(|(phase, stats)| stats.count as usize * (16 + phase.len()))
+        .sum()
+}
+
+/// Images track live tasks: from T to 2T of an open workload the image
+/// grows by the sojourn samples recorded in between plus a few KiB,
+/// however many tasks exited meanwhile (an image holding every exited
+/// task's record would grow by about 60 bytes more per exit).
+#[test]
+fn images_grow_with_sojourn_samples_not_with_exited_tasks() {
+    let mut sim = Simulation::new(open_cfg(3, 0, 7));
+    let t = SimDuration::from_secs(10);
+    sim.run_for(t);
+    let (at_t, report_t) = (sim.snapshot().as_bytes().len(), sim.report());
+    sim.run_for(t);
+    let (at_2t, report_2t) = (sim.snapshot().as_bytes().len(), sim.report());
+    let exited = report_2t.completions - report_t.completions;
+    assert!(exited >= 200, "only {exited} tasks exited between T and 2T");
+    let samples = sample_bytes(&report_2t) - sample_bytes(&report_t);
+    assert!(
+        at_2t <= at_t + samples + 4096,
+        "image grew from {at_t} to {at_2t} bytes: {samples} bytes of samples, {exited} exits"
     );
 }

@@ -60,7 +60,13 @@ pub const MAGIC: [u8; 4] = *b"EBSS";
 ///   CPU); task records drop the nice value, initial profile, profile
 ///   weight and last dispatch time (32 bytes fewer per task ever
 ///   spawned); scheduler statistics drop the spawn and exit counts.
-pub const FORMAT_VERSION: u32 = 8;
+/// - **v9** — exited tasks leave the image: the scheduler's task table
+///   and the engine's task runtimes each save the window of ids from
+///   the oldest live task to the next id, one presence byte per id and
+///   a record per live task (task records no longer carry their id,
+///   which is their place in the window), so images grow with the live
+///   set instead of with every task ever spawned.
+pub const FORMAT_VERSION: u32 = 9;
 
 /// A restore failure. Every variant names enough context to locate
 /// the divergence in the byte stream.

@@ -249,10 +249,24 @@ fn behavior_from_code(code: u8, arg: f64) -> Result<Behavior, ebs_store::StoreEr
     match code {
         0 => Ok(Behavior::Steady),
         1 => Ok(Behavior::Cyclic),
-        2 => Ok(Behavior::Spiky { spike_prob: arg }),
+        2 => Ok(Behavior::Spiky {
+            spike_prob: probability("spike probability", arg)?,
+        }),
         _ => Err(ebs_store::StoreError::Invalid(format!(
             "behavior code {code}"
         ))),
+    }
+}
+
+/// `p` when it is a probability, else the restore error naming `what`
+/// (a draw with it would panic).
+fn probability(what: &str, p: f64) -> Result<f64, ebs_store::StoreError> {
+    if (0.0..=1.0).contains(&p) {
+        Ok(p)
+    } else {
+        Err(ebs_store::StoreError::Invalid(format!(
+            "{what} {p} outside [0, 1]"
+        )))
     }
 }
 
@@ -310,10 +324,17 @@ impl ebs_store::Snapshot for Program {
                 "cyclic program with a zero-dwell phase".into(),
             ));
         }
+        // `Program::new`'s bound: jitter samples stay in (0, 2).
         self.jitter = r.f64()?;
+        if !(0.0..1.0).contains(&self.jitter) {
+            return Err(ebs_store::StoreError::Invalid(format!(
+                "jitter {} outside [0, 1)",
+                self.jitter
+            )));
+        }
         self.blocking = r.opt(|r| {
             Ok(BlockProfile {
-                prob_per_slice: r.f64()?,
+                prob_per_slice: probability("blocking probability", r.f64()?)?,
                 mean_sleep: r.duration()?,
             })
         })?;
@@ -345,7 +366,20 @@ impl ebs_store::Snapshot for ProgramState {
         }
         self.dwell_left = r.duration()?;
         self.spike = r.opt(|r| r.usize())?;
+        if let Some(spike) = self.spike.filter(|&i| i >= self.program.phases.len()) {
+            return Err(ebs_store::StoreError::Invalid(format!(
+                "spike phase {spike} of {}",
+                self.program.phases.len()
+            )));
+        }
+        // The activity scale every rate query applies.
         self.jitter_factor = r.f64()?;
+        if !(self.jitter_factor.is_finite() && self.jitter_factor >= 0.0) {
+            return Err(ebs_store::StoreError::Invalid(format!(
+                "jitter factor {}",
+                self.jitter_factor
+            )));
+        }
         self.work_done = r.u64()?;
         self.rng = StdRng::from_state(r.u64()?);
         Ok(())
@@ -542,6 +576,81 @@ mod tests {
         // Rotating through these would never consume the time to
         // advance, so `advance_time` would spin forever.
         let _ = Program::new("spin", 0, zero_dwell_phases(), Behavior::Cyclic, 0.0);
+    }
+
+    /// Saves `state`, restores the image into a fresh state and
+    /// expects the restore to refuse it, naming `what`. A state
+    /// restored anyway runs one slice, where the unchecked field
+    /// panics: a rate query reads the spike phase and applies the
+    /// jitter factor, and a slice's start and end draw with the jitter,
+    /// the spike probability and the blocking probability.
+    fn assert_refused(state: &ProgramState, what: &str) {
+        let mut w = ebs_store::StateWriter::new();
+        state.save(&mut w);
+        let image = w.finish();
+        let mut restored = ProgramState::new(two_phase_program(Behavior::Steady), 1);
+        match restored.restore(&mut image.open().expect("valid image")) {
+            Err(ebs_store::StoreError::Invalid(msg)) => {
+                assert!(msg.contains(what), "{msg:?} does not name {what:?}")
+            }
+            other => {
+                let _ = restored.current_rates();
+                restored.begin_slice();
+                let _ = restored.current_rates();
+                let _ = restored.end_slice();
+                panic!("a corrupt program state restored: {other:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn restore_refuses_a_spike_past_the_phases() {
+        let mut state =
+            ProgramState::new(two_phase_program(Behavior::Spiky { spike_prob: 0.5 }), 1);
+        state.spike = Some(2);
+        assert_refused(&state, "spike phase 2 of 2");
+    }
+
+    #[test]
+    fn restore_refuses_a_jitter_factor_that_is_not_a_scale() {
+        for factor in [f64::NAN, -0.5] {
+            let mut state = ProgramState::new(two_phase_program(Behavior::Steady), 1);
+            state.jitter_factor = factor;
+            assert_refused(&state, &format!("jitter factor {factor}"));
+        }
+    }
+
+    #[test]
+    fn restore_refuses_a_jitter_outside_the_unit_interval() {
+        let program = Program {
+            jitter: f64::INFINITY,
+            ..two_phase_program(Behavior::Steady)
+        };
+        assert_refused(&ProgramState::new(program, 1), "jitter inf outside [0, 1)");
+    }
+
+    #[test]
+    fn restore_refuses_a_spike_probability_outside_the_unit_interval() {
+        let program = two_phase_program(Behavior::Spiky { spike_prob: 1.5 });
+        assert_refused(
+            &ProgramState::new(program, 1),
+            "spike probability 1.5 outside [0, 1]",
+        );
+    }
+
+    #[test]
+    fn restore_refuses_a_blocking_probability_outside_the_unit_interval() {
+        let program = Program {
+            blocking: Some(BlockProfile {
+                prob_per_slice: 1.5,
+                mean_sleep: SimDuration::from_millis(40),
+            }),
+            ..two_phase_program(Behavior::Steady)
+        };
+        assert_refused(
+            &ProgramState::new(program, 1),
+            "blocking probability 1.5 outside [0, 1]",
+        );
     }
 
     #[test]

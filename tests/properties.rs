@@ -74,8 +74,7 @@ proptest! {
         sim.run_for(SimDuration::from_secs(5));
         let by_reason: u64 = sim.report().migrations_by_reason.iter().sum();
         prop_assert_eq!(by_reason, sim.report().migrations);
-        for id in 0..sim.system().n_tasks() {
-            let task = sim.system().task(ebs::sched::TaskId(id as u64));
+        for (_, task) in sim.system().task_table().iter() {
             prop_assert!(task.cpu().0 < sim.system().topology().n_cpus());
         }
     }
