@@ -113,19 +113,6 @@ impl EventCounts {
     pub fn is_zero(&self) -> bool {
         self.0.iter().all(|&c| c == 0)
     }
-
-    /// Component-wise saturating difference `self - earlier`.
-    ///
-    /// Counter reads are monotone within one accounting interval, but a
-    /// counter bank may be reset between snapshots; saturation keeps the
-    /// difference well-defined in that case.
-    pub fn saturating_sub(&self, earlier: &EventCounts) -> EventCounts {
-        let mut out = [0u64; N_EVENTS];
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = self.0[i].saturating_sub(earlier.0[i]);
-        }
-        EventCounts(out)
-    }
 }
 
 impl Index<EventKind> for EventCounts {
@@ -167,31 +154,13 @@ impl Sub for EventCounts {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if any component underflows; use
-    /// [`EventCounts::saturating_sub`] across bank resets.
+    /// Panics in debug builds if any component underflows.
     fn sub(self, rhs: EventCounts) -> EventCounts {
         let mut out = [0u64; N_EVENTS];
         for (i, slot) in out.iter_mut().enumerate() {
             *slot = self.0[i] - rhs.0[i];
         }
         EventCounts(out)
-    }
-}
-
-impl ebs_store::Snapshot for EventCounts {
-    fn save(&self, w: &mut ebs_store::StateWriter) {
-        for &c in self.as_array() {
-            w.u64(c);
-        }
-    }
-
-    fn restore(&mut self, r: &mut ebs_store::StateReader<'_>) -> Result<(), ebs_store::StoreError> {
-        let mut counts = [0u64; N_EVENTS];
-        for slot in &mut counts {
-            *slot = r.u64()?;
-        }
-        *self = EventCounts::from_array(counts);
-        Ok(())
     }
 }
 
@@ -244,11 +213,10 @@ mod tests {
         let a = EventCounts::from_array([5, 5, 5, 5, 5, 5, 5, 5, 5]);
         let b = EventCounts::from_array([1, 2, 3, 4, 5, 0, 0, 0, 0]);
         assert_eq!(a - b, EventCounts::from_array([4, 3, 2, 1, 0, 5, 5, 5, 5]));
-        // Saturating difference across a reset (b "after", a "before").
-        assert_eq!(
-            b.saturating_sub(&a),
-            EventCounts::from_array([0, 0, 0, 0, 0, 0, 0, 0, 0])
-        );
+        // Counts neither saturate nor wrap: a component that would go
+        // negative panics.
+        #[cfg(debug_assertions)]
+        assert!(std::panic::catch_unwind(|| b - a).is_err());
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! - [`EventKind`]/[`EventCounts`]: the counted events, modelled after
 //!   the Pentium 4 event set used by the paper's estimator.
 //! - [`EventRates`]: per-cycle event rates; a program phase is described
-//!   by such a vector, and executing `n` cycles accrues `rate * n`
-//!   events into a [`CounterBank`].
+//!   by such a vector, and executing `n` cycles retires `rate * n`
+//!   events ([`EventRates::counts_for_cycles`]): the counts a CPU's
+//!   counters would advance by over the interval.
 //! - [`EnergyModel`]: weights `a_i` plus the evaluation of Eq. 1. The
 //!   simulator's *ground-truth* model and the estimator's *calibrated*
 //!   model are both instances of this type.
@@ -27,21 +28,20 @@
 //! # Examples
 //!
 //! ```
-//! use ebs_counters::{CounterBank, EnergyModel, EventRates};
+//! use ebs_counters::{EnergyModel, EventRates};
 //!
 //! let model = EnergyModel::ground_truth_weights();
-//! let mut bank = CounterBank::new();
 //! let rates = EventRates::builder()
 //!     .uops_retired(2.0)
 //!     .mem_loads(0.3)
 //!     .build();
-//! // Execute 2.2e9 cycles (one second at 2.2 GHz) worth of this phase.
-//! bank.record(&rates.counts_for_cycles(2_200_000_000));
-//! let energy = model.estimate(&bank.snapshot().counts());
+//! // The events of 2.2e9 cycles (one second at 2.2 GHz) of this phase,
+//! // and their Eq. 1 energy.
+//! let counts = rates.counts_for_cycles(2_200_000_000);
+//! let energy = model.estimate(&counts);
 //! assert!(energy.0 > 0.0);
 //! ```
 
-mod counter;
 mod energy_model;
 mod event;
 mod rates;
@@ -49,7 +49,6 @@ mod rates;
 pub mod calibration;
 pub mod linalg;
 
-pub use counter::{CounterBank, CounterSnapshot};
 pub use energy_model::{EnergyModel, GroundTruth, LeakageModel};
 pub use event::{EventCounts, EventKind, N_EVENTS};
 pub use rates::{nearest_count, EventRates};

@@ -294,37 +294,42 @@ impl System {
     /// is picked.
     pub fn context_switch(&mut self, cpu: CpuId) -> SwitchResult {
         let prev = self.rqs[cpu.0].current();
-        let total_before = self.rq_profile_total(cpu);
+        // The queue's queued-plus-running profile total before the
+        // switch; each task is looked up once, and its profile read
+        // there.
+        let mut total_before = self.rqs[cpu.0].queued_profile();
         if let Some(id) = prev {
-            let (expired, profile) = {
-                let task = &mut self.tasks[id];
-                task.set_state(TaskState::Runnable);
-                let expired = task.timeslice().is_zero();
-                if expired {
-                    task.refresh_timeslice();
-                }
-                (expired, task.profile().0)
-            };
+            let task = &mut self.tasks[id];
+            task.set_state(TaskState::Runnable);
+            let expired = task.timeslice().is_zero();
             if expired {
-                self.rqs[cpu.0].enqueue_expired(id);
-            } else {
-                self.rqs[cpu.0].enqueue_active(id);
+                task.refresh_timeslice();
             }
-            self.rqs[cpu.0].credit_profile(profile);
+            let profile = task.profile().0;
+            total_before += profile;
+            let rq = &mut self.rqs[cpu.0];
+            if expired {
+                rq.enqueue_expired(id);
+            } else {
+                rq.enqueue_active(id);
+            }
+            rq.credit_profile(profile);
             self.queued += 1;
         }
         let next = self.rqs[cpu.0].pick_next();
-        if let Some(id) = next {
-            let profile = self.tasks[id].profile().0;
-            self.rqs[cpu.0].debit_profile(profile);
-            self.queued -= 1;
-        }
-        self.rqs[cpu.0].set_current(next);
-        if let Some(id) = next {
+        let next_profile = next.map(|id| {
             let task = &mut self.tasks[id];
             task.set_state(TaskState::Running);
             task.set_cpu(cpu);
+            task.profile().0
+        });
+        let rq = &mut self.rqs[cpu.0];
+        if let Some(profile) = next_profile {
+            rq.debit_profile(profile);
+            self.queued -= 1;
         }
+        rq.set_current(next);
+        let total_after = next_profile.map_or(rq.queued_profile(), |p| rq.queued_profile() + p);
         if prev != next {
             self.stats.context_switches += 1;
         }
@@ -336,7 +341,7 @@ impl System {
         // from `Q` by an ulp — and cached group ratios must stay
         // bit-identical to fresh scans. So the generation is bumped
         // exactly when the queue's profile total changed bits.
-        if self.rq_profile_total(cpu).to_bits() != total_before.to_bits() {
+        if total_after.to_bits() != total_before.to_bits() {
             self.agg.apply(cpu, 0);
         }
         SwitchResult { prev, next }
@@ -545,16 +550,6 @@ impl System {
         }
     }
 
-    /// Queued-plus-running profile total of one CPU's runqueue.
-    fn rq_profile_total(&self, cpu: CpuId) -> f64 {
-        let rq = &self.rqs[cpu.0];
-        let mut total = rq.queued_profile();
-        if let Some(id) = rq.current() {
-            total += self.tasks[id].profile().0;
-        }
-        total
-    }
-
     /// Appends a runnable task to `cpu`'s active array and credits it
     /// to the queued-profile and aggregate caches.
     fn enqueue(&mut self, id: TaskId, cpu: CpuId) {
@@ -593,10 +588,9 @@ impl System {
 
     fn finish_migration(&mut self, id: TaskId, from: CpuId, to: CpuId, reason: MigrationReason) {
         let cross_node = !self.topology.same_node(from, to);
-        let now = self.now;
         let task = &mut self.tasks[id];
         task.set_cpu(to);
-        task.record_migration(now, cross_node, reason);
+        task.record_migration(reason, cross_node);
         self.stats.migrations_by_reason[reason.index()] += 1;
     }
 
@@ -924,7 +918,7 @@ mod tests {
         // Cross-node flag: CPU 0 is node 0, CPU 4 is node 1.
         assert_eq!(
             sys.task(queued).last_migration(),
-            Some((SimTime::ZERO, true))
+            Some((MigrationReason::LoadBalance, true))
         );
         sys.validate();
     }

@@ -11,7 +11,7 @@ use crate::system::MigrationReason;
 use ebs_store::Snapshot as _;
 use ebs_thermal::PowerAverage;
 use ebs_topology::CpuId;
-use ebs_units::{SimDuration, SimTime, Watts};
+use ebs_units::{SimDuration, Watts};
 
 /// Identifies a task for the lifetime of a [`crate::System`]: ids count
 /// up from 0 and are never reused, also after their task has left.
@@ -83,15 +83,11 @@ pub struct Task {
     timeslice: SimDuration,
     /// Energy profile: expected power while executing (Section 3.3).
     profile: PowerAverage,
-    /// Most recent migration: time and whether it crossed a node
-    /// boundary. Consumed by the cache-warmth model.
-    last_migration: Option<(SimTime, bool)>,
-    /// Why the most recent migration happened (for event tracing).
-    last_migration_reason: Option<MigrationReason>,
+    /// Most recent migration: why it happened (for event tracing) and
+    /// whether it crossed a node boundary (for the cache-warmth model).
+    last_migration: Option<(MigrationReason, bool)>,
     /// Total number of migrations this task experienced.
     migrations: u64,
-    /// Total CPU time consumed.
-    cpu_time: SimDuration,
 }
 
 impl Task {
@@ -105,9 +101,7 @@ impl Task {
             timeslice: DEFAULT_TIMESLICE,
             profile: PowerAverage::new(config.initial_profile, DEFAULT_TIMESLICE, PROFILE_WEIGHT),
             last_migration: None,
-            last_migration_reason: None,
             migrations: 0,
-            cpu_time: SimDuration::ZERO,
         }
     }
 
@@ -152,7 +146,6 @@ impl Task {
         } else {
             self.timeslice - dt
         };
-        self.cpu_time += dt;
         self.timeslice.is_zero()
     }
 
@@ -180,35 +173,20 @@ impl Task {
         self.profile.reset(power);
     }
 
-    /// The most recent migration (time, crossed-node flag), if any.
-    pub fn last_migration(&self) -> Option<(SimTime, bool)> {
+    /// The most recent migration, if any: why it happened and whether
+    /// it crossed a node boundary.
+    pub fn last_migration(&self) -> Option<(MigrationReason, bool)> {
         self.last_migration
     }
 
-    /// Why the most recent migration happened, if any.
-    pub fn last_migration_reason(&self) -> Option<MigrationReason> {
-        self.last_migration_reason
-    }
-
-    pub(crate) fn record_migration(
-        &mut self,
-        at: SimTime,
-        cross_node: bool,
-        reason: MigrationReason,
-    ) {
-        self.last_migration = Some((at, cross_node));
-        self.last_migration_reason = Some(reason);
+    pub(crate) fn record_migration(&mut self, reason: MigrationReason, cross_node: bool) {
+        self.last_migration = Some((reason, cross_node));
         self.migrations += 1;
     }
 
     /// Number of times this task has been migrated.
     pub fn migrations(&self) -> u64 {
         self.migrations
-    }
-
-    /// Total CPU time consumed so far.
-    pub fn cpu_time(&self) -> SimDuration {
-        self.cpu_time
     }
 }
 
@@ -268,13 +246,8 @@ impl Task {
         task.timeslice = r.duration()?;
         // Overwrites the default initial profile.
         task.profile.restore(r)?;
-        task.last_migration = r.opt(|r| Ok((r.time()?, r.bool()?)))?;
-        task.last_migration_reason = r.opt(|r| {
-            let code = r.u8()?;
-            reason_from_code(code)
-        })?;
+        task.last_migration = r.opt(|r| Ok((reason_from_code(r.u8()?)?, r.bool()?)))?;
         task.migrations = r.u64()?;
-        task.cpu_time = r.duration()?;
         Ok(task)
     }
 }
@@ -286,15 +259,11 @@ impl ebs_store::Snapshot for Task {
         w.u8(state_code(self.state));
         w.duration(self.timeslice);
         self.profile.save(w);
-        w.opt(&self.last_migration, |w, &(t, cross)| {
-            w.time(t);
+        w.opt(&self.last_migration, |w, &(reason, cross)| {
+            w.u8(reason_code(reason));
             w.bool(cross);
         });
-        w.opt(&self.last_migration_reason, |w, &reason| {
-            w.u8(reason_code(reason));
-        });
         w.u64(self.migrations);
-        w.duration(self.cpu_time);
     }
 
     fn restore(&mut self, r: &mut ebs_store::StateReader<'_>) -> Result<(), ebs_store::StoreError> {
@@ -331,7 +300,6 @@ mod tests {
         assert!(t.consume_timeslice(SimDuration::from_millis(10)));
         t.refresh_timeslice();
         assert_eq!(t.timeslice(), DEFAULT_TIMESLICE);
-        assert_eq!(t.cpu_time(), SimDuration::from_millis(110));
     }
 
     #[test]
@@ -349,10 +317,13 @@ mod tests {
     fn migration_bookkeeping() {
         let mut t = task();
         assert!(t.last_migration().is_none());
-        assert!(t.last_migration_reason().is_none());
-        t.record_migration(SimTime::from_secs(3), true, MigrationReason::HotTask);
-        assert_eq!(t.last_migration(), Some((SimTime::from_secs(3), true)));
-        assert_eq!(t.last_migration_reason(), Some(MigrationReason::HotTask));
-        assert_eq!(t.migrations(), 1);
+        t.record_migration(MigrationReason::HotTask, true);
+        assert_eq!(t.last_migration(), Some((MigrationReason::HotTask, true)));
+        t.record_migration(MigrationReason::LoadBalance, false);
+        assert_eq!(
+            t.last_migration(),
+            Some((MigrationReason::LoadBalance, false))
+        );
+        assert_eq!(t.migrations(), 2);
     }
 }

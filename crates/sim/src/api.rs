@@ -390,7 +390,7 @@ mod tests {
                     due: SimTime::from_millis(10 + 20 * k),
                     program: catalog::aluadd().with_total_work(1_000_000),
                     seed: k,
-                    phase: "steady",
+                    phase: 0,
                 });
             }
             sim.run_for(SimDuration::from_secs(1));

@@ -2,20 +2,20 @@
 //! step (paper Section 5, Eq. 1).
 //!
 //! Each step, a running CPU turns its task's jitter-scaled event rates
-//! and the step's whole cycles into event counts for its counter bank,
-//! then evaluates Eq. 1 on those counts twice: under its class's ground
+//! and the step's whole cycles into the event counts it retired, then
+//! evaluates Eq. 1 on those counts twice: under its class's ground
 //! truth, which drives the physics, and under the estimator's
-//! calibrated model. The rates change only at a slice boundary, a phase
-//! change or a dispatch, and on a fixed tick the cycles repeat: at
-//! 2.2 GHz a 1 ms step is exactly 2,200,000 cycles for a lone thread
-//! and 1,375,000 for each of an SMT pair. So within a timeslice the
-//! same inputs come back every step.
+//! calibrated model, which the step charges. The rates change only at
+//! a slice boundary, a phase change or a dispatch, and on a fixed tick
+//! the cycles repeat: at 2.2 GHz a 1 ms step is exactly 2,200,000
+//! cycles for a lone thread and 1,375,000 for each of an SMT pair. So
+//! within a timeslice the same inputs come back every step.
 
 use ebs_counters::{EnergyModel, EventCounts, EventRates};
 use ebs_units::{Cycles, Joules};
 
-/// What `cycles` cycles at some event rates record into a CPU's
-/// counter bank, with their Eq. 1 energies.
+/// The events `cycles` cycles at some event rates retire on a CPU,
+/// with their Eq. 1 energies.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct CounterKernel {
     /// The event counts, as [`EventRates::counts_for_cycles`] rounds

@@ -10,10 +10,12 @@
 //! `SimConfig::strided` lifts the stride cap (see the engine docs for
 //! the equivalence guarantees):
 //!
-//! - execution generates events into per-CPU [`ebs_counters::CounterBank`]s;
-//! - the [`ebs_core::EnergyEstimator`] converts them to energy on every
-//!   task switch and timeslice end, updating task profiles and per-CPU
-//!   thermal power;
+//! - every step, a running CPU retires event counts, and the
+//!   [`ebs_core::EnergyEstimator`]'s calibrated Eq. 1 model charges
+//!   their energy to the CPU's thermal power and to the running task's
+//!   interval; a halted CPU is charged its halt share;
+//! - a task's energy profile takes its interval's energy on every task
+//!   switch and timeslice end;
 //! - the configured policy (baseline load balancing, or the merged
 //!   energy-aware balancer plus hot task migration plus energy-aware
 //!   placement) moves tasks around;

@@ -1,9 +1,9 @@
 //! The physical machine: ground-truth power, per-package thermal
-//! nodes, counter banks, and throttle controllers.
+//! nodes, throttle controllers and frequency domains.
 
 use crate::classes::{ClassCatalog, DomainMap};
 use crate::config::{MaxPowerSpec, SimConfig};
-use ebs_counters::{CounterBank, GroundTruth};
+use ebs_counters::GroundTruth;
 use ebs_dvfs::FrequencyDomain;
 use ebs_thermal::{RcThermalModel, ThermalNode, ThrottleController};
 use ebs_topology::{ClassId, CpuId, PackageId, Topology};
@@ -17,8 +17,6 @@ pub struct PhysicalMachine {
     catalog: ClassCatalog,
     /// The frequency-domain layout (per package or per core).
     domain_map: DomainMap,
-    /// Per-logical-CPU event counter banks.
-    pub banks: Vec<CounterBank>,
     /// Per-package thermal state.
     pub thermals: Vec<ThermalNode>,
     /// Per-*package* throttle controllers: only physical processors
@@ -145,7 +143,6 @@ impl PhysicalMachine {
         PhysicalMachine {
             catalog,
             domain_map,
-            banks: (0..n_cpus).map(|_| CounterBank::new()).collect(),
             thermals: models.into_iter().map(ThermalNode::new).collect(),
             throttles,
             freq_domains,
@@ -239,7 +236,6 @@ impl PhysicalMachine {
 impl ebs_store::Snapshot for PhysicalMachine {
     fn save(&self, w: &mut ebs_store::StateWriter) {
         w.key("machine");
-        w.seq(&self.banks, |w, b| b.save(w));
         w.seq(&self.thermals, |w, t| t.save(w));
         w.seq(&self.throttles, |w, t| t.save(w));
         w.seq(&self.freq_domains, |w, d| d.save(w));
@@ -250,7 +246,6 @@ impl ebs_store::Snapshot for PhysicalMachine {
     /// config-derived and stay as constructed.
     fn restore(&mut self, r: &mut ebs_store::StateReader<'_>) -> Result<(), ebs_store::StoreError> {
         r.key("machine")?;
-        r.table("counter banks", &mut self.banks, |r, b| b.restore(r))?;
         r.table("thermal nodes", &mut self.thermals, |r, t| t.restore(r))?;
         r.table("throttle controllers", &mut self.throttles, |r, t| {
             t.restore(r)

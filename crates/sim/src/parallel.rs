@@ -326,7 +326,7 @@ impl ParallelSimulation {
         }
         let mut completions_by_binary: Vec<(u64, u64)> = by_binary.into_iter().collect();
         completions_by_binary.sort_unstable();
-        let samples: Vec<(&'static str, f64)> = self
+        let samples: Vec<(u8, f64)> = self
             .shards
             .iter()
             .flat_map(|s| s.raw_latencies().iter().copied())

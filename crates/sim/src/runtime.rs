@@ -43,10 +43,11 @@ pub struct TaskRuntime {
     /// different class triggers the estimator's cross-class profile
     /// refit (the same counter activity costs different energy there).
     pub last_class: usize,
-    /// When (and in which load-curve phase) the task arrived, for
-    /// open-workload tasks; `None` marks closed-workload tasks, which
-    /// respawn instead of reporting a sojourn time.
-    pub arrival: Option<(SimTime, &'static str)>,
+    /// When (and in which load-curve phase, an index into the curve's
+    /// phases) the task arrived, for open-workload tasks; `None` marks
+    /// closed-workload tasks, which respawn instead of reporting a
+    /// sojourn time.
+    pub arrival: Option<(SimTime, u8)>,
 }
 
 impl TaskRuntime {
@@ -102,7 +103,7 @@ impl ebs_store::Snapshot for TaskRuntime {
         w.usize(self.last_class);
         w.opt(&self.arrival, |w, &(t, phase)| {
             w.time(t);
-            w.str(phase);
+            w.u8(phase);
         });
     }
 
@@ -113,7 +114,7 @@ impl ebs_store::Snapshot for TaskRuntime {
         self.last_move_cross_node = r.bool()?;
         self.first_slice_recorded = r.bool()?;
         self.last_class = r.usize()?;
-        self.arrival = r.opt(|r| Ok((r.time()?, ebs_store::intern(&r.str()?))))?;
+        self.arrival = r.opt(|r| Ok((r.time()?, r.u8()?)))?;
         Ok(())
     }
 }

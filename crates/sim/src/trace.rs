@@ -143,20 +143,22 @@ impl LatencyStats {
 }
 
 /// Sojourn-time statistics per load-curve phase of arrival, in the
-/// curve's canonical phase order, from `(arrival phase, seconds)`
-/// samples. Phases without completions are skipped; closed runs
+/// curve's canonical phase order, from `(arrival phase index, seconds)`
+/// samples. Phases without completions are skipped, and a sample whose
+/// index is past the curve's phases counts toward none; closed runs
 /// (`workload` is `None`) have no phases.
 pub(crate) fn phase_latencies(
     workload: Option<&OpenWorkload>,
-    samples: &[(&'static str, f64)],
+    samples: &[(u8, f64)],
 ) -> Vec<(String, LatencyStats)> {
     let phases = workload.map_or(&[][..], |w| w.curve.phases());
     phases
         .iter()
-        .filter_map(|&ph| {
+        .enumerate()
+        .filter_map(|(i, &ph)| {
             let xs: Vec<f64> = samples
                 .iter()
-                .filter(|&&(p, _)| p == ph)
+                .filter(|&&(p, _)| usize::from(p) == i)
                 .map(|&(_, s)| s)
                 .collect();
             (!xs.is_empty()).then(|| (ph.to_string(), LatencyStats::from_samples(xs)))
@@ -416,6 +418,27 @@ mod tests {
         let s = LatencyStats::from_samples(vec![3.0, 1.0]);
         assert_eq!((s.p50_s, s.p99_s, s.max_s), (1.0, 3.0, 3.0));
         assert_eq!(LatencyStats::from_samples(vec![]), LatencyStats::default());
+    }
+
+    /// Samples group by phase index under the phase's name, in the
+    /// curve's order; an index past the curve's phases counts toward
+    /// none.
+    #[test]
+    fn phase_latencies_group_samples_by_index() {
+        let open = OpenWorkload::new(vec![ebs_workloads::catalog::aluadd()], 1.0).curve(
+            ebs_workloads::LoadCurve::Diurnal {
+                period: SimDuration::from_secs(8),
+                floor: 0.25,
+            },
+        );
+        let samples = [(1, 4.0), (0, 1.0), (2, 9.0), (u8::MAX, 9.0), (1, 2.0)];
+        let by_phase = phase_latencies(Some(&open), &samples);
+        let got: Vec<(&str, u64, f64)> = by_phase
+            .iter()
+            .map(|(ph, st)| (ph.as_str(), st.count, st.max_s))
+            .collect();
+        assert_eq!(got, [("trough", 1, 1.0), ("peak", 2, 4.0)]);
+        assert!(phase_latencies(None, &samples).is_empty());
     }
 
     #[test]

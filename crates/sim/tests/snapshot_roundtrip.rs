@@ -157,19 +157,19 @@ fn shape_mismatch_is_rejected() {
 /// the standard fork entry point, never restored.
 #[test]
 fn other_format_versions_are_refused() {
-    assert_eq!(ebs_store::FORMAT_VERSION, 9);
+    assert_eq!(ebs_store::FORMAT_VERSION, 10);
     let cfg = open_cfg(1, 2, 7);
     let mut warm = Simulation::new(cfg.clone());
     warm.run_for(SimDuration::from_secs(2));
     let mut bytes = warm.snapshot().as_bytes().to_vec();
-    bytes[4..8].copy_from_slice(&8u32.to_le_bytes());
+    bytes[4..8].copy_from_slice(&9u32.to_le_bytes());
     let old = ebs_store::StateImage::from_bytes(bytes);
-    assert_eq!(old.version(), 8);
+    assert_eq!(old.version(), 9);
     assert!(matches!(
         Simulation::from_snapshot(cfg, &old),
         Err(ebs_store::StoreError::Version {
-            found: 8,
-            expected: 9
+            found: 9,
+            expected: 10
         })
     ));
 }
@@ -267,13 +267,9 @@ fn a_cold_counter_memo_resumes_the_paper_run_bit_for_bit() {
 }
 
 /// Image bytes of a report's sojourn samples: each sample is its
-/// arrival phase's name, length-prefixed, and its seconds.
+/// arrival phase's index, one byte, and its seconds.
 fn sample_bytes(report: &ebs_sim::SimReport) -> usize {
-    report
-        .phase_latencies
-        .iter()
-        .map(|(phase, stats)| stats.count as usize * (16 + phase.len()))
-        .sum()
+    report.latency.count as usize * (1 + 8)
 }
 
 /// Images track live tasks: from T to 2T of an open workload the image

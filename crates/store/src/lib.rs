@@ -66,7 +66,14 @@ pub const MAGIC: [u8; 4] = *b"EBSS";
 ///   a record per live task (task records no longer carry their id,
 ///   which is their place in the window), so images grow with the live
 ///   set instead of with every task ever spawned.
-pub const FORMAT_VERSION: u32 = 9;
+/// - **v10** — one copy of each step's counts: the machine's per-CPU
+///   counter banks and the estimator's per-CPU previous reads are gone
+///   (two tables of nine `u64`s per logical CPU); sojourn samples,
+///   task arrivals, routed arrivals and the pending arrival save their
+///   load-curve phase as a one-byte index instead of its name; task
+///   records drop the CPU time and the last migration's instant, and
+///   keep its reason and cross-node flag in one optional record.
+pub const FORMAT_VERSION: u32 = 10;
 
 /// A restore failure. Every variant names enough context to locate
 /// the divergence in the byte stream.
@@ -556,10 +563,10 @@ pub trait Snapshot {
 }
 
 /// Interns a string, returning a `&'static str` — the bridge between
-/// serialised strings and the `&'static str` fields used throughout
-/// the simulator (program names, phase labels). Each distinct string
-/// leaks once, process-wide; the universe of names in any run is
-/// small and fixed, so the leak is bounded.
+/// serialised strings and the `&'static str` names of programs and of
+/// their phases. Each distinct string leaks once, process-wide; the
+/// universe of names in any run is small and fixed, so the leak is
+/// bounded.
 pub fn intern(s: &str) -> &'static str {
     static POOL: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
     let pool = POOL.get_or_init(|| Mutex::new(HashSet::new()));

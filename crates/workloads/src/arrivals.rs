@@ -27,8 +27,9 @@ pub struct Arrival {
     pub work: Instructions,
     /// Seed for the spawned task's private RNG.
     pub seed: u64,
-    /// The load-curve phase label at the arrival instant.
-    pub phase: &'static str,
+    /// The load-curve phase at the arrival instant, as an index into
+    /// the curve's [`LoadCurve::phases`](crate::LoadCurve::phases).
+    pub phase: u8,
 }
 
 /// One exponential inter-arrival gap at `rate_hz`, at least 1 µs.
@@ -155,7 +156,7 @@ impl ebs_store::Snapshot for ArrivalProcess {
             w.usize(a.program_index);
             w.u64(a.work);
             w.u64(a.seed);
-            w.str(a.phase);
+            w.u8(a.phase);
         });
         w.u64(self.accepted);
     }
@@ -172,7 +173,7 @@ impl ebs_store::Snapshot for ArrivalProcess {
             let program_index = r.usize()?;
             let work = r.u64()?;
             let seed = r.u64()?;
-            let phase = ebs_store::intern(&r.str()?);
+            let phase = r.u8()?;
             Ok((
                 t,
                 Arrival {
@@ -189,6 +190,13 @@ impl ebs_store::Snapshot for ArrivalProcess {
                     "pending arrival references program {} of {}",
                     a.program_index,
                     self.spec.programs.len()
+                )));
+            }
+            let phases = self.spec.curve.phases().len();
+            if usize::from(a.phase) >= phases {
+                return Err(ebs_store::StoreError::Invalid(format!(
+                    "pending arrival references load-curve phase {} of {phases}",
+                    a.phase
                 )));
             }
         }
@@ -243,7 +251,7 @@ mod tests {
         for a in &arrivals {
             assert!(a.program_index < 2);
             assert!((1_000..=2_000).contains(&a.work));
-            assert_eq!(a.phase, "steady");
+            assert_eq!(a.phase, 0, "the constant curve's one phase");
         }
         assert_eq!(p.accepted(), arrivals.len() as u64);
     }
@@ -283,6 +291,35 @@ mod tests {
         let p = ArrivalProcess::new(spec, 2);
         // Mean accepted gap ~1 s vs candidate gap ~10 ms.
         assert!(p.next_arrival() > SimTime::from_millis(50));
+    }
+
+    /// A pending arrival's phase past its curve's phases is refused
+    /// on restore; one within them restores.
+    #[test]
+    fn restore_refuses_a_pending_phase_past_the_curve() {
+        use ebs_store::Snapshot as _;
+        let spec = workload(20.0).curve(LoadCurve::Diurnal {
+            period: SimDuration::from_secs(8),
+            floor: 0.25,
+        });
+        for (phase, refused) in [(1, false), (2, true), (u8::MAX, true)] {
+            let mut p = ArrivalProcess::new(spec.clone(), 5);
+            p.pending.as_mut().expect("an arrival is resolved").1.phase = phase;
+            let mut w = ebs_store::StateWriter::new();
+            p.save(&mut w);
+            let image = w.finish();
+            let mut restored = ArrivalProcess::new(spec.clone(), 0);
+            match restored.restore(&mut image.open().expect("valid image")) {
+                Err(ebs_store::StoreError::Invalid(msg)) if refused => {
+                    let what = format!("load-curve phase {phase} of 2");
+                    assert!(msg.contains(&what), "{msg:?} does not name {what:?}");
+                }
+                Ok(()) if !refused => {
+                    assert_eq!(restored.pop_due(SimTime::from_secs(60))[0].phase, 1)
+                }
+                other => panic!("phase {phase}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -99,33 +99,23 @@ impl LoadCurve {
         }
     }
 
-    /// The label of the curve phase in effect at `t` (latency
-    /// percentiles are reported per phase).
-    pub fn phase_at(&self, t: SimTime) -> &'static str {
+    /// The curve phase in effect at `t`, as an index into
+    /// [`LoadCurve::phases`] (latency percentiles are reported per
+    /// phase).
+    pub fn phase_at(&self, t: SimTime) -> u8 {
         match *self {
-            LoadCurve::Constant => "steady",
+            LoadCurve::Constant => 0,
+            // "peak" from the mid factor up, "trough" below it.
             LoadCurve::Diurnal { floor, .. } => {
                 let mid = (1.0 + floor) / 2.0;
-                if self.factor_at(t) >= mid {
-                    "peak"
-                } else {
-                    "trough"
-                }
+                u8::from(self.factor_at(t) >= mid)
             }
-            LoadCurve::Step { at, .. } => {
-                if t.as_micros() < at.as_micros() {
-                    "before"
-                } else {
-                    "after"
-                }
-            }
+            // "after" from the switch on.
+            LoadCurve::Step { at, .. } => u8::from(t.as_micros() >= at.as_micros()),
+            // "burst" in the first `duty` of the period, "base" after.
             LoadCurve::Burst { period, duty, .. } => {
                 let phase = (t.as_micros() % period.as_micros()) as f64 / period.as_micros() as f64;
-                if phase < duty {
-                    "burst"
-                } else {
-                    "base"
-                }
+                u8::from(phase < duty)
             }
         }
     }
@@ -256,12 +246,17 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    /// The label of the phase `c` is in at `t` seconds.
+    fn phase_name(c: &LoadCurve, t: u64) -> &'static str {
+        c.phases()[usize::from(c.phase_at(secs(t)))]
+    }
+
     #[test]
     fn constant_curve_is_flat() {
         let c = LoadCurve::Constant;
         for t in [0, 1, 100, 10_000] {
             assert_eq!(c.factor_at(secs(t)), 1.0);
-            assert_eq!(c.phase_at(secs(t)), "steady");
+            assert_eq!(phase_name(&c, t), "steady");
         }
         assert_eq!(c.peak_factor(), 1.0);
         assert_eq!(c.phases(), &["steady"]);
@@ -276,8 +271,8 @@ mod tests {
         assert!((c.factor_at(secs(0)) - 0.2).abs() < 1e-12);
         assert!((c.factor_at(secs(50)) - 1.0).abs() < 1e-12);
         assert!((c.factor_at(secs(100)) - 0.2).abs() < 1e-9);
-        assert_eq!(c.phase_at(secs(0)), "trough");
-        assert_eq!(c.phase_at(secs(50)), "peak");
+        assert_eq!(phase_name(&c, 0), "trough");
+        assert_eq!(phase_name(&c, 50), "peak");
         // The factor never leaves [floor, 1].
         for t in 0..200 {
             let f = c.factor_at(secs(t));
@@ -295,8 +290,8 @@ mod tests {
         };
         assert_eq!(c.factor_at(secs(29)), 0.4);
         assert_eq!(c.factor_at(secs(30)), 1.0);
-        assert_eq!(c.phase_at(secs(10)), "before");
-        assert_eq!(c.phase_at(secs(31)), "after");
+        assert_eq!(phase_name(&c, 10), "before");
+        assert_eq!(phase_name(&c, 31), "after");
         assert_eq!(c.peak_factor(), 1.0);
     }
 
@@ -310,8 +305,8 @@ mod tests {
         assert_eq!(c.factor_at(secs(1)), 3.0); // In the first burst.
         assert_eq!(c.factor_at(secs(5)), 1.0);
         assert_eq!(c.factor_at(secs(11)), 3.0); // Second period.
-        assert_eq!(c.phase_at(secs(1)), "burst");
-        assert_eq!(c.phase_at(secs(5)), "base");
+        assert_eq!(phase_name(&c, 1), "burst");
+        assert_eq!(phase_name(&c, 5), "base");
         assert_eq!(c.peak_factor(), 3.0);
     }
 
