@@ -34,18 +34,14 @@ pub struct EnergyEstimator {
 }
 
 impl EnergyEstimator {
-    /// Creates an estimator for `n_cpus` logical CPUs of one class.
-    ///
-    /// `model` is the *calibrated* energy model (not the ground truth);
-    /// `halt_power_share` is the power attributed to one logical CPU
-    /// while halted — the measured package halt power divided by the
-    /// number of hardware threads.
-    pub fn new(model: EnergyModel, n_cpus: usize, halt_power_share: Watts) -> Self {
-        Self::with_classes(vec![model], vec![0; n_cpus], vec![halt_power_share])
-    }
-
     /// Creates a class-aware estimator: one calibrated model and halt
-    /// share per class, plus the class of every logical CPU.
+    /// share per class, plus the class of every logical CPU. A
+    /// homogeneous machine passes one class and every CPU in it.
+    ///
+    /// Each model is a *calibrated* energy model (not the ground
+    /// truth); each halt share is the power attributed to one logical
+    /// CPU of its class while halted — the measured package halt power
+    /// divided by the number of hardware threads.
     ///
     /// # Panics
     ///
@@ -129,14 +125,13 @@ mod tests {
     }
 
     #[test]
-    fn single_class_constructor_matches_class_aware_form() {
+    fn one_class_tables_resolve_every_cpu() {
         let model = EnergyModel::ground_truth_weights();
-        let a = EnergyEstimator::new(model, 2, Watts(6.8));
-        let b = EnergyEstimator::with_classes(vec![model], vec![0, 0], vec![Watts(6.8)]);
+        let est = EnergyEstimator::with_classes(vec![model], vec![0, 0], vec![Watts(6.8)]);
+        assert_eq!(est.class_model(0), &model);
         for cpu in [CpuId(0), CpuId(1)] {
-            assert_eq!(a.model_for(cpu), b.model_for(cpu));
-            assert_eq!(a.model_for(cpu), &model);
-            assert_eq!(a.halt_share_of(cpu), b.halt_share_of(cpu));
+            assert_eq!(est.model_for(cpu), &model);
+            assert_eq!(est.halt_share_of(cpu), Watts(6.8));
         }
     }
 }

@@ -51,4 +51,4 @@ pub mod linalg;
 
 pub use energy_model::{EnergyModel, GroundTruth, LeakageModel};
 pub use event::{EventCounts, EventKind, N_EVENTS};
-pub use rates::{nearest_count, EventRates};
+pub use rates::{ceil_count, nearest_count, EventRates};

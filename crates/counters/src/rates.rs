@@ -100,6 +100,22 @@ pub fn nearest_count(x: f64) -> u64 {
     t.saturating_add((x - t as f64 >= 0.5) as u64)
 }
 
+/// `x.ceil() as u64` without the call to the C library's `ceil` that
+/// baseline x86-64 (no `roundsd`) makes for every `f64::ceil`: NaN and
+/// values at or below zero give 0, and values past `u64::MAX` saturate
+/// to it.
+///
+/// Exact for every `f64`, as [`nearest_count`] is: below 2⁶⁴ the
+/// truncation `t` converts back without loss, so `x > t` holds exactly
+/// when `x` has a fractional part. NaN and values at or below zero
+/// truncate to 0 and fail the comparison; past `u64::MAX` the cast
+/// saturates and the saturating add keeps it there.
+#[inline]
+pub fn ceil_count(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add((x > t as f64) as u64)
+}
+
 /// Builder for [`EventRates`]; unset events default to zero.
 #[derive(Clone, Copy, Debug)]
 pub struct EventRatesBuilder([f64; N_EVENTS]);
@@ -268,6 +284,56 @@ mod tests {
         assert_eq!(nearest_count(two_64), u64::MAX);
         assert_eq!(nearest_count(f64::NAN), 0);
         assert_eq!(nearest_count(-0.5), 0);
+    }
+
+    #[test]
+    fn ceil_count_matches_ceil_on_edge_cases() {
+        let two_52 = (1u64 << 52) as f64;
+        let two_53 = (1u64 << 53) as f64;
+        let two_63 = 2.0f64.powi(63);
+        let two_64 = 2.0f64.powi(64);
+        let cases = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            0.5,
+            0.49999999999999994,
+            1.0,
+            1.5,
+            3.0,
+            1e6,
+            -0.5,
+            -1.0,
+            -1.5,
+            // The last binade with halves.
+            two_52 - 0.5,
+            // Not representable: the sum is already an integer.
+            two_52 + 0.5,
+            two_52 + 1.0,
+            two_53,
+            two_53 + 2.0,
+            two_63,
+            two_64 - 2048.0,
+            two_64,
+            two_64 * 2.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for x in cases {
+            assert_eq!(ceil_count(x), x.ceil() as u64, "{x:e}");
+        }
+        assert_eq!(ceil_count(f64::MIN_POSITIVE), 1);
+        assert_eq!(ceil_count(0.5), 1);
+        assert_eq!(ceil_count(3.0), 3);
+        assert_eq!(ceil_count(-0.5), 0);
+        assert_eq!(ceil_count(two_52 - 0.5), 1 << 52);
+        assert_eq!(ceil_count(two_52 + 0.5), 1 << 52);
+        assert_eq!(ceil_count(two_64), u64::MAX);
+        assert_eq!(ceil_count(f64::INFINITY), u64::MAX);
+        assert_eq!(ceil_count(f64::NAN), 0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property-based tests for the counter and calibration machinery.
 
 use ebs_counters::{
-    calibration, linalg, nearest_count, EnergyModel, EventCounts, EventRates, GroundTruth,
-    LeakageModel, N_EVENTS,
+    calibration, ceil_count, linalg, nearest_count, EnergyModel, EventCounts, EventRates,
+    GroundTruth, LeakageModel, N_EVENTS,
 };
 use ebs_units::SimDuration;
 use proptest::prelude::*;
@@ -122,6 +122,14 @@ proptest! {
     fn nearest_count_is_round_for_any_bits(bits in any::<u64>()) {
         let x = f64::from_bits(bits);
         prop_assert_eq!(nearest_count(x), x.round() as u64, "{:e} ({:#x})", x, bits);
+    }
+
+    /// The library-call-free ceiling is `f64::ceil() as u64` for every
+    /// bit pattern.
+    #[test]
+    fn ceil_count_is_ceil_for_any_bits(bits in any::<u64>()) {
+        let x = f64::from_bits(bits);
+        prop_assert_eq!(ceil_count(x), x.ceil() as u64, "{:e} ({:#x})", x, bits);
     }
 
     /// The same over the counts a CPU step actually rounds: integral

@@ -199,7 +199,12 @@ impl DomainMap {
         self.dom_cpus.len()
     }
 
-    /// The logical CPUs sharing domain `dom`.
+    /// The logical CPUs sharing domain `dom`, ascending. A package's
+    /// own list ([`ebs_topology::Topology::cpus_of_package`]) is
+    /// core-major instead, so on SMT shapes a per-package domain and its
+    /// package list the same CPUs in different orders (dual2's package 0
+    /// is `[0, 4, 1, 5]`, its domain `[0, 1, 4, 5]`), and their sums of
+    /// the same per-CPU values can differ in the last bit.
     pub fn cpus(&self, dom: usize) -> &[CpuId] {
         &self.dom_cpus[dom]
     }
@@ -283,6 +288,18 @@ mod tests {
             }
             assert_eq!(map.domains_of_package(d), &[d]);
         }
+    }
+
+    #[test]
+    fn package_lists_are_core_major_and_domain_lists_ascending() {
+        let topo = TopologyPreset::Dual.build();
+        let map = DomainMap::new(&topo, DomainScope::PerPackage);
+        let ids = |cpus: Vec<CpuId>| cpus.into_iter().map(|c| c.0).collect::<Vec<_>>();
+        let package = |p| ids(topo.cpus_of_package(ebs_topology::PackageId(p)).collect());
+        assert_eq!(package(0), [0, 4, 1, 5]);
+        assert_eq!(ids(map.cpus(0).to_vec()), [0, 1, 4, 5]);
+        assert_eq!(package(1), [2, 6, 3, 7]);
+        assert_eq!(ids(map.cpus(1).to_vec()), [2, 3, 6, 7]);
     }
 
     #[test]

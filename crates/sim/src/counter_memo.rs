@@ -11,8 +11,13 @@
 //! cycles for a lone thread and 1,375,000 for each of an SMT pair. So
 //! within a timeslice the same inputs come back every step.
 
-use ebs_counters::{EnergyModel, EventCounts, EventRates};
+use ebs_counters::{nearest_count, EnergyModel, EventCounts, EventRates, N_EVENTS};
 use ebs_units::{Cycles, Joules};
+
+/// 2⁶³: below it a non-negative product rounds through `i64`
+/// conversions, one instruction each on baseline x86-64, where the
+/// saturating `u64` casts [`nearest_count`] makes cost several.
+const I64_LIMIT: f64 = 9_223_372_036_854_775_808.0;
 
 /// The events `cycles` cycles at some event rates retire on a CPU,
 /// with their Eq. 1 energies.
@@ -29,9 +34,61 @@ pub(crate) struct CounterKernel {
 
 impl CounterKernel {
     /// The kernel of `cycles` cycles at `rates` on a CPU whose class
-    /// has ground truth `truth` and calibrated model `model`.
+    /// has ground truth `truth` and calibrated model `model`, in one
+    /// pass: each product is rounded as
+    /// [`EventRates::counts_for_cycles`] rounds it and added to both
+    /// Eq. 1 sums in [`EnergyModel::estimate`]'s order, so the result
+    /// is bit for bit theirs.
+    ///
+    /// A product in `[0, 2⁶³)` rounds through `i64`: its truncation and
+    /// the count convert exactly either way, so the fraction and the
+    /// count are [`nearest_count`]'s. Any other product (NaN, negative
+    /// or huge) takes [`nearest_count`] itself.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, unless the result is bit for bit
+    /// [`CounterKernel::reference`].
     #[inline]
     fn compute(
+        rates: &EventRates,
+        cycles: Cycles,
+        truth: &EnergyModel,
+        model: &EnergyModel,
+    ) -> Self {
+        let n = cycles as f64;
+        let (w_truth, w_model) = (truth.weights_nj(), model.weights_nj());
+        let mut counts = [0u64; N_EVENTS];
+        let (mut truth_nj, mut model_nj) = (0.0, 0.0);
+        for (i, &rate) in rates.as_array().iter().enumerate() {
+            let x = rate * n;
+            let (count, c) = if (0.0..I64_LIMIT).contains(&x) {
+                let t = x as i64;
+                let c = t + (x - t as f64 >= 0.5) as i64;
+                (c as u64, c as f64)
+            } else {
+                let c = nearest_count(x);
+                (c, c as f64)
+            };
+            counts[i] = count;
+            truth_nj += w_truth[i] * c;
+            model_nj += w_model[i] * c;
+        }
+        let kernel = CounterKernel {
+            counts: EventCounts::from_array(counts),
+            truth: Joules(truth_nj * 1e-9),
+            estimate: Joules(model_nj * 1e-9),
+        };
+        debug_assert!(
+            kernel.bit_eq(&Self::reference(rates, cycles, truth, model)),
+            "one-pass counter kernel differs from counts_for_cycles plus estimate"
+        );
+        kernel
+    }
+
+    /// The kernel as its definition reads: the rounded counts, then
+    /// Eq. 1 of them under each model.
+    fn reference(
         rates: &EventRates,
         cycles: Cycles,
         truth: &EnergyModel,
@@ -172,6 +229,74 @@ mod tests {
         // Two models, two energies: the memo keeps them apart.
         let k = *memo.kernel(busy, 2_200_000, &truth, &model);
         assert_ne!(k.truth.0.to_bits(), k.estimate.0.to_bits());
+    }
+
+    #[test]
+    fn one_pass_kernel_is_counts_plus_estimate_bit_for_bit() {
+        let truth = EnergyModel::ground_truth_weights();
+        let model = calibrated();
+        // Every event at the same rate, and one vector whose products
+        // take every path at once.
+        let flat = |r: f64| EventRates::from_array([r; N_EVENTS]);
+        let mixed = EventRates::from_array(std::array::from_fn(|i| {
+            [1.0, 0.5, 1e-9, 3e12, 0.0, 1.5, 2.5, 0.25, 1e300][i % 9]
+        }));
+        let busy = EventRates::builder()
+            .uops_retired(1.9)
+            .mem_loads(0.3)
+            .l2_misses(0.004)
+            .build();
+        let rates = [
+            EventRates::HALTED,
+            busy,
+            mixed,
+            // Exact halves at odd cycles.
+            flat(0.5),
+            flat(1.5),
+            flat(1.0),
+            flat(2.0),
+            flat(4.0),
+            flat(1e300),
+            flat(f64::MAX),
+        ];
+        let cycles: [Cycles; 16] = [
+            0,
+            1,
+            3,
+            1_375_001,
+            2_200_000,
+            (1 << 40) + 1,
+            // Counts around 2⁵² and 2⁵³.
+            (1 << 52) - 1,
+            1 << 52,
+            (1 << 52) + 1,
+            (1 << 53) - 1,
+            1 << 53,
+            (1 << 53) + 1,
+            // Products at or above 2⁶³: the fallback path.
+            1 << 62,
+            1 << 63,
+            (1 << 63) + (1 << 20),
+            u64::MAX,
+        ];
+        for r in &rates {
+            for &n in &cycles {
+                let one = CounterKernel::compute(r, n, &truth, &model);
+                let two = CounterKernel::reference(r, n, &truth, &model);
+                assert!(one.bit_eq(&two), "{n} cycles at {r:?}: {one:?} vs {two:?}");
+            }
+        }
+        // The fallback path counts 2 × 2⁶² = 2⁶³ exactly and saturates
+        // past u64::MAX.
+        let k = CounterKernel::compute(&flat(2.0), 1 << 62, &truth, &model);
+        assert_eq!(k.counts.as_array()[0], 1 << 63);
+        let k = CounterKernel::compute(&flat(4.0), 1 << 62, &truth, &model);
+        assert_eq!(k.counts.as_array()[0], u64::MAX);
+        let k = CounterKernel::compute(&flat(1.0), u64::MAX, &truth, &model);
+        assert_eq!(k.counts.as_array()[0], u64::MAX);
+        // A tie rounds away from zero: 0.5 × 3 cycles is 2 events.
+        let k = CounterKernel::compute(&flat(0.5), 3, &truth, &model);
+        assert_eq!(k.counts.as_array()[0], 2);
     }
 
     #[test]

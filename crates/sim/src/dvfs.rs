@@ -7,11 +7,16 @@
 //! last decision with their dwell, and the optional forced deadline.
 //! Its fields are private, so the engine changes that state only
 //! through the record's transitions (accrue, due test and arm).
+//!
+//! Beside it the engine keeps one [`DomainSignals`] per domain: the
+//! signals a step reads of the domain, each computed once and kept
+//! until what it is computed from changes.
 
 use crate::engine::crossing_time_s;
 use ebs_dvfs::{DecisionHold, GovernorInput};
 use ebs_store::{StateReader, StateWriter, StoreError};
 use ebs_units::{SimDuration, SimTime, Watts};
+use std::cell::Cell;
 
 /// Utilization over a governor decision window: busy thread-seconds
 /// over the window length, clamped to `[0, 1]`.
@@ -282,6 +287,101 @@ impl DomainDecision {
             }
         }
         dt
+    }
+}
+
+/// What a step reads of one frequency domain besides its decision
+/// state.
+///
+/// - The thermal-power sum over the domain's CPUs, in
+///   [`crate::DomainMap::cpus`] order, written after every physics
+///   step (the only place the averages change), at construction and
+///   on restore; and the budget sum over the same list, fixed at
+///   construction.
+/// - The instantaneous busy fraction and the predicted thermal-power
+///   sample, computed at their first read and kept until the engine
+///   clears them: a dispatch or an idle transition on one of the
+///   domain's CPUs, a phase change of a task running on one, a
+///   P-state change, a throttle flip of its package, or a restore.
+///   Nothing else changes what they are computed from.
+///
+/// Engine scratch: never saved in a store image or hashed. The kept
+/// values are [`Cell`]s because the stride prediction reads (and so
+/// first computes) them through a shared borrow.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct DomainSignals {
+    /// Thermal-power sum over the domain's CPUs.
+    pub thermal: Watts,
+    /// Budget sum over the domain's CPUs.
+    pub budget: Watts,
+    busy: Cell<Option<f64>>,
+    sample: Cell<Option<f64>>,
+}
+
+impl DomainSignals {
+    /// The signals of a domain whose CPUs' budgets sum to `budget`,
+    /// with nothing kept yet.
+    pub fn new(budget: Watts) -> Self {
+        DomainSignals {
+            budget,
+            ..DomainSignals::default()
+        }
+    }
+
+    /// Forgets the kept busy fraction and predicted sample.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.busy.set(None);
+        self.sample.set(None);
+    }
+
+    /// The domain's busy fraction: the kept one, or `fresh()` kept from
+    /// now on.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, unless a kept value is bit for bit `fresh()`.
+    #[inline]
+    pub fn busy_fraction(&self, fresh: impl FnOnce() -> f64) -> f64 {
+        kept_or_fresh(&self.busy, fresh, "busy fraction")
+    }
+
+    /// The domain's predicted thermal-power sample: the kept one, or
+    /// `fresh()` kept from now on.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, unless a kept value is bit for bit `fresh()`.
+    #[inline]
+    pub fn predicted_sample(&self, fresh: impl FnOnce() -> f64) -> f64 {
+        kept_or_fresh(&self.sample, fresh, "predicted sample")
+    }
+
+    /// The kept busy fraction and predicted sample, if any.
+    #[cfg(test)]
+    pub fn kept(&self) -> (Option<f64>, Option<f64>) {
+        (self.busy.get(), self.sample.get())
+    }
+}
+
+/// The value kept in `slot`, or `fresh()`, which `slot` keeps from now
+/// on. A debug build recomputes a kept value and panics unless the two
+/// are bit for bit equal.
+#[inline]
+fn kept_or_fresh(slot: &Cell<Option<f64>>, fresh: impl FnOnce() -> f64, what: &str) -> f64 {
+    match slot.get() {
+        Some(v) => {
+            debug_assert!(
+                v.to_bits() == fresh().to_bits(),
+                "kept {what} {v} differs from a fresh one"
+            );
+            v
+        }
+        None => {
+            let v = fresh();
+            slot.set(Some(v));
+            v
+        }
     }
 }
 

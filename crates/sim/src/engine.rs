@@ -17,7 +17,7 @@
 use crate::api::EngineCounters;
 use crate::config::SimConfig;
 use crate::counter_memo::CounterMemo;
-use crate::dvfs::{DomainDecision, Horizon};
+use crate::dvfs::{DomainDecision, DomainSignals, Horizon};
 use crate::machine::PhysicalMachine;
 use crate::runtime::{TaskRuntime, WarmthModel};
 use crate::trace::{merge_residency, phase_latencies, LatencyStats, SimReport, ThermalTrace};
@@ -25,7 +25,7 @@ use ebs_core::{
     place_new_task, EnergyAwareBalancer, EnergyEstimator, HotTaskConfig, HotTaskMigrator,
     PlacementTable, PowerState, PowerStateConfig,
 };
-use ebs_counters::{calibration, EnergyModel};
+use ebs_counters::{calibration, ceil_count, EnergyModel};
 use ebs_dvfs::{Governor, GovernorInput};
 use ebs_sched::{
     idlest_cpu, BalanceTimers, BinaryId, LoadBalancer, LoadBalancerConfig, System, TaskConfig,
@@ -81,6 +81,28 @@ struct IntervalAcc {
     task: Option<TaskId>,
     energy: Joules,
     time: SimDuration,
+}
+
+/// One package's power sums over its CPUs in core-major order
+/// ([`ebs_topology::Topology::cpus_of_package`], the order the hot-task
+/// trigger sums in), so a step sums each package once. Engine scratch,
+/// like [`DomainSignals`]: never saved or hashed.
+#[derive(Clone, Copy, Debug, Default)]
+struct PackageSums {
+    /// Thermal power, written after every physics step, at
+    /// construction and on restore.
+    thermal: Watts,
+    /// Budget, fixed at construction.
+    budget: Watts,
+    /// Whether the package passed the hot-task pre-screen this step.
+    hot: bool,
+}
+
+/// Whether `thermal` and `budget` are bit for bit the thermal-power and
+/// budget sums over `cpus`, in their order.
+fn sums_are_fresh(thermal: Watts, budget: Watts, power: &PowerState, cpus: &[CpuId]) -> bool {
+    thermal.0.to_bits() == power.thermal_power_sum(cpus.iter().copied()).0.to_bits()
+        && budget.0.to_bits() == power.max_power_sum(cpus.iter().copied()).0.to_bits()
 }
 
 /// Engine-phase indices into the self-profiler (names below, same
@@ -215,9 +237,15 @@ pub struct Simulation {
     /// `n_domains` long even with DVFS off, so an hlt warm-up restores
     /// fresh records into DVFS cells.
     dvfs: Vec<DomainDecision>,
+    /// Per-frequency-domain signals a step reads, indexed like `dvfs`:
+    /// power sums and the kept busy fraction and predicted sample.
+    signals: Vec<DomainSignals>,
     /// Per-package CPU lists, precomputed once — the topology is
     /// immutable and the physics/throttle paths below run every tick.
     pkg_cpus: Vec<Vec<CpuId>>,
+    /// Per-package power sums and hot-task pre-screen, indexed like
+    /// `pkg_cpus`.
+    pkg_sums: Vec<PackageSums>,
     /// Governor decisions taken over the run (statistics: the
     /// event-driven path exists to shrink this).
     dvfs_decisions: u64,
@@ -237,10 +265,6 @@ pub struct Simulation {
     /// Sojourn times of completed open tasks: (arrival phase index,
     /// secs).
     latencies: Vec<(u8, f64)>,
-    /// Per-package scratch: whether the package passed the hot-task
-    /// thermal pre-screen this step (computed once per step instead of
-    /// per CPU — the full trigger test walks the package CPU list).
-    hot_scratch: Vec<bool>,
     /// Per-CPU fractional cycles not yet counted as whole cycles.
     /// `(freq * dt * share)` is rarely integral; truncating it every
     /// step would make retired work depend on the step size, so the
@@ -358,8 +382,20 @@ impl Simulation {
             .open_workload
             .clone()
             .map(|spec| ArrivalProcess::new(spec, cfg.seed));
-        let n_packages = pkg_cpus.len();
-        Simulation {
+        // Budgets never change, so their sums are taken once; thermal
+        // sums are written below from the fresh averages.
+        let pkg_sums = pkg_cpus
+            .iter()
+            .map(|cpus| PackageSums {
+                budget: power.max_power_sum(cpus.iter().copied()),
+                ..PackageSums::default()
+            })
+            .collect();
+        let map = machine.domain_map();
+        let signals = (0..n_domains)
+            .map(|dom| DomainSignals::new(power.max_power_sum(map.cpus(dom).iter().copied())))
+            .collect();
+        let mut sim = Simulation {
             sys,
             power,
             estimator,
@@ -369,7 +405,9 @@ impl Simulation {
             warmth,
             governor: cfg.dvfs.as_ref().map(|spec| spec.governor.build()),
             dvfs: vec![DomainDecision::default(); n_domains],
+            signals,
             pkg_cpus,
+            pkg_sums,
             dvfs_decisions: 0,
             inbox: std::collections::VecDeque::new(),
             runtimes: TaskTable::new(),
@@ -377,7 +415,6 @@ impl Simulation {
             sleepers: BinaryHeap::new(),
             open,
             latencies: Vec::new(),
-            hot_scratch: vec![false; n_packages],
             cycle_carry: vec![0.0; n_cpus],
             instr_carry: vec![0.0; n_cpus],
             counter_memo: vec![CounterMemo::default(); n_cpus],
@@ -405,7 +442,9 @@ impl Simulation {
             slice_powers: None,
             machine,
             cfg,
-        }
+        };
+        sim.write_power_sums();
+        sim
     }
 
     /// Enables per-timeslice power logging (Table 1 experiments).
@@ -814,54 +853,58 @@ impl Simulation {
         for (pkg, cpus) in self.pkg_cpus.iter().enumerate() {
             let pkg_running = self.machine.throttles[pkg].state() == ThrottleState::Running;
             if pkg_running {
-                for (i, &cpu) in cpus.iter().enumerate() {
-                    let Some(task) = self.sys.current(cpu) else {
-                        continue;
-                    };
-                    let rt = &self.runtimes[task];
-                    // Timeslice expiry — but only where the expiry can
-                    // change *what runs*: round-robin with queued
-                    // tasks, or a program that may block at slice end.
-                    // A solo non-blocking task just gets a fresh slice
-                    // and keeps running, and the Eq. 2 variable-period
-                    // profile average absorbs a stretched slice
-                    // exactly, so those expiries resolve at span ends.
-                    // Expiries that do matter get a few ticks of slack
-                    // (a slice stretching 100 → 104 ms shifts nothing
-                    // measurable) so a saturated machine's clustered
-                    // expiries merge into one span instead of forcing
-                    // per-tick steps.
-                    let expiry_matters =
-                        self.sys.nr_running(cpu) > 1 || rt.program.program().blocking.is_some();
-                    if expiry_matters {
-                        if let Some(left) = self.sys.time_to_timeslice_expiry(cpu) {
-                            dt = dt.min(left.max(slack));
+                // `cpus` is core-major, so each chunk is one core.
+                for core in cpus.chunks(threads_per_core) {
+                    let share = self.smt_share(core);
+                    for &cpu in core {
+                        let Some(task) = self.sys.current(cpu) else {
+                            continue;
+                        };
+                        let rt = &self.runtimes[task];
+                        // Timeslice expiry — but only where the expiry can
+                        // change *what runs*: round-robin with queued
+                        // tasks, or a program that may block at slice end.
+                        // A solo non-blocking task just gets a fresh slice
+                        // and keeps running, and the Eq. 2 variable-period
+                        // profile average absorbs a stretched slice
+                        // exactly, so those expiries resolve at span ends.
+                        // Expiries that do matter get a few ticks of slack
+                        // (a slice stretching 100 → 104 ms shifts nothing
+                        // measurable) so a saturated machine's clustered
+                        // expiries merge into one span instead of forcing
+                        // per-tick steps.
+                        let expiry_matters =
+                            self.sys.nr_running(cpu) > 1 || rt.program.program().blocking.is_some();
+                        if expiry_matters {
+                            if let Some(left) = self.sys.time_to_timeslice_expiry(cpu) {
+                                dt = dt.min(left.max(slack));
+                            }
                         }
-                    }
-                    // Earliest completion and dwell-driven phase
-                    // rotations: these change the task set or the
-                    // execution rates, so the span ends near them. The
-                    // completion estimate uses the task's *current*
-                    // rate (clock, SMT share, warmth): past warmup the
-                    // rate is constant within a span, so the estimate
-                    // is exact and the completion lands right on the
-                    // span boundary. A warming task speeds up and
-                    // completes slightly inside its span instead —
-                    // detected at the span end, like in a one-tick step.
-                    if let Some(total) = rt.program.program().total_work {
-                        let share = self.smt_share(cpus, i, threads_per_core);
-                        let freq = self.machine.cpu_frequency(cpu).0;
-                        let rate = freq * share * rt.program.ipc() * rt.warmth_factor(&self.warmth);
-                        if rate > 0.0 {
-                            let left = total.saturating_sub(rt.program.work_done());
-                            let eta = SimDuration::from_micros(
-                                ((left as f64 / rate) * 1e6).ceil() as u64
-                            );
-                            dt = dt.min(eta.max(slack));
+                        // Earliest completion and dwell-driven phase
+                        // rotations: these change the task set or the
+                        // execution rates, so the span ends near them. The
+                        // completion estimate uses the task's *current*
+                        // rate (clock, SMT share, warmth): past warmup the
+                        // rate is constant within a span, so the estimate
+                        // is exact and the completion lands right on the
+                        // span boundary. A warming task speeds up and
+                        // completes slightly inside its span instead —
+                        // detected at the span end, like in a one-tick step.
+                        if let Some(total) = rt.program.program().total_work {
+                            let freq = self.machine.cpu_frequency(cpu).0;
+                            let rate =
+                                freq * share * rt.program.ipc() * rt.warmth_factor(&self.warmth);
+                            if rate > 0.0 {
+                                let left = total.saturating_sub(rt.program.work_done());
+                                let eta = SimDuration::from_micros(ceil_count(
+                                    (left as f64 / rate) * 1e6,
+                                ));
+                                dt = dt.min(eta.max(slack));
+                            }
                         }
-                    }
-                    if let Some(dwell) = rt.program.time_to_phase_change() {
-                        dt = dt.min(dwell);
+                        if let Some(dwell) = rt.program.time_to_phase_change() {
+                            dt = dt.min(dwell);
+                        }
                     }
                 }
             }
@@ -872,7 +915,7 @@ impl Simulation {
             // average under constant samples); once past the
             // threshold, fall back to tick-sized steps.
             if self.cfg.throttling {
-                let avg = self.power.thermal_power_sum(cpus.iter().copied()).0;
+                let avg = self.package_sums(pkg).thermal.0;
                 let thr = self.machine.throttles[pkg].flip_threshold().0;
                 let crossed = if pkg_running { avg >= thr } else { avg < thr };
                 if crossed {
@@ -909,13 +952,21 @@ impl Simulation {
             };
             let map = self.machine.domain_map();
             for (dom, d) in self.dvfs.iter().enumerate() {
-                let cpus = map.cpus(dom);
+                let signals = self.domain_signals(dom);
                 dt = d.stride_bound(
                     &at,
                     dt,
-                    self.busy_fraction(dom),
-                    self.power.thermal_power_sum(cpus.iter().copied()),
-                    || self.predicted_sample(map.package_of(dom), cpus, threads_per_core),
+                    signals.busy_fraction(|| self.busy_fraction(dom)),
+                    signals.thermal,
+                    || {
+                        signals.predicted_sample(|| {
+                            self.predicted_sample(
+                                map.package_of(dom),
+                                map.cpus(dom),
+                                threads_per_core,
+                            )
+                        })
+                    },
                 );
             }
         }
@@ -926,13 +977,17 @@ impl Simulation {
     /// one solo thread (the literature's ~1.25 for the Pentium 4).
     const SMT_SPEEDUP: f64 = 1.25;
 
-    /// The issue share of the CPU at index `i` of a core-major CPU list:
-    /// SMT contention is per *core*, so only the running hardware
-    /// threads sharing its pipeline split the issue width.
-    fn smt_share(&self, cpus: &[CpuId], i: usize, threads_per_core: usize) -> f64 {
-        let core_base = i - i % threads_per_core;
-        let core_end = (core_base + threads_per_core).min(cpus.len());
-        let n_active = cpus[core_base..core_end]
+    /// The issue share of each running thread of `core`, one
+    /// `threads_per_core` chunk of a core-major CPU list: SMT contention
+    /// is per *core*, so only the running hardware threads sharing its
+    /// pipeline split the issue width. A one-thread core reads 1.0
+    /// without looking.
+    #[inline]
+    fn smt_share(&self, core: &[CpuId]) -> f64 {
+        if core.len() < 2 {
+            return 1.0;
+        }
+        let n_active = core
             .iter()
             .filter(|&&c| self.sys.current(c).is_some())
             .count();
@@ -967,30 +1022,89 @@ impl Simulation {
     /// clock and SMT share, halt power elsewhere. `pkg` is the package
     /// owning every CPU of the list (its throttle gates execution).
     /// Used only to bound strides; physics recomputes the real thing.
+    /// SMT shares are taken per `threads_per_core` chunk of `cpus`,
+    /// whatever order it lists.
     fn predicted_sample(&self, pkg: usize, cpus: &[CpuId], threads_per_core: usize) -> f64 {
         if self.machine.throttles[pkg].state() != ThrottleState::Running {
             // Halted: every CPU sits at its halt share.
             return self.machine.halt_floor(cpus);
         }
         let mut sum = 0.0;
-        for (i, &cpu) in cpus.iter().enumerate() {
-            let Some(task) = self.sys.current(cpu) else {
-                sum += self.machine.halt_power_share_of(cpu).0;
-                continue;
-            };
-            let share = self.smt_share(cpus, i, threads_per_core);
-            let dom = self.machine.domain_map().domain_of(cpu);
-            let freq = self.machine.freq_domains[dom].frequency().0;
-            let vsq = self.machine.freq_domains[dom].voltage_scale_sq();
-            let rates = self.runtimes[task].program.current_rates();
-            sum += self
-                .estimator
-                .model_for(cpu)
-                .power_for_rates(&rates, freq * share)
-                .0
-                * vsq;
+        for core in cpus.chunks(threads_per_core) {
+            let share = self.smt_share(core);
+            for &cpu in core {
+                let Some(task) = self.sys.current(cpu) else {
+                    sum += self.machine.halt_power_share_of(cpu).0;
+                    continue;
+                };
+                let dom = self.machine.domain_map().domain_of(cpu);
+                let freq = self.machine.freq_domains[dom].frequency().0;
+                let vsq = self.machine.freq_domains[dom].voltage_scale_sq();
+                let rates = self.runtimes[task].program.current_rates();
+                sum += self
+                    .estimator
+                    .model_for(cpu)
+                    .power_for_rates(&rates, freq * share)
+                    .0
+                    * vsq;
+            }
         }
         sum
+    }
+
+    /// Package `pkg`'s kept power sums.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, unless they are bit for bit fresh sums.
+    #[inline]
+    fn package_sums(&self, pkg: usize) -> &PackageSums {
+        let sums = &self.pkg_sums[pkg];
+        debug_assert!(
+            sums_are_fresh(sums.thermal, sums.budget, &self.power, &self.pkg_cpus[pkg]),
+            "kept power sums of package {pkg} differ from fresh ones"
+        );
+        sums
+    }
+
+    /// Frequency domain `dom`'s kept signals (DVFS runs only: without
+    /// DVFS nothing writes the domain sums).
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, unless its power sums are bit for bit fresh
+    /// ones.
+    #[inline]
+    fn domain_signals(&self, dom: usize) -> &DomainSignals {
+        let signals = &self.signals[dom];
+        debug_assert!(
+            sums_are_fresh(
+                signals.thermal,
+                signals.budget,
+                &self.power,
+                self.machine.domain_map().cpus(dom)
+            ),
+            "kept power sums of domain {dom} differ from fresh ones"
+        );
+        signals
+    }
+
+    /// Writes every package's thermal-power sum and, with DVFS, every
+    /// frequency domain's, each over its own CPU list in that list's
+    /// order: a per-package domain lists its CPUs ascending, its
+    /// package core-major, and the two sums can differ in the last bit.
+    /// Called wherever the averages change: after each physics step,
+    /// at construction and on restore.
+    fn write_power_sums(&mut self) {
+        for (sums, cpus) in self.pkg_sums.iter_mut().zip(&self.pkg_cpus) {
+            sums.thermal = self.power.thermal_power_sum(cpus.iter().copied());
+        }
+        if self.cfg.dvfs.is_some() {
+            let map = self.machine.domain_map();
+            for (dom, signals) in self.signals.iter_mut().enumerate() {
+                signals.thermal = self.power.thermal_power_sum(map.cpus(dom).iter().copied());
+            }
+        }
     }
 
     /// Spawns open-workload arrivals due now. The arrival process
@@ -1072,82 +1186,90 @@ impl Simulation {
             // the whole span.
             let pkg_running = self.machine.throttles[pkg].state() == ThrottleState::Running;
             let mut pkg_energy = Joules::ZERO;
-            for (i, &cpu) in cpus.iter().enumerate() {
-                let running = if pkg_running {
-                    self.sys.current(cpu)
-                } else {
-                    None
-                };
-                if let Some(task) = running {
-                    // `cpus` is core-major, so SMT siblings are adjacent.
-                    let share = self.smt_share(cpus, i, threads_per_core);
-                    // The CPU's frequency domain scales execution
-                    // speed (cycles ~ f) and dynamic energy per event
-                    // (~ V²); the event counts themselves already
-                    // shrink with the cycle count, so dynamic power
-                    // scales as V²·f overall. The domain's frequency
-                    // is absolute, so classes with different nominal
-                    // clocks genuinely execute at different speeds.
-                    let domain =
-                        &self.machine.freq_domains[self.machine.domain_map().domain_of(cpu)];
-                    let (freq, vscale_sq) = (domain.frequency().0, domain.voltage_scale_sq());
-                    // Emit whole cycles, carrying the fractional part
-                    // so retired work is step-size-invariant: chopping
-                    // the same wall time into different spans yields
-                    // the same cumulative cycle count (±1).
-                    let raw_cycles = freq * dt.as_secs_f64() * share;
-                    let cycles_f = raw_cycles + self.cycle_carry[cpu.0];
-                    let cycles = cycles_f as u64;
-                    self.cycle_carry[cpu.0] = (cycles_f - cycles as f64).max(0.0);
-                    let rt = &mut self.runtimes[task];
-                    let class = self.sys.topology().class_of(cpu);
-                    let kernel = self.counter_memo[cpu.0].kernel(
-                        rt.program.current_rates(),
-                        cycles,
-                        &self.machine.class_truth(class).model,
-                        self.estimator.model_for(cpu),
-                    );
-                    pkg_energy += kernel.truth * vscale_sq;
-                    // Instruction progress, damped by cache warmth and
-                    // the class's pipeline width (`ipc_factor` is
-                    // exactly 1.0 for class 0, so homogeneous runs are
-                    // bit-identical). The instruction stream carries
-                    // its own remainder off the *unrounded* cycle
-                    // flow, so its total is independent of how cycles
-                    // happened to round.
-                    let wf = rt.warmth_factor(&self.warmth);
-                    let class_ipc = self.machine.catalog().get(class).ipc_factor;
-                    let instr_f =
-                        raw_cycles * rt.program.ipc() * wf * class_ipc + self.instr_carry[cpu.0];
-                    let instr = instr_f as u64;
-                    self.instr_carry[cpu.0] = (instr_f - instr as f64).max(0.0);
-                    rt.add_warmth(instr);
-                    let done = rt.program.add_work(instr);
-                    rt.program.advance_time(dt);
-                    self.instructions += instr;
-                    if done {
-                        completed.push(cpu);
+            // `cpus` is core-major, so each chunk is one core's SMT
+            // siblings.
+            for core in cpus.chunks(threads_per_core) {
+                let share = self.smt_share(core);
+                for &cpu in core {
+                    let running = if pkg_running {
+                        self.sys.current(cpu)
+                    } else {
+                        None
+                    };
+                    if let Some(task) = running {
+                        // The CPU's frequency domain scales execution
+                        // speed (cycles ~ f) and dynamic energy per event
+                        // (~ V²); the event counts themselves already
+                        // shrink with the cycle count, so dynamic power
+                        // scales as V²·f overall. The domain's frequency
+                        // is absolute, so classes with different nominal
+                        // clocks genuinely execute at different speeds.
+                        let dom = self.machine.domain_map().domain_of(cpu);
+                        let domain = &self.machine.freq_domains[dom];
+                        let (freq, vscale_sq) = (domain.frequency().0, domain.voltage_scale_sq());
+                        // Emit whole cycles, carrying the fractional part
+                        // so retired work is step-size-invariant: chopping
+                        // the same wall time into different spans yields
+                        // the same cumulative cycle count (±1).
+                        let raw_cycles = freq * dt.as_secs_f64() * share;
+                        let cycles_f = raw_cycles + self.cycle_carry[cpu.0];
+                        let cycles = cycles_f as u64;
+                        self.cycle_carry[cpu.0] = (cycles_f - cycles as f64).max(0.0);
+                        let rt = &mut self.runtimes[task];
+                        let class = self.sys.topology().class_of(cpu);
+                        let kernel = self.counter_memo[cpu.0].kernel(
+                            rt.program.current_rates(),
+                            cycles,
+                            &self.machine.class_truth(class).model,
+                            self.estimator.model_for(cpu),
+                        );
+                        pkg_energy += kernel.truth * vscale_sq;
+                        // Instruction progress, damped by cache warmth and
+                        // the class's pipeline width (`ipc_factor` is
+                        // exactly 1.0 for class 0, so homogeneous runs are
+                        // bit-identical). The instruction stream carries
+                        // its own remainder off the *unrounded* cycle
+                        // flow, so its total is independent of how cycles
+                        // happened to round.
+                        let wf = rt.warmth_factor(&self.warmth);
+                        let class_ipc = self.machine.catalog().get(class).ipc_factor;
+                        let instr_f = raw_cycles * rt.program.ipc() * wf * class_ipc
+                            + self.instr_carry[cpu.0];
+                        let instr = instr_f as u64;
+                        self.instr_carry[cpu.0] = (instr_f - instr as f64).max(0.0);
+                        rt.add_warmth(instr);
+                        let done = rt.program.add_work(instr);
+                        let phase = rt.program.phase_index();
+                        rt.program.advance_time(dt);
+                        if rt.program.phase_index() != phase {
+                            // New rates: the domain's kept sample is stale.
+                            self.signals[dom].clear();
+                        }
+                        self.instructions += instr;
+                        if done {
+                            completed.push(cpu);
+                        }
+                        // Estimator: the memoised Eq. 1 estimate of the
+                        // step's counts under the CPU's calibrated model.
+                        // The kernel programs the P-state itself, so it
+                        // scales the counter-derived energy by the known
+                        // (V/V₀)² just as it adds the known halt power for
+                        // idling.
+                        let est = kernel.estimate * vscale_sq;
+                        self.acc[cpu.0].energy += est;
+                        self.acc[cpu.0].time += dt;
+                        self.estimated_energy += est;
+                        self.power.observe(cpu, est.average_power(dt), dt);
+                    } else {
+                        // Idle or throttled: halt power only (the class's
+                        // own share on hybrid machines). The CPU retired no
+                        // events, so the estimator charges its class's halt
+                        // share.
+                        pkg_energy += self.machine.halt_power_share_of(cpu).over(dt);
+                        let est = self.estimator.halt_share_of(cpu).over(dt);
+                        self.estimated_energy += est;
+                        self.power.observe(cpu, est.average_power(dt), dt);
                     }
-                    // Estimator: the memoised Eq. 1 estimate of the
-                    // step's counts under the CPU's calibrated model.
-                    // The kernel programs the P-state itself, so it
-                    // scales the counter-derived energy by the known
-                    // (V/V₀)² just as it adds the known halt power for
-                    // idling.
-                    let est = kernel.estimate * vscale_sq;
-                    self.acc[cpu.0].energy += est;
-                    self.acc[cpu.0].time += dt;
-                    self.estimated_energy += est;
-                    self.power.observe(cpu, est.average_power(dt), dt);
-                } else {
-                    // Idle or throttled: halt power only (the class's
-                    // own share on hybrid machines). The CPU retired no
-                    // events, so the estimator charges its class's halt
-                    // share.
-                    pkg_energy += self.machine.halt_power_share_of(cpu).over(dt);
-                    let est = self.estimator.halt_share_of(cpu).over(dt);
-                    self.estimated_energy += est;
-                    self.power.observe(cpu, est.average_power(dt), dt);
                 }
             }
             // Counter-invisible leakage, then the RC step.
@@ -1158,6 +1280,7 @@ impl Simulation {
             self.max_temp = self.max_temp.max(t);
         }
         self.pkg_cpus = pkg_cpus;
+        self.write_power_sums();
         completed
     }
 
@@ -1165,12 +1288,14 @@ impl Simulation {
     /// the sibling thermal powers (only physical processors overheat).
     fn throttle_tick(&mut self, dt: SimDuration) {
         for pkg in 0..self.pkg_cpus.len() {
-            let thermal = self
-                .power
-                .thermal_power_sum(self.pkg_cpus[pkg].iter().copied());
+            let thermal = self.package_sums(pkg).thermal;
             let before = self.machine.throttles[pkg].state();
             let after = self.machine.throttles[pkg].observe(thermal, dt);
             if before != after {
+                // A flip gates execution on every domain of the package.
+                for &dom in self.machine.domain_map().domains_of_package(pkg) {
+                    self.signals[dom].clear();
+                }
                 self.emit(match after {
                     ThrottleState::Halted => EventKind::ThrottleEngage {
                         package: pkg as u32,
@@ -1199,12 +1324,11 @@ impl Simulation {
         // Accrue busy time every step so a task blocking and waking
         // between decisions still shows up as load.
         for dom in 0..self.dvfs.len() {
-            let busy = self.busy_fraction(dom);
+            let busy = self.signals[dom].busy_fraction(|| self.busy_fraction(dom));
             self.dvfs[dom].accrue(dt, busy, interval);
         }
         for dom in 0..self.dvfs.len() {
-            let cpus = self.machine.domain_map().cpus(dom);
-            if self.dvfs[dom].is_due(self.now, self.power.thermal_power_sum(cpus.iter().copied())) {
+            if self.dvfs[dom].is_due(self.now, self.domain_signals(dom).thermal) {
                 self.dvfs_decide(dom, max_hold);
             }
         }
@@ -1223,10 +1347,10 @@ impl Simulation {
             .as_deref()
             .expect("DVFS decisions need a governor");
         let map = self.machine.domain_map();
-        let cpus = map.cpus(dom);
+        let signals = self.domain_signals(dom);
         let input = GovernorInput {
-            thermal_power: self.power.thermal_power_sum(cpus.iter().copied()),
-            budget: self.power.max_power_sum(cpus.iter().copied()),
+            thermal_power: signals.thermal,
+            budget: signals.budget,
             idle_floor: self.machine.class_truth(map.class_of(dom)).halt_power,
             utilization: self.dvfs[dom].utilization(),
         };
@@ -1242,6 +1366,8 @@ impl Simulation {
             pstate: next as u32,
         });
         if from != next {
+            // A new clock: the domain's kept sample is stale.
+            self.signals[dom].clear();
             self.emit(EventKind::PStateTransition {
                 package: dom as u32,
                 from: from as u32,
@@ -1261,11 +1387,10 @@ impl Simulation {
         // never changes a decision.
         if self.cfg.energy_aware {
             let trigger = self.hot.config().trigger_fraction;
-            for pkg in 0..self.pkg_cpus.len() {
-                let cpus = &self.pkg_cpus[pkg];
-                let thermal = self.power.thermal_power_sum(cpus.iter().copied());
-                let budget = self.power.max_power_sum(cpus.iter().copied());
-                self.hot_scratch[pkg] = thermal.0 >= budget.0 * trigger;
+            for pkg in 0..self.pkg_sums.len() {
+                let sums = self.package_sums(pkg);
+                let hot = sums.thermal.0 >= sums.budget.0 * trigger;
+                self.pkg_sums[pkg].hot = hot;
             }
         }
         // Task completions first: they free CPUs and may respawn.
@@ -1316,7 +1441,7 @@ impl Simulation {
             // Hot task migration: checked whenever thermal power was
             // updated, i.e. every step (cheap trigger test behind the
             // per-package pre-screen).
-            if self.cfg.energy_aware && self.hot_scratch[pkg] {
+            if self.cfg.energy_aware && self.pkg_sums[pkg].hot {
                 self.hot_check(cpu);
             }
 
@@ -1378,11 +1503,13 @@ impl Simulation {
     }
 
     /// Records `cpu` going idle: its accounting interval (already
-    /// closed) stops naming the task that left, and a new-idle balance
-    /// attempt becomes pending.
+    /// closed) stops naming the task that left, a new-idle balance
+    /// attempt becomes pending, and the domain's kept signals are
+    /// stale.
     fn went_idle(&mut self, cpu: CpuId) {
         self.acc[cpu.0] = IntervalAcc::default();
         self.newidle_pending[cpu.0] = true;
+        self.signals[self.machine.domain_map().domain_of(cpu)].clear();
         self.emit(EventKind::ContextSwitch {
             cpu: cpu.0 as u32,
             task: None,
@@ -1421,8 +1548,11 @@ impl Simulation {
         Some(())
     }
 
-    /// Bookkeeping when `task` starts running on `cpu`.
+    /// Bookkeeping when `task` starts running on `cpu`. It begins a
+    /// slice with fresh rates, on a CPU that was idle or ran another
+    /// task, so the domain's kept signals are stale.
     fn on_dispatch(&mut self, cpu: CpuId, task: TaskId) {
+        self.signals[self.machine.domain_map().domain_of(cpu)].clear();
         let migrations = self.sys.task(task).migrations();
         let last = self.sys.task(task).last_migration();
         let mut migrated = false;
@@ -1859,6 +1989,11 @@ impl ebs_store::Snapshot for Simulation {
         self.true_energy = r.joules()?;
         self.estimated_energy = r.joules()?;
         let metrics_next = r.opt(|r| r.time())?;
+        // Every average and every signal input may have changed.
+        self.write_power_sums();
+        for signals in &mut self.signals {
+            signals.clear();
+        }
         if let Some(m) = self.metrics.as_deref_mut() {
             // An image written without metrics carries no cursor:
             // resume where a straight run holds it at `now`, the next
@@ -2583,6 +2718,141 @@ mod tests {
         let rel = (chatty.instructions_retired as f64 - limited.instructions_retired as f64).abs()
             / chatty.instructions_retired as f64;
         assert!(rel < 0.10, "work drifted {rel}");
+    }
+
+    /// Asserts that every power sum and every kept busy fraction and
+    /// predicted sample of `sim` is bit for bit a fresh computation.
+    fn assert_kept_signals_fresh(sim: &Simulation) {
+        let at = sim.now;
+        for (pkg, sums) in sim.pkg_sums.iter().enumerate() {
+            assert!(
+                sums_are_fresh(sums.thermal, sums.budget, &sim.power, &sim.pkg_cpus[pkg]),
+                "package {pkg} sums at {at:?}"
+            );
+        }
+        let map = sim.machine.domain_map();
+        let threads_per_core = sim.sys.topology().threads_per_core().max(1);
+        for (dom, signals) in sim.signals.iter().enumerate() {
+            let cpus = map.cpus(dom);
+            assert!(
+                sums_are_fresh(signals.thermal, signals.budget, &sim.power, cpus),
+                "domain {dom} sums at {at:?}"
+            );
+            let (busy, sample) = signals.kept();
+            if let Some(busy) = busy {
+                let fresh = sim.busy_fraction(dom);
+                assert_eq!(
+                    busy.to_bits(),
+                    fresh.to_bits(),
+                    "domain {dom} busy at {at:?}"
+                );
+            }
+            if let Some(sample) = sample {
+                let fresh = sim.predicted_sample(map.package_of(dom), cpus, threads_per_core);
+                assert_eq!(
+                    sample.to_bits(),
+                    fresh.to_bits(),
+                    "domain {dom} sample at {at:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kept_signals_stay_fresh_through_every_clearing_event() {
+        // dual2's per-package domains list their CPUs in another order
+        // than their packages; hybrid8 has a domain per core. The mix
+        // rotates openssl's phases and blocks bash and sshd, a low
+        // budget flips the hlt throttle, and both governors move the
+        // clock. One-tick runs check the kept values at every step end.
+        use ebs_dvfs::GovernorKind::{OnDemand, ThermalAware};
+        use ebs_workloads::{Behavior, Phase};
+        // openssl's 12 s dwells are whole 100 ms slices, so its
+        // rotations land on slice ends, whose dispatch clears anyway; a
+        // cycler whose dwells are not rotates mid-slice.
+        let rates = |uops| {
+            ebs_counters::EventRates::builder()
+                .uops_retired(uops)
+                .mem_loads(0.2)
+                .build()
+        };
+        let cycler = Program::new(
+            "cycler",
+            99,
+            vec![
+                Phase::new("light", rates(0.6), 0.8, SimDuration::from_millis(37)),
+                Phase::new("heavy", rates(2.1), 1.5, SimDuration::from_millis(53)),
+            ],
+            Behavior::Cyclic,
+            0.0,
+        );
+        for preset in [
+            ebs_topology::TopologyPreset::Dual,
+            ebs_topology::TopologyPreset::Hybrid8,
+        ] {
+            for governor in [ThermalAware, OnDemand] {
+                let what = format!("{preset:?}/{governor:?}");
+                let thermal = governor == ThermalAware;
+                let cfg = SimConfig::preset(preset)
+                    .max_power(crate::MaxPowerSpec::PerLogical(Watts(10.0)))
+                    .dvfs_governor(governor)
+                    .strided()
+                    .trace_events(true)
+                    .seed(5);
+                let mut sim = Simulation::new(cfg);
+                sim.spawn_mix(&ebs_workloads::section61_mix(), 1);
+                sim.spawn_program(&catalog::bash());
+                sim.spawn_program(&catalog::sshd());
+                sim.spawn_program(&cycler);
+                let tick = sim.config().tick;
+                let half = 10_000;
+                let mut image = None;
+                let mut samples = 0;
+                for step in 0..2 * half {
+                    if step == half {
+                        image = Some(sim.snapshot());
+                    }
+                    sim.run_for(tick);
+                    assert_kept_signals_fresh(&sim);
+                    samples += sim.signals.iter().filter(|s| s.kept().1.is_some()).count();
+                }
+                // Only the thermal governor's hold has a power band, the
+                // one stride bound that reads a predicted sample.
+                assert_eq!(samples > half, thermal, "{what}: {samples} kept samples");
+                // Restore halfway into the engine that ran on, whose
+                // kept values belong to a later state.
+                sim.restore_snapshot(&image.expect("taken halfway"))
+                    .expect("restore");
+                assert_kept_signals_fresh(&sim);
+                for _ in 0..half / 10 {
+                    sim.run_for(tick);
+                    assert_kept_signals_fresh(&sim);
+                }
+                let events = sim.events().expect("traced");
+                let count =
+                    |f: fn(&EventKind) -> bool| events.iter().filter(|e| f(&e.kind)).count();
+                for (event, n) in [
+                    (
+                        "dispatch",
+                        count(|k| matches!(k, EventKind::ContextSwitch { task: Some(_), .. })),
+                    ),
+                    (
+                        "idle",
+                        count(|k| matches!(k, EventKind::ContextSwitch { task: None, .. })),
+                    ),
+                    (
+                        "P-state change",
+                        count(|k| matches!(k, EventKind::PStateTransition { .. })),
+                    ),
+                    (
+                        "throttle flip",
+                        count(|k| matches!(k, EventKind::ThrottleEngage { .. })),
+                    ),
+                ] {
+                    assert!(n > 0, "{what}: no {event}");
+                }
+            }
+        }
     }
 
     /// An engine with a task blocked (an always-blocking bash), tasks

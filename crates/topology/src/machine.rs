@@ -349,7 +349,11 @@ impl Topology {
     /// The logical CPUs of a package, core-major order: cores
     /// ascending, then each core's threads (an iterator, like
     /// [`Topology::cpus_of_core`]; the hot-task trigger sums the
-    /// package's thermal power over it on every check).
+    /// package's thermal power over it on every check). On SMT shapes
+    /// that is not ascending: dual2's package 0 is `[0, 4, 1, 5]`.
+    /// A list that holds the same CPUs ascending, such as a per-package
+    /// frequency domain's, can sum the same per-CPU values to a
+    /// different last bit.
     pub fn cpus_of_package(&self, pkg: PackageId) -> impl Iterator<Item = CpuId> + '_ {
         self.cores_of_package(pkg)
             .flat_map(move |c| self.cpus_of_core(c))
